@@ -3,17 +3,34 @@
 //! loop.
 //!
 //! [`BatchRun`] owns the whole run: it replays a [`BatchTrace`] against
-//! a [`Cluster`], consulting an [`AllocPolicy`] at every lockstep window
-//! boundary. Arrivals, allocation decisions, completions and fault
-//! handling are all functions of virtual time and seeded state, so a
-//! batch run is exactly as deterministic as the underlying
-//! co-simulation — the same `(cluster seed, fault plan, trace, policy)`
-//! tuple produces the same [`BatchReport`] bit for bit, on both
-//! event-loop flavours.
+//! a [`Cluster`], stepping it one lockstep window at a time and running
+//! a decision pass — walltime kills, harvest, admission, the
+//! [`AllocPolicy::select`] loop, [`AllocPolicy::share_update`] and the
+//! occupancy audit — only at **decision points**: the first window
+//! boundary at or after
+//!
+//! * an arrival comes due,
+//! * a job's launcher tree exits on any node (a multi-node job frees
+//!   its nodes one tree at a time, and a narrow job may start on the
+//!   first freed node in that same window),
+//! * a walltime deadline passes,
+//! * a node fault (crash, drain, restart) is applied, or
+//! * the policy's own time trigger fires ([`AllocPolicy::next_decision`]).
+//!
+//! The cluster publishes monotone tree-exit and fault counters
+//! ([`Cluster::tree_exits`], [`Cluster::faults_applied`]) that the engine
+//! compares once per window. At every window in between, a pass would
+//! find nothing to do — that is the `next_decision` contract — so the
+//! report is bit-identical to deciding at every window. Arrivals,
+//! allocation decisions, completions and fault handling are all
+//! functions of virtual time and seeded state, so a batch run is exactly
+//! as deterministic as the underlying co-simulation — the same
+//! `(cluster seed, fault plan, trace, policy)` tuple produces the same
+//! [`BatchReport`] bit for bit, on both event-loop flavours.
 //!
 //! Decision points are quantised to lockstep windows (a few µs, the
 //! interconnect lookahead), the cluster-level analogue of a real batch
-//! scheduler's polling interval.
+//! scheduler's event granularity.
 //!
 //! ## Failure semantics
 //!
@@ -29,9 +46,10 @@
 use crate::policy::{AllocPolicy, ClusterView, QueuedJob, RunningJob};
 use crate::trace::{BatchJob, BatchTrace};
 use hpl_cluster::{Cluster, ClusterJobHandle, JobCoordinator, Placement};
-use hpl_kernel::{RunOutcome, SchedEvent, TaskState};
+use hpl_kernel::{Node, RunOutcome, SchedEvent, TaskState};
 use hpl_mpi::{JobSpec, MpiOp, SchedMode};
 use hpl_sim::{SimDuration, SimTime};
+use std::collections::VecDeque;
 
 /// Periodic checkpointing for batch jobs (see [`BatchConfig`]).
 ///
@@ -144,6 +162,10 @@ pub struct BatchReport {
     pub max_node_occupancy: u32,
     /// Decision points at which some node exceeded the policy's
     /// occupancy limit (must be 0; the torture oracle checks it).
+    /// Occupancy only rises at a launch, and launches happen only at
+    /// decision points, so auditing there sees every peak; a violation
+    /// is counted once per decision point it persists through, not per
+    /// window.
     pub occupancy_violations: u64,
     /// Total crash-triggered requeues across all jobs.
     pub requeues: u64,
@@ -200,8 +222,22 @@ const ID_GAP: u64 = 16;
 /// checkpoints) and how often it has been requeued.
 struct Queued {
     job: BatchJob,
+    submitted: SimTime,
     skip_iters: u32,
     requeues: u32,
+}
+
+impl Queued {
+    fn view(&self) -> QueuedJob {
+        QueuedJob {
+            id: self.job.id,
+            nodes: self.job.nodes,
+            submitted: self.submitted,
+            est_runtime: self.job.est_runtime(),
+            user: self.job.user,
+            class: self.job.class,
+        }
+    }
 }
 
 struct Running {
@@ -393,6 +429,309 @@ impl<'a> BatchRun<'a> {
     }
 }
 
+/// Mutable state of one batch run, advanced one decision point at a
+/// time by [`Engine::decide`].
+struct Engine<'r> {
+    cfg: &'r BatchConfig,
+    /// Not yet submitted, in arrival order.
+    pending: VecDeque<(SimTime, BatchJob)>,
+    queue: Vec<Queued>,
+    running: Vec<Running>,
+    outcomes: Vec<JobOutcome>,
+    busy_spans: Vec<BusySpan>,
+    next_id_base: u64,
+    max_queue_depth: u32,
+    max_node_occupancy: u32,
+    occupancy_violations: u64,
+    requeues: u64,
+    /// The policy's per-node occupancy promise.
+    limit: u32,
+}
+
+impl Engine<'_> {
+    /// One decision pass at `now`: walltime kills, harvest, admission,
+    /// allocation, share reallocation and the occupancy audit, in that
+    /// order.
+    fn decide(
+        &mut self,
+        cluster: &mut Cluster,
+        policy: &mut dyn AllocPolicy,
+        coordinator: &mut Option<&mut dyn JobCoordinator>,
+        now: SimTime,
+    ) {
+        self.kill_overdue(cluster, now);
+        self.harvest(cluster, now);
+        self.admit(cluster, now);
+        let mut view = ClusterView {
+            now,
+            occupancy: (0..cluster.len())
+                .map(|n| cluster.active_jobs_on(n) as u32)
+                .collect(),
+            running: self
+                .running
+                .iter()
+                .map(|r| RunningJob {
+                    id: r.job.id,
+                    placement: r.handle.placement.clone(),
+                    est_end: r.started + r.job.est_runtime(),
+                })
+                .collect(),
+            down: (0..cluster.len())
+                .map(|n| !cluster.node_available(n))
+                .collect(),
+        };
+        self.allocate(cluster, policy, coordinator, &mut view);
+        self.reallocate_shares(cluster, policy, coordinator, &view);
+        self.audit(cluster);
+    }
+
+    /// Enforce walltime limits: a live job whose occupancy has reached
+    /// `factor ×` its estimate is killed on the spot (its launcher trees
+    /// die with node-local exit stamps, so the harvest that follows
+    /// collects it at this same decision point and its nodes free
+    /// immediately). Crashed jobs are left to the requeue path; a job
+    /// that finished inside the window reaps zero tasks and completes
+    /// normally.
+    fn kill_overdue(&mut self, cluster: &mut Cluster, now: SimTime) {
+        let Some(factor) = self.cfg.walltime_factor else {
+            return;
+        };
+        for r in self.running.iter_mut() {
+            if r.killed || cluster.job_failed(&r.handle) {
+                continue;
+            }
+            let limit = r.job.est_runtime().mul_f64(factor);
+            if now.since(r.started) >= limit && cluster.cancel_job(&r.handle) > 0 {
+                r.killed = true;
+            }
+        }
+    }
+
+    /// Harvest completions and crash casualties. The failure check comes
+    /// first: a crashed job's perf pids are stale (its node may have
+    /// restarted), so `job_end_time` must never look at them.
+    fn harvest(&mut self, cluster: &mut Cluster, now: SimTime) {
+        let mut i = 0;
+        while i < self.running.len() {
+            if cluster.job_failed(&self.running[i].handle) {
+                let r = self.running.swap_remove(i);
+                self.requeue(cluster, r, now);
+                continue;
+            }
+            let Some(ended) = job_end_time(cluster, &self.running[i].handle) else {
+                i += 1;
+                continue;
+            };
+            let r = self.running.swap_remove(i);
+            self.busy_spans.push(BusySpan {
+                placement: r.handle.placement.clone(),
+                from: r.started,
+                until: ended,
+            });
+            let wait = r.started.since(r.submitted);
+            let run = ended.since(r.started);
+            let floor = run.max(self.cfg.slowdown_tau);
+            let slowdown = ((wait + run).as_secs_f64() / floor.as_secs_f64()).max(1.0);
+            self.outcomes.push(JobOutcome {
+                id: r.job.id,
+                nodes: r.job.nodes,
+                submitted: r.submitted,
+                started: r.started,
+                ended,
+                wait,
+                run,
+                bounded_slowdown: slowdown,
+                requeues: r.requeues,
+                user: r.job.user,
+                killed: r.killed,
+            });
+            cluster.node_mut(0).publish(SchedEvent::JobEnd {
+                job: r.job.id,
+                queue_depth: self.queue.len() as u32,
+            });
+        }
+    }
+
+    /// Requeue a crash casualty at the tail of the queue, restarting
+    /// from the last checkpoint every surviving node committed.
+    fn requeue(&mut self, cluster: &mut Cluster, r: Running, now: SimTime) {
+        // The attempt occupied its nodes until this decision point (the
+        // crash landed inside the last window).
+        self.busy_spans.push(BusySpan {
+            placement: r.handle.placement.clone(),
+            from: r.started,
+            until: now,
+        });
+        // Generations count commits *in this attempt*, on top of
+        // whatever the attempt already skipped.
+        let mut skip = 0;
+        if let Some(c) = &self.cfg.checkpoint {
+            let committed = cluster
+                .job_survivors(&r.handle)
+                .iter()
+                .map(|&j| {
+                    cluster
+                        .node(r.handle.placement[j])
+                        .sync
+                        .barrier_generation(r.spec.ckpt_barrier_id(j as u32))
+                })
+                .min()
+                .unwrap_or(0);
+            skip = (r.skip_iters + committed as u32 * c.every_iters)
+                .min(r.job.iters.saturating_sub(1));
+        }
+        self.requeues += 1;
+        cluster.node_mut(0).publish(SchedEvent::JobSubmit {
+            job: r.job.id,
+            queue_depth: self.queue.len() as u32 + 1,
+        });
+        self.queue.push(Queued {
+            job: r.job,
+            submitted: r.submitted,
+            skip_iters: skip,
+            requeues: r.requeues + 1,
+        });
+        self.max_queue_depth = self.max_queue_depth.max(self.queue.len() as u32);
+    }
+
+    /// Admit arrivals that have come due.
+    fn admit(&mut self, cluster: &mut Cluster, now: SimTime) {
+        while self.pending.front().is_some_and(|(at, _)| *at <= now) {
+            let (submitted, job) = self.pending.pop_front().expect("checked front");
+            let id = job.id;
+            self.queue.push(Queued {
+                job,
+                submitted,
+                skip_iters: 0,
+                requeues: 0,
+            });
+            self.max_queue_depth = self.max_queue_depth.max(self.queue.len() as u32);
+            cluster.node_mut(0).publish(SchedEvent::JobSubmit {
+                job: id,
+                queue_depth: self.queue.len() as u32,
+            });
+        }
+    }
+
+    /// Launch until the policy passes, keeping `view` and the policy's
+    /// queue view current in place after each launch.
+    fn allocate(
+        &mut self,
+        cluster: &mut Cluster,
+        policy: &mut dyn AllocPolicy,
+        coordinator: &mut Option<&mut dyn JobCoordinator>,
+        view: &mut ClusterView,
+    ) {
+        let mut pview: Vec<QueuedJob> = self.queue.iter().map(Queued::view).collect();
+        while !pview.is_empty() {
+            let Some(alloc) = policy.select(&pview, view) else {
+                break;
+            };
+            pview.remove(alloc.queue_idx);
+            let q = self.queue.remove(alloc.queue_idx);
+            let ckpt = self.cfg.checkpoint.as_ref();
+            let spec = job_spec(&q.job, self.next_id_base, ckpt, q.skip_iters);
+            self.next_id_base = *spec.id_range().end() + 1 + ID_GAP;
+            let (mode, placement) = (self.cfg.mode, Placement::on(&alloc.placement));
+            let handle = match coordinator {
+                Some(c) => c.launch(cluster, &spec, mode, placement),
+                None => cluster.launch(&spec, mode, placement),
+            };
+            // Batch-level start stamp: the decision-point clock (node
+            // clocks inside one lockstep window can lag it by less than
+            // the lookahead, and `submitted <= now` must hold).
+            let started = view.now;
+            cluster.node_mut(0).publish(SchedEvent::JobStart {
+                job: q.job.id,
+                queue_depth: self.queue.len() as u32,
+                waited: started.since(q.submitted),
+            });
+            for &n in &alloc.placement {
+                view.occupancy[n] += 1;
+                debug_assert_eq!(view.occupancy[n], cluster.active_jobs_on(n) as u32);
+            }
+            view.running.push(RunningJob {
+                id: q.job.id,
+                placement: alloc.placement,
+                est_end: started + q.job.est_runtime(),
+            });
+            self.running.push(Running {
+                job: q.job,
+                spec,
+                handle,
+                submitted: q.submitted,
+                started,
+                skip_iters: q.skip_iters,
+                requeues: q.requeues,
+                killed: false,
+            });
+        }
+    }
+
+    /// Fractional-share reallocation (DFRS): the policy may recompute
+    /// per-job CPU shares at its own period; each share is published so
+    /// observers and the torture oracle can audit conservation.
+    /// Slot-based policies return nothing here and stay untouched bit
+    /// for bit.
+    fn reallocate_shares(
+        &mut self,
+        cluster: &mut Cluster,
+        policy: &mut dyn AllocPolicy,
+        coordinator: &mut Option<&mut dyn JobCoordinator>,
+        view: &ClusterView,
+    ) {
+        for (node, job, share_milli) in policy.share_update(view) {
+            cluster.node_mut(0).publish(SchedEvent::JobShare {
+                job,
+                node: node as u32,
+                share_milli,
+            });
+            // With a coordinator installed the share stops being
+            // advisory: realize it on the node, addressed by the job's
+            // gang id (its id base — unique among co-residents by the
+            // launch-time disjointness rule).
+            if let Some(c) = coordinator {
+                if let Some(r) = self.running.iter().find(|r| r.job.id == job) {
+                    c.set_share(cluster, node, r.spec.id_base, share_milli);
+                }
+            }
+        }
+    }
+
+    /// Occupancy audit against the policy's promise. Occupancy only
+    /// rises at a launch, so auditing once per decision point, after
+    /// the launches, sees every peak.
+    fn audit(&mut self, cluster: &Cluster) {
+        let mut over = false;
+        for n in 0..cluster.len() {
+            let occ = cluster.active_jobs_on(n) as u32;
+            self.max_node_occupancy = self.max_node_occupancy.max(occ);
+            over |= occ > self.limit;
+        }
+        if over {
+            self.occupancy_violations += 1;
+        }
+    }
+
+    /// The earliest clock value at which a decision pass is due even if
+    /// no tree exits and no fault lands: the next arrival, the next
+    /// walltime deadline, or the policy's own trigger.
+    fn next_wake(&self, policy: &dyn AllocPolicy, now: SimTime) -> Option<SimTime> {
+        let arrival = self.pending.front().map(|(at, _)| *at);
+        let deadline = self.cfg.walltime_factor.and_then(|factor| {
+            self.running
+                .iter()
+                .filter(|r| !r.killed)
+                .map(|r| r.started + r.job.est_runtime().mul_f64(factor))
+                .min()
+        });
+        [arrival, deadline, policy.next_decision(now)]
+            .into_iter()
+            .flatten()
+            .min()
+    }
+}
+
 fn run_batch_inner(
     cluster: &mut Cluster,
     trace: &BatchTrace,
@@ -412,10 +751,15 @@ fn run_batch_inner(
             j.nodes
         );
     }
-    let epoch = (0..nnodes)
-        .map(|i| cluster.node(i).now())
-        .max()
-        .expect("cluster is non-empty");
+    let clock = |cluster: &Cluster| {
+        cluster
+            .nodes()
+            .iter()
+            .map(Node::now)
+            .max()
+            .expect("cluster is non-empty")
+    };
+    let epoch = clock(cluster);
     let start_events = cluster.events_processed();
 
     // Trace order in, arrival order out (stable on ties by trace order).
@@ -425,271 +769,47 @@ fn run_batch_inner(
         .map(|j| (epoch + SimDuration::from_nanos(j.submit_ns), j.clone()))
         .collect();
     pending.sort_by_key(|(at, j)| (*at, j.id));
-    let mut pending = std::collections::VecDeque::from(pending);
 
-    let mut queue: Vec<Queued> = Vec::new();
-    let mut submitted_at: Vec<(u32, SimTime)> = Vec::new();
-    let mut running: Vec<Running> = Vec::new();
-    let mut outcomes: Vec<JobOutcome> = Vec::new();
-    let mut busy_spans: Vec<BusySpan> = Vec::new();
-    let mut next_id_base = ID_BASE_START;
-    let mut max_queue_depth = 0u32;
-    let mut max_node_occupancy = 0u32;
-    let mut occupancy_violations = 0u64;
-    let mut total_requeues = 0u64;
-    let limit = policy.occupancy_limit();
+    let mut e = Engine {
+        cfg,
+        pending: pending.into(),
+        queue: Vec::new(),
+        running: Vec::new(),
+        outcomes: Vec::new(),
+        busy_spans: Vec::new(),
+        next_id_base: ID_BASE_START,
+        max_queue_depth: 0,
+        max_node_occupancy: 0,
+        occupancy_violations: 0,
+        requeues: 0,
+        limit: policy.occupancy_limit(),
+    };
     let total_jobs = trace.jobs.len();
 
-    while outcomes.len() < total_jobs {
-        let now = (0..nnodes)
-            .map(|i| cluster.node(i).now())
-            .max()
-            .expect("cluster is non-empty");
-
-        // 1. Enforce walltime limits: a live job whose occupancy has
-        //    reached `factor ×` its estimate is killed on the spot
-        //    (its launcher trees die with node-local exit stamps, so
-        //    the harvest below collects it this same decision point
-        //    and its nodes free immediately). Crashed jobs are left to
-        //    the requeue path; a job that finished inside the window
-        //    reaps zero tasks and completes normally.
-        if let Some(factor) = cfg.walltime_factor {
-            for r in running.iter_mut() {
-                if r.killed || cluster.job_failed(&r.handle) {
-                    continue;
-                }
-                let limit = r.job.est_runtime().mul_f64(factor);
-                if now.since(r.started) >= limit && cluster.cancel_job(&r.handle) > 0 {
-                    r.killed = true;
-                }
-            }
-        }
-
-        // 2. Harvest completions and crash casualties. The failure
-        //    check comes first: a crashed job's perf pids are stale
-        //    (its node may have restarted), so `job_end_time` must
-        //    never look at them.
-        let mut i = 0;
-        while i < running.len() {
-            if cluster.job_failed(&running[i].handle) {
-                let r = running.swap_remove(i);
-                // The attempt occupied its nodes until this decision
-                // point (the crash landed inside the last window).
-                busy_spans.push(BusySpan {
-                    placement: r.handle.placement.clone(),
-                    from: r.started,
-                    until: now,
-                });
-                // Restart point: the last checkpoint every surviving
-                // node committed. Generations count commits *in this
-                // attempt*, on top of whatever the attempt already
-                // skipped.
-                let mut skip = 0;
-                if let Some(c) = &cfg.checkpoint {
-                    let committed = cluster
-                        .job_survivors(&r.handle)
-                        .iter()
-                        .map(|&j| {
-                            cluster
-                                .node(r.handle.placement[j])
-                                .sync
-                                .barrier_generation(r.spec.ckpt_barrier_id(j as u32))
-                        })
-                        .min()
-                        .unwrap_or(0);
-                    skip = (r.skip_iters + committed as u32 * c.every_iters)
-                        .min(r.job.iters.saturating_sub(1));
-                }
-                total_requeues += 1;
-                cluster.node_mut(0).publish(SchedEvent::JobSubmit {
-                    job: r.job.id,
-                    queue_depth: queue.len() as u32 + 1,
-                });
-                queue.push(Queued {
-                    job: r.job,
-                    skip_iters: skip,
-                    requeues: r.requeues + 1,
-                });
-                max_queue_depth = max_queue_depth.max(queue.len() as u32);
-                continue;
-            }
-            if let Some(ended) = job_end_time(cluster, &running[i].handle) {
-                let r = running.swap_remove(i);
-                busy_spans.push(BusySpan {
-                    placement: r.handle.placement.clone(),
-                    from: r.started,
-                    until: ended,
-                });
-                let wait = r.started.since(r.submitted);
-                let run = ended.since(r.started);
-                let floor = run.max(cfg.slowdown_tau);
-                let slowdown = ((wait + run).as_secs_f64() / floor.as_secs_f64()).max(1.0);
-                outcomes.push(JobOutcome {
-                    id: r.job.id,
-                    nodes: r.job.nodes,
-                    submitted: r.submitted,
-                    started: r.started,
-                    ended,
-                    wait,
-                    run,
-                    bounded_slowdown: slowdown,
-                    requeues: r.requeues,
-                    user: r.job.user,
-                    killed: r.killed,
-                });
-                cluster.node_mut(0).publish(SchedEvent::JobEnd {
-                    job: r.job.id,
-                    queue_depth: queue.len() as u32,
-                });
-            } else {
-                i += 1;
-            }
-        }
-
-        // 3. Admit arrivals that have come due.
-        while pending.front().is_some_and(|(at, _)| *at <= now) {
-            let (at, job) = pending.pop_front().expect("checked front");
-            submitted_at.push((job.id, at));
-            queue.push(Queued {
-                job: job.clone(),
-                skip_iters: 0,
-                requeues: 0,
-            });
-            max_queue_depth = max_queue_depth.max(queue.len() as u32);
-            cluster.node_mut(0).publish(SchedEvent::JobSubmit {
-                job: job.id,
-                queue_depth: queue.len() as u32,
-            });
-        }
-
-        // 4. Allocate until the policy passes.
-        loop {
-            if queue.is_empty() {
+    // What the last pass saw: the cluster's change counters (`None`
+    // forces a pass) and the clock value that makes the next one due
+    // regardless.
+    let mut seen: Option<(u64, u64)> = None;
+    let mut wake: Option<SimTime> = None;
+    while e.outcomes.len() < total_jobs {
+        let now = clock(cluster);
+        let changes = (cluster.tree_exits(), cluster.faults_applied());
+        if seen != Some(changes) || wake.is_some_and(|t| t <= now) {
+            e.decide(cluster, policy, &mut coordinator, now);
+            if e.outcomes.len() == total_jobs {
                 break;
             }
-            let view = ClusterView {
-                now,
-                occupancy: (0..nnodes)
-                    .map(|n| cluster.active_jobs_on(n) as u32)
-                    .collect(),
-                running: running
-                    .iter()
-                    .map(|r| RunningJob {
-                        id: r.job.id,
-                        placement: r.handle.placement.clone(),
-                        est_end: r.started + r.job.est_runtime(),
-                    })
-                    .collect(),
-                down: (0..nnodes).map(|n| !cluster.node_available(n)).collect(),
-            };
-            let pview: Vec<QueuedJob> = queue
-                .iter()
-                .map(|q| QueuedJob {
-                    id: q.job.id,
-                    nodes: q.job.nodes,
-                    submitted: submitted_at
-                        .iter()
-                        .find(|(id, _)| *id == q.job.id)
-                        .expect("queued jobs were submitted")
-                        .1,
-                    est_runtime: q.job.est_runtime(),
-                    user: q.job.user,
-                    class: q.job.class,
-                })
-                .collect();
-            let Some(alloc) = policy.select(&pview, &view) else {
-                break;
-            };
-            let q = queue.remove(alloc.queue_idx);
-            let submitted = pview[alloc.queue_idx].submitted;
-            let spec = job_spec(&q.job, next_id_base, cfg.checkpoint.as_ref(), q.skip_iters);
-            next_id_base = *spec.id_range().end() + 1 + ID_GAP;
-            let handle = match &mut coordinator {
-                Some(c) => c.launch(cluster, &spec, cfg.mode, Placement::on(&alloc.placement)),
-                None => cluster.launch(&spec, cfg.mode, Placement::on(&alloc.placement)),
-            };
-            // Batch-level start stamp: the decision-point clock (node
-            // clocks inside one lockstep window can lag it by less than
-            // the lookahead, and `submitted <= now` must hold).
-            let started = now;
-            cluster.node_mut(0).publish(SchedEvent::JobStart {
-                job: q.job.id,
-                queue_depth: queue.len() as u32,
-                waited: started.since(submitted),
-            });
-            running.push(Running {
-                job: q.job,
-                spec,
-                handle,
-                submitted,
-                started,
-                skip_iters: q.skip_iters,
-                requeues: q.requeues,
-                killed: false,
-            });
+            seen = Some((cluster.tree_exits(), cluster.faults_applied()));
+            wake = e.next_wake(policy, now);
         }
 
-        // 5. Fractional-share reallocation (DFRS): the policy may
-        //    recompute per-job CPU shares at its own period; each share
-        //    is published so observers and the torture oracle can audit
-        //    conservation. Slot-based policies return nothing here and
-        //    stay untouched bit for bit.
-        let share_view = ClusterView {
-            now,
-            occupancy: (0..nnodes)
-                .map(|n| cluster.active_jobs_on(n) as u32)
-                .collect(),
-            running: running
-                .iter()
-                .map(|r| RunningJob {
-                    id: r.job.id,
-                    placement: r.handle.placement.clone(),
-                    est_end: r.started + r.job.est_runtime(),
-                })
-                .collect(),
-            down: (0..nnodes).map(|n| !cluster.node_available(n)).collect(),
-        };
-        for (node, job, share_milli) in policy.share_update(&share_view) {
-            cluster.node_mut(0).publish(SchedEvent::JobShare {
-                job,
-                node: node as u32,
-                share_milli,
-            });
-            // With a coordinator installed the share stops being
-            // advisory: realize it on the node, addressed by the job's
-            // gang id (its id base — unique among co-residents by the
-            // launch-time disjointness rule).
-            if let Some(c) = &mut coordinator {
-                if let Some(r) = running.iter().find(|r| r.job.id == job) {
-                    c.set_share(cluster, node, r.spec.id_base, share_milli);
-                }
-            }
-        }
-
-        // 6. Occupancy audit against the policy's promise.
-        let mut over = false;
-        for n in 0..nnodes {
-            let occ = cluster.active_jobs_on(n) as u32;
-            max_node_occupancy = max_node_occupancy.max(occ);
-            if occ > limit {
-                over = true;
-            }
-        }
-        if over {
-            occupancy_violations += 1;
-        }
-
-        if outcomes.len() == total_jobs {
-            break;
-        }
-
-        // 7. Advance virtual time one lockstep window.
+        // Advance virtual time one lockstep window.
         if !cluster.step_window() {
-            if running.is_empty() && !pending.is_empty() {
-                // Every queue drained while waiting for the next
-                // arrival (possible only on fully tickless idle
-                // clusters): jump the clocks to the arrival.
-                let jump_to = pending.front().expect("non-empty").0;
+            if e.running.is_empty() && !e.pending.is_empty() {
+                // Every queue drained while waiting for the next arrival
+                // (possible only on fully tickless idle clusters): jump
+                // the clocks to the arrival.
+                let jump_to = e.pending.front().expect("non-empty").0;
                 for n in 0..nnodes {
                     // Crashed nodes stay frozen — a restart event will
                     // re-clock them when (if) it lands.
@@ -698,6 +818,7 @@ fn run_batch_inner(
                     }
                     cluster.node_mut(n).run_until_time(jump_to);
                 }
+                seen = None;
                 continue;
             }
             return Err(RunOutcome::Deadlock);
@@ -706,6 +827,16 @@ fn run_batch_inner(
             return Err(RunOutcome::BudgetExhausted);
         }
     }
+
+    let Engine {
+        outcomes,
+        busy_spans,
+        max_queue_depth,
+        max_node_occupancy,
+        occupancy_violations,
+        requeues,
+        ..
+    } = e;
 
     let first_submit = outcomes.iter().map(|o| o.submitted).min().unwrap_or(epoch);
     let last_end = outcomes.iter().map(|o| o.ended).max().unwrap_or(epoch);
@@ -758,7 +889,7 @@ fn run_batch_inner(
         max_queue_depth,
         max_node_occupancy,
         occupancy_violations,
-        requeues: total_requeues,
+        requeues,
         jobs_lost,
         jobs_killed,
         user_stats,

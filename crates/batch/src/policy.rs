@@ -7,6 +7,12 @@
 //! point until it returns `None`, so a policy that can start several
 //! jobs in one window simply yields them one at a time.
 //!
+//! Decision points are event-driven: the engine runs a pass only at a
+//! window where something the policy decides on may have changed — an
+//! arrival, a launcher tree exiting on some node, a walltime deadline, a
+//! node fault — or where the policy itself asked to be consulted
+//! ([`AllocPolicy::next_decision`]).
+//!
 //! The policy zoo (the scheduler-taxonomy axis of the related work):
 //!
 //! * [`Fcfs`] — strict arrival order; the head job blocks everything
@@ -166,6 +172,14 @@ pub struct Allocation {
 }
 
 /// A cluster-level allocation policy.
+///
+/// The engine consults a policy only at decision points (see
+/// [`AllocPolicy::next_decision`] for the contract that lets it skip the
+/// windows in between). Within one decision point it calls
+/// [`Self::select`] until it returns `None`, then
+/// [`Self::share_update`] once; occupancy can only rise at a launch, so
+/// the engine audits it against [`Self::occupancy_limit`] once per
+/// decision point, after both.
 pub trait AllocPolicy {
     /// Short name for reports and bench output.
     fn name(&self) -> &'static str;
@@ -193,6 +207,23 @@ pub trait AllocPolicy {
         let _ = view;
         Vec::new()
     }
+
+    /// The earliest time at which this policy must be consulted again
+    /// even if nothing else changes, asked after each decision point at
+    /// `now`. The engine runs its next pass at the first window boundary
+    /// at or after the returned time, or earlier if a job arrives, a
+    /// launcher tree exits, a walltime deadline passes or a node fault
+    /// lands; `None` means only those events matter.
+    ///
+    /// The contract: a policy may name a time later than `now` only if,
+    /// with the queue and cluster view unchanged apart from the clock,
+    /// [`Self::select`] would return `None` and [`Self::share_update`]
+    /// would return nothing at every skipped window — and both would
+    /// mutate nothing. The default, `Some(now)`, asks for every window
+    /// and is always safe.
+    fn next_decision(&self, now: SimTime) -> Option<SimTime> {
+        Some(now)
+    }
 }
 
 /// First-come-first-served on dedicated nodes.
@@ -214,6 +245,11 @@ impl AllocPolicy for Fcfs {
             queue_idx: 0,
             placement: free[..head.nodes as usize].to_vec(),
         })
+    }
+
+    /// The clock never enters the decision.
+    fn next_decision(&self, _now: SimTime) -> Option<SimTime> {
+        None
     }
 }
 
@@ -378,6 +414,13 @@ impl AllocPolicy for EasyBackfill {
                 placement,
             });
         }
+        None
+    }
+
+    /// The shadow time depends on running estimates, not the clock, and
+    /// a candidate's estimated end only moves later as the clock
+    /// advances: a view that admitted nothing admits nothing later.
+    fn next_decision(&self, _now: SimTime) -> Option<SimTime> {
         None
     }
 }
@@ -652,6 +695,16 @@ impl AllocPolicy for ConservativeBackfill {
         self.memo = Some((fp, horizon));
         None
     }
+
+    /// The memo horizon: until the clock crosses it, an unchanged view
+    /// is answered from the memo without replanning. No memo means the
+    /// last admission emptied the queue, and only a new submission can
+    /// give the planner work.
+    fn next_decision(&self, _now: SimTime) -> Option<SimTime> {
+        self.memo
+            .map(|(_, horizon)| horizon)
+            .filter(|&h| h < SimTime::MAX)
+    }
 }
 
 /// Priority classes with aging on dedicated nodes. A job's *effective*
@@ -665,6 +718,9 @@ pub struct MultiQueue {
     levels: u32,
     age_step: SimDuration,
     dispatches: u64,
+    /// The next aging boundary of the queue the last blocked `select`
+    /// saw; `None` after a dispatch (see [`AllocPolicy::next_decision`]).
+    promotion_due: Option<SimTime>,
 }
 
 impl Default for MultiQueue {
@@ -673,6 +729,7 @@ impl Default for MultiQueue {
             levels: 3,
             age_step: SimDuration::from_millis(20),
             dispatches: 0,
+            promotion_due: None,
         }
     }
 }
@@ -687,6 +744,7 @@ impl MultiQueue {
             levels,
             age_step,
             dispatches: 0,
+            promotion_due: None,
         }
     }
 
@@ -699,8 +757,21 @@ impl MultiQueue {
     /// promotions.
     pub fn effective_class(&self, q: &QueuedJob, now: SimTime) -> u32 {
         let class = q.class.min(self.levels - 1);
-        let promoted = (now.since(q.submitted).as_nanos() / self.age_step.as_nanos()) as u32;
-        class.saturating_sub(promoted)
+        class.saturating_sub(self.promotions(q, now))
+    }
+
+    fn promotions(&self, q: &QueuedJob, now: SimTime) -> u32 {
+        (now.since(q.submitted).as_nanos() / self.age_step.as_nanos()) as u32
+    }
+
+    /// The next aging-step boundary at which some job in `queue` still
+    /// above the top class gets promoted.
+    fn next_promotion(&self, queue: &[QueuedJob], now: SimTime) -> Option<SimTime> {
+        queue
+            .iter()
+            .filter(|q| self.effective_class(q, now) > 0)
+            .map(|q| q.submitted + self.age_step * u64::from(self.promotions(q, now) + 1))
+            .min()
     }
 }
 
@@ -716,13 +787,21 @@ impl AllocPolicy for MultiQueue {
             .min_by_key(|(_, q)| (self.effective_class(q, view.now), q.submitted, q.id))?;
         let free = view.nodes_below(1);
         if free.len() < head.1.nodes as usize {
+            self.promotion_due = self.next_promotion(queue, view.now);
             return None;
         }
         self.dispatches += 1;
+        self.promotion_due = None;
         Some(Allocation {
             queue_idx: head.0,
             placement: free[..head.1.nodes as usize].to_vec(),
         })
+    }
+
+    /// Between aging boundaries effective classes, and so the blocked
+    /// head, stay fixed.
+    fn next_decision(&self, _now: SimTime) -> Option<SimTime> {
+        self.promotion_due
     }
 }
 
@@ -922,6 +1001,11 @@ impl AllocPolicy for Oversubscribed {
             queue_idx: 0,
             placement,
         })
+    }
+
+    /// The clock never enters the decision.
+    fn next_decision(&self, _now: SimTime) -> Option<SimTime> {
+        None
     }
 }
 
@@ -1143,6 +1227,15 @@ impl AllocPolicy for Dfrs {
         }
         self.decisions.push(d);
         shares
+    }
+
+    /// Allocation ignores the clock; reallocation happens once per
+    /// epoch, so the next epoch boundary is the only time trigger.
+    fn next_decision(&self, now: SimTime) -> Option<SimTime> {
+        match self.last_epoch {
+            Some(e) => Some(SimTime::from_nanos((e + 1) * self.period.as_nanos())),
+            None => Some(now),
+        }
     }
 }
 

@@ -313,6 +313,10 @@ impl ClusterBuilder {
             nodes,
             net,
             jobs: Vec::new(),
+            jobs_on: vec![Vec::new(); n],
+            live_trees: vec![Vec::new(); n],
+            exits_seen: vec![0; n],
+            tree_exits: 0,
             cfg: cosim,
             pool: None,
             active: Vec::new(),
@@ -324,6 +328,7 @@ impl ClusterBuilder {
             drained: vec![false; n],
             incarnation: vec![0; n],
             crashes: 0,
+            faults_applied: 0,
         }
     }
 }
@@ -335,6 +340,19 @@ pub struct Cluster {
     /// Every job ever launched, in launch order; routes captured
     /// [`hpl_kernel::NetMsg`]s to their destination nodes.
     jobs: Vec<ActiveJob>,
+    /// `jobs_on[n]`: indices into `jobs` of every job ever placed on
+    /// node `n`, in launch order. Jobs sharing a node have disjoint id
+    /// ranges, so a channel id names at most one of them.
+    jobs_on: Vec<Vec<usize>>,
+    /// `live_trees[n]`: root (`perf`) pids of the launcher trees on node
+    /// `n` not yet seen to exit.
+    live_trees: Vec<Vec<Pid>>,
+    /// `exits_seen[n]`: node `n`'s task-exit count when `live_trees[n]`
+    /// was last checked; while it matches, no tree there can have died.
+    /// Reset when a restart replaces the node.
+    exits_seen: Vec<u64>,
+    /// Launcher trees seen to exit so far (see [`Cluster::tree_exits`]).
+    tree_exits: u64,
     /// Host-side execution policy (serial vs pooled window stepping).
     cfg: CosimConfig,
     /// Worker pool, spawned lazily on the first window dense enough to
@@ -365,6 +383,8 @@ pub struct Cluster {
     incarnation: Vec<u64>,
     /// Crash events applied so far.
     crashes: u64,
+    /// Node fault events applied so far, of every kind.
+    faults_applied: u64,
 }
 
 impl Cluster {
@@ -380,35 +400,9 @@ impl Cluster {
         }
     }
 
-    /// Join pre-built nodes with an interconnect, serial lockstep.
-    #[deprecated(note = "use Cluster::builder().nodes(..).fabric(..).build()")]
-    pub fn new(nodes: Vec<Node>, net: Interconnect) -> Self {
-        Cluster::builder().nodes(nodes).fabric(net).build()
-    }
-
-    /// Join pre-built nodes with an explicit host-side execution policy.
-    #[deprecated(note = "use Cluster::builder().nodes(..).fabric(..).cosim(..).build()")]
-    pub fn with_config(nodes: Vec<Node>, net: Interconnect, cfg: CosimConfig) -> Self {
-        Cluster::builder()
-            .nodes(nodes)
-            .fabric(net)
-            .cosim(cfg)
-            .build()
-    }
-
     /// The host-side execution policy.
     pub fn config(&self) -> CosimConfig {
         self.cfg
-    }
-
-    /// Replace the host-side execution policy mid-run. An existing pool
-    /// is dropped so a new thread count takes effect.
-    #[deprecated(
-        note = "configure via ClusterBuilder::cosim — a run's execution policy is fixed at build"
-    )]
-    pub fn set_config(&mut self, cfg: CosimConfig) {
-        self.cfg = cfg;
-        self.pool = None;
     }
 
     /// Number of nodes.
@@ -416,7 +410,7 @@ impl Cluster {
         self.nodes.len()
     }
 
-    /// True iff the cluster has no nodes (never: `new` asserts).
+    /// True iff the cluster has no nodes (never: `build` asserts).
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
@@ -479,6 +473,40 @@ impl Cluster {
     /// Crash events applied so far.
     pub fn crashes(&self) -> u64 {
         self.crashes
+    }
+
+    /// Node fault events (crash, drain, restart) applied so far.
+    /// Monotone; together with [`Self::tree_exits`] it tells a driver
+    /// polling between windows whether node health, occupancy or job
+    /// completion can have changed since it last looked.
+    pub fn faults_applied(&self) -> u64 {
+        self.faults_applied
+    }
+
+    /// Launcher trees that have exited so far, on any node, however
+    /// they ended (finished, cancelled, reaped after a peer's crash):
+    /// counted per node, so a multi-node job contributes one exit per
+    /// tree as each tree ends and releases that node's occupancy — not
+    /// one when the whole job is done. Trees frozen on a crashed node
+    /// do not count; the crash shows in [`Self::faults_applied`].
+    /// Monotone.
+    ///
+    /// Counted on demand, so stepping costs nothing for drivers that
+    /// never ask: each call re-checks the live trees only on nodes
+    /// whose kernel task-exit count moved since the last call.
+    pub fn tree_exits(&mut self) -> u64 {
+        for n in 0..self.nodes.len() {
+            let node = &self.nodes[n];
+            if node.exits() == self.exits_seen[n] {
+                continue;
+            }
+            self.exits_seen[n] = node.exits();
+            let live = &mut self.live_trees[n];
+            let before = live.len();
+            live.retain(|&pid| node.tasks.get(pid).state != TaskState::Dead);
+            self.tree_exits += (before - live.len()) as u64;
+        }
+        self.tree_exits
     }
 
     /// True iff this handle's job was failed by a node crash. Failed
@@ -634,6 +662,10 @@ impl Cluster {
             perf_pids.push(root);
         }
         let job_id = self.jobs.len();
+        for (&n, &root) in placement.iter().zip(&perf_pids) {
+            self.jobs_on[n].push(job_id);
+            self.live_trees[n].push(root);
+        }
         let incarnations = placement.iter().map(|&n| self.incarnation[n]).collect();
         self.jobs.push(ActiveJob {
             job: job.clone(),
@@ -740,6 +772,7 @@ impl Cluster {
     fn apply_next_fault(&mut self) {
         let ev = self.fault_events[self.fault_cursor];
         self.fault_cursor += 1;
+        self.faults_applied += 1;
         match ev.kind {
             NodeFault::Drain => {
                 self.drained[ev.node] = true;
@@ -752,30 +785,36 @@ impl Cluster {
                 // (the node's task table is still valid here — it is
                 // only replaced on restart). Jobs whose tree already
                 // exited on this node are unaffected.
-                for aj in &mut self.jobs {
+                for &ji in &self.jobs_on[ev.node] {
+                    let aj = &mut self.jobs[ji];
                     if aj.failed {
                         continue;
                     }
-                    if let Some(j) = aj.placement.iter().position(|&p| p == ev.node) {
-                        if aj.incarnations[j] == self.incarnation[ev.node]
-                            && self.nodes[ev.node].tasks.get(aj.perf_pids[j]).state
-                                != TaskState::Dead
-                        {
-                            aj.failed = true;
-                        }
+                    let j = aj
+                        .placement
+                        .iter()
+                        .position(|&p| p == ev.node)
+                        .expect("jobs_on lists jobs placed on the node");
+                    if aj.incarnations[j] == self.incarnation[ev.node]
+                        && self.nodes[ev.node].tasks.get(aj.perf_pids[j]).state != TaskState::Dead
+                    {
+                        aj.failed = true;
                     }
                 }
                 self.down[ev.node] = true;
                 self.crashes += 1;
+                // The frozen node's trees never exit; their jobs failed
+                // above, or had already left the node.
+                self.live_trees[ev.node].clear();
                 // Runtime-level abort on the survivors: reap each failed
                 // job's task tree on its other nodes, so orphaned ranks
                 // don't spin against (and skew placement for) whatever
                 // runs there next. Checkpoint barrier generations stay
                 // readable — killing a task doesn't unwind the commits
                 // it already made.
-                for ji in 0..self.jobs.len() {
-                    let aj = &self.jobs[ji];
-                    if !aj.failed || !aj.placement.contains(&ev.node) {
+                for k in 0..self.jobs_on[ev.node].len() {
+                    let aj = &self.jobs[self.jobs_on[ev.node][k]];
+                    if !aj.failed {
                         continue;
                     }
                     let victims: Vec<(usize, hpl_kernel::Pid)> = aj
@@ -821,6 +860,8 @@ impl Cluster {
                     .unwrap_or(SimTime::ZERO)
                     .max(ev.at);
                 fresh.run_until_time(target);
+                // A fresh kernel counts exits from zero.
+                self.exits_seen[ev.node] = fresh.exits();
                 self.nodes[ev.node] = fresh;
                 self.down[ev.node] = false;
                 self.drained[ev.node] = false;
@@ -835,8 +876,9 @@ impl Cluster {
     /// its own dispatch order — this serial merge is what erases any
     /// host-thread interleaving from the parallel stepping path. Each
     /// message is routed by the unique job that (a) placed a node on the
-    /// source and (b) owns the channel id — unique because overlapping
-    /// jobs have disjoint id ranges.
+    /// source and (b) owns the channel id — unique because jobs sharing
+    /// a node have disjoint id ranges, so the per-node index is searched
+    /// newest first (the sender is almost always a recent launch).
     fn route_outbound(&mut self) {
         let mut buf = std::mem::take(&mut self.outbox);
         for src in 0..self.nodes.len() {
@@ -845,10 +887,10 @@ impl Cluster {
             }
             self.nodes[src].drain_outbound_into(&mut buf);
             for &m in buf.iter() {
-                let aj = self
-                    .jobs
+                let aj = self.jobs_on[src]
                     .iter()
-                    .filter(|aj| aj.placement.contains(&src))
+                    .rev()
+                    .map(|&ji| &self.jobs[ji])
                     .find(|aj| aj.job.chan_dst_node(m.chan).is_some())
                     .expect("outbound message on a channel no job on this node owns");
                 // A failed job's runtime is torn down: in-flight traffic
@@ -914,9 +956,10 @@ impl Cluster {
     /// True iff the whole launcher tree has exited on every node **of
     /// this job** — other jobs do not affect the answer. Always `false`
     /// for a failed job, and for a job whose node was since restarted
-    /// (its pids belong to a dead incarnation); poll every window, as
-    /// the engines do, and completion is observed before any later
-    /// crash can obscure it.
+    /// (its pids belong to a dead incarnation); poll at every window
+    /// that moves [`Self::tree_exits`] (or simply every window), as the
+    /// engines do, and completion is observed before any later crash
+    /// can obscure it.
     pub fn job_done(&self, handle: &ClusterJobHandle) -> bool {
         let aj = &self.jobs[handle.job_id];
         !aj.failed
@@ -958,8 +1001,9 @@ impl Cluster {
     /// yet exited. This is the quantity a batch policy's occupancy limit
     /// bounds; a crash releases its jobs' occupancy here immediately.
     pub fn active_jobs_on(&self, n: usize) -> usize {
-        self.jobs
+        self.jobs_on[n]
             .iter()
+            .map(|&ji| &self.jobs[ji])
             .filter(|aj| {
                 !aj.failed
                     && aj.placement.iter().position(|&p| p == n).is_some_and(|j| {

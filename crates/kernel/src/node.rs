@@ -202,6 +202,7 @@ impl NodeBuilder {
             gang_shares: initial_shares,
             gang_slice_mark: None,
             events: 0,
+            exits: 0,
         };
         // Stagger per-CPU ticks across the tick period. The fast path
         // routes them through the queue's periodic timer-wheel slots;
@@ -348,6 +349,8 @@ pub struct Node {
     gang_slice_mark: Option<(u64, u64)>,
     /// Events processed (dispatched + batch-fired ticks).
     events: u64,
+    /// Tasks that have exited, normally or by [`Self::kill_tree`].
+    exits: u64,
 }
 
 impl Node {
@@ -1063,6 +1066,7 @@ impl Node {
             }
             killed += 1;
         }
+        self.exits += killed as u64;
         self.drain();
         killed
     }
@@ -1076,6 +1080,7 @@ impl Node {
             t.state = TaskState::Dead;
             t.exited_at = Some(now);
         }
+        self.exits += 1;
         if !self.observers.is_empty() {
             let cpu = self.tasks.get(pid).cpu;
             self.emit(SchedEvent::Deactivate {
@@ -2114,6 +2119,14 @@ impl Node {
     /// time to get simulated events/second.
     pub fn events_processed(&self) -> u64 {
         self.events
+    }
+
+    /// Tasks that have exited so far, normally or by
+    /// [`Self::kill_tree`]. Monotone: a driver comparing it between
+    /// steps learns whether any task died without reading the task
+    /// table.
+    pub fn exits(&self) -> u64 {
+        self.exits
     }
 
     /// Quiescence fast-forward: batch-fire timer ticks that

@@ -56,6 +56,15 @@ cargo run --release -q -p hpl-bench --bin faults -- --smoke --out target/BENCH_f
 echo "== coord smoke (weighted slicing + user-space arbiter, bit-exact replay) =="
 cargo run --release -q -p hpl-bench --bin coord -- --smoke --out target/BENCH_coord_smoke.json
 
+echo "== repo benchmark smoke (perfbench batch workload: every case correct) =="
+perfbench_out=$(cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload batch --seed 11 --seconds 1 --trace 0)
+echo "$perfbench_out"
+if ! grep -q '"correct": true' <<<"$perfbench_out" || ! grep -q '"failed": 0,' <<<"$perfbench_out"; then
+    echo "perfbench batch smoke: a case failed or the run is incorrect" >&2
+    exit 1
+fi
+
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
