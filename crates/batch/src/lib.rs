@@ -68,9 +68,9 @@ pub mod trace;
 
 pub use engine::{BatchConfig, BatchReport, BatchRun, CheckpointSpec, JobOutcome, UserStats};
 pub use policy::{
-    AllocPolicy, Allocation, BackfillDecision, ClusterView, ConservativeBackfill, Dfrs,
-    DfrsDecision, EasyBackfill, FairShare, FairShareDispatch, Fcfs, MultiQueue, Oversubscribed,
-    QueuedJob, ReservationDecision, RunningJob,
+    AllocPolicy, Allocation, AuditSummary, Audited, BackfillDecision, ClusterView,
+    ConservativeBackfill, Dfrs, DfrsDecision, EasyBackfill, FairShare, FairShareDispatch, Fcfs,
+    MultiQueue, Oversubscribed, QueuedJob, ReservationDecision, RunningJob,
 };
 pub use swf::{SwfJob, SwfMap, SwfTrace, TraceTransform};
 pub use trace::{BatchJob, BatchTrace};

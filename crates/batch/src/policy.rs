@@ -22,39 +22,44 @@
 //!   the running jobs' runtime estimates) and a younger job may jump the
 //!   queue only if it cannot delay that reservation — either it finishes
 //!   before the shadow time or it runs entirely on nodes the head will
-//!   not need. Every backfill decision is logged ([`BackfillDecision`])
-//!   so tests can audit the promise.
+//!   not need. Audited per backfill ([`BackfillDecision`]).
 //! * [`ConservativeBackfill`] — *every* queued job (up to a reservation
 //!   depth) holds a reservation, not just the head; a job starts out of
 //!   order only into a genuine hole in that schedule, so no admission
-//!   ever delays an earlier-queued job's promised start. Each admission
-//!   is audited ([`ReservationDecision`]).
+//!   ever delays an earlier-queued job's promised start. Audited per
+//!   admission ([`ReservationDecision`]).
 //! * [`MultiQueue`] — priority classes with aging: dispatch from the
 //!   best effective class (job class minus levels earned by waiting),
 //!   FCFS within a class, so low-priority jobs cannot starve.
 //! * [`FairShare`] — per-user decayed usage accounting and
 //!   share-ordered dispatch: among jobs that fit, the user with the
-//!   lowest usage-to-share ratio goes first (audited per dispatch via
-//!   [`FairShareDispatch`]).
+//!   lowest usage-to-share ratio goes first. Audited per dispatch
+//!   ([`FairShareDispatch`]).
 //! * [`Oversubscribed`] — the fractional/co-scheduling contrast: up to
 //!   two jobs share a node (occupancy limit 2), allocation is FCFS onto
 //!   the least-occupied nodes. This deliberately breaks the paper's
 //!   dedicated-node assumption to measure what OS-level scheduling does
 //!   when the batch level stops protecting it.
-//! * [`Dfrs`] — dynamic fractional resource scheduling: oversubscribed
-//!   FCFS packing by remaining fraction plus *periodic reallocation* of
-//!   per-job fractional CPU shares (audited via [`DfrsDecision`]), the
-//!   batch-vs-fractional comparison of Casanova/Stillwell/Vivien. The
-//!   OS level realises the shares through gang rotation
-//!   (`KernelConfig::gang_epoch`).
+//! * [`Dfrs`] — dynamic fractional resource scheduling: the same
+//!   oversubscribed FCFS packing plus *periodic reallocation* of per-job
+//!   fractional CPU shares, the batch-vs-fractional comparison of
+//!   Casanova/Stillwell/Vivien. Audited per reallocation
+//!   ([`DfrsDecision`]). The OS level realises the shares through gang
+//!   rotation (`KernelConfig::gang_epoch`).
 //!
-//! Audit trails are bounded: policies log into a fixed-capacity
-//! [`AuditLog`] ring (newest kept), with running totals and violation
-//! counters that see *every* decision, so thousand-job SWF runs don't
-//! grow memory linearly with admissions.
+//! One audit contract covers the zoo. Each audited decision record
+//! states its policy's promise as [`Audited::holds`]; the policy pushes
+//! every record into a bounded [`AuditLog`] ring (newest kept) that
+//! counts decisions and violations and keeps the first violating record
+//! even after the ring drops it, so thousand-job SWF runs neither grow
+//! memory linearly nor lose a violation. [`AllocPolicy::audit`] reports
+//! that tally as an [`AuditSummary`]; policies that promise nothing
+//! beyond their occupancy limit return the empty summary. The typed
+//! `decisions()` iterators expose the retained records themselves.
 
 use hpl_sim::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Debug;
 
 /// A queued job as the policy sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,33 +81,56 @@ pub struct QueuedJob {
 /// Default capacity of a policy's bounded audit ring.
 pub const AUDIT_LOG_CAP: usize = 4096;
 
-/// A bounded decision log: keeps the newest `cap` entries, counts them
-/// all. Policies push every decision through [`AuditLog::push`], which
-/// returns the entry back so violation counters can be updated without
-/// borrowing the ring.
+/// An audited decision record: one policy decision together with the
+/// state its promise was made against.
+pub trait Audited {
+    /// Whether the decision kept its policy's promise.
+    fn holds(&self) -> bool;
+}
+
+/// A policy's audit tally over a whole run (see [`AllocPolicy::audit`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct AuditSummary {
+    /// Decisions audited, including ones the ring has since dropped.
+    pub checked: u64,
+    /// Audited decisions that broke the promise. Must be 0.
+    pub violations: u64,
+    /// `Debug` text of the first violating decision, if any.
+    pub first: Option<String>,
+}
+
+/// A bounded decision log: keeps the newest `cap` entries and tallies
+/// every entry ever pushed, violations included, so the invariant stays
+/// checkable after the ring wraps.
 #[derive(Debug, Clone)]
 pub struct AuditLog<T> {
     recent: VecDeque<T>,
     cap: usize,
-    total: u64,
+    summary: AuditSummary,
 }
 
-impl<T> AuditLog<T> {
+impl<T: Audited + Debug> AuditLog<T> {
     /// An empty log keeping at most `cap` recent entries.
     pub fn with_cap(cap: usize) -> Self {
         AuditLog {
             recent: VecDeque::new(),
             cap: cap.max(1),
-            total: 0,
+            summary: AuditSummary::default(),
         }
     }
 
     fn push(&mut self, entry: T) {
+        if !entry.holds() {
+            self.summary.violations += 1;
+            if self.summary.first.is_none() {
+                self.summary.first = Some(format!("{entry:?}"));
+            }
+        }
         if self.recent.len() == self.cap {
             self.recent.pop_front();
         }
         self.recent.push_back(entry);
-        self.total += 1;
+        self.summary.checked += 1;
     }
 
     /// The retained (newest) entries, oldest first.
@@ -110,18 +138,13 @@ impl<T> AuditLog<T> {
         self.recent.iter()
     }
 
-    /// Entries ever pushed, including ones the ring has since dropped.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Entries the ring has dropped (`total - retained`).
-    pub fn dropped(&self) -> u64 {
-        self.total - self.recent.len() as u64
+    /// The tally over every entry ever pushed.
+    pub fn summary(&self) -> AuditSummary {
+        self.summary.clone()
     }
 }
 
-impl<T> Default for AuditLog<T> {
+impl<T: Audited + Debug> Default for AuditLog<T> {
     fn default() -> Self {
         Self::with_cap(AUDIT_LOG_CAP)
     }
@@ -224,6 +247,13 @@ pub trait AllocPolicy {
     fn next_decision(&self, now: SimTime) -> Option<SimTime> {
         Some(now)
     }
+
+    /// The audit tally of every decision this policy has taken. Policies
+    /// whose only promise is the occupancy limit (which the engine
+    /// audits itself) keep the default empty summary.
+    fn audit(&self) -> AuditSummary {
+        AuditSummary::default()
+    }
 }
 
 /// First-come-first-served on dedicated nodes.
@@ -271,11 +301,11 @@ pub struct BackfillDecision {
     pub placement: Vec<usize>,
 }
 
-impl BackfillDecision {
+impl Audited for BackfillDecision {
     /// The EASY invariant for this decision: the backfilled job either
     /// ends (by estimate) before the head's shadow time, or it runs
     /// entirely on nodes outside the head's reservation.
-    pub fn respects_reservation(&self) -> bool {
+    fn holds(&self) -> bool {
         self.est_end <= self.shadow || self.placement.iter().all(|n| !self.reserved.contains(n))
     }
 }
@@ -284,7 +314,6 @@ impl BackfillDecision {
 #[derive(Debug, Default)]
 pub struct EasyBackfill {
     decisions: AuditLog<BackfillDecision>,
-    violations: u64,
 }
 
 impl EasyBackfill {
@@ -295,22 +324,10 @@ impl EasyBackfill {
 
     /// The retained backfill decisions, oldest first — the audit trail
     /// for the reservation-safety property tests. Bounded to the newest
-    /// [`AUDIT_LOG_CAP`] entries; [`Self::decisions_total`] and
-    /// [`Self::reservation_violations`] see every decision ever taken.
+    /// [`AUDIT_LOG_CAP`] entries; [`AllocPolicy::audit`] sees every
+    /// decision ever taken.
     pub fn decisions(&self) -> impl Iterator<Item = &BackfillDecision> {
         self.decisions.iter()
-    }
-
-    /// Backfill decisions ever taken (including ring-dropped ones).
-    pub fn decisions_total(&self) -> u64 {
-        self.decisions.total()
-    }
-
-    /// Decisions that violated [`BackfillDecision::respects_reservation`]
-    /// — counted at decision time over the full run, so the invariant
-    /// stays checkable after the ring wraps. Must be 0.
-    pub fn reservation_violations(&self) -> u64 {
-        self.violations
     }
 
     /// The head job's reservation given `view`: the concrete node set
@@ -405,9 +422,6 @@ impl AllocPolicy for EasyBackfill {
                 reserved: reserved.clone(),
                 placement: placement.clone(),
             };
-            if !d.respects_reservation() {
-                self.violations += 1;
-            }
             self.decisions.push(d);
             return Some(Allocation {
                 queue_idx: qi,
@@ -422,6 +436,10 @@ impl AllocPolicy for EasyBackfill {
     /// advances: a view that admitted nothing admits nothing later.
     fn next_decision(&self, _now: SimTime) -> Option<SimTime> {
         None
+    }
+
+    fn audit(&self) -> AuditSummary {
+        self.decisions.summary()
     }
 }
 
@@ -443,12 +461,12 @@ pub struct ReservationDecision {
     pub earlier: Vec<(u32, SimTime, Vec<usize>)>,
 }
 
-impl ReservationDecision {
+impl Audited for ReservationDecision {
     /// The conservative invariant: the admitted job delays no earlier
     /// reservation — for every earlier job it either ends (by estimate)
     /// before that job's promised start, or it touches none of that
     /// job's reserved nodes.
-    pub fn respects_reservations(&self) -> bool {
+    fn holds(&self) -> bool {
         self.earlier.iter().all(|(_, start, nodes)| {
             self.est_end <= *start || self.placement.iter().all(|n| !nodes.contains(n))
         })
@@ -481,9 +499,8 @@ struct PlannedStart {
 pub struct ConservativeBackfill {
     depth: usize,
     decisions: AuditLog<ReservationDecision>,
-    violations: u64,
-    /// Memo: fingerprint of the last planned view, the clock horizon it
-    /// stays valid for, and whether the plan admitted nothing.
+    /// Memo of the last plan that admitted nothing: the fingerprint of
+    /// its view and the clock horizon it stays valid for.
     memo: Option<(u64, SimTime)>,
 }
 
@@ -492,7 +509,6 @@ impl Default for ConservativeBackfill {
         ConservativeBackfill {
             depth: 32,
             decisions: AuditLog::default(),
-            violations: 0,
             memo: None,
         }
     }
@@ -513,21 +529,9 @@ impl ConservativeBackfill {
     }
 
     /// The retained admission audits, oldest first (bounded ring; see
-    /// [`Self::admissions_total`] / [`Self::reservation_violations`]).
+    /// [`AllocPolicy::audit`] for the whole-run tally).
     pub fn decisions(&self) -> impl Iterator<Item = &ReservationDecision> {
         self.decisions.iter()
-    }
-
-    /// Admissions ever audited (including ring-dropped ones).
-    pub fn admissions_total(&self) -> u64 {
-        self.decisions.total()
-    }
-
-    /// Admissions that violated
-    /// [`ReservationDecision::respects_reservations`], counted at
-    /// admission over the full run. Must be 0.
-    pub fn reservation_violations(&self) -> u64 {
-        self.violations
     }
 
     /// Plan reservations for the first `depth` queued jobs, in order.
@@ -673,9 +677,6 @@ impl AllocPolicy for ConservativeBackfill {
                     .filter_map(|(e, q)| e.as_ref().map(|e| (q.id, e.start, e.nodes.clone())))
                     .collect(),
             };
-            if !d.respects_reservations() {
-                self.violations += 1;
-            }
             self.decisions.push(d);
             self.memo = None;
             return Some(Allocation {
@@ -704,6 +705,10 @@ impl AllocPolicy for ConservativeBackfill {
         self.memo
             .map(|(_, horizon)| horizon)
             .filter(|&h| h < SimTime::MAX)
+    }
+
+    fn audit(&self) -> AuditSummary {
+        self.decisions.summary()
     }
 }
 
@@ -820,11 +825,11 @@ pub struct FairShareDispatch {
     pub min_fittable_ratio: f64,
 }
 
-impl FairShareDispatch {
+impl Audited for FairShareDispatch {
     /// The fair-share invariant: the dispatched job's user had the
     /// lowest usage/share ratio among all queued jobs that could have
     /// started instead (ties broken by arrival order).
-    pub fn respects_shares(&self) -> bool {
+    fn holds(&self) -> bool {
         self.ratio <= self.min_fittable_ratio + 1e-9
     }
 }
@@ -842,7 +847,6 @@ pub struct FairShare {
     usage: BTreeMap<u32, f64>,
     last_decay: Option<SimTime>,
     decisions: AuditLog<FairShareDispatch>,
-    violations: u64,
 }
 
 impl Default for FairShare {
@@ -853,7 +857,6 @@ impl Default for FairShare {
             usage: BTreeMap::new(),
             last_decay: None,
             decisions: AuditLog::default(),
-            violations: 0,
         }
     }
 }
@@ -886,20 +889,9 @@ impl FairShare {
     }
 
     /// The retained dispatch audits, oldest first (bounded ring; see
-    /// [`Self::dispatches_total`] / [`Self::share_violations`]).
+    /// [`AllocPolicy::audit`] for the whole-run tally).
     pub fn decisions(&self) -> impl Iterator<Item = &FairShareDispatch> {
         self.decisions.iter()
-    }
-
-    /// Dispatches ever audited (including ring-dropped ones).
-    pub fn dispatches_total(&self) -> u64 {
-        self.decisions.total()
-    }
-
-    /// Dispatches that violated [`FairShareDispatch::respects_shares`],
-    /// counted over the full run. Must be 0.
-    pub fn share_violations(&self) -> u64 {
-        self.violations
     }
 
     fn share(&self, user: u32) -> f64 {
@@ -962,9 +954,6 @@ impl AllocPolicy for FairShare {
             ratio: self.ratio(q.user),
             min_fittable_ratio,
         };
-        if !d.respects_shares() {
-            self.violations += 1;
-        }
         self.decisions.push(d);
         *self.usage.entry(q.user).or_insert(0.0) += q.nodes as f64 * q.est_runtime.as_secs_f64();
         Some(Allocation {
@@ -972,6 +961,30 @@ impl AllocPolicy for FairShare {
             placement: free[..q.nodes as usize].to_vec(),
         })
     }
+
+    fn audit(&self) -> AuditSummary {
+        self.decisions.summary()
+    }
+}
+
+/// FCFS with up to two jobs per node: the head job goes to the
+/// least-occupied open nodes (spread before stacking), ties by index.
+/// Shared by [`Oversubscribed`] and [`Dfrs`]; under the occupancy-2
+/// limit an open node holds 0 or 1 jobs, so least-occupied is also
+/// most-unpromised-fraction first.
+fn pack_two_per_node(queue: &[QueuedJob], view: &ClusterView) -> Option<Allocation> {
+    let head = queue.first()?;
+    let mut open = view.nodes_below(2);
+    if open.len() < head.nodes as usize {
+        return None;
+    }
+    open.sort_by_key(|&n| (view.occupancy[n], n));
+    let mut placement = open[..head.nodes as usize].to_vec();
+    placement.sort_unstable();
+    Some(Allocation {
+        queue_idx: 0,
+        placement,
+    })
 }
 
 /// FCFS with two jobs per node (fractional/oversubscribed allocation).
@@ -988,19 +1001,7 @@ impl AllocPolicy for Oversubscribed {
     }
 
     fn select(&mut self, queue: &[QueuedJob], view: &ClusterView) -> Option<Allocation> {
-        let head = queue.first()?;
-        let mut open = view.nodes_below(2);
-        if open.len() < head.nodes as usize {
-            return None;
-        }
-        // Least-occupied first (spread before stacking), ties by index.
-        open.sort_by_key(|&n| (view.occupancy[n], n));
-        let mut placement = open[..head.nodes as usize].to_vec();
-        placement.sort_unstable();
-        Some(Allocation {
-            queue_idx: 0,
-            placement,
-        })
+        pack_two_per_node(queue, view)
     }
 
     /// The clock never enters the decision.
@@ -1027,11 +1028,11 @@ pub struct DfrsDecision {
     pub shares: Vec<(usize, u32, u32)>,
 }
 
-impl DfrsDecision {
+impl Audited for DfrsDecision {
     /// The DFRS conservation invariant for this decision: on every node
     /// the shares handed out sum to at most 1000 milli — no node ever
     /// promises more than one CPU's worth of fractional capacity.
-    pub fn respects_shares(&self) -> bool {
+    fn holds(&self) -> bool {
         let mut per_node: BTreeMap<usize, u32> = BTreeMap::new();
         for &(node, _, share) in &self.shares {
             *per_node.entry(node).or_insert(0) += share;
@@ -1043,12 +1044,12 @@ impl DfrsDecision {
 /// Dynamic fractional resource scheduling (DFRS) — the fractional side
 /// of the Casanova/Stillwell/Vivien batch-vs-fractional comparison.
 ///
-/// Allocation is FCFS with up to two jobs per node (occupancy limit 2,
-/// like [`Oversubscribed`]), but candidate nodes are packed by
-/// *remaining fraction*: the head job goes to the nodes with the most
-/// unpromised fractional capacity, ties broken by node index. On top of
-/// allocation the policy *reallocates* at a fixed period: each epoch
-/// every node's capacity is split evenly among its co-resident jobs
+/// Allocation is exactly [`Oversubscribed`]'s: FCFS with up to two
+/// jobs per node, the head job on the least-occupied nodes — which under
+/// that limit are the nodes with the most unpromised fractional
+/// capacity — ties broken by node index. On top of allocation the
+/// policy *reallocates* at a fixed period: each epoch every node's
+/// capacity is split evenly among its co-resident jobs
 /// (the yield-maximising split for symmetric CPU-bound jobs), with any
 /// remainder milli rotated by `(seed, epoch)` so no job is
 /// systematically favoured. Reallocations are pure functions of the
@@ -1065,7 +1066,6 @@ pub struct Dfrs {
     weights: BTreeMap<u32, u32>,
     last_epoch: Option<u64>,
     decisions: AuditLog<DfrsDecision>,
-    violations: u64,
 }
 
 impl Dfrs {
@@ -1082,7 +1082,6 @@ impl Dfrs {
             weights: BTreeMap::new(),
             last_epoch: None,
             decisions: AuditLog::default(),
-            violations: 0,
         }
     }
 
@@ -1100,29 +1099,10 @@ impl Dfrs {
 
     /// The retained reallocation decisions, oldest first — the audit
     /// trail for the share-conservation property tests. Bounded to the
-    /// newest [`AUDIT_LOG_CAP`] entries; [`Self::decisions_total`] and
-    /// [`Self::share_violations`] see every decision ever taken.
+    /// newest [`AUDIT_LOG_CAP`] entries; [`AllocPolicy::audit`] sees
+    /// every decision ever taken.
     pub fn decisions(&self) -> impl Iterator<Item = &DfrsDecision> {
         self.decisions.iter()
-    }
-
-    /// Reallocation decisions ever taken (including ring-dropped ones).
-    pub fn decisions_total(&self) -> u64 {
-        self.decisions.total()
-    }
-
-    /// Decisions that violated [`DfrsDecision::respects_shares`] —
-    /// counted at decision time over the full run, so the invariant
-    /// stays checkable after the ring wraps. Must be 0.
-    pub fn share_violations(&self) -> u64 {
-        self.violations
-    }
-
-    /// Fractional capacity of a node still unpromised when `occ` jobs
-    /// occupy it, in milli-units: each resident job is promised half a
-    /// node under the occupancy-2 limit.
-    fn remaining_milli(occ: u32) -> u32 {
-        1000u32.saturating_sub(occ * 500)
     }
 
     /// The share vector for one epoch — a *pure* function of
@@ -1189,21 +1169,7 @@ impl AllocPolicy for Dfrs {
     }
 
     fn select(&mut self, queue: &[QueuedJob], view: &ClusterView) -> Option<Allocation> {
-        let head = queue.first()?;
-        let mut open = view.nodes_below(2);
-        if open.len() < head.nodes as usize {
-            return None;
-        }
-        // Most remaining fraction first (an empty node has 1000 milli
-        // unpromised, a half-shared one 500), ties by index — the
-        // fractional restatement of least-occupied-first packing.
-        open.sort_by_key(|&n| (1000 - Self::remaining_milli(view.occupancy[n]), n));
-        let mut placement = open[..head.nodes as usize].to_vec();
-        placement.sort_unstable();
-        Some(Allocation {
-            queue_idx: 0,
-            placement,
-        })
+        pack_two_per_node(queue, view)
     }
 
     fn share_update(&mut self, view: &ClusterView) -> Vec<(usize, u32, u32)> {
@@ -1222,9 +1188,6 @@ impl AllocPolicy for Dfrs {
             epoch,
             shares: shares.clone(),
         };
-        if !d.respects_shares() {
-            self.violations += 1;
-        }
         self.decisions.push(d);
         shares
     }
@@ -1236,6 +1199,10 @@ impl AllocPolicy for Dfrs {
             Some(e) => Some(SimTime::from_nanos((e + 1) * self.period.as_nanos())),
             None => Some(now),
         }
+    }
+
+    fn audit(&self) -> AuditSummary {
+        self.decisions.summary()
     }
 }
 
@@ -1302,7 +1269,7 @@ mod tests {
         assert_eq!(d.job, 1);
         assert_eq!(d.head, 0);
         assert_eq!(d.reserved, vec![0, 1, 2, 3]);
-        assert!(d.respects_reservation());
+        assert!(d.holds());
     }
 
     #[test]
@@ -1331,7 +1298,7 @@ mod tests {
         let queue = [qj(0, 3, 1), qj(1, 1, 2_000)];
         let a = p.select(&queue, &v).unwrap();
         assert_eq!(a.queue_idx, 1);
-        assert!(p.decisions().next().unwrap().respects_reservation());
+        assert!(p.decisions().next().unwrap().holds());
     }
 
     #[test]
@@ -1355,15 +1322,75 @@ mod tests {
         assert_eq!(a.placement, vec![0, 1]);
     }
 
+    /// Test records: even numbers keep the promise, odd ones break it.
+    impl Audited for u32 {
+        fn holds(&self) -> bool {
+            self.is_multiple_of(2)
+        }
+    }
+
+    /// Push `bad` then `good` into a one-entry ring: the ring keeps only
+    /// `good`, yet the tally still counts and names the dropped `bad`.
+    fn assert_dropped_violation_survives<T: Audited + Debug>(bad: T, good: T) {
+        let first = format!("{bad:?}");
+        let mut log = AuditLog::with_cap(1);
+        log.push(bad);
+        log.push(good);
+        assert!(
+            log.iter().all(Audited::holds),
+            "only the clean record is retained"
+        );
+        let s = log.summary();
+        assert_eq!((s.checked, s.violations), (2, 1));
+        assert_eq!(s.first, Some(first));
+    }
+
     #[test]
     fn audit_log_ring_keeps_newest_and_counts_all() {
         let mut log: AuditLog<u32> = AuditLog::with_cap(3);
         for i in 0..5 {
             log.push(i);
         }
-        assert_eq!(log.total(), 5);
-        assert_eq!(log.dropped(), 2);
         assert_eq!(log.iter().copied().collect::<Vec<_>>(), vec![2, 3, 4]);
+        let s = log.summary();
+        assert_eq!((s.checked, s.violations), (5, 2));
+        assert_eq!(
+            s.first.as_deref(),
+            Some("1"),
+            "first violation, since dropped"
+        );
+
+        // Every audited record type: a violation the ring has dropped is
+        // still counted and reported.
+        let backfill = |est_end| BackfillDecision {
+            job: 1,
+            head: 0,
+            shadow: t(10),
+            est_end: t(est_end),
+            reserved: vec![0],
+            placement: vec![0],
+        };
+        assert_dropped_violation_survives(backfill(20), backfill(5));
+        let admission = |start| ReservationDecision {
+            job: 1,
+            placement: vec![0],
+            est_end: t(20),
+            earlier: vec![(0, t(start), vec![0])],
+        };
+        assert_dropped_violation_survives(admission(10), admission(30));
+        let dispatch = |ratio| FairShareDispatch {
+            job: 1,
+            user: 1,
+            ratio,
+            min_fittable_ratio: 1.0,
+        };
+        assert_dropped_violation_survives(dispatch(2.0), dispatch(1.0));
+        let realloc = |share| DfrsDecision {
+            at: t(0),
+            epoch: 0,
+            shares: vec![(0, 1, share), (0, 2, 500)],
+        };
+        assert_dropped_violation_survives(realloc(600), realloc(500));
     }
 
     #[test]
@@ -1382,7 +1409,7 @@ mod tests {
         let mut p = ConservativeBackfill::new();
         let queue = [qj(0, 4, 1_000), qj(1, 2, 100_000)];
         assert!(p.select(&queue, &v).is_none());
-        assert_eq!(p.admissions_total(), 0);
+        assert_eq!(p.audit().checked, 0);
         // Short filler (ends 6_000 <= 10_000) fits the hole: admitted,
         // and the audit shows the head's reservation intact.
         let queue = [qj(0, 4, 1_000), qj(1, 2, 5_000)];
@@ -1394,8 +1421,8 @@ mod tests {
         assert_eq!(d.earlier.len(), 1);
         assert_eq!(d.earlier[0].0, 0);
         assert_eq!(d.earlier[0].1, t(10_000));
-        assert!(d.respects_reservations());
-        assert_eq!(p.reservation_violations(), 0);
+        assert!(d.holds());
+        assert_eq!(p.audit().violations, 0);
     }
 
     #[test]
@@ -1433,7 +1460,7 @@ mod tests {
             c.select(&queue, &v).is_none(),
             "tail ends at 10_500 > head start 10_000 on reserved nodes"
         );
-        assert_eq!(c.reservation_violations(), 0);
+        assert_eq!(c.audit().violations, 0);
     }
 
     #[test]
@@ -1521,11 +1548,15 @@ mod tests {
         a1.user = 0;
         let sel = p.select(&[a1, b0], &v).unwrap();
         assert_eq!(sel.queue_idx, 1, "poorer user wins");
-        assert_eq!(p.dispatches_total(), 2);
-        assert_eq!(p.share_violations(), 0);
-        for d in p.decisions() {
-            assert!(d.respects_shares());
-        }
+        assert_eq!(
+            p.audit(),
+            AuditSummary {
+                checked: 2,
+                violations: 0,
+                first: None
+            }
+        );
+        assert!(p.decisions().all(Audited::holds));
     }
 
     #[test]
@@ -1672,7 +1703,7 @@ mod tests {
         let mut v = view(&[2], running);
         v.now = t(1_500);
         assert_eq!(p.share_update(&v), vec![(0, 1, 750), (0, 2, 250)]);
-        assert_eq!(p.share_violations(), 0);
+        assert_eq!(p.audit().violations, 0);
     }
 
     #[test]
@@ -1692,10 +1723,14 @@ mod tests {
         );
         v.now = t(2_100);
         assert!(!a.share_update(&v).is_empty(), "next epoch reallocates");
-        assert_eq!(a.decisions_total(), 2);
-        assert_eq!(a.share_violations(), 0);
-        for d in a.decisions() {
-            assert!(d.respects_shares());
-        }
+        assert_eq!(
+            a.audit(),
+            AuditSummary {
+                checked: 2,
+                violations: 0,
+                first: None
+            }
+        );
+        assert!(a.decisions().all(Audited::holds));
     }
 }

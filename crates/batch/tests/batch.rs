@@ -2,7 +2,8 @@
 //! FCFS-vs-EASY divergence, and the EASY reservation-safety invariants.
 
 use hpl_batch::{
-    AllocPolicy, BatchJob, BatchReport, BatchRun, BatchTrace, EasyBackfill, Fcfs, Oversubscribed,
+    AllocPolicy, Audited, BatchJob, BatchReport, BatchRun, BatchTrace, EasyBackfill, Fcfs,
+    Oversubscribed,
 };
 use hpl_cluster::{Cluster, CosimConfig, Interconnect, NetConfig};
 use hpl_core::HplClass;
@@ -167,7 +168,7 @@ fn easy_backfill_never_delays_the_head_reservation() {
         let slack = SimDuration::from_millis(1);
         for d in policy.decisions() {
             assert!(
-                d.respects_reservation(),
+                d.holds(),
                 "seed {seed}: backfill of job {} violates head {}'s reservation: {d:?}",
                 d.job,
                 d.head

@@ -11,8 +11,8 @@
 //! copy the printed digests.
 
 use hpl_batch::{
-    BatchJob, BatchRun, BatchTrace, CheckpointSpec, ConservativeBackfill, Dfrs, EasyBackfill,
-    FairShare, Fcfs, MultiQueue, Oversubscribed, SwfMap, SwfTrace, TraceTransform,
+    AllocPolicy, BatchJob, BatchRun, BatchTrace, CheckpointSpec, ConservativeBackfill, Dfrs,
+    EasyBackfill, FairShare, Fcfs, MultiQueue, Oversubscribed, SwfMap, SwfTrace, TraceTransform,
 };
 use hpl_cluster::{Cluster, FaultPlan, Interconnect, NetConfig};
 use hpl_coord::CoordRuntime;
@@ -104,7 +104,7 @@ fn easy_on_swf() {
     let trail: Vec<_> = p.decisions().collect();
     check(
         "easy",
-        digest(&[&r, &trail, &p.decisions_total()]),
+        digest(&[&r, &trail, &p.audit().checked]),
         0x4672_a15a_bffd_0c27,
     );
 }
@@ -119,7 +119,7 @@ fn conservative_on_swf() {
     let trail: Vec<_> = p.decisions().collect();
     check(
         "conservative",
-        digest(&[&r, &trail, &p.admissions_total()]),
+        digest(&[&r, &trail, &p.audit().checked]),
         0xc154_2c16_594c_52d4,
     );
 }

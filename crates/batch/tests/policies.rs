@@ -3,8 +3,8 @@
 //! accounting, each driven through the full co-simulated engine.
 
 use hpl_batch::{
-    BatchJob, BatchRun, BatchTrace, ConservativeBackfill, Dfrs, FairShare, Fcfs, MultiQueue,
-    SwfMap, SwfTrace, TraceTransform,
+    AllocPolicy, Audited, BatchJob, BatchRun, BatchTrace, ConservativeBackfill, Dfrs, FairShare,
+    Fcfs, MultiQueue, SwfMap, SwfTrace, TraceTransform,
 };
 use hpl_cluster::{Cluster, Interconnect, NetConfig};
 use hpl_core::HplClass;
@@ -90,14 +90,14 @@ fn conservative_never_delays_an_earlier_reservation_on_swf() {
         .expect("completes");
     assert_eq!(report.outcomes.len(), 40);
     assert_eq!(report.occupancy_violations, 0);
-    assert!(policy.admissions_total() > 0, "audit trail populated");
+    let audit = policy.audit();
+    assert!(audit.checked > 0, "audit trail populated");
     assert_eq!(
-        policy.reservation_violations(),
-        0,
-        "conservative admissions must respect every earlier reservation"
+        audit.violations, 0,
+        "conservative admissions must respect every earlier reservation: {audit:?}"
     );
     for d in policy.decisions() {
-        assert!(d.respects_reservations(), "{d:?}");
+        assert!(d.holds(), "{d:?}");
     }
 }
 
@@ -180,8 +180,9 @@ fn fairshare_audits_hold_and_balance_users() {
         .run(&mut cluster, &mut policy)
         .expect("completes");
     assert_eq!(report.outcomes.len(), 11);
-    assert_eq!(policy.share_violations(), 0, "share order must hold");
-    assert!(policy.dispatches_total() >= 11);
+    let audit = policy.audit();
+    assert_eq!(audit.violations, 0, "share order must hold: {audit:?}");
+    assert!(audit.checked >= 11);
     let stats = &report.user_stats;
     assert_eq!(stats.len(), 2);
     let heavy = stats.iter().find(|s| s.user == 0).unwrap();
@@ -211,7 +212,7 @@ fn dfrs_shares_conserve_and_runs_are_deterministic() {
             .run(&mut cluster, &mut policy)
             .expect("completes");
         let decisions: Vec<_> = policy.decisions().cloned().collect();
-        (report, decisions, policy.share_violations())
+        (report, decisions, policy.audit().violations)
     };
     let (a, da, va) = mk();
     let (b, db, _) = mk();
@@ -224,7 +225,7 @@ fn dfrs_shares_conserve_and_runs_are_deterministic() {
     assert_eq!(va, 0, "per-node share sums stay <= 1000 milli");
     assert!(!da.is_empty(), "audit trail populated");
     for d in &da {
-        assert!(d.respects_shares(), "{d:?}");
+        assert!(d.holds(), "{d:?}");
     }
     assert!(
         a.utilization <= 1.0,

@@ -28,15 +28,18 @@
 //! wall-clock ceiling. Skipped under `--smoke`; `--quick` runs only
 //! the sub-scale pair.
 //!
+//! Every cell runs through `make_policy` and reports the policy's
+//! `AllocPolicy::audit` tally alongside its report.
+//!
 //! Gated claims (non-smoke): the synthetic run is deterministic, no
-//! cell violates its policy's occupancy limit, EASY does not raise
+//! cell violates its policy's occupancy limit or audit, EASY does not raise
 //! mean wait over FCFS, the HPL kernel does not stretch the makespan
 //! over CFS on dedicated nodes, DFRS keeps mean bounded slowdown at or
 //! below EASY's, gang rotation closes the oversub×HPL makespan gap to
 //! within 20% of CFS (the cell Claim 4 deliberately could not cover),
 //! and the DFRS cell replays bit for bit with zero share-conservation
-//! violations; and on the SWF sweep — bit-exact replay, zero
-//! conservative reservation violations, fair-share user-slowdown
+//! violations; and on the SWF sweep — bit-exact replay, clean audits
+//! (zero conservative reservation violations), fair-share user-slowdown
 //! spread no wider than FCFS's, serial-vs-pooled bit equality on an
 //! SWF cell, and walltime kills that fire without losing jobs or
 //! leaking occupancy; and on the capacity cell — replay-pair bit
@@ -48,8 +51,8 @@
 //! Usage: `batch [--quick|--smoke|--swf-smoke|--dfrs-smoke] [--trace FILE] [--out PATH]`
 
 use hpl_batch::{
-    AllocPolicy, BatchReport, BatchRun, BatchTrace, ConservativeBackfill, Dfrs, EasyBackfill,
-    FairShare, Fcfs, MultiQueue, Oversubscribed, SwfMap, SwfTrace, TraceTransform,
+    AllocPolicy, AuditSummary, BatchReport, BatchRun, BatchTrace, ConservativeBackfill, Dfrs,
+    EasyBackfill, FairShare, Fcfs, MultiQueue, Oversubscribed, SwfMap, SwfTrace, TraceTransform,
 };
 use hpl_cluster::{Cluster, CosimConfig, Interconnect, NetConfig};
 use hpl_core::HplClass;
@@ -121,12 +124,33 @@ fn make_policy(name: &str, seed: u64) -> Box<dyn AllocPolicy> {
     }
 }
 
-fn run_cell(trace: &BatchTrace, policy: &str, hpc: bool, nodes: u32, seed: u64) -> BatchReport {
-    run_gang_cell(trace, policy, hpc, nodes, seed, None).0
+/// Run `policy` on `cluster`, returning the report plus the policy's
+/// audit tally.
+fn run_policy(
+    run: BatchRun,
+    cluster: &mut Cluster,
+    policy: &str,
+    seed: u64,
+) -> (BatchReport, AuditSummary) {
+    let mut p = make_policy(policy, seed);
+    let report = run
+        .run(cluster, p.as_mut())
+        .unwrap_or_else(|o| panic!("batch cell {policy} did not complete: {o:?}"));
+    (report, p.audit())
 }
 
-/// Run one cell, optionally with gang rotation, returning the report
-/// plus the DFRS share-violation count (0 for other policies).
+fn run_cell(
+    trace: &BatchTrace,
+    policy: &str,
+    hpc: bool,
+    nodes: u32,
+    seed: u64,
+) -> (BatchReport, AuditSummary) {
+    run_gang_cell(trace, policy, hpc, nodes, seed, None)
+}
+
+/// Run one cell on a fresh serial cluster, optionally with gang
+/// rotation.
 fn run_gang_cell(
     trace: &BatchTrace,
     policy: &str,
@@ -134,29 +158,17 @@ fn run_gang_cell(
     nodes: u32,
     seed: u64,
     gang: Option<SimDuration>,
-) -> (BatchReport, u64) {
+) -> (BatchReport, AuditSummary) {
     let mut cluster = build_gang_cluster(nodes, hpc, seed, CosimConfig::serial(), gang);
     let mode = if hpc { SchedMode::Hpc } else { SchedMode::Cfs };
-    if policy == "dfrs" {
-        let mut p = Dfrs::new(DFRS_PERIOD, seed);
-        let report = BatchRun::new(trace)
-            .mode(mode)
-            .run(&mut cluster, &mut p)
-            .unwrap_or_else(|o| panic!("batch cell dfrs/{hpc} did not complete: {o:?}"));
-        (report, p.share_violations())
-    } else {
-        let report = BatchRun::new(trace)
-            .mode(mode)
-            .run(&mut cluster, make_policy(policy, seed).as_mut())
-            .unwrap_or_else(|o| panic!("batch cell {policy}/{hpc} did not complete: {o:?}"));
-        (report, 0)
-    }
+    run_policy(BatchRun::new(trace).mode(mode), &mut cluster, policy, seed)
 }
 
 struct Cell {
     policy: &'static str,
     kernel: &'static str,
     report: BatchReport,
+    audit: AuditSummary,
 }
 
 /// Max − min of per-user mean bounded slowdown: the fairness spread a
@@ -221,7 +233,7 @@ fn main() {
             GANG_EPOCH,
             DFRS_PERIOD
         );
-        let (a, va) = run_gang_cell(&trace, "dfrs", true, nodes, seed, Some(GANG_EPOCH));
+        let (a, audit) = run_gang_cell(&trace, "dfrs", true, nodes, seed, Some(GANG_EPOCH));
         let (b, _) = run_gang_cell(&trace, "dfrs", true, nodes, seed, Some(GANG_EPOCH));
         eprintln!(
             "         dfrs: wait {:>8.3}ms | slowdown {:>6.2} | util {:>5.3} | makespan {:>8.3}ms",
@@ -235,8 +247,8 @@ fn main() {
             eprintln!("FAIL: dfrs gang replay diverged");
             ok = false;
         }
-        if va > 0 {
-            eprintln!("FAIL: {va} share-conservation violations");
+        if audit.violations > 0 {
+            eprintln!("FAIL: share-conservation audit {audit:?}");
             ok = false;
         }
         if a.occupancy_violations > 0 || a.jobs_lost > 0 {
@@ -282,36 +294,11 @@ fn main() {
         );
         let mut ok = true;
         for policy in ["conservative", "multiq", "fairshare"] {
-            let report = match policy {
-                "conservative" => {
-                    let mut p = ConservativeBackfill::new();
-                    let mut cluster = build_cluster(nodes, true, seed, CosimConfig::serial());
-                    let r = BatchRun::new(&trace)
-                        .run(&mut cluster, &mut p)
-                        .expect("swf smoke cell completes");
-                    if p.reservation_violations() > 0 {
-                        eprintln!(
-                            "FAIL: {} conservative reservation violations",
-                            p.reservation_violations()
-                        );
-                        ok = false;
-                    }
-                    r
-                }
-                "fairshare" => {
-                    let mut p = FairShare::new();
-                    let mut cluster = build_cluster(nodes, true, seed, CosimConfig::serial());
-                    let r = BatchRun::new(&trace)
-                        .run(&mut cluster, &mut p)
-                        .expect("swf smoke cell completes");
-                    if p.share_violations() > 0 {
-                        eprintln!("FAIL: {} fair-share order violations", p.share_violations());
-                        ok = false;
-                    }
-                    r
-                }
-                _ => run_cell(&trace, policy, true, nodes, seed),
-            };
+            let (report, audit) = run_cell(&trace, policy, true, nodes, seed);
+            if audit.violations > 0 {
+                eprintln!("FAIL: {policy} audit {audit:?}");
+                ok = false;
+            }
             if report.occupancy_violations > 0 || report.jobs_lost > 0 {
                 eprintln!(
                     "FAIL: {policy} occupancy_violations {} jobs_lost {}",
@@ -361,7 +348,7 @@ fn main() {
     let mut cells = Vec::new();
     for &policy in policies {
         for (kernel, hpc) in [("cfs", false), ("hpl", true)] {
-            let report = run_cell(&trace, policy, hpc, nodes, seed);
+            let (report, audit) = run_cell(&trace, policy, hpc, nodes, seed);
             eprintln!(
                 "{policy:>7}/{kernel}: wait {:>8.3}ms | slowdown {:>6.2} (max {:>6.2}) | \
                  util {:>5.3} | makespan {:>8.3}ms | depth {}",
@@ -376,6 +363,7 @@ fn main() {
                 policy,
                 kernel,
                 report,
+                audit,
             });
         }
     }
@@ -383,10 +371,10 @@ fn main() {
     // Gang-rotation cells: oversubscription and DFRS on the HPL kernel
     // with the gang epoch armed, so co-resident jobs rotate instead of
     // serialising.
-    let mut dfrs_share_violations = 0u64;
     if !smoke {
         for policy in ["oversub", "dfrs"] {
-            let (report, sv) = run_gang_cell(&trace, policy, true, nodes, seed, Some(GANG_EPOCH));
+            let (report, audit) =
+                run_gang_cell(&trace, policy, true, nodes, seed, Some(GANG_EPOCH));
             eprintln!(
                 "{policy:>7}/hpl-gang: wait {:>8.3}ms | slowdown {:>6.2} (max {:>6.2}) | \
                  util {:>5.3} | makespan {:>8.3}ms | depth {}",
@@ -397,19 +385,17 @@ fn main() {
                 report.makespan.as_secs_f64() * 1e3,
                 report.max_queue_depth
             );
-            if policy == "dfrs" {
-                dfrs_share_violations = sv;
-            }
             cells.push(Cell {
                 policy,
                 kernel: "hpl-gang",
                 report,
+                audit,
             });
         }
     }
 
     // Claim 1: determinism — replaying one cell reproduces its report.
-    let replay = run_cell(&trace, "easy", true, nodes, seed);
+    let (replay, _) = run_cell(&trace, "easy", true, nodes, seed);
     let deterministic = cells
         .iter()
         .find(|c| c.policy == "easy" && c.kernel == "hpl")
@@ -418,6 +404,9 @@ fn main() {
 
     // Claim 2: no cell exceeds its policy's occupancy limit.
     let occupancy_ok = cells.iter().all(|c| c.report.occupancy_violations == 0);
+
+    // Every audited decision of every cell kept its policy's promise.
+    let audits_clean = cells.iter().all(|c| c.audit.violations == 0);
 
     // Claim 3: EASY does not raise mean wait over FCFS on either kernel.
     let wait_of = |policy: &str, kernel: &str| {
@@ -474,17 +463,15 @@ fn main() {
     // per-node shares at every reallocation.
     let dfrs_deterministic = smoke || {
         let (replay, _) = run_gang_cell(&trace, "dfrs", true, nodes, seed, Some(GANG_EPOCH));
-        dfrs_share_violations == 0
-            && cells
-                .iter()
-                .find(|c| c.policy == "dfrs" && c.kernel == "hpl-gang")
-                .map(|c| c.report == replay)
-                .unwrap_or(false)
+        cells
+            .iter()
+            .find(|c| c.policy == "dfrs" && c.kernel == "hpl-gang")
+            .is_some_and(|c| c.audit.violations == 0 && c.report == replay)
     };
 
     eprintln!(
         "deterministic {deterministic} | occupancy_ok {occupancy_ok} | \
-         easy_wait_ok {easy_ok} | hpl_makespan_ok {hpl_ok} | \
+         audits_clean {audits_clean} | easy_wait_ok {easy_ok} | hpl_makespan_ok {hpl_ok} | \
          dfrs_slowdown_ok {dfrs_slowdown_ok} | oversub_gang_ok {oversub_gang_ok} | \
          dfrs_deterministic {dfrs_deterministic}"
     );
@@ -511,20 +498,9 @@ fn main() {
     );
 
     let zoo: &[&'static str] = &["fcfs", "easy", "conservative", "multiq", "fairshare"];
-    let mut swf_cells: Vec<(&'static str, BatchReport)> = Vec::new();
-    let mut conservative_violations = u64::MAX;
+    let mut swf_cells: Vec<(&'static str, BatchReport, AuditSummary)> = Vec::new();
     for &policy in zoo {
-        let report = if policy == "conservative" {
-            let mut p = ConservativeBackfill::new();
-            let mut cluster = build_cluster(swf_nodes, true, swf_seed, CosimConfig::serial());
-            let r = BatchRun::new(&swf_trace)
-                .run(&mut cluster, &mut p)
-                .expect("swf cell completes");
-            conservative_violations = p.reservation_violations();
-            r
-        } else {
-            run_cell(&swf_trace, policy, true, swf_nodes, swf_seed)
-        };
+        let (report, audit) = run_cell(&swf_trace, policy, true, swf_nodes, swf_seed);
         eprintln!(
             "{policy:>13}/swf: wait {:>8.3}ms | slowdown {:>6.2} | util {:>5.3} | \
              makespan {:>8.3}ms | spread {:>6.2}",
@@ -534,46 +510,51 @@ fn main() {
             report.makespan.as_secs_f64() * 1e3,
             user_slowdown_spread(&report)
         );
-        swf_cells.push((policy, report));
+        swf_cells.push((policy, report, audit));
     }
 
     // SWF claim 1: bit-exact replay across reps.
-    let rep = run_cell(&swf_trace, "fcfs", true, swf_nodes, swf_seed);
+    let (rep, _) = run_cell(&swf_trace, "fcfs", true, swf_nodes, swf_seed);
     let swf_deterministic = swf_cells
         .iter()
-        .find(|(p, _)| *p == "fcfs")
-        .map(|(_, r)| *r == rep)
-        .unwrap_or(false);
+        .find(|(p, ..)| *p == "fcfs")
+        .is_some_and(|(_, r, _)| *r == rep);
 
     // SWF claim 2: conservative admissions never delayed an earlier
     // reservation.
-    let swf_conservative_ok = conservative_violations == 0;
+    let swf_conservative_ok = swf_cells
+        .iter()
+        .find(|(p, ..)| *p == "conservative")
+        .is_some_and(|(.., a)| a.violations == 0);
 
     // SWF claim 3: fair share does not widen the per-user slowdown
     // spread relative to FCFS on the same stream.
     let spread_of = |name: &str| {
         swf_cells
             .iter()
-            .find(|(p, _)| *p == name)
-            .map(|(_, r)| user_slowdown_spread(r))
+            .find(|(p, ..)| *p == name)
+            .map(|(_, r, _)| user_slowdown_spread(r))
             .unwrap_or(f64::NAN)
     };
     let swf_fairshare_ok = spread_of("fairshare") <= spread_of("fcfs") * 1.05 + 1e-6;
 
-    // SWF claim 4: pooled windows reproduce the serial SWF report bit
-    // for bit (the cross-event-loop equality on a production stream).
-    let pooled = {
+    // SWF claim 4: pooled windows reproduce the serial SWF report and
+    // audit tally bit for bit (the cross-event-loop equality on a
+    // production stream).
+    let (pooled, pooled_audit) = {
         let cosim = CosimConfig::parallel().with_threads(2).with_min_active(2);
         let mut cluster = build_cluster(swf_nodes, true, swf_seed, cosim);
-        BatchRun::new(&swf_trace)
-            .run(&mut cluster, &mut ConservativeBackfill::new())
-            .expect("pooled swf cell completes")
+        run_policy(
+            BatchRun::new(&swf_trace),
+            &mut cluster,
+            "conservative",
+            swf_seed,
+        )
     };
     let swf_pooled_equal = swf_cells
         .iter()
-        .find(|(p, _)| *p == "conservative")
-        .map(|(_, r)| *r == pooled)
-        .unwrap_or(false);
+        .find(|(p, ..)| *p == "conservative")
+        .is_some_and(|(_, r, a)| *r == pooled && *a == pooled_audit);
 
     // SWF claim 5: under honest estimates with walltime enforcement,
     // kills fire, nothing is lost, and occupancy stays clean.
@@ -583,12 +564,14 @@ fn main() {
         .take(swf_take)
         .arrival_scale(0.1)
         .apply(&honest_mapped);
-    let walltime_report = {
+    let (walltime_report, _) = {
         let mut cluster = build_cluster(swf_nodes, true, swf_seed, CosimConfig::serial());
-        BatchRun::new(&honest_trace)
-            .walltime(1.0)
-            .run(&mut cluster, &mut Fcfs)
-            .expect("walltime swf cell completes")
+        run_policy(
+            BatchRun::new(&honest_trace).walltime(1.0),
+            &mut cluster,
+            "fcfs",
+            swf_seed,
+        )
     };
     eprintln!(
         "     walltime/swf: {} of {} jobs killed | wait {:>8.3}ms | util {:>5.3}",
@@ -602,13 +585,16 @@ fn main() {
         && walltime_report.jobs_lost == 0
         && walltime_report.occupancy_violations == 0;
 
-    let swf_occupancy_ok = swf_cells.iter().all(|(_, r)| r.occupancy_violations == 0)
-        && swf_cells.iter().all(|(_, r)| r.jobs_lost == 0);
+    let swf_occupancy_ok = swf_cells
+        .iter()
+        .all(|(_, r, _)| r.occupancy_violations == 0 && r.jobs_lost == 0);
+    let swf_audits_clean = swf_cells.iter().all(|(.., a)| a.violations == 0);
 
     eprintln!(
         "swf_deterministic {swf_deterministic} | swf_conservative_ok {swf_conservative_ok} | \
          swf_fairshare_ok {swf_fairshare_ok} | swf_pooled_equal {swf_pooled_equal} | \
-         swf_walltime_ok {swf_walltime_ok} | swf_occupancy_ok {swf_occupancy_ok}"
+         swf_walltime_ok {swf_walltime_ok} | swf_occupancy_ok {swf_occupancy_ok} | \
+         swf_audits_clean {swf_audits_clean}"
     );
 
     // ---------- Part 3: capacity cell (tiled SWF, 128 nodes) ----------
@@ -646,10 +632,10 @@ fn main() {
             let cosim = CosimConfig::parallel().with_threads(4).with_min_active(2);
             let mut cluster = build_cluster(cap_nodes, true, seed ^ 0xCAB, cosim);
             let start = std::time::Instant::now();
-            let report = BatchRun::new(&cap_trace)
-                .run(&mut cluster, &mut EasyBackfill::new())
-                .expect("capacity cell completes");
-            (cap_trace.jobs.len(), report, start.elapsed().as_secs_f64())
+            let (report, audit) = run_policy(BatchRun::new(&cap_trace), &mut cluster, "easy", seed);
+            let wall = start.elapsed().as_secs_f64();
+            assert_eq!(audit.violations, 0, "capacity cell audit: {audit:?}");
+            (cap_trace.jobs.len(), report, wall)
         };
         // Bit-exact replay is pinned at the 512-job sub-scale (run
         // twice); the 2048-job headline cell runs ONCE under a wall
@@ -744,7 +730,7 @@ fn main() {
     json.push_str(&format!("    \"walltime_ok\": {swf_walltime_ok},\n"));
     json.push_str(&format!("    \"occupancy_ok\": {swf_occupancy_ok},\n"));
     json.push_str("    \"cells\": [\n");
-    for (p, r) in &swf_cells {
+    for (p, r, _) in &swf_cells {
         json.push_str(&cell_json(p, r, false));
     }
     json.push_str(&cell_json("walltime-fcfs", &walltime_report, true));
@@ -786,12 +772,14 @@ fn main() {
         && dfrs_slowdown_ok
         && oversub_gang_ok
         && dfrs_deterministic
+        && audits_clean
         && swf_deterministic
         && swf_conservative_ok
         && swf_fairshare_ok
         && swf_pooled_equal
         && swf_walltime_ok
         && swf_occupancy_ok
+        && swf_audits_clean
         && capacity_ok;
     if !smoke && !claims_hold {
         eprintln!("FAIL: batch sweep claims do not hold");

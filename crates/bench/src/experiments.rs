@@ -926,7 +926,7 @@ pub fn coschedule(opts: &ExpOpts) -> String {
 // Extension I — user-level scheduler comparison (§IV / Catamount PCT)
 // -------------------------------------------------------------------
 
-/// §IV's critique of "sophisticated run-time systems [that] dynamically
+/// §IV's critique of "sophisticated run-time systems \[that\] dynamically
 /// change thread-to-core bindings": a user-level scheduler task that
 /// wakes periodically, re-evaluates, and re-pins every rank via
 /// `sched_setaffinity`. It pays syscall overhead on every cycle, it

@@ -39,11 +39,10 @@ use crate::fault::{FaultPlan, NodeFault};
 use crate::net::{Interconnect, LinkFaults, NetConfig};
 use crate::pool::WorkerPool;
 use crate::window::Window;
-use hpl_kernel::observe::ChromeTraceSink;
+use hpl_kernel::observe::{chrome_trace_json, ChromeTraceSink};
 use hpl_kernel::{NetMsg, Node, ObserverId, Pid, RunOutcome, TaskState};
 use hpl_mpi::{find_mpiexec, spawn_job_tree_with, JobSpec, RankWrap, SchedMode};
 use hpl_sim::time::{SimDuration, SimTime};
-use std::fmt::Write as _;
 
 /// Host-side execution policy of the lockstep driver.
 ///
@@ -1027,18 +1026,15 @@ impl Cluster {
     /// `None` if any id does not resolve.
     pub fn export_chrome_trace(&self, sinks: &[ObserverId]) -> Option<String> {
         assert_eq!(sinks.len(), self.nodes.len(), "one sink id per node");
-        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
-        let mut dropped = 0u64;
-        for (i, (node, &id)) in self.nodes.iter().zip(sinks).enumerate() {
-            let sink: &ChromeTraceSink = node.observer(id)?;
-            dropped += sink.dropped();
-            sink.write_events(&mut out, &mut first, i as u32 + 1, node.now(), |pid| {
-                node.tasks.get(pid).name.clone()
-            });
-        }
-        let _ = write!(out, "\n],\"otherData\":{{\"dropped\":{dropped}}}}}");
-        Some(out)
+        let parts = self
+            .nodes
+            .iter()
+            .zip(sinks)
+            .map(|(node, &id)| Some((node.observer::<ChromeTraceSink>(id)?, node.now())))
+            .collect::<Option<Vec<_>>>()?;
+        Some(chrome_trace_json(&parts, |i, pid| {
+            self.nodes[i].tasks.get(pid).name.clone()
+        }))
     }
 }
 

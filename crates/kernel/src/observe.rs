@@ -596,20 +596,14 @@ impl ChromeTraceSink {
     /// display name (the node does this from its task table). Timestamps
     /// are microseconds (the format's unit); `pid` in the output is the
     /// node (1), `tid` is the CPU, so each CPU renders as one track.
-    pub fn to_json(&self, end: SimTime, resolve: impl FnMut(Pid) -> String) -> String {
-        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
-        self.write_events(&mut out, &mut first, 1, end, resolve);
-        let _ = write!(out, "\n],\"otherData\":{{\"dropped\":{}}}}}", self.dropped);
-        out
+    pub fn to_json(&self, end: SimTime, mut resolve: impl FnMut(Pid) -> String) -> String {
+        chrome_trace_json(&[(self, end)], |_, pid| resolve(pid))
     }
 
     /// Append this sink's trace events to a document under Chrome-trace
-    /// process id `process` (cluster exports use one process — hence
-    /// one track group — per node). `first` tracks comma placement
-    /// across multiple appending sinks; the caller owns the surrounding
-    /// `{"traceEvents":[...]}` envelope.
-    pub fn write_events(
+    /// process id `process`. `first` tracks comma placement across
+    /// multiple appending sinks.
+    fn write_events(
         &self,
         out: &mut String,
         first: &mut bool,
@@ -718,6 +712,28 @@ impl ChromeTraceSink {
             );
         }
     }
+}
+
+/// Render `parts` as one Chrome-trace document. Part `i` — a sink and
+/// the time its still-open occupancy slices close at — becomes trace
+/// process `i + 1` (a cluster export passes one part per node, so each
+/// node renders as its own track group), and `otherData.dropped` sums
+/// the parts' drop counters. `resolve(i, pid)` names task `pid` of
+/// part `i`.
+pub fn chrome_trace_json(
+    parts: &[(&ChromeTraceSink, SimTime)],
+    mut resolve: impl FnMut(usize, Pid) -> String,
+) -> String {
+    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+    let mut first = true;
+    for (i, &(sink, end)) in parts.iter().enumerate() {
+        sink.write_events(&mut out, &mut first, i as u32 + 1, end, |pid| {
+            resolve(i, pid)
+        });
+    }
+    let dropped: u64 = parts.iter().map(|(sink, _)| sink.dropped).sum();
+    let _ = write!(out, "\n],\"otherData\":{{\"dropped\":{dropped}}}}}");
+    out
 }
 
 impl SchedObserver for ChromeTraceSink {

@@ -235,7 +235,7 @@ impl<E> EventQueue<E> {
     ///
     /// Merges the heap with the periodic slots under the same total
     /// `(time, seq)` order. A popped periodic occurrence re-arms its slot
-    /// in place (see [`PeriodicSlot`] for why that preserves determinism).
+    /// in place (see `PeriodicSlot` for why that preserves determinism).
     pub fn pop(&mut self) -> Option<(SimTime, EventId, E)>
     where
         E: Clone,

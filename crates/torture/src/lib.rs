@@ -23,7 +23,7 @@
 //!   agree with the analytic resonance model within tolerance
 //!   ([`analytic_differential`]).
 //!
-//! On failure the harness greedily shrinks the scenario ([`shrink`])
+//! On failure the harness greedily shrinks the scenario ([`shrink()`])
 //! and writes a replayable seed artifact plus a Chrome trace
 //! ([`artifact::write_failure`]). The `torture` binary drives it all;
 //! `torture --smoke` is wired into `scripts/check.sh`.

@@ -837,8 +837,8 @@ impl SchedObserver for InvariantOracle {
             // Per-gang CPU attribution is integrated by MetricsSink;
             // the shadow's own running-task view already covers it.
             | SchedEvent::GangRun { .. }
-            // Per-node share sums are audited by the runner against the
-            // Dfrs policy's own DfrsDecision records.
+            // Per-node share sums are audited by the runner through the
+            // policy's own audit tally (AllocPolicy::audit).
             | SchedEvent::JobShare { .. }
             // Batch-level job lifecycle events come from above the
             // kernel; the batch occupancy invariant is checked by the

@@ -222,17 +222,31 @@ fn job_spec(sc: &Scenario) -> JobSpec {
     JobSpec::new(m.ranks_per_node * sc.nodes, ops).with_nodes(sc.nodes)
 }
 
+/// The `hpl-batch` policy a batch scenario names.
+fn batch_policy(b: &BatchSpec, seed: u64) -> Box<dyn AllocPolicy> {
+    match b.policy {
+        BatchPolicyKind::Fcfs => Box::new(Fcfs),
+        BatchPolicyKind::Easy => Box::new(EasyBackfill::new()),
+        BatchPolicyKind::Conservative => Box::new(ConservativeBackfill::new()),
+        BatchPolicyKind::MultiQueue => Box::new(MultiQueue::default()),
+        BatchPolicyKind::FairShare => Box::new(FairShare::new()),
+        BatchPolicyKind::Dfrs => Box::new(b.job_weights.iter().fold(
+            Dfrs::new(SimDuration::from_millis(1), seed),
+            |p, &(job, w)| p.with_job_weight(job, w),
+        )),
+    }
+}
+
 /// Drive a batch workload on the already-built cluster and translate
 /// batch-level invariant breaches into oracle-style violations: node
-/// occupancy above the policy's limit; under EASY, any audited backfill
-/// decision that intrudes on the head job's reservation; under
-/// conservative, any admission that delays an earlier-queued job's
-/// reservation; under fair share, any dispatch that skips a poorer
-/// user's fittable job; under DFRS, any audited reallocation whose
-/// shares exceed a whole CPU on some node; and, when walltime kills
-/// fired or the policy reallocates shares (DFRS), any node still
-/// occupied after every job completed (a kill or reallocation that
-/// leaked its nodes).
+/// occupancy above the policy's limit; any audited decision that broke
+/// its policy's promise ([`AllocPolicy::audit`]: EASY backfills that
+/// intrude on the head's reservation, conservative admissions that
+/// delay an earlier reservation, fair-share dispatches that skip a
+/// poorer user, DFRS reallocations that hand a node more than one CPU);
+/// and, when walltime kills fired or the policy reallocates shares
+/// (DFRS), any node still occupied after every job completed (a kill or
+/// reallocation that leaked its nodes).
 fn run_batch_workload(
     sc: &Scenario,
     b: &BatchSpec,
@@ -301,118 +315,24 @@ fn run_batch_workload(
         walltime_factor: b.walltime.then_some(1.0),
         ..BatchConfig::default()
     };
-    let result = match b.policy {
-        BatchPolicyKind::Fcfs => drive(cluster, &mut Fcfs, cfg),
-        BatchPolicyKind::Easy => {
-            let mut policy = EasyBackfill::new();
-            let result = drive(cluster, &mut policy, cfg);
-            for d in policy.decisions() {
-                if !d.respects_reservation() {
-                    violations.push(Violation {
-                        at: d.shadow,
-                        rule: "batch-reservation",
-                        detail: format!(
-                            "backfill of job {} intrudes on head {}'s reservation: {d:?}",
-                            d.job, d.head
-                        ),
-                    });
-                }
-            }
-            result
-        }
-        BatchPolicyKind::Conservative => {
-            let mut policy = ConservativeBackfill::new();
-            let result = drive(cluster, &mut policy, cfg);
-            for d in policy.decisions() {
-                if !d.respects_reservations() {
-                    violations.push(Violation {
-                        at: d.est_end,
-                        rule: "batch-conservative-reservation",
-                        detail: format!(
-                            "admission of job {} delays an earlier-queued reservation: {d:?}",
-                            d.job
-                        ),
-                    });
-                }
-            }
-            // The counter sees ring-dropped admissions too.
-            if policy.reservation_violations() as usize
-                > violations
-                    .iter()
-                    .filter(|v| v.rule == "batch-conservative-reservation")
-                    .count()
-            {
-                violations.push(Violation {
-                    at: cluster.node(0).now(),
-                    rule: "batch-conservative-reservation",
-                    detail: format!(
-                        "{} reservation violations total (some aged out of the audit ring)",
-                        policy.reservation_violations()
-                    ),
-                });
-            }
-            result
-        }
-        BatchPolicyKind::MultiQueue => {
-            let mut policy = MultiQueue::default();
-            drive(cluster, &mut policy, cfg)
-        }
-        BatchPolicyKind::FairShare => {
-            let mut policy = FairShare::new();
-            let result = drive(cluster, &mut policy, cfg);
-            for d in policy.decisions() {
-                if !d.respects_shares() {
-                    violations.push(Violation {
-                        at: cluster.node(0).now(),
-                        rule: "batch-fairshare-order",
-                        detail: format!(
-                            "dispatch of job {} (user {}, ratio {:.3}) skipped a poorer \
-                             fittable user (min ratio {:.3})",
-                            d.job, d.user, d.ratio, d.min_fittable_ratio
-                        ),
-                    });
-                }
-            }
-            result
-        }
-        BatchPolicyKind::Dfrs => {
-            let mut policy = Dfrs::new(SimDuration::from_millis(1), sc.seed);
-            for &(job, weight) in &b.job_weights {
-                policy = policy.with_job_weight(job, weight);
-            }
-            let result = drive(cluster, &mut policy, cfg);
-            for d in policy.decisions() {
-                if !d.respects_shares() {
-                    violations.push(Violation {
-                        at: d.at,
-                        rule: "batch-dfrs-shares",
-                        detail: format!(
-                            "reallocation epoch {} assigns a node more than a whole \
-                             CPU of shares: {d:?}",
-                            d.epoch
-                        ),
-                    });
-                }
-            }
-            // The counter sees ring-dropped reallocations too.
-            if policy.share_violations() as usize
-                > violations
-                    .iter()
-                    .filter(|v| v.rule == "batch-dfrs-shares")
-                    .count()
-            {
-                violations.push(Violation {
-                    at: cluster.node(0).now(),
-                    rule: "batch-dfrs-shares",
-                    detail: format!(
-                        "{} share violations total (some aged out of the audit ring)",
-                        policy.share_violations()
-                    ),
-                });
-            }
-            result
-        }
-    };
+    let mut policy = batch_policy(b, sc.seed);
+    let result = drive(cluster, policy.as_mut(), cfg);
+    // One audit contract for every policy; the tally covers decisions
+    // the policy's audit ring has since dropped.
+    let audit = policy.audit();
+    if audit.violations > 0 {
+        violations.push(Violation {
+            at: cluster.node(0).now(),
+            rule: "batch-audit",
+            detail: format!(
+                "{}: {} of {} audited decisions broke the policy's promise; first: {}",
+                policy.name(),
+                audit.violations,
+                audit.checked,
+                audit.first.unwrap_or_default()
+            ),
+        });
+    }
     match result {
         Ok(report) => {
             if report.jobs_lost > 0 {

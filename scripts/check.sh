@@ -2,7 +2,7 @@
 # Repo gate: everything a PR must pass, in the order a human wants the
 # failures reported. Fully offline (vendored dev-deps, no crates.io).
 #
-#   scripts/check.sh          # tier-1 build+test, workspace tests, clippy
+#   scripts/check.sh          # tier-1 build+test, workspace tests, clippy, rustdoc
 #   scripts/check.sh --quick  # tier-1 only
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -67,5 +67,8 @@ fi
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== rustdoc (deny warnings: broken or ambiguous doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --exclude proptest --exclude criterion
 
 echo "all checks passed"

@@ -85,7 +85,7 @@
 //! | [`cluster`] | multi-node layer: analytic noise-resonance projection **and** mechanistic lockstep co-simulation of kernel nodes over a LogGP interconnect, with deterministic fault injection (`FaultPlan`: message loss, link degradation, node crash/drain/restart) |
 //! | [`coord`] | realizing fractional CPU shares inside a node: weighted kernel gang slicing and a user-space lease-arbiter runtime (`CoordRuntime`), both driving the same clock-derived slice schedule |
 //! | [`batch`] | two-level scheduling: cluster batch queue, the allocation-policy zoo (FCFS, EASY and conservative backfilling, multi-queue with aging, fair share, oversubscribed, weighted DFRS), SWF production-trace ingestion (`SwfTrace`/`SwfMap`/`TraceTransform`), multi-job lifecycle engine (`BatchRun`) with walltime enforcement, checkpoint/restart, crash requeue and coordinated runs (`run_coordinated`) |
-//! | [`bench`] | run harness, `RunConfig`/`RunTable` plumbing, the `repro` binary |
+//! | [`bench`](mod@bench) | run harness, `RunConfig`/`RunTable` plumbing, the `repro` binary |
 //! | [`torture`] | seeded scheduler fuzzing: random scenarios, online invariant oracle, differential event-loop checks, failure shrinking (`torture` binary) |
 
 #![forbid(unsafe_code)]
@@ -107,9 +107,10 @@ pub use hpl_workloads as workloads;
 /// The names almost every user of this library needs.
 pub mod prelude {
     pub use hpl_batch::{
-        AllocPolicy, BatchConfig, BatchJob, BatchReport, BatchRun, BatchTrace, CheckpointSpec,
-        ConservativeBackfill, Dfrs, DfrsDecision, EasyBackfill, FairShare, Fcfs, JobOutcome,
-        MultiQueue, Oversubscribed, SwfMap, SwfTrace, TraceTransform, UserStats,
+        AllocPolicy, AuditSummary, Audited, BatchConfig, BatchJob, BatchReport, BatchRun,
+        BatchTrace, CheckpointSpec, ConservativeBackfill, Dfrs, DfrsDecision, EasyBackfill,
+        FairShare, Fcfs, JobOutcome, MultiQueue, Oversubscribed, SwfMap, SwfTrace, TraceTransform,
+        UserStats,
     };
     pub use hpl_bench::{run_many, run_once, NoiseKind, RunConfig, Scheduler};
     pub use hpl_cluster::{
