@@ -17,6 +17,9 @@
 //!   or not;
 //! * churn is actually exercised (crashy cells requeue at least one
 //!   job);
+//! * every policy's own audit holds (`AllocPolicy::audit`: EASY never
+//!   delays its head reservation) — gated in smoke runs too, reported
+//!   on stderr only;
 //! * bounded slowdown degrades gracefully: each crashy cell stays
 //!   within `GRACE`x its policy's fault-free slowdown.
 //!
@@ -25,7 +28,8 @@
 //! Usage: `faults [--quick|--smoke] [--out PATH]`
 
 use hpl_batch::{
-    AllocPolicy, BatchReport, BatchRun, BatchTrace, CheckpointSpec, EasyBackfill, Fcfs,
+    AllocPolicy, AuditSummary, BatchReport, BatchRun, BatchTrace, CheckpointSpec, EasyBackfill,
+    Fcfs,
 };
 use hpl_cluster::{Cluster, FaultPlan, Interconnect, NetConfig};
 use hpl_core::HplClass;
@@ -90,23 +94,33 @@ fn make_policy(name: &str) -> Box<dyn AllocPolicy> {
     }
 }
 
-fn run_cell(trace: &BatchTrace, policy: &str, crashes: u32, nodes: u32, seed: u64) -> BatchReport {
+/// Run one cell; returns its report and the policy's audit.
+fn run_cell(
+    trace: &BatchTrace,
+    policy: &str,
+    crashes: u32,
+    nodes: u32,
+    seed: u64,
+) -> (BatchReport, AuditSummary) {
     let mut cluster = build_cluster(nodes, seed, fault_plan(crashes, nodes));
-    BatchRun::new(trace)
+    let mut p = make_policy(policy);
+    let report = BatchRun::new(trace)
         .mode(SchedMode::Hpc)
         .checkpoint(CheckpointSpec {
             every_iters: 1,
             cost: SimDuration::from_micros(150),
             restore: SimDuration::from_micros(400),
         })
-        .run(&mut cluster, make_policy(policy).as_mut())
-        .unwrap_or_else(|o| panic!("fault cell {policy}/x{crashes} did not complete: {o:?}"))
+        .run(&mut cluster, p.as_mut())
+        .unwrap_or_else(|o| panic!("fault cell {policy}/x{crashes} did not complete: {o:?}"));
+    (report, p.audit())
 }
 
 struct Cell {
     policy: &'static str,
     crashes: u32,
     report: BatchReport,
+    audit: AuditSummary,
 }
 
 fn main() {
@@ -143,20 +157,23 @@ fn main() {
     let mut cells = Vec::new();
     for &policy in &["fcfs", "easy"] {
         for &crashes in crash_counts {
-            let report = run_cell(&trace, policy, crashes, nodes, seed);
+            let (report, audit) = run_cell(&trace, policy, crashes, nodes, seed);
             eprintln!(
                 "{policy:>5}/x{crashes}: wait {:>8.3}ms | slowdown {:>6.2} | requeues {} | \
-                 lost {} | makespan {:>8.3}ms",
+                 lost {} | makespan {:>8.3}ms | audit {} checked, {} violated",
                 report.mean_wait.as_secs_f64() * 1e3,
                 report.mean_bounded_slowdown,
                 report.requeues,
                 report.jobs_lost,
                 report.makespan.as_secs_f64() * 1e3,
+                audit.checked,
+                audit.violations,
             );
             cells.push(Cell {
                 policy,
                 crashes,
                 report,
+                audit,
             });
         }
     }
@@ -165,7 +182,7 @@ fn main() {
 
     // Claim 1: determinism — replaying the crashiest FCFS cell
     // reproduces its report bit for bit.
-    let replay = run_cell(&trace, "fcfs", max_crashes, nodes, seed);
+    let (replay, _) = run_cell(&trace, "fcfs", max_crashes, nodes, seed);
     let deterministic = cells
         .iter()
         .find(|c| c.policy == "fcfs" && c.crashes == max_crashes)
@@ -202,9 +219,18 @@ fn main() {
             .all(|&k| slowdown_of(p, k) <= base * GRACE + 1e-9)
     });
 
+    // Claim 6: every policy keeps its audited promise.
+    let first_violation = cells.iter().find_map(|c| {
+        (c.audit.violations > 0).then(|| {
+            let first = c.audit.first.as_deref().unwrap_or("?");
+            format!("{}/x{}: {first}", c.policy, c.crashes)
+        })
+    });
+    let audits_clean = first_violation.is_none();
+
     eprintln!(
         "deterministic {deterministic} | lost_ok {lost_ok} | occupancy_ok {occupancy_ok} | \
-         churn_ok {churn_ok} | graceful {graceful}"
+         churn_ok {churn_ok} | graceful {graceful} | audits_clean {audits_clean}"
     );
 
     let mut json = String::from("{\n  \"bench\": \"faults\",\n");
@@ -242,8 +268,13 @@ fn main() {
     std::fs::write(&out, json).expect("write bench json");
     eprintln!("wrote {out}");
 
-    // Smoke runs gate only on "the sweep completes"; the comparative
-    // claims need the full job stream to be meaningful.
+    // An audit violation is a policy bug at any size.
+    if let Some(v) = first_violation {
+        eprintln!("FAIL: policy audit violated, first at {v}");
+        std::process::exit(1);
+    }
+    // Otherwise smoke runs gate only on "the sweep completes"; the
+    // comparative claims need the full job stream to be meaningful.
     let claims_hold = deterministic && lost_ok && occupancy_ok && churn_ok && graceful;
     if !smoke && !claims_hold {
         eprintln!("FAIL: fault sweep claims do not hold");

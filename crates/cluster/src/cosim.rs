@@ -102,16 +102,14 @@ impl CosimConfig {
         self
     }
 
-    /// Stepping threads a cluster of `nodes` would actually use: the
-    /// explicit count, else host parallelism, never more than the node
-    /// count and at least one.
-    pub fn effective_threads(&self, nodes: usize) -> usize {
-        let t = if self.threads > 0 {
+    /// The explicit thread count, else the host's available parallelism
+    /// (a `sched_getaffinity` call plus cgroup reads).
+    fn requested_threads(&self) -> usize {
+        if self.threads > 0 {
             self.threads
         } else {
             std::thread::available_parallelism().map_or(1, |n| n.get())
-        };
-        t.clamp(1, nodes.max(1))
+        }
     }
 }
 
@@ -316,6 +314,11 @@ impl ClusterBuilder {
             live_trees: vec![Vec::new(); n],
             exits_seen: vec![0; n],
             tree_exits: 0,
+            threads: if cosim.parallel {
+                cosim.requested_threads()
+            } else {
+                1
+            },
             cfg: cosim,
             pool: None,
             active: Vec::new(),
@@ -354,6 +357,9 @@ pub struct Cluster {
     tree_exits: u64,
     /// Host-side execution policy (serial vs pooled window stepping).
     cfg: CosimConfig,
+    /// Stepping threads asked for, with the host's parallelism resolved
+    /// once at build; 1 in serial mode.
+    threads: usize,
     /// Worker pool, spawned lazily on the first window dense enough to
     /// fan out; `None` until then and in serial mode.
     pool: Option<WorkerPool>,
@@ -751,9 +757,15 @@ impl Cluster {
                 self.active.push(i);
             }
         }
-        let alive = self.nodes.len() - self.down.iter().filter(|&&d| d).count();
-        let workers = self.cfg.effective_threads(alive) - 1;
-        if self.cfg.parallel && workers > 0 && self.active.len() >= self.cfg.parallel_min_active {
+        // Serial mode pays for none of the pool bookkeeping.
+        let workers = if self.cfg.parallel && self.active.len() >= self.cfg.parallel_min_active {
+            let alive = self.nodes.len() - self.down.iter().filter(|&&d| d).count();
+            // At most one stepping thread per alive node, and at least one.
+            self.threads.clamp(1, alive.max(1)) - 1
+        } else {
+            0
+        };
+        if workers > 0 {
             let pool = self.pool.get_or_insert_with(|| WorkerPool::new(workers));
             pool.step_round(&mut self.nodes, &self.active, deadline);
         } else {

@@ -36,6 +36,7 @@ use crate::sync::{ChanId, SyncState, WaitOutcome, Waiting};
 use crate::task::{BlockReason, Pid, SpinTarget, Task, TaskState, TaskTable};
 use crate::trace::TraceBuffer;
 use hpl_perf::{HwEvent, PerCpuCounters, RunOutcome, SwEvent};
+use hpl_sim::time::round_to_u64;
 use hpl_sim::{EventQueue, Rng, SimDuration, SimTime};
 use hpl_topology::{CpuId, CpuMask, DomainHierarchy, Topology};
 
@@ -551,10 +552,11 @@ impl Node {
     // ---------------------------------------------------------------
 
     fn sibling_busy(&self, cpu: CpuId) -> bool {
-        self.topo
-            .smt_siblings(cpu)
-            .iter()
-            .any(|sib| sib != cpu && self.cpus[sib.index()].curr.is_some())
+        // The core's hardware threads are numbered consecutively (see
+        // `Topology::smt_siblings`); index them directly.
+        let tpc = self.topo.threads_per_core();
+        let first = self.topo.core_of(cpu) * tpc;
+        (first..first + tpc).any(|c| c != cpu.0 && self.cpus[c as usize].curr.is_some())
     }
 
     fn smt_factor(&self, cpu: CpuId) -> f64 {
@@ -567,17 +569,20 @@ impl Node {
 
     /// Full-speed work (seconds) done over `dt_s` starting from warmth
     /// `w0`, given the SMT factor. Closed form of
-    /// `∫ smt·(cold + (1−cold)·w(t)) dt` with exponential rewarming.
-    fn work_integral(&self, smt: f64, w0: f64, dt_s: f64) -> f64 {
+    /// `∫ smt·(cold + (1−cold)·w(t)) dt` with exponential rewarming;
+    /// `decay` is `exp(−dt_s / cache_warm_tau)`, which every caller also
+    /// needs for something else and so computes once.
+    fn work_integral(&self, smt: f64, w0: f64, dt_s: f64, decay: f64) -> f64 {
         let cold = self.cfg.cache_cold_factor;
         let tau = self.cfg.cache_warm_tau.as_secs_f64();
-        smt * (dt_s - (1.0 - cold) * (1.0 - w0) * tau * (1.0 - (-dt_s / tau).exp()))
+        smt * (dt_s - (1.0 - cold) * (1.0 - w0) * tau * (1.0 - decay))
     }
 
     /// Inverse of [`Self::work_integral`]: wall time needed to complete
     /// `work_s` of full-speed work. Newton iteration with a bisection
     /// floor; the integrand is positive and increasing so this converges
-    /// in a handful of steps.
+    /// in a handful of steps. One exponential per step serves both the
+    /// integral and its derivative.
     fn time_for_work(&self, smt: f64, w0: f64, work_s: f64) -> f64 {
         let cold = self.cfg.cache_cold_factor;
         let tau = self.cfg.cache_warm_tau.as_secs_f64();
@@ -588,8 +593,9 @@ impl Node {
         // Start from the optimistic bound (full speed).
         let mut t = work_s / smt;
         for _ in 0..32 {
-            let f = self.work_integral(smt, w0, t) - work_s;
-            let speed = smt * (1.0 - (1.0 - cold) * (1.0 - w0) * (-t / tau).exp());
+            let decay = (-t / tau).exp();
+            let f = self.work_integral(smt, w0, t, decay) - work_s;
+            let speed = smt * (1.0 - (1.0 - cold) * (1.0 - w0) * decay);
             let step = f / speed.max(1e-12);
             t -= step;
             if step.abs() < 0.5e-9 {
@@ -624,12 +630,13 @@ impl Node {
         let smt = self.smt_factor(cpu);
         let w0 = self.cache.warmth(&self.topo, cpu, pid);
         let dt_s = productive.as_secs_f64();
-        let work_s = self.work_integral(smt, w0, dt_s);
-        let work_ns = (work_s * 1e9).round() as u64;
+        let warm_rate = CacheModel::warm_rate(&self.cfg, productive);
+        let work_s = self.work_integral(smt, w0, dt_s, warm_rate);
+        let work_ns = round_to_u64(work_s * 1e9);
         // Counter attribution: lost cycles split between SMT contention
         // and cold-cache stall.
         let ideal_ns = productive.as_nanos();
-        let smt_progress_ns = ((dt_s * smt * 1e9).round() as u64).min(ideal_ns);
+        let smt_progress_ns = round_to_u64(dt_s * smt * 1e9).min(ideal_ns);
         let smt_loss = ideal_ns - smt_progress_ns;
         let cache_loss = ideal_ns.saturating_sub(work_ns).saturating_sub(smt_loss);
         self.counters.add_hw(cpu, HwEvent::BusyNs, ideal_ns);
@@ -648,7 +655,7 @@ impl Node {
         let (classes, tasks) = (&mut self.classes, &mut self.tasks);
         classes[ci].update_curr(cpu, tasks.get_mut(pid), productive);
         self.cache
-            .run_for(&self.cfg, &self.topo, cpu, pid, productive);
+            .run_for(&self.cfg, &self.topo, cpu, pid, productive, warm_rate);
     }
 
     /// Re-estimate and schedule the segment-completion event of `cpu`.
@@ -2406,6 +2413,68 @@ mod tests {
         // must take more than 10ms but less than 10/0.7 ms.
         assert!(elapsed > 0.010, "elapsed {elapsed}");
         assert!(elapsed < 0.0143, "elapsed {elapsed}");
+    }
+
+    /// The speed-model inverse as written with one exponential for the
+    /// integral and another for its derivative.
+    fn time_for_work_two_exps(cfg: &KernelConfig, smt: f64, w0: f64, work_s: f64) -> f64 {
+        let cold = cfg.cache_cold_factor;
+        let tau = cfg.cache_warm_tau.as_secs_f64();
+        let integral =
+            |t: f64| smt * (t - (1.0 - cold) * (1.0 - w0) * tau * (1.0 - (-t / tau).exp()));
+        if work_s <= 0.0 {
+            return 0.0;
+        }
+        let mut t = work_s / smt;
+        for _ in 0..32 {
+            let f = integral(t) - work_s;
+            let speed = smt * (1.0 - (1.0 - cold) * (1.0 - w0) * (-t / tau).exp());
+            let step = f / speed.max(1e-12);
+            t -= step;
+            if step.abs() < 0.5e-9 {
+                break;
+            }
+        }
+        t.max(0.0)
+    }
+
+    #[test]
+    fn one_exponential_newton_step_matches_two() {
+        for cfg in [KernelConfig::default(), KernelConfig::hpl()] {
+            let node = NodeBuilder::new(Topology::power6_js22())
+                .with_config(cfg.clone())
+                .build();
+            let mut rng = Rng::new(0xe4b0);
+            for i in 0..20_000 {
+                let smt = match i % 3 {
+                    0 => 1.0,
+                    1 => cfg.smt_busy_factor,
+                    _ => rng.range_f64(0.3, 1.0),
+                };
+                let w0 = match i % 5 {
+                    0 => 0.0,
+                    1 => 1.0,
+                    _ => rng.f64(),
+                };
+                // Work from 1 ns to 10 s, log-spread.
+                let work_s = 10f64.powf(rng.range_f64(-9.0, 1.0));
+                let got = node.time_for_work(smt, w0, work_s);
+                let want = time_for_work_two_exps(&cfg, smt, w0, work_s);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "smt {smt} w0 {w0} work {work_s}"
+                );
+                // `sync_cpu`'s integral, fed the cache model's warm rate.
+                let dt = SimDuration::from_nanos(rng.range_u64(1, 10_000_000_000));
+                let dt_s = dt.as_secs_f64();
+                let (cold, tau) = (cfg.cache_cold_factor, cfg.cache_warm_tau.as_secs_f64());
+                let want =
+                    smt * (dt_s - (1.0 - cold) * (1.0 - w0) * tau * (1.0 - (-dt_s / tau).exp()));
+                let got = node.work_integral(smt, w0, dt_s, CacheModel::warm_rate(&cfg, dt));
+                assert_eq!(got.to_bits(), want.to_bits(), "smt {smt} w0 {w0} dt {dt:?}");
+            }
+        }
     }
 
     #[test]

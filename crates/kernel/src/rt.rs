@@ -37,6 +37,9 @@ impl Default for RtRq {
 
 impl RtRq {
     fn highest(&self) -> Option<u8> {
+        if self.nr_queued == 0 {
+            return None;
+        }
         (0..RT_PRIOS)
             .rev()
             .find(|&p| !self.queues[p].is_empty())
@@ -271,6 +274,9 @@ impl SchedClass for RtClass {
                 continue;
             }
             let rq = self.rq(from);
+            if rq.nr_queued == 0 {
+                continue;
+            }
             let head = (0..RT_PRIOS)
                 .rev()
                 .flat_map(|p| rq.queues[p].iter().copied())

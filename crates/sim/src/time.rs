@@ -8,6 +8,27 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
+/// `x.round() as u64`, bit for bit, without the library `round` call.
+///
+/// On the baseline x86-64 target `f64::round` is a call into the
+/// software `round`, and the simulator rounds on every kernel event
+/// (work done, progress, durations). For `0 < x < 2^52` the truncation
+/// `t = x as i64` is exact, and so is `x - t` (the fraction of a double
+/// is always representable); round-half-away-from-zero is then `t` plus
+/// one iff that fraction is at least one half. Every other input — zero,
+/// negatives, NaN, infinities and values that are already integers —
+/// takes the library path, so the saturating `as u64` semantics hold.
+#[inline]
+pub fn round_to_u64(x: f64) -> u64 {
+    const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+    if x > 0.0 && x < TWO_POW_52 {
+        let t = x as i64;
+        (t + i64::from(x - t as f64 >= 0.5)) as u64
+    } else {
+        x.round() as u64
+    }
+}
+
 /// A point in simulated time, measured in nanoseconds since simulation start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
@@ -94,7 +115,7 @@ impl SimDuration {
         if s <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((s * 1e9).round() as u64)
+        SimDuration(round_to_u64(s * 1e9))
     }
 
     /// Raw nanoseconds.
@@ -132,14 +153,14 @@ impl SimDuration {
     #[inline]
     pub fn mul_f64(self, k: f64) -> Self {
         debug_assert!(k >= 0.0, "SimDuration::mul_f64: negative factor {k}");
-        SimDuration((self.0 as f64 * k).round() as u64)
+        SimDuration(round_to_u64(self.0 as f64 * k))
     }
 
     /// Divide by a positive float, rounding to the nearest nanosecond.
     #[inline]
     pub fn div_f64(self, k: f64) -> Self {
         debug_assert!(k > 0.0, "SimDuration::div_f64: non-positive divisor {k}");
-        SimDuration((self.0 as f64 / k).round() as u64)
+        SimDuration(round_to_u64(self.0 as f64 / k))
     }
 
     /// Saturating subtraction.
@@ -329,6 +350,70 @@ mod tests {
         assert_eq!(format!("{}", SimDuration::from_micros(2)), "2.000us");
         assert_eq!(format!("{}", SimDuration::from_millis(2)), "2.000ms");
         assert_eq!(format!("{}", SimDuration::from_secs(2)), "2.000s");
+    }
+
+    #[test]
+    fn round_to_u64_matches_round_on_edge_cases() {
+        let two_52 = 2f64.powi(52);
+        let cases = [
+            0.5,
+            1.5,
+            2.5,
+            1e9 + 0.5,
+            0.49999999999999994,
+            1.0 - f64::EPSILON / 2.0,
+            two_52 - 0.5,
+            two_52 - 1.0,
+            two_52,
+            two_52 + 0.5,
+            two_52 + 1.0,
+            2f64.powi(53) + 2.0,
+            2f64.powi(63),
+            2f64.powi(64),
+            f64::MAX,
+            0.0,
+            -0.0,
+            -0.4,
+            -0.5,
+            -1.5,
+            -1e300,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            5e-324,
+            -5e-324,
+        ];
+        for x in cases {
+            assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
+            // And its neighbours one ulp either side.
+            for y in [
+                f64::from_bits(x.to_bits() + 1),
+                f64::from_bits(x.to_bits().wrapping_sub(1)),
+            ] {
+                assert_eq!(round_to_u64(y), y.round() as u64, "y = {y:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn round_to_u64_matches_round_on_a_sweep() {
+        // 10^6 doubles: magnitudes spread log-uniformly from 1e-12 to
+        // 1e20 (across the 2^52 cut-over), exact ties, their negatives,
+        // and raw bit patterns (NaNs, infinities, subnormals).
+        let mut rng = crate::Rng::new(0x5eed_0001);
+        for i in 0..1_000_000u32 {
+            let mag = 10f64.powf(rng.range_f64(-12.0, 20.0));
+            let x = match i % 4 {
+                0 => mag,
+                1 => mag.trunc() + 0.5,
+                2 => -mag,
+                _ => f64::from_bits(rng.next_u64()),
+            };
+            assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
+        }
     }
 
     #[test]

@@ -32,6 +32,9 @@ cargo run --release -q -p hpl-bench --bin eventloop -- --smoke --out target/BENC
 echo "== multi-node smoke (lockstep co-simulation completes) =="
 cargo run --release -q -p hpl-bench --bin cluster -- --smoke --out target/BENCH_cluster_smoke.json
 
+echo "== kernel hot-path golden digests (release) =="
+cargo test -q --release -p hpl-kernel --test hot_path_golden
+
 echo "== parallel co-sim differential (release: serial vs pooled bit-equality) =="
 cargo test -q --release --test parallel_cosim
 
@@ -56,14 +59,16 @@ cargo run --release -q -p hpl-bench --bin faults -- --smoke --out target/BENCH_f
 echo "== coord smoke (weighted slicing + user-space arbiter, bit-exact replay) =="
 cargo run --release -q -p hpl-bench --bin coord -- --smoke --out target/BENCH_coord_smoke.json
 
-echo "== repo benchmark smoke (perfbench batch workload: every case correct) =="
-perfbench_out=$(cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
-    --workload batch --seed 11 --seconds 1 --trace 0)
-echo "$perfbench_out"
-if ! grep -q '"correct": true' <<<"$perfbench_out" || ! grep -q '"failed": 0,' <<<"$perfbench_out"; then
-    echo "perfbench batch smoke: a case failed or the run is incorrect" >&2
-    exit 1
-fi
+echo "== repo benchmark smoke (perfbench node and batch workloads: every case correct) =="
+for workload in node batch; do
+    perfbench_out=$(cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 11 --seconds 1 --trace 0)
+    echo "$perfbench_out"
+    if ! grep -q '"correct": true' <<<"$perfbench_out" || ! grep -q '"failed": 0,' <<<"$perfbench_out"; then
+        echo "perfbench $workload smoke: a case failed or the run is incorrect" >&2
+        exit 1
+    fi
+done
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
