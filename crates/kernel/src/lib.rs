@@ -40,9 +40,8 @@
 //!   future work) derived from the busy-time counters.
 //! * [`observe`] — the unified observability subsystem: the
 //!   [`observe::SchedObserver`] sink trait wired into every kernel
-//!   decision point, with ring-buffer, Chrome-trace and metrics sinks.
-//! * [`trace`] — the bounded `sched_switch`-style event ring with an
-//!   ASCII Gantt renderer (fed through [`observe::RingSink`]).
+//!   decision point, with the bounded event ring (and its ASCII Gantt
+//!   renderer), Chrome-trace and metrics sinks.
 //! * [`analysis`] — reconstruct preemption episodes and residency from a
 //!   trace (`perf sched`-style noise attribution).
 //!
@@ -69,7 +68,6 @@ pub mod program;
 pub mod rt;
 pub mod sync;
 pub mod task;
-pub mod trace;
 
 pub use class::{class_of_policy, ClassKind, LoadSnapshot, MigrationPlan, SchedClass, SchedCtx};
 pub use config::{BalanceMode, KernelConfig};

@@ -34,7 +34,6 @@ use crate::program::{ProgCtx, Step, TaskSpec};
 use crate::rt::RtClass;
 use crate::sync::{ChanId, SyncState, WaitOutcome, Waiting};
 use crate::task::{BlockReason, Pid, SpinTarget, Task, TaskState, TaskTable};
-use crate::trace::TraceBuffer;
 use hpl_perf::{HwEvent, PerCpuCounters, RunOutcome, SwEvent};
 use hpl_sim::time::round_to_u64;
 use hpl_sim::{EventQueue, Rng, SimDuration, SimTime};
@@ -417,19 +416,17 @@ impl Node {
         }
     }
 
-    /// Start recording scheduler events (switches, migrations, wakeups)
-    /// into a bounded buffer — attaches a [`RingSink`]. Cheap enough for
-    /// examples and debugging; leave off for bulk experiments.
+    /// Start recording every scheduler event into a bounded log —
+    /// attaches a [`RingSink`]. Cheap enough for examples and debugging;
+    /// leave off for bulk experiments.
     pub fn enable_trace(&mut self, capacity: usize) {
         let id = self.attach_observer(Box::new(RingSink::new(capacity)));
         self.ring = Some(id);
     }
 
     /// The trace recorded so far, if [`Self::enable_trace`] was called.
-    pub fn trace(&self) -> Option<&TraceBuffer> {
-        self.ring
-            .and_then(|id| self.observer::<RingSink>(id))
-            .map(|s| s.buffer())
+    pub fn trace(&self) -> Option<&RingSink> {
+        self.observer::<RingSink>(self.ring?)
     }
 
     /// Render the Chrome-trace JSON of the [`crate::observe::ChromeTraceSink`]

@@ -16,14 +16,16 @@
 //!
 //! Three sinks ship with the kernel:
 //!
-//! * [`RingSink`] — the pre-existing bounded [`TraceBuffer`] (with its
-//!   ASCII Gantt renderer) reimplemented as a sink; it keeps exactly the
-//!   old three-variant event vocabulary.
+//! * [`RingSink`] — a bounded, head-kept log of every [`SchedEvent`]
+//!   with its timestamp, plus the ASCII Gantt renderer over its
+//!   switches. It is what [`crate::Node::enable_trace`] attaches and
+//!   what [`crate::analysis::TraceAnalysis`] reads.
 //! * [`ChromeTraceSink`] — a streaming Chrome-trace (a.k.a. Trace Event
 //!   Format / Perfetto JSON) exporter: one "X" complete event per
-//!   occupancy slice per CPU plus "i" instants for migrations and
-//!   wakeups. The output loads directly in `chrome://tracing` or
-//!   <https://ui.perfetto.dev>.
+//!   occupancy slice per CPU plus "i" instants for migrations, wakeups,
+//!   network messages and batch job lifecycle, stored as the
+//!   [`SchedEvent`]s themselves. The output loads directly in
+//!   `chrome://tracing` or <https://ui.perfetto.dev>.
 //! * [`MetricsSink`] — fills an [`hpl_perf::SchedMetrics`] registry:
 //!   decision counters, per-CPU switch counts and log2 histograms of
 //!   timeslice length, off-CPU latency and migration inter-arrival.
@@ -39,7 +41,6 @@
 use crate::class::ClassKind;
 use crate::sync::ChanId;
 use crate::task::{Pid, Policy};
-use crate::trace::{TraceBuffer, TraceEvent};
 use hpl_perf::SchedMetrics;
 use hpl_sim::{SimDuration, SimTime};
 use hpl_topology::CpuId;
@@ -406,52 +407,102 @@ impl ObserverId {
 // Sink 1: the bounded ring
 // ---------------------------------------------------------------------
 
-/// The classic bounded trace ring as a sink: keeps exactly the historic
-/// [`TraceBuffer`] vocabulary (switches, migrations, wakeups) and its
-/// Gantt renderer, ignoring the richer decision events.
+/// The bounded event log: every [`SchedEvent`] the node publishes, in
+/// order, stamped with its time. The *head* is kept — once `capacity`
+/// entries are stored, later events only increment the drop counter,
+/// like a real trace ring's "lost events" marker — so the window
+/// around the moment tracing was enabled survives.
 #[derive(Debug)]
 pub struct RingSink {
-    buf: TraceBuffer,
+    events: Vec<(SimTime, SchedEvent)>,
+    capacity: usize,
+    dropped: u64,
 }
 
 impl RingSink {
     /// Ring bounded at `capacity` events (oldest kept on overflow).
     pub fn new(capacity: usize) -> Self {
         RingSink {
-            buf: TraceBuffer::new(capacity),
+            events: Vec::new(),
+            capacity,
+            dropped: 0,
         }
     }
 
-    /// The recorded buffer.
-    pub fn buffer(&self) -> &TraceBuffer {
-        &self.buf
+    /// All recorded events in order.
+    pub fn events(&self) -> &[(SimTime, SchedEvent)] {
+        &self.events
     }
 
-    /// Consume the sink, keeping the buffer.
-    pub fn into_buffer(self) -> TraceBuffer {
-        self.buf
+    /// Events that did not fit.
+    pub fn dropped(&self) -> u64 {
+        self.dropped
+    }
+
+    /// Reconstruct per-CPU occupancy over `[start, end)` from the
+    /// recorded switches and render an ASCII Gantt: one row per CPU,
+    /// `width` columns, each cell showing the glyph of the task
+    /// occupying the CPU at that instant (`.` = idle). `glyph` maps a
+    /// pid to a display character.
+    pub fn gantt(
+        &self,
+        ncpus: usize,
+        start: SimTime,
+        end: SimTime,
+        width: usize,
+        mut glyph: impl FnMut(Pid) -> char,
+    ) -> String {
+        assert!(end > start && width > 0);
+        let span = end.since(start).as_nanos() as f64;
+        // Build switch timelines per cpu.
+        let mut timelines: Vec<Vec<(SimTime, Option<Pid>)>> = vec![Vec::new(); ncpus];
+        for &(t, ev) in &self.events {
+            if let SchedEvent::Switch { cpu, to, .. } = ev {
+                if cpu.index() < ncpus {
+                    timelines[cpu.index()].push((t, to));
+                }
+            }
+        }
+        let mut out = String::new();
+        for (c, timeline) in timelines.iter().enumerate() {
+            let _ = write!(out, "cpu{c} |");
+            // Current occupant entering the window: last switch before start.
+            let mut idx = timeline.partition_point(|&(t, _)| t <= start);
+            let mut curr: Option<Pid> = idx.checked_sub(1).and_then(|i| timeline[i].1);
+            for col in 0..width {
+                let cell_end = start
+                    + SimDuration::from_nanos((span * (col + 1) as f64 / width as f64) as u64);
+                while idx < timeline.len() && timeline[idx].0 <= cell_end {
+                    curr = timeline[idx].1;
+                    idx += 1;
+                }
+                out.push(match curr {
+                    Some(p) => glyph(p),
+                    None => '.',
+                });
+            }
+            out.push_str("|\n");
+        }
+        let _ = writeln!(
+            out,
+            "      {start} .. {end}{}",
+            if self.dropped > 0 {
+                format!("  ({} events dropped)", self.dropped)
+            } else {
+                String::new()
+            }
+        );
+        out
     }
 }
 
 impl SchedObserver for RingSink {
     fn observe(&mut self, at: SimTime, ev: &SchedEvent) {
-        let mapped = match *ev {
-            SchedEvent::Switch { cpu, from, to } => TraceEvent::Switch { cpu, from, to },
-            SchedEvent::Migrate { pid, from, to, .. } => TraceEvent::Migrate { pid, from, to },
-            SchedEvent::Wakeup { pid, cpu } => TraceEvent::Wakeup { pid, cpu },
-            SchedEvent::NetSend { chan, tokens, .. } => TraceEvent::Net {
-                chan,
-                tokens,
-                out: true,
-            },
-            SchedEvent::NetDeliver { chan, tokens, .. } => TraceEvent::Net {
-                chan,
-                tokens,
-                out: false,
-            },
-            _ => return,
-        };
-        self.buf.record(at, mapped);
+        if self.events.len() >= self.capacity {
+            self.dropped += 1;
+        } else {
+            self.events.push((at, *ev));
+        }
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -475,37 +526,6 @@ struct Slice {
     end: SimTime,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum InstantKind {
-    Migrate {
-        from: CpuId,
-        to: CpuId,
-    },
-    Wakeup,
-    NetSend {
-        chan: u64,
-        bytes: u64,
-    },
-    NetDeliver {
-        chan: u64,
-        latency_ns: u64,
-        queued_ns: u64,
-    },
-    JobSubmit {
-        job: u32,
-        depth: u32,
-    },
-    JobStart {
-        job: u32,
-        depth: u32,
-        waited_ns: u64,
-    },
-    JobEnd {
-        job: u32,
-        depth: u32,
-    },
-}
-
 /// Synthetic `tid` for the network track in Chrome-trace output: net
 /// events render on their own row below the per-CPU tracks.
 const NET_TID: u32 = 9_999;
@@ -515,22 +535,17 @@ const NET_TID: u32 = 9_999;
 /// single trace shows both scheduling levels.
 const BATCH_TID: u32 = 9_998;
 
-#[derive(Debug, Clone, Copy)]
-struct Instant {
-    at: SimTime,
-    cpu: CpuId,
-    pid: Pid,
-    kind: InstantKind,
-}
-
 /// Streaming Chrome-trace exporter: tracks per-CPU occupancy slices from
-/// switch events and instants for migrations/wakeups; [`Self::to_json`]
+/// switch events and keeps the instant-worthy events as they arrived;
+/// [`Self::to_json`]
 /// renders the Trace Event Format JSON that `chrome://tracing` and
 /// Perfetto load directly.
 #[derive(Debug)]
 pub struct ChromeTraceSink {
     slices: Vec<Slice>,
-    instants: Vec<Instant>,
+    /// Stored instant events: migrations, wakeups, network messages and
+    /// batch job lifecycle, rendered by [`Self::write_events`].
+    instants: Vec<(SimTime, SchedEvent)>,
     /// Open occupancy per CPU: (task, switch-in time).
     open: Vec<Option<(Pid, SimTime)>>,
     capacity: usize,
@@ -556,8 +571,14 @@ impl ChromeTraceSink {
         }
     }
 
-    fn stored(&self) -> usize {
-        self.slices.len() + self.instants.len()
+    /// Whether one more slice or instant fits under the capacity bound;
+    /// counts a drop when it does not.
+    fn has_room(&mut self) -> bool {
+        let room = self.slices.len() + self.instants.len() < self.capacity;
+        if !room {
+            self.dropped += 1;
+        }
+        room
     }
 
     /// Switch events received (== metrics-registry switches).
@@ -581,7 +602,8 @@ impl ChromeTraceSink {
         self.slices.len()
     }
 
-    /// Instant events (migrations + wakeups) stored.
+    /// Instant events (migrations, wakeups, network messages and job
+    /// lifecycle) stored.
     pub fn instant_count(&self) -> usize {
         self.instants.len()
     }
@@ -643,67 +665,77 @@ impl ChromeTraceSink {
                 ),
             );
         }
-        for i in &self.instants {
-            let (name, tid, extra) = match i.kind {
-                InstantKind::Migrate { from, to } => (
-                    format!("migrate {}", resolve(i.pid)),
-                    i.cpu.0,
+        for &(at, ev) in &self.instants {
+            let (name, tid, extra) = match ev {
+                SchedEvent::Migrate { pid, from, to, .. } => (
+                    format!("migrate {}", resolve(pid)),
+                    to.0,
                     format!(
                         ",\"task\":{},\"from_cpu\":{},\"to_cpu\":{}",
-                        i.pid.0, from.0, to.0
+                        pid.0, from.0, to.0
                     ),
                 ),
-                InstantKind::Wakeup => (
-                    format!("wakeup {}", resolve(i.pid)),
-                    i.cpu.0,
-                    format!(",\"task\":{}", i.pid.0),
+                SchedEvent::Wakeup { pid, cpu } => (
+                    format!("wakeup {}", resolve(pid)),
+                    cpu.0,
+                    format!(",\"task\":{}", pid.0),
                 ),
-                InstantKind::NetSend { chan, bytes } => (
-                    format!("net send c{chan}"),
+                SchedEvent::NetSend {
+                    pid, chan, bytes, ..
+                } => (
+                    format!("net send c{}", chan.0),
                     NET_TID,
                     format!(
                         ",\"task\":{},\"chan\":{},\"bytes\":{}",
-                        i.pid.0, chan, bytes
+                        pid.0, chan.0, bytes
                     ),
                 ),
-                InstantKind::NetDeliver {
+                SchedEvent::NetDeliver {
                     chan,
-                    latency_ns,
-                    queued_ns,
+                    latency,
+                    queued,
+                    ..
                 } => (
-                    format!("net recv c{chan}"),
+                    format!("net recv c{}", chan.0),
                     NET_TID,
                     format!(
                         ",\"chan\":{},\"latency_ns\":{},\"queued_ns\":{}",
-                        chan, latency_ns, queued_ns
+                        chan.0,
+                        latency.as_nanos(),
+                        queued.as_nanos()
                     ),
                 ),
-                InstantKind::JobSubmit { job, depth } => (
+                SchedEvent::JobSubmit { job, queue_depth } => (
                     format!("job submit j{job}"),
                     BATCH_TID,
-                    format!(",\"job\":{job},\"queue_depth\":{depth}"),
+                    format!(",\"job\":{job},\"queue_depth\":{queue_depth}"),
                 ),
-                InstantKind::JobStart {
+                SchedEvent::JobStart {
                     job,
-                    depth,
-                    waited_ns,
+                    queue_depth,
+                    waited,
                 } => (
                     format!("job start j{job}"),
                     BATCH_TID,
-                    format!(",\"job\":{job},\"queue_depth\":{depth},\"waited_ns\":{waited_ns}"),
+                    format!(
+                        ",\"job\":{job},\"queue_depth\":{queue_depth},\"waited_ns\":{}",
+                        waited.as_nanos()
+                    ),
                 ),
-                InstantKind::JobEnd { job, depth } => (
+                SchedEvent::JobEnd { job, queue_depth } => (
                     format!("job end j{job}"),
                     BATCH_TID,
-                    format!(",\"job\":{job},\"queue_depth\":{depth}"),
+                    format!(",\"job\":{job},\"queue_depth\":{queue_depth}"),
                 ),
+                // `observe` stores only the variants above.
+                _ => continue,
             };
             push(
                 out,
                 format!(
                     "{{\"name\":{},\"cat\":\"sched\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{:.3},\"pid\":{},\"tid\":{},\"args\":{{\"node\":{}{}}}}}",
                     json_string(&name),
-                    us(i.at),
+                    us(at),
                     process,
                     tid,
                     process,
@@ -745,139 +777,30 @@ impl SchedObserver for ChromeTraceSink {
                     self.open.resize(cpu.index() + 1, None);
                 }
                 if let Some((pid, start)) = self.open[cpu.index()].take() {
-                    if self.stored() < self.capacity {
+                    if self.has_room() {
                         self.slices.push(Slice {
                             cpu,
                             pid,
                             start,
                             end: at,
                         });
-                    } else {
-                        self.dropped += 1;
                     }
                 }
                 if let Some(next) = to {
                     self.open[cpu.index()] = Some((next, at));
                 }
             }
-            SchedEvent::Migrate { pid, from, to, .. } => {
-                self.migrations += 1;
-                if self.stored() < self.capacity {
-                    self.instants.push(Instant {
-                        at,
-                        cpu: to,
-                        pid,
-                        kind: InstantKind::Migrate { from, to },
-                    });
-                } else {
-                    self.dropped += 1;
-                }
-            }
-            SchedEvent::Wakeup { pid, cpu } => {
-                self.wakeups += 1;
-                if self.stored() < self.capacity {
-                    self.instants.push(Instant {
-                        at,
-                        cpu,
-                        pid,
-                        kind: InstantKind::Wakeup,
-                    });
-                } else {
-                    self.dropped += 1;
-                }
-            }
-            SchedEvent::NetSend {
-                pid,
-                cpu,
-                chan,
-                bytes,
-                ..
-            } => {
-                if self.stored() < self.capacity {
-                    self.instants.push(Instant {
-                        at,
-                        cpu,
-                        pid,
-                        kind: InstantKind::NetSend {
-                            chan: chan.0,
-                            bytes,
-                        },
-                    });
-                } else {
-                    self.dropped += 1;
-                }
-            }
-            SchedEvent::NetDeliver {
-                chan,
-                latency,
-                queued,
-                ..
-            } => {
-                // No task/CPU context: the delivery happens at node scope
-                // before any waiter is dispatched.
-                if self.stored() < self.capacity {
-                    self.instants.push(Instant {
-                        at,
-                        cpu: CpuId(0),
-                        pid: Pid(0),
-                        kind: InstantKind::NetDeliver {
-                            chan: chan.0,
-                            latency_ns: latency.as_nanos(),
-                            queued_ns: queued.as_nanos(),
-                        },
-                    });
-                } else {
-                    self.dropped += 1;
-                }
-            }
-            SchedEvent::JobSubmit { job, queue_depth } => {
-                if self.stored() < self.capacity {
-                    self.instants.push(Instant {
-                        at,
-                        cpu: CpuId(0),
-                        pid: Pid(0),
-                        kind: InstantKind::JobSubmit {
-                            job,
-                            depth: queue_depth,
-                        },
-                    });
-                } else {
-                    self.dropped += 1;
-                }
-            }
-            SchedEvent::JobStart {
-                job,
-                queue_depth,
-                waited,
-            } => {
-                if self.stored() < self.capacity {
-                    self.instants.push(Instant {
-                        at,
-                        cpu: CpuId(0),
-                        pid: Pid(0),
-                        kind: InstantKind::JobStart {
-                            job,
-                            depth: queue_depth,
-                            waited_ns: waited.as_nanos(),
-                        },
-                    });
-                } else {
-                    self.dropped += 1;
-                }
-            }
-            SchedEvent::JobEnd { job, queue_depth } => {
-                if self.stored() < self.capacity {
-                    self.instants.push(Instant {
-                        at,
-                        cpu: CpuId(0),
-                        pid: Pid(0),
-                        kind: InstantKind::JobEnd {
-                            job,
-                            depth: queue_depth,
-                        },
-                    });
-                } else {
-                    self.dropped += 1;
+            SchedEvent::Migrate { .. }
+            | SchedEvent::Wakeup { .. }
+            | SchedEvent::NetSend { .. }
+            | SchedEvent::NetDeliver { .. }
+            | SchedEvent::JobSubmit { .. }
+            | SchedEvent::JobStart { .. }
+            | SchedEvent::JobEnd { .. } => {
+                self.migrations += u64::from(matches!(ev, SchedEvent::Migrate { .. }));
+                self.wakeups += u64::from(matches!(ev, SchedEvent::Wakeup { .. }));
+                if self.has_room() {
+                    self.instants.push((at, *ev));
                 }
             }
             _ => {}
@@ -1358,7 +1281,7 @@ mod tests {
     }
 
     #[test]
-    fn ring_sink_keeps_trace_vocabulary() {
+    fn ring_sink_records_every_event() {
         let mut s = RingSink::new(10);
         s.observe(t(1), &switch(0, None, Some(1)));
         s.observe(
@@ -1379,8 +1302,64 @@ mod tests {
                 cpu: CpuId(1),
             },
         );
-        // Pick is not part of the ring vocabulary.
-        assert_eq!(s.buffer().len(), 2);
+        // Every event is kept in arrival order, decision events like
+        // Pick included.
+        let ev = s.events();
+        assert_eq!(ev.len(), 3);
+        assert_eq!(ev[0], (t(1), switch(0, None, Some(1))));
+        assert!(matches!(ev[1], (at, SchedEvent::Pick { .. }) if at == t(2)));
+        assert!(matches!(ev[2], (at, SchedEvent::Wakeup { .. }) if at == t(3)));
+        assert_eq!(s.dropped(), 0);
+    }
+
+    #[test]
+    fn ring_sink_keeps_the_head_and_counts_drops() {
+        let mut s = RingSink::new(2);
+        for pid in 1..=3 {
+            s.observe(
+                t(pid as u64),
+                &SchedEvent::Wakeup {
+                    pid: Pid(pid),
+                    cpu: CpuId(0),
+                },
+            );
+        }
+        let pids: Vec<u32> = s
+            .events()
+            .iter()
+            .map(|(_, e)| match e {
+                SchedEvent::Wakeup { pid, .. } => pid.0,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(pids, vec![1, 2]);
+        assert_eq!(s.dropped(), 1);
+    }
+
+    #[test]
+    fn gantt_renders_occupancy() {
+        let mut s = RingSink::new(100);
+        // cpu0: idle, then A from 100 to 300, idle after.
+        s.observe(t(100), &switch(0, None, Some(1)));
+        s.observe(t(300), &switch(0, Some(1), None));
+        let g = s.gantt(1, t(0), t(400), 8, |_| 'A');
+        let row = g.lines().next().unwrap();
+        // 8 columns over 400 ns: A occupies cells covering 100..300.
+        assert!(row.contains('A'));
+        assert!(row.starts_with("cpu0 |"));
+        assert!(row.contains('.'));
+        // Occupied roughly half the window.
+        let a_count = row.matches('A').count();
+        assert!((3..=5).contains(&a_count), "row {row}");
+    }
+
+    #[test]
+    fn gantt_carries_occupant_into_window() {
+        let mut s = RingSink::new(10);
+        s.observe(t(10), &switch(0, None, Some(7)));
+        // Window starts after the switch: the task should fill the row.
+        let g = s.gantt(1, t(100), t(200), 4, |_| 'X');
+        assert!(g.lines().next().unwrap().contains("XXXX"));
     }
 
     #[test]

@@ -35,7 +35,7 @@ fn analysis_agrees_with_counters_on_a_noisy_run() {
 
     let trace = node.trace().expect("tracing enabled");
     assert_eq!(trace.dropped(), 0, "buffer sized for the run");
-    let analysis = TraceAnalysis::analyse(trace, 8, start, end);
+    let analysis = TraceAnalysis::analyse(trace.events(), 8, start, end);
 
     // Preemptions happened (daemons vs busy tasks) and their count is
     // bounded by the kernel's own involuntary-switch counter.
@@ -107,7 +107,7 @@ fn quiet_hpl_style_run_shows_no_preemption_of_the_app() {
     );
     assert!(node.run_until_exit(pid, 100_000_000).is_complete());
     let analysis = TraceAnalysis::analyse(
-        node.trace().unwrap(),
+        node.trace().unwrap().events(),
         8,
         start,
         node.now() + SimDuration::from_nanos(1),

@@ -1,10 +1,9 @@
-//! Property tests for the trace buffer, Gantt renderer and episode
+//! Property tests for the event ring, its Gantt renderer and episode
 //! reconstruction: invariants that must hold for arbitrary (well-formed)
 //! switch sequences.
 
 use hpl_kernel::analysis::TraceAnalysis;
-use hpl_kernel::trace::{TraceBuffer, TraceEvent};
-use hpl_kernel::Pid;
+use hpl_kernel::{Pid, RingSink, SchedEvent, SchedObserver};
 use hpl_sim::SimTime;
 use hpl_topology::CpuId;
 use proptest::prelude::*;
@@ -27,13 +26,13 @@ fn history_strategy() -> impl Strategy<Value = Vec<(u64, Option<u32>)>> {
     })
 }
 
-fn build_trace(history: &[(u64, Option<u32>)]) -> TraceBuffer {
-    let mut b = TraceBuffer::new(10_000);
+fn build_trace(history: &[(u64, Option<u32>)]) -> RingSink {
+    let mut b = RingSink::new(10_000);
     let mut curr: Option<u32> = None;
     for &(t, next) in history {
-        b.record(
+        b.observe(
             SimTime::from_nanos(t),
-            TraceEvent::Switch {
+            &SchedEvent::Switch {
                 cpu: CpuId(0),
                 from: curr.map(Pid),
                 to: next.map(Pid),
@@ -72,7 +71,7 @@ proptest! {
         let b = build_trace(&history);
         let end = history.last().map(|&(t, _)| t + 10).unwrap_or(100);
         let window_end = SimTime::from_nanos(end);
-        let a = TraceAnalysis::analyse(&b, 1, SimTime::ZERO, window_end);
+        let a = TraceAnalysis::analyse(b.events(), 1, SimTime::ZERO, window_end);
         for p in &a.preemptions {
             prop_assert!(p.stolen.as_nanos() > 0);
             prop_assert!(p.stolen.as_nanos() <= end);
@@ -85,18 +84,22 @@ proptest! {
         prop_assert!(a.preemptions.len() <= history.len());
     }
 
-    /// The buffer never exceeds its capacity and counts drops exactly.
+    /// The ring never exceeds its capacity, keeps the head in order and
+    /// counts drops exactly.
     #[test]
-    fn buffer_respects_capacity(n in 0usize..100, cap in 1usize..50) {
-        let mut b = TraceBuffer::new(cap);
+    fn ring_respects_capacity(n in 0usize..100, cap in 1usize..50) {
+        let mut b = RingSink::new(cap);
         for i in 0..n {
-            b.record(
+            b.observe(
                 SimTime::from_nanos(i as u64),
-                TraceEvent::Wakeup { pid: Pid(0), cpu: CpuId(0) },
+                &SchedEvent::Wakeup { pid: Pid(i as u32), cpu: CpuId(0) },
             );
         }
-        prop_assert_eq!(b.len(), n.min(cap));
-        prop_assert_eq!(b.iter().count(), n.min(cap));
+        prop_assert_eq!(b.events().len(), n.min(cap));
+        for (i, &(at, ev)) in b.events().iter().enumerate() {
+            prop_assert_eq!(at, SimTime::from_nanos(i as u64));
+            prop_assert_eq!(ev, SchedEvent::Wakeup { pid: Pid(i as u32), cpu: CpuId(0) });
+        }
         prop_assert_eq!(b.dropped() as usize, n.saturating_sub(cap));
     }
 }

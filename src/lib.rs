@@ -122,7 +122,6 @@ pub mod prelude {
     pub use hpl_core::{chrt_spec, hpl_node_builder, HplClass};
     pub use hpl_kernel::noise::{NoiseProfile, NOISE_TAG};
     pub use hpl_kernel::observe::{validate_chrome_trace, ChromeTraceStats};
-    pub use hpl_kernel::trace::{TraceBuffer, TraceEvent};
     pub use hpl_kernel::{
         BalanceKind, BalanceMode, ChromeTraceSink, KernelConfig, MetricsSink, MigrateReason, Node,
         NodeBuilder, ObserverId, Pid, Policy, PreemptVerdict, RingSink, RunOutcome, SchedEvent,

@@ -113,18 +113,37 @@ fn sinks_agree_with_each_other_and_the_export_is_valid() {
     assert_eq!(sink.migration_count(), m.migrations);
     assert_eq!(sink.wakeup_count(), m.wakeups);
     assert_eq!(sink.dropped(), 0, "capacity was sized for the run");
+    // The ring keeps every event, so its per-variant counts are the
+    // metrics registry's decision counters.
     let ring = node.trace().unwrap();
-    let ring_switches = ring
-        .iter()
-        .filter(|(_, ev)| matches!(ev, TraceEvent::Switch { .. }))
-        .count() as u64;
-    let ring_migrations = ring
-        .iter()
-        .filter(|(_, ev)| matches!(ev, TraceEvent::Migrate { .. }))
-        .count() as u64;
-    assert_eq!(ring_switches, m.switches);
-    assert_eq!(ring_migrations, m.migrations);
     assert_eq!(ring.dropped(), 0);
+    let count =
+        |is: fn(&SchedEvent) -> bool| ring.events().iter().filter(|(_, ev)| is(ev)).count() as u64;
+    assert_eq!(count(|e| matches!(e, SchedEvent::Pick { .. })), m.picks);
+    assert_eq!(
+        count(|e| matches!(e, SchedEvent::PreemptCheck { .. })),
+        m.preempt_checks
+    );
+    assert_eq!(count(|e| matches!(e, SchedEvent::Wakeup { .. })), m.wakeups);
+    assert_eq!(
+        count(|e| matches!(e, SchedEvent::NoiseArrival { .. })),
+        m.noise_arrivals
+    );
+    assert_eq!(
+        count(|e| matches!(e, SchedEvent::ForkPlaced { .. })),
+        m.forks
+    );
+    assert_eq!(
+        count(|e| matches!(e, SchedEvent::Migrate { .. })),
+        m.migrations
+    );
+    assert_eq!(
+        count(|e| matches!(e, SchedEvent::Switch { .. })),
+        m.switches
+    );
+    assert_eq!(count(|e| matches!(e, SchedEvent::Tick { .. })), m.ticks);
+    assert!(m.picks > 0 && m.preempt_checks > 0 && m.noise_arrivals > 0);
+    assert!(m.forks > 0 && m.ticks > 0);
 
     // The export parses as Chrome trace JSON, and the instant events
     // (migrations + wakeups) survive the round trip exactly.
