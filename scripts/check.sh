@@ -26,6 +26,9 @@ cargo test --workspace -q
 echo "== examples build =="
 cargo build --release --examples
 
+echo "== scheduler x-ray example (export validates, sinks agree, HPL ranks never preempted) =="
+cargo run --release -q --example scheduler_xray
+
 echo "== event-loop smoke (fast vs reference fingerprints) =="
 cargo run --release -q -p hpl-bench --bin eventloop -- --smoke --out target/BENCH_eventloop_smoke.json
 
