@@ -19,7 +19,10 @@
 //!
 //! The cluster publishes monotone tree-exit and fault counters
 //! ([`Cluster::tree_exits`], [`Cluster::faults_applied`]) that the engine
-//! compares once per window. At every window in between, a pass would
+//! compares once per window; these, the clock ([`Cluster::clock`]) and
+//! the hang budget's event count ([`Cluster::events_dispatched`]) are
+//! kept by the cluster as it steps, so a window costs the engine no pass
+//! over the nodes. At every window in between, a pass would
 //! find nothing to do — that is the `next_decision` contract — so the
 //! report is bit-identical to deciding at every window. Arrivals,
 //! allocation decisions, completions and fault handling are all
@@ -46,7 +49,7 @@
 use crate::policy::{AllocPolicy, ClusterView, QueuedJob, RunningJob};
 use crate::trace::{BatchJob, BatchTrace};
 use hpl_cluster::{Cluster, ClusterJobHandle, JobCoordinator, Placement};
-use hpl_kernel::{Node, RunOutcome, SchedEvent, TaskState};
+use hpl_kernel::{RunOutcome, SchedEvent, TaskState};
 use hpl_mpi::{JobSpec, MpiOp, SchedMode};
 use hpl_sim::{SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -751,16 +754,8 @@ fn run_batch_inner(
             j.nodes
         );
     }
-    let clock = |cluster: &Cluster| {
-        cluster
-            .nodes()
-            .iter()
-            .map(Node::now)
-            .max()
-            .expect("cluster is non-empty")
-    };
-    let epoch = clock(cluster);
-    let start_events = cluster.events_processed();
+    let epoch = cluster.clock();
+    let start_events = cluster.events_dispatched();
 
     // Trace order in, arrival order out (stable on ties by trace order).
     let mut pending: Vec<(SimTime, BatchJob)> = trace
@@ -792,7 +787,7 @@ fn run_batch_inner(
     let mut seen: Option<(u64, u64)> = None;
     let mut wake: Option<SimTime> = None;
     while e.outcomes.len() < total_jobs {
-        let now = clock(cluster);
+        let now = cluster.clock();
         let changes = (cluster.tree_exits(), cluster.faults_applied());
         if seen != Some(changes) || wake.is_some_and(|t| t <= now) {
             e.decide(cluster, policy, &mut coordinator, now);
@@ -823,7 +818,7 @@ fn run_batch_inner(
             }
             return Err(RunOutcome::Deadlock);
         }
-        if cluster.events_processed() - start_events > cfg.max_events {
+        if cluster.events_dispatched() - start_events > cfg.max_events {
             return Err(RunOutcome::BudgetExhausted);
         }
     }

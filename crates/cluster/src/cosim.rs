@@ -33,7 +33,19 @@
 //! contributes to the cluster-wide next event time), any job with a live
 //! launcher tree on it is marked failed, and a later restart rebuilds
 //! the node from the builder's factory at the cluster's current time —
-//! new launches then re-register their channels on the fresh kernel.
+//! new launches then register their channel spans on the fresh kernel.
+//!
+//! The driver's cost follows the nodes that do something, not the
+//! machine size. Each node's next-event time sits in a dense cache that
+//! is refreshed only where a node can have changed: after it is
+//! stepped, receives a delivery, gets a launch, cancel, share change,
+//! crash, crash reap or restart, or is handed out through
+//! [`Cluster::node_mut`] (which marks it dirty until the next window).
+//! Outbound messages are drained only from the nodes stepped in the
+//! window plus the dirty ones — no other node can have sent anything.
+//! The cluster clock, a monotone dispatched-event count and the
+//! launcher-tree exit count are kept as the caches are refreshed, so a
+//! driver polls them in O(1).
 
 use crate::fault::{FaultPlan, NodeFault};
 use crate::net::{Interconnect, LinkFaults, NetConfig};
@@ -306,13 +318,30 @@ impl ClusterBuilder {
         }
         let n = nodes.len();
         let fault_events = faults.sorted_events();
+        let next_at = nodes.iter().map(next_or_max).collect();
+        let slots = nodes
+            .iter()
+            .map(|node| Slot {
+                events: node.events_processed(),
+                exits: node.exits(),
+                dirty: false,
+                down: false,
+                drained: false,
+                incarnation: 0,
+            })
+            .collect();
+        let clock = nodes.iter().map(Node::now).max().expect("non-empty");
         Cluster {
             nodes,
             net,
             jobs: Vec::new(),
             jobs_on: vec![Vec::new(); n],
             live_trees: vec![Vec::new(); n],
-            exits_seen: vec![0; n],
+            next_at,
+            slots,
+            dirty: Vec::with_capacity(n),
+            clock,
+            dispatched: 0,
             tree_exits: 0,
             threads: if cosim.parallel {
                 cosim.requested_threads()
@@ -326,13 +355,38 @@ impl ClusterBuilder {
             factory,
             fault_events,
             fault_cursor: 0,
-            down: vec![false; n],
-            drained: vec![false; n],
-            incarnation: vec![0; n],
             crashes: 0,
             faults_applied: 0,
         }
     }
+}
+
+/// The cluster's bookkeeping for one node: its health, and what the
+/// cluster last read from it — the baselines the incremental counters
+/// advance from.
+struct Slot {
+    /// The node's dispatched-event count at its last refresh.
+    events: u64,
+    /// The node's task-exit count at its last refresh; while it
+    /// matches, no launcher tree there can have died.
+    exits: u64,
+    /// Handed out through [`Cluster::node_mut`] since the last window
+    /// routed it: its cache entries may be stale and it may hold
+    /// outbound messages.
+    dirty: bool,
+    /// Crashed and not restarted. A down node is frozen — excluded from
+    /// the next-event minimum and the active list, never stepped,
+    /// deliveries to it dropped.
+    down: bool,
+    /// Accepts no new launches (but keeps running what it has).
+    drained: bool,
+    /// Restart generation; bumped when the node is rebuilt.
+    incarnation: u64,
+}
+
+/// A node's next-event time, `SimTime::MAX` when its queue is empty.
+fn next_or_max(node: &Node) -> SimTime {
+    node.next_event_time().unwrap_or(SimTime::MAX)
 }
 
 /// N co-simulated kernel nodes joined by an interconnect.
@@ -349,10 +403,22 @@ pub struct Cluster {
     /// `live_trees[n]`: root (`perf`) pids of the launcher trees on node
     /// `n` not yet seen to exit.
     live_trees: Vec<Vec<Pid>>,
-    /// `exits_seen[n]`: node `n`'s task-exit count when `live_trees[n]`
-    /// was last checked; while it matches, no tree there can have died.
-    /// Reset when a restart replaces the node.
-    exits_seen: Vec<u64>,
+    /// `next_at[n]`: node `n`'s next-event time as of its last refresh,
+    /// `SimTime::MAX` when its queue is empty or it is down. The window
+    /// minimum and the active list are read from this dense array.
+    next_at: Vec<SimTime>,
+    /// `slots[n]`: node `n`'s health and counter baselines.
+    slots: Vec<Slot>,
+    /// Nodes with `slots[n].dirty` set, in the order they were handed
+    /// out. Sized for every node at build, so warming each node through
+    /// `node_mut` does not grow it.
+    dirty: Vec<usize>,
+    /// Max over the nodes' clocks as of their last refresh (see
+    /// [`Cluster::clock`]).
+    clock: SimTime,
+    /// Events dispatched since build, across every node incarnation
+    /// (see [`Cluster::events_dispatched`]).
+    dispatched: u64,
     /// Launcher trees seen to exit so far (see [`Cluster::tree_exits`]).
     tree_exits: u64,
     /// Host-side execution policy (serial vs pooled window stepping).
@@ -377,15 +443,6 @@ pub struct Cluster {
     fault_events: Vec<crate::fault::NodeEvent>,
     /// First not-yet-applied entry of `fault_events`.
     fault_cursor: usize,
-    /// `down[n]`: node `n` crashed and has not restarted. A down node
-    /// is frozen — excluded from the next-event minimum and the active
-    /// list, never stepped, deliveries to it dropped.
-    down: Vec<bool>,
-    /// `drained[n]`: node `n` accepts no new launches (but keeps
-    /// running what it has).
-    drained: Vec<bool>,
-    /// Restart generation per node; bumped when a node is rebuilt.
-    incarnation: Vec<u64>,
     /// Crash events applied so far.
     crashes: u64,
     /// Node fault events applied so far, of every kind.
@@ -428,7 +485,17 @@ impl Cluster {
     /// Mutable access to node `i` (observer registration, warmup, …).
     /// Stepping a node directly while a job is in flight breaks
     /// lockstep; do it only before the first launch.
+    ///
+    /// The node is marked dirty: whatever the caller does with it (run
+    /// it, spawn on it, publish through it) is read back into the
+    /// cluster's caches and counters before they are next used, and
+    /// the next window drains its outbound messages. Marking costs
+    /// O(1); a dirty node costs one refresh per window.
     pub fn node_mut(&mut self, i: usize) -> &mut Node {
+        if !self.slots[i].dirty {
+            self.slots[i].dirty = true;
+            self.dirty.push(i);
+        }
         &mut self.nodes[i]
     }
 
@@ -442,37 +509,47 @@ impl Cluster {
         &self.net
     }
 
-    /// Total events dispatched across all nodes.
+    /// Total events dispatched by the current nodes: the sum of their
+    /// [`Node::events_processed`] counts, for reports. A restart swaps
+    /// in a fresh kernel that counts from its own boot, so this can
+    /// fall; budget a run on [`Self::events_dispatched`] instead.
+    /// O(nodes).
     pub fn events_processed(&self) -> u64 {
         self.nodes.iter().map(Node::events_processed).sum()
     }
 
-    /// Earliest pending event time across the cluster, `None` when every
-    /// queue is drained. Down nodes are frozen and contribute nothing —
-    /// their pending events can never fire.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.nodes
+    /// Events dispatched since the cluster was built, on every node and
+    /// every incarnation of it. Monotone, so `events_dispatched() -
+    /// start` is a safe hang budget across restarts. O(dirty nodes).
+    pub fn events_dispatched(&self) -> u64 {
+        self.dirty.iter().fold(self.dispatched, |sum, &n| {
+            sum + (self.nodes[n].events_processed() - self.slots[n].events)
+        })
+    }
+
+    /// The cluster clock: the latest clock among the current nodes,
+    /// down ones included. A driver stamps its decisions with it.
+    /// O(dirty nodes).
+    pub fn clock(&self) -> SimTime {
+        self.dirty
             .iter()
-            .enumerate()
-            .filter(|(i, _)| !self.down[*i])
-            .filter_map(|(_, n)| n.next_event_time())
-            .min()
+            .fold(self.clock, |t, &n| t.max(self.nodes[n].now()))
     }
 
     /// True iff node `n` has crashed and not restarted.
     pub fn node_down(&self, n: usize) -> bool {
-        self.down[n]
+        self.slots[n].down
     }
 
     /// True iff node `n` is drained (no new launches).
     pub fn node_drained(&self, n: usize) -> bool {
-        self.drained[n]
+        self.slots[n].drained
     }
 
     /// True iff node `n` can host new launches (neither down nor
     /// drained).
     pub fn node_available(&self, n: usize) -> bool {
-        !self.down[n] && !self.drained[n]
+        !self.slots[n].down && !self.slots[n].drained
     }
 
     /// Crash events applied so far.
@@ -496,22 +573,62 @@ impl Cluster {
     /// do not count; the crash shows in [`Self::faults_applied`].
     /// Monotone.
     ///
-    /// Counted on demand, so stepping costs nothing for drivers that
-    /// never ask: each call re-checks the live trees only on nodes
-    /// whose kernel task-exit count moved since the last call.
+    /// Kept as nodes are refreshed: a refresh re-checks the node's live
+    /// trees only when its kernel task-exit count moved. A call costs
+    /// O(dirty nodes).
     pub fn tree_exits(&mut self) -> u64 {
-        for n in 0..self.nodes.len() {
-            let node = &self.nodes[n];
-            if node.exits() == self.exits_seen[n] {
-                continue;
-            }
-            self.exits_seen[n] = node.exits();
+        for k in 0..self.dirty.len() {
+            self.refresh(self.dirty[k]);
+        }
+        self.tree_exits
+    }
+
+    /// Read node `n` back into the caches: its next-event time, the
+    /// cluster clock, the dispatched-event count and its tree exits.
+    /// Idempotent, so it is safe wherever a node may have changed.
+    fn refresh(&mut self, n: usize) {
+        let node = &self.nodes[n];
+        self.next_at[n] = if self.slots[n].down {
+            SimTime::MAX
+        } else {
+            next_or_max(node)
+        };
+        self.clock = self.clock.max(node.now());
+        let slot = &mut self.slots[n];
+        self.dispatched += node.events_processed() - slot.events;
+        slot.events = node.events_processed();
+        if node.exits() != slot.exits {
+            slot.exits = node.exits();
             let live = &mut self.live_trees[n];
             let before = live.len();
             live.retain(|&pid| node.tasks.get(pid).state != TaskState::Dead);
             self.tree_exits += (before - live.len()) as u64;
         }
-        self.tree_exits
+    }
+
+    /// Debug builds: every cache entry equals a fresh read of its node,
+    /// and no node holds an outbound message the last routing missed.
+    #[cfg(debug_assertions)]
+    fn assert_caches_consistent(&self) {
+        for (n, node) in self.nodes.iter().enumerate() {
+            let fresh = if self.slots[n].down {
+                SimTime::MAX
+            } else {
+                next_or_max(node)
+            };
+            assert_eq!(self.next_at[n], fresh, "node {n}: stale next-event time");
+            assert_eq!(
+                self.slots[n].events,
+                node.events_processed(),
+                "node {n}: stale event count"
+            );
+            assert!(
+                self.slots[n].down || !node.has_outbound(),
+                "node {n}: outbound message not routed"
+            );
+        }
+        let clock = self.nodes.iter().map(Node::now).max();
+        assert_eq!(Some(self.clock), clock, "stale cluster clock");
     }
 
     /// True iff this handle's job was failed by a node crash. Failed
@@ -530,7 +647,7 @@ impl Cluster {
         (0..aj.placement.len())
             .filter(|&j| {
                 let n = aj.placement[j];
-                !self.down[n] && aj.incarnations[j] == self.incarnation[n]
+                !self.slots[n].down && aj.incarnations[j] == self.slots[n].incarnation
             })
             .collect()
     }
@@ -554,13 +671,16 @@ impl Cluster {
             .placement
             .iter()
             .enumerate()
-            .filter(|&(j, &n)| !self.down[n] && aj.incarnations[j] == self.incarnation[n])
+            .filter(|&(j, &n)| {
+                !self.slots[n].down && aj.incarnations[j] == self.slots[n].incarnation
+            })
             .map(|(j, &n)| (n, aj.perf_pids[j]))
             .collect();
         let mut reaped = 0;
         for (n, pid) in victims {
             if self.nodes[n].tasks.get(pid).state != TaskState::Dead {
                 self.nodes[n].kill_tree(pid);
+                self.refresh(n);
                 reaped += 1;
             }
         }
@@ -580,8 +700,8 @@ impl Cluster {
 
     /// Launch `job` on `placement` (job node `j` runs on cluster node
     /// `placement[j]`; [`Placement::All`] is the identity placement over
-    /// the whole cluster): register its cross-node channels on each
-    /// source node, then spawn one `perf → (chrt →) mpiexec → ranks`
+    /// the whole cluster): register its cross-node channel span on each
+    /// node, then spawn one `perf → (chrt →) mpiexec → ranks`
     /// tree per job node, *without* stepping any node (lockstep starts
     /// with [`Self::step_window`]). Jobs may overlap in time and share
     /// nodes, but jobs that share a node must reserve disjoint id ranges
@@ -628,9 +748,13 @@ impl Cluster {
                 "placement maps two job nodes onto cluster node {n}"
             );
             assert!(
-                !self.down[n] && !self.drained[n],
+                !self.slots[n].down && !self.slots[n].drained,
                 "placement[{j}] = {n} is {}",
-                if self.down[n] { "down" } else { "drained" }
+                if self.slots[n].down {
+                    "down"
+                } else {
+                    "drained"
+                }
             );
         }
         for prev in &self.jobs {
@@ -650,8 +774,8 @@ impl Cluster {
         let mut launched_at = Vec::with_capacity(placement.len());
         for (j, &n) in placement.iter().enumerate() {
             let node = &mut self.nodes[n];
-            for chan in job.cross_node_channels(j as u32) {
-                node.register_net_channel(chan);
+            if let Some(span) = job.net_span(j as u32) {
+                node.register_net_span(span);
             }
             launched_at.push(node.now());
             let root = spawn_job_tree_with(node, job, mode, j as u32, wrap);
@@ -665,13 +789,17 @@ impl Cluster {
                 node.gang_enroll(root, job.id_base);
             }
             perf_pids.push(root);
+            self.refresh(n);
         }
         let job_id = self.jobs.len();
         for (&n, &root) in placement.iter().zip(&perf_pids) {
             self.jobs_on[n].push(job_id);
             self.live_trees[n].push(root);
         }
-        let incarnations = placement.iter().map(|&n| self.incarnation[n]).collect();
+        let incarnations = placement
+            .iter()
+            .map(|&n| self.slots[n].incarnation)
+            .collect();
         self.jobs.push(ActiveJob {
             job: job.clone(),
             placement: placement.clone(),
@@ -695,11 +823,16 @@ impl Cluster {
     /// the shared virtual clock.
     pub fn set_gang_share(&mut self, node: usize, gang: u64, share_milli: u32) {
         assert!(
-            !self.down[node] && !self.drained[node],
+            !self.slots[node].down && !self.slots[node].drained,
             "set_gang_share on {} node {node}",
-            if self.down[node] { "down" } else { "drained" }
+            if self.slots[node].down {
+                "down"
+            } else {
+                "drained"
+            }
         );
         self.nodes[node].gang_set_share(gang, share_milli);
+        self.refresh(node);
     }
 
     /// Advance one lockstep window. Returns `false` when every node's
@@ -726,9 +859,22 @@ impl Cluster {
     /// all queues drain but fault events remain (e.g. a restart of the
     /// only node with work), the events are applied and the loop
     /// continues, so a restart can wake an otherwise-idle cluster.
+    ///
+    /// Bookkeeping is O(active): the window start and the active list
+    /// come from the dense next-event cache (one pass over it, no node
+    /// reads), and only the stepped and dirty nodes are refreshed and
+    /// drained.
     pub fn step_window(&mut self) -> bool {
+        for k in 0..self.dirty.len() {
+            self.refresh(self.dirty[k]);
+        }
         let t_next = loop {
-            let t_next = self.next_event_time();
+            let t_next = self
+                .next_at
+                .iter()
+                .copied()
+                .min()
+                .filter(|&t| t != SimTime::MAX);
             let due = match (self.fault_events.get(self.fault_cursor), t_next) {
                 (Some(e), Some(t)) => e.at <= t,
                 (Some(_), None) => true,
@@ -745,22 +891,27 @@ impl Cluster {
         };
         let window = Window::conservative(t_next, self.net.lookahead());
         let deadline = window.deadline();
+        // A down node's entry is `SimTime::MAX`, so it leaves the active
+        // list permanently: it is never re-claimed by the pool, its
+        // frozen events never fire. (Restart replaces the node wholesale.)
         self.active.clear();
-        for (i, node) in self.nodes.iter().enumerate() {
-            if self.down[i] {
-                // A down node leaves the active list permanently: it is
-                // never re-claimed by the pool, its frozen events never
-                // fire. (Restart replaces the node wholesale.)
-                continue;
-            }
-            if node.next_event_time().is_some_and(|t| t <= deadline) {
-                self.active.push(i);
-            }
-        }
+        self.active.extend(
+            self.next_at
+                .iter()
+                .enumerate()
+                .filter(|&(_, &t)| t <= deadline)
+                .map(|(i, _)| i),
+        );
         // Serial mode pays for none of the pool bookkeeping.
         let workers = if self.cfg.parallel && self.active.len() >= self.cfg.parallel_min_active {
-            let alive = self.nodes.len() - self.down.iter().filter(|&&d| d).count();
-            // At most one stepping thread per alive node, and at least one.
+            // At most one stepping thread per alive node, and at least
+            // one; counting alive nodes past the thread count is moot.
+            let alive = self
+                .slots
+                .iter()
+                .filter(|s| !s.down)
+                .take(self.threads)
+                .count();
             self.threads.clamp(1, alive.max(1)) - 1
         } else {
             0
@@ -773,7 +924,25 @@ impl Cluster {
                 self.nodes[i].run_until_time(deadline);
             }
         }
-        self.route_outbound();
+        for k in 0..self.active.len() {
+            self.refresh(self.active[k]);
+        }
+        // Only the stepped nodes and the dirty ones can hold outbound
+        // messages; drain them in node order, as a scan of every node
+        // would.
+        let mut senders = std::mem::take(&mut self.active);
+        if !self.dirty.is_empty() {
+            for &n in &self.dirty {
+                self.slots[n].dirty = false;
+            }
+            senders.append(&mut self.dirty);
+            senders.sort_unstable();
+            senders.dedup();
+        }
+        self.route_outbound(&senders);
+        self.active = senders;
+        #[cfg(debug_assertions)]
+        self.assert_caches_consistent();
         true
     }
 
@@ -786,10 +955,10 @@ impl Cluster {
         self.faults_applied += 1;
         match ev.kind {
             NodeFault::Drain => {
-                self.drained[ev.node] = true;
+                self.slots[ev.node].drained = true;
             }
             NodeFault::Crash => {
-                if self.down[ev.node] {
+                if self.slots[ev.node].down {
                     return;
                 }
                 // Fail every job with a live launcher tree on the node
@@ -806,13 +975,14 @@ impl Cluster {
                         .iter()
                         .position(|&p| p == ev.node)
                         .expect("jobs_on lists jobs placed on the node");
-                    if aj.incarnations[j] == self.incarnation[ev.node]
+                    if aj.incarnations[j] == self.slots[ev.node].incarnation
                         && self.nodes[ev.node].tasks.get(aj.perf_pids[j]).state != TaskState::Dead
                     {
                         aj.failed = true;
                     }
                 }
-                self.down[ev.node] = true;
+                self.slots[ev.node].down = true;
+                self.next_at[ev.node] = SimTime::MAX;
                 self.crashes += 1;
                 // The frozen node's trees never exit; their jobs failed
                 // above, or had already left the node.
@@ -834,22 +1004,23 @@ impl Cluster {
                         .enumerate()
                         .filter(|&(j, &n)| {
                             n != ev.node
-                                && !self.down[n]
-                                && aj.incarnations[j] == self.incarnation[n]
+                                && !self.slots[n].down
+                                && aj.incarnations[j] == self.slots[n].incarnation
                         })
                         .map(|(j, &n)| (n, aj.perf_pids[j]))
                         .collect();
                     for (n, pid) in victims {
                         if self.nodes[n].tasks.get(pid).state != TaskState::Dead {
                             self.nodes[n].kill_tree(pid);
+                            self.refresh(n);
                         }
                     }
                 }
             }
             NodeFault::Restart => {
-                if !self.down[ev.node] {
+                if !self.slots[ev.node].down {
                     // Restart of an up node just lifts a drain.
-                    self.drained[ev.node] = false;
+                    self.slots[ev.node].drained = false;
                     return;
                 }
                 let factory = self
@@ -865,35 +1036,42 @@ impl Cluster {
                     .nodes
                     .iter()
                     .enumerate()
-                    .filter(|(i, _)| !self.down[*i])
+                    .filter(|(i, _)| !self.slots[*i].down)
                     .map(|(_, n)| n.now())
                     .max()
                     .unwrap_or(SimTime::ZERO)
                     .max(ev.at);
                 fresh.run_until_time(target);
-                // A fresh kernel counts exits from zero.
-                self.exits_seen[ev.node] = fresh.exits();
+                // A fresh kernel counts events and exits from its own
+                // boot; its replay adds to the monotone event count.
+                self.dispatched += fresh.events_processed();
+                self.slots[ev.node].events = fresh.events_processed();
+                self.slots[ev.node].exits = fresh.exits();
                 self.nodes[ev.node] = fresh;
-                self.down[ev.node] = false;
-                self.drained[ev.node] = false;
-                self.incarnation[ev.node] += 1;
+                self.slots[ev.node].down = false;
+                self.slots[ev.node].drained = false;
+                self.slots[ev.node].incarnation += 1;
+                // The replaced node may have held the latest clock.
+                self.clock = self.nodes.iter().map(Node::now).max().expect("non-empty");
+                self.refresh(ev.node);
             }
         }
     }
 
-    /// Drain captured cross-node messages from every node, cost them on
-    /// the interconnect, and schedule the deliveries. Deterministic:
-    /// nodes are drained in index order and each node's capture order is
-    /// its own dispatch order — this serial merge is what erases any
-    /// host-thread interleaving from the parallel stepping path. Each
-    /// message is routed by the unique job that (a) placed a node on the
-    /// source and (b) owns the channel id — unique because jobs sharing
-    /// a node have disjoint id ranges, so the per-node index is searched
-    /// newest first (the sender is almost always a recent launch).
-    fn route_outbound(&mut self) {
+    /// Drain captured cross-node messages from `senders` (ascending node
+    /// indices), cost them on the interconnect, and schedule the
+    /// deliveries. Deterministic: nodes are drained in index order and
+    /// each node's capture order is its own dispatch order — this serial
+    /// merge is what erases any host-thread interleaving from the
+    /// parallel stepping path. Each message is routed by the unique job
+    /// that (a) placed a node on the source and (b) owns the channel id
+    /// — unique because jobs sharing a node have disjoint id ranges, so
+    /// the per-node index is searched newest first (the sender is almost
+    /// always a recent launch).
+    fn route_outbound(&mut self, senders: &[usize]) {
         let mut buf = std::mem::take(&mut self.outbox);
-        for src in 0..self.nodes.len() {
-            if self.down[src] || !self.nodes[src].has_outbound() {
+        for &src in senders {
+            if self.slots[src].down || !self.nodes[src].has_outbound() {
                 continue;
             }
             self.nodes[src].drain_outbound_into(&mut buf);
@@ -914,11 +1092,12 @@ impl Cluster {
                 let dst_job = aj.job.chan_dst_node(m.chan).expect("checked above") as usize;
                 let dst = aj.placement[dst_job];
                 debug_assert_ne!(dst, src, "cross-node send routed back to its source");
-                if self.down[dst] {
+                if self.slots[dst].down {
                     continue;
                 }
                 let (deliver_at, queued) = self.net.transfer(m.at, src, dst, m.bytes);
                 self.nodes[dst].post_net_delivery(deliver_at, m.chan, m.tokens, m.at, queued);
+                self.next_at[dst] = self.next_at[dst].min(deliver_at);
             }
         }
         self.outbox = buf;
@@ -931,15 +1110,25 @@ impl Cluster {
     /// per-benchmark timers report. Fails with
     /// [`RunOutcome::Deadlock`] if every event queue drains first, or
     /// [`RunOutcome::BudgetExhausted`] after `max_events` additional
-    /// dispatched events cluster-wide (hang guard). In all cases the
-    /// cluster is left exactly where the run stopped.
+    /// dispatched events cluster-wide (hang guard, counted by
+    /// [`Self::events_dispatched`], so restarts cannot reset it). In all
+    /// cases the cluster is left exactly where the run stopped.
     pub fn try_run_to_completion(
         &mut self,
         handle: &ClusterJobHandle,
         max_events: u64,
     ) -> Result<SimDuration, RunOutcome> {
-        let start_events = self.events_processed();
-        while !self.job_done(handle) {
+        let start_events = self.events_dispatched();
+        // The job can only finish in a window where some tree exited.
+        let mut exits = None;
+        loop {
+            let now = self.tree_exits();
+            if exits != Some(now) {
+                exits = Some(now);
+                if self.job_done(handle) {
+                    break;
+                }
+            }
             if self.job_failed(handle) {
                 // A crash killed part of the job: it can never complete.
                 return Err(RunOutcome::Deadlock);
@@ -947,7 +1136,7 @@ impl Cluster {
             if !self.step_window() {
                 return Err(RunOutcome::Deadlock);
             }
-            if self.events_processed() - start_events > max_events {
+            if self.events_dispatched() - start_events > max_events {
                 return Err(RunOutcome::BudgetExhausted);
             }
         }
@@ -980,8 +1169,8 @@ impl Cluster {
                 .zip(&handle.placement)
                 .enumerate()
                 .all(|(j, (&pid, &n))| {
-                    !self.down[n]
-                        && aj.incarnations[j] == self.incarnation[n]
+                    !self.slots[n].down
+                        && aj.incarnations[j] == self.slots[n].incarnation
                         && self.nodes[n].tasks.get(pid).state == TaskState::Dead
                 })
     }
@@ -996,7 +1185,7 @@ impl Cluster {
         }
         let mut exec = SimDuration::ZERO;
         for (j, &n) in handle.placement.iter().enumerate() {
-            if self.down[n] || aj.incarnations[j] != self.incarnation[n] {
+            if self.slots[n].down || aj.incarnations[j] != self.slots[n].incarnation {
                 return None;
             }
             let node = &self.nodes[n];
@@ -1018,7 +1207,7 @@ impl Cluster {
             .filter(|aj| {
                 !aj.failed
                     && aj.placement.iter().position(|&p| p == n).is_some_and(|j| {
-                        aj.incarnations[j] == self.incarnation[n]
+                        aj.incarnations[j] == self.slots[n].incarnation
                             && self.nodes[n].tasks.get(aj.perf_pids[j]).state != TaskState::Dead
                     })
             })

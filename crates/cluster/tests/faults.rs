@@ -4,7 +4,8 @@
 
 use hpl_cluster::{Cluster, CosimConfig, FaultPlan, Interconnect, NetConfig, Placement};
 use hpl_core::HplClass;
-use hpl_kernel::{KernelConfig, NodeBuilder, RunOutcome, TaskState};
+use hpl_kernel::program::ScriptProgram;
+use hpl_kernel::{KernelConfig, NodeBuilder, Policy, RunOutcome, Step, TaskSpec, TaskState};
 use hpl_mpi::{JobSpec, MpiOp, SchedMode};
 use hpl_sim::time::{SimDuration, SimTime};
 use hpl_topology::Topology;
@@ -30,10 +31,20 @@ fn job(nodes: u32, ranks_per_node: u32, iters: u32) -> JobSpec {
 }
 
 fn build_cluster(nodes: usize, seed: u64, faults: FaultPlan, cosim: CosimConfig) -> Cluster {
+    build_cluster_with(nodes, seed, faults, cosim, KernelConfig::hpl())
+}
+
+fn build_cluster_with(
+    nodes: usize,
+    seed: u64,
+    faults: FaultPlan,
+    cosim: CosimConfig,
+    kc: KernelConfig,
+) -> Cluster {
     Cluster::builder()
         .nodes_with(nodes, move |i| {
             NodeBuilder::new(Topology::smp(2))
-                .with_config(KernelConfig::hpl())
+                .with_config(kc.clone())
                 .with_seed(seed ^ ((i as u64) << 32))
                 .with_hpc_class(Box::new(HplClass::new()))
                 .build()
@@ -215,4 +226,146 @@ fn faulty_run_is_bit_identical_across_serial_and_pooled_stepping() {
     assert_eq!(serial, serial2, "serial faulty run not reproducible");
     assert_eq!(serial, pooled, "pooled faulty run diverges from serial");
     assert_eq!(serial.1, 1, "exactly the planned crash happened");
+}
+
+#[test]
+fn restart_does_not_exhaust_another_jobs_event_budget() {
+    // A chatty job B runs on nodes 1-2 for a while before a compute job
+    // A is launched on node 0, so the budget baseline counts all of B's
+    // events on node 2. Node 2 crashes and restarts while A runs: the
+    // fresh kernel has far fewer events than the one it replaced, and a
+    // budget taken over the current nodes' counts would fall below its
+    // baseline. The budget counts dispatched events instead, so A ends
+    // normally.
+    let plan = FaultPlan::default()
+        .with_seed(5)
+        .crash(2, ms(200))
+        .restart(2, ms(201));
+    let mut cluster = build_cluster(3, 42, plan, CosimConfig::serial());
+    let chatty = JobSpec::new(
+        4,
+        JobSpec::repeat(
+            100_000,
+            &[
+                MpiOp::Compute {
+                    mean: SimDuration::from_micros(20),
+                },
+                MpiOp::Allreduce { bytes: 64 },
+            ],
+        ),
+    )
+    .with_nodes(2);
+    let b = cluster.launch(&chatty, SchedMode::Hpc, Placement::on(&[1, 2]));
+    while cluster.clock() < ms(190) {
+        assert!(cluster.step_window());
+    }
+    let compute = JobSpec::new(
+        1,
+        vec![MpiOp::Compute {
+            mean: SimDuration::from_millis(150),
+        }],
+    )
+    .with_id_base(1_000_000);
+    let a = cluster.launch(&compute, SchedMode::Hpc, Placement::on(&[0]));
+    let before = cluster.events_processed();
+    let exec = cluster
+        .try_run_to_completion(&a, 50_000_000)
+        .expect("the restart elsewhere must not end A");
+    assert!(exec >= SimDuration::from_millis(150), "A ran {exec:?}");
+    assert!(cluster.job_failed(&b), "the crash failed B");
+    assert_eq!(cluster.crashes(), 1);
+    assert!(!cluster.node_down(2), "node 2 restarted");
+    assert!(
+        cluster.events_processed() < before,
+        "the scenario must shrink the summed count, or it tests nothing"
+    );
+}
+
+/// One run through every way a node can change between windows: spawn
+/// and run through `node_mut`, `cancel_job`, `set_gang_share`, a crash
+/// that reaps a peer's tree, and a restart. Returns everything the
+/// cluster's caches feed.
+fn refresh_paths_run(cosim: CosimConfig) -> (u64, u64, u64, u64, u64, SimTime, u64, u64) {
+    let plan = FaultPlan::default()
+        .with_seed(9)
+        .crash(3, ms(30))
+        .restart(3, ms(40));
+    let mut kc = KernelConfig::hpl();
+    kc.gang_epoch = Some(SimDuration::from_millis(5));
+    let mut cluster = build_cluster_with(4, 42, plan, cosim, kc);
+    let a = cluster.launch(&job(2, 2, 30), SchedMode::Hpc, Placement::on(&[1, 2]));
+    let b = cluster.launch(
+        &job(2, 2, 30).with_id_base(10_000),
+        SchedMode::Hpc,
+        Placement::on(&[2, 3]),
+    );
+    let c = cluster.launch(
+        &job(1, 2, 30).with_id_base(20_000),
+        SchedMode::Hpc,
+        Placement::on(&[0]),
+    );
+    let d = cluster.launch(
+        &job(1, 2, 30).with_id_base(30_000),
+        SchedMode::Hpc,
+        Placement::on(&[1]),
+    );
+    let (mut shared, mut spawned, mut cancelled) = (false, false, false);
+    while !cluster.node_down(3) || cluster.clock() < ms(45) {
+        let now = cluster.clock();
+        if !shared && now >= ms(8) {
+            // Job A's gang gets three quarters of node 1 against D.
+            cluster.set_gang_share(1, 0, 750);
+            shared = true;
+        }
+        if !spawned && now >= ms(12) {
+            // Node 0 hosts only single-node work, so running it ahead
+            // cannot put a delivery in its past.
+            let hog = ScriptProgram::new("hog", vec![Step::Compute(SimDuration::from_millis(3))]);
+            let node = cluster.node_mut(0);
+            node.spawn(TaskSpec::new(
+                "hog",
+                Policy::Normal { nice: 0 },
+                Box::new(hog),
+            ));
+            node.run_for(SimDuration::from_micros(700));
+            spawned = true;
+        }
+        if !cancelled && now >= ms(20) {
+            assert_eq!(cluster.cancel_job(&c), 1);
+            cancelled = true;
+        }
+        if cluster.clock() >= ms(45) {
+            break;
+        }
+        assert!(cluster.step_window());
+    }
+    assert!(shared && spawned && cancelled);
+    assert!(cluster.job_failed(&b), "node 3's crash failed B");
+    assert!(!cluster.node_down(3), "node 3 restarted");
+    let exec = cluster.run_to_completion(&a, 400_000_000);
+    cluster.run_to_completion(&d, 400_000_000);
+    (
+        exec.as_nanos(),
+        cluster.state_fingerprint(),
+        cluster.events_processed(),
+        cluster.events_dispatched(),
+        cluster.net().messages(),
+        cluster.clock(),
+        cluster.tree_exits(),
+        cluster.crashes(),
+    )
+}
+
+#[test]
+fn every_cache_refresh_path_is_bit_identical_serial_and_pooled() {
+    // Debug builds also check every cache entry against a fresh read of
+    // its node after each window.
+    let serial = refresh_paths_run(CosimConfig::serial());
+    let pooled = refresh_paths_run(CosimConfig::parallel().with_threads(2).with_min_active(2));
+    assert_eq!(serial, pooled, "pooled run diverges from serial");
+    assert_eq!(serial, refresh_paths_run(CosimConfig::serial()));
+    assert_eq!(serial.7, 1, "exactly the planned crash happened");
+    // A's, B's (both nodes), C's and D's trees, plus nothing frozen:
+    // B's node-3 tree died with the node and does not count.
+    assert!(serial.6 >= 4, "tree exits {}", serial.6);
 }

@@ -72,7 +72,7 @@ pub mod task;
 pub use class::{class_of_policy, ClassKind, LoadSnapshot, MigrationPlan, SchedClass, SchedCtx};
 pub use config::{BalanceMode, KernelConfig};
 pub use hpl_perf::RunOutcome;
-pub use node::{NetMsg, Node, NodeBuilder};
+pub use node::{NetMsg, NetSpan, Node, NodeBuilder};
 pub use observe::{
     BalanceKind, ChromeTraceSink, DeactivateReason, MetricsSink, MigrateReason, ObserverId,
     PreemptVerdict, RingSink, SchedEvent, SchedObserver, TickOutcome,

@@ -68,7 +68,7 @@ enum Ev {
 }
 
 /// A captured outbound cross-node message: a [`Step::NetSend`] executed
-/// on a channel registered via [`Node::register_net_channel`]. The
+/// on a channel a registered [`NetSpan`] classifies as external. The
 /// cluster driver collects these with [`Node::take_outbound`], runs them
 /// through its interconnect model, and posts the resulting delivery on
 /// the destination node with [`Node::post_net_delivery`].
@@ -82,6 +82,33 @@ pub struct NetMsg {
     pub tokens: u32,
     /// Payload size for the interconnect's alpha/beta cost model.
     pub bytes: u64,
+}
+
+/// The cross-node channels of one job on one node, as a rule rather
+/// than a list. A job's pairwise channel `src → dst` has id
+/// `first + src·nprocs + dst`; it is external on this node iff its
+/// sender rank is local and its receiver rank is not. Registered with
+/// [`Node::register_net_span`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NetSpan {
+    /// Id of the job's first pairwise channel (`0 → 0`).
+    pub first: u64,
+    /// Ranks in the job.
+    pub nprocs: u32,
+    /// Ranks hosted on this node.
+    pub local: std::ops::Range<u32>,
+}
+
+impl NetSpan {
+    /// `None` if `chan` is not one of this job's pairwise channels;
+    /// otherwise whether it leaves the node (local sender, remote
+    /// receiver).
+    pub fn classify(&self, chan: ChanId) -> Option<bool> {
+        let n = self.nprocs as u64;
+        let off = chan.0.checked_sub(self.first).filter(|&o| o < n * n)?;
+        let (src, dst) = ((off / n) as u32, (off % n) as u32);
+        Some(self.local.contains(&src) && !self.local.contains(&dst))
+    }
 }
 
 #[derive(Debug)]
@@ -194,7 +221,7 @@ impl NodeBuilder {
             ff_horizons: vec![SimTime::ZERO; ncpus],
             ff_fired: vec![0; ncpus],
             ff_start: vec![SimTime::ZERO; ncpus],
-            net_external: std::collections::HashSet::new(),
+            net_spans: Vec::new(),
             outbound: Vec::new(),
             gang_refs: std::collections::BTreeMap::new(),
             gang_active: None,
@@ -321,10 +348,11 @@ pub struct Node {
     ff_horizons: Vec<SimTime>,
     ff_fired: Vec<u64>,
     ff_start: Vec<SimTime>,
-    /// Channels registered as network endpoints: a [`Step::NetSend`] on
-    /// one of these is captured into `outbound` instead of notifying
+    /// Registered cross-node channel spans, in registration order: a
+    /// [`Step::NetSend`] on a channel the newest matching span calls
+    /// external is captured into `outbound` instead of notifying
     /// locally.
-    net_external: std::collections::HashSet<ChanId>,
+    net_spans: Vec<NetSpan>,
     /// Captured outbound messages awaiting cluster routing.
     outbound: Vec<NetMsg>,
     /// Live gang membership (gang id → enrolled live tasks). `BTreeMap`
@@ -1229,7 +1257,7 @@ impl Node {
                     tokens,
                     bytes,
                 } => {
-                    if self.net_external.contains(&chan) {
+                    if self.net_external(chan) {
                         self.outbound.push(NetMsg {
                             at: self.now(),
                             chan,
@@ -2046,14 +2074,23 @@ impl Node {
         }
     }
 
-    /// Register `chan` as a network endpoint: from now on a
-    /// [`Step::NetSend`] targeting it is captured into the outbound
-    /// queue (for the cluster driver) instead of notifying locally.
-    /// Registration is append-only for a node's lifetime — the channel
-    /// id namespace is owned by the job layout, which never reuses a
-    /// cross-node id for a local channel.
-    pub fn register_net_channel(&mut self, chan: ChanId) {
-        self.net_external.insert(chan);
+    /// Register one job's cross-node channels on this node: from now on
+    /// a [`Step::NetSend`] on a channel `span` classifies as external
+    /// is captured into the outbound queue (for the cluster driver)
+    /// instead of notifying locally. Registration is append-only for a
+    /// node's lifetime. Jobs sharing a node own disjoint id ranges, so
+    /// at most one span matches a channel; the scan runs newest first
+    /// because the sender is almost always a recent launch.
+    pub fn register_net_span(&mut self, span: NetSpan) {
+        self.net_spans.push(span);
+    }
+
+    fn net_external(&self, chan: ChanId) -> bool {
+        self.net_spans
+            .iter()
+            .rev()
+            .find_map(|s| s.classify(chan))
+            .unwrap_or(false)
     }
 
     /// Drain the captured outbound messages (cluster driver API). Order
@@ -2101,8 +2138,11 @@ impl Node {
         );
     }
 
-    /// Time of this node's next pending event, if any (cluster lockstep
-    /// uses the minimum over nodes to pick the next window).
+    /// Time of this node's next pending event, if any. Cluster lockstep
+    /// picks the next window from the minimum over nodes; it caches
+    /// this value per node and re-reads it only after something that
+    /// can move it (stepping, a delivery, a spawn, a kill, a share
+    /// change).
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
     }

@@ -41,12 +41,12 @@ pub enum Step {
         tokens: u32,
     },
     /// Deposit tokens on a channel whose consumer may live on another
-    /// node. If the channel is registered as a network endpoint
-    /// ([`crate::Node::register_net_channel`]) the message is captured
+    /// node. If a registered span classifies the channel as external
+    /// ([`crate::Node::register_net_span`]) the message is captured
     /// into the node's outbound queue — `bytes` sizes it for the
     /// cluster interconnect's cost model — and a cluster driver routes
     /// it to the destination node, where the delivery event deposits
-    /// the tokens. On an unregistered channel it degrades to exactly
+    /// the tokens. On any other channel it degrades to exactly
     /// [`Step::Notify`] (the same-node shared-memory fast path), so
     /// programs can emit it unconditionally.
     NetSend {

@@ -6,7 +6,7 @@
 //! costs, and spin-then-block synchronisation through the kernel's
 //! channels and barriers.
 
-use hpl_kernel::{BarrierId, ChanId, ProgCtx, Program, Step};
+use hpl_kernel::{BarrierId, ChanId, NetSpan, ProgCtx, Program, Step};
 use hpl_sim::SimDuration;
 use std::collections::VecDeque;
 
@@ -239,23 +239,18 @@ impl JobSpec {
         ChanId(self.id_base + 1 + (self.nprocs as u64).pow(2) + (self.nodes + node) as u64)
     }
 
-    /// Channels a cluster driver must register as network endpoints on
-    /// `node`: every `src → dst` pair whose sender lives on `node` and
-    /// whose receiver lives elsewhere. A `NetSend` on one of these is
-    /// captured for interconnect routing instead of notifying locally.
-    pub fn cross_node_channels(&self, node: u32) -> Vec<ChanId> {
-        let mut out = Vec::new();
-        if self.nodes == 1 {
-            return out;
-        }
-        for src in self.ranks_on(node) {
-            for dst in 0..self.nprocs {
-                if self.node_of(dst) != node {
-                    out.push(self.chan_id(src, dst));
-                }
-            }
-        }
-        out
+    /// The span a cluster driver registers on `node`
+    /// ([`hpl_kernel::Node::register_net_span`]): it classifies every
+    /// `src → dst` pair whose sender lives on `node` and whose receiver
+    /// lives elsewhere as external, so a `NetSend` on one is captured
+    /// for interconnect routing instead of notifying locally. `None`
+    /// for a single-node job, which has no cross-node channels.
+    pub fn net_span(&self, node: u32) -> Option<NetSpan> {
+        (self.nodes > 1).then(|| NetSpan {
+            first: self.id_base + 1,
+            nprocs: self.nprocs,
+            local: self.ranks_on(node),
+        })
     }
 
     /// Destination node of a cross-node channel id, or `None` if the id
@@ -624,6 +619,54 @@ mod tests {
             }
         }
         assert!(!seen.contains(&ChanId(job.barrier_id().0)));
+    }
+
+    /// The span rule against the per-channel list it replaced: a
+    /// channel is external on a node exactly when the old list held it.
+    #[test]
+    fn net_span_matches_cross_node_channel_list() {
+        // The retired enumeration, kept as the oracle.
+        fn cross_node_channels(job: &JobSpec, node: u32) -> Vec<ChanId> {
+            let mut out = Vec::new();
+            if job.nodes == 1 {
+                return out;
+            }
+            for src in job.ranks_on(node) {
+                for dst in 0..job.nprocs {
+                    if job.node_of(dst) != node {
+                        out.push(job.chan_id(src, dst));
+                    }
+                }
+            }
+            out
+        }
+        for nodes in 1..=6u32 {
+            for rpn in 1..=4u32 {
+                for base in [0u64, 1_000_003] {
+                    let job = JobSpec::new(nodes * rpn, vec![])
+                        .with_nodes(nodes)
+                        .with_id_base(base);
+                    // Every id the job reserves, plus a margin either side.
+                    let ids = base.saturating_sub(3)..=*job.id_range().end() + 3;
+                    for node in 0..nodes {
+                        let oracle: std::collections::HashSet<ChanId> =
+                            cross_node_channels(&job, node).into_iter().collect();
+                        let span = job.net_span(node);
+                        for id in ids.clone() {
+                            let chan = ChanId(id);
+                            let external = span
+                                .as_ref()
+                                .is_some_and(|s| s.classify(chan) == Some(true));
+                            assert_eq!(
+                                external,
+                                oracle.contains(&chan),
+                                "nodes {nodes}, rpn {rpn}, base {base}, node {node}, chan {id}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -62,8 +62,8 @@ cargo run --release -q -p hpl-bench --bin faults -- --smoke --out target/BENCH_f
 echo "== coord smoke (weighted slicing + user-space arbiter, bit-exact replay) =="
 cargo run --release -q -p hpl-bench --bin coord -- --smoke --out target/BENCH_coord_smoke.json
 
-echo "== repo benchmark smoke (perfbench node and batch workloads: every case correct) =="
-for workload in node batch; do
+echo "== repo benchmark smoke (perfbench, every workload: every case correct, host paths agree) =="
+for workload in node cluster batch coord; do
     perfbench_out=$(cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 11 --seconds 1 --trace 0)
     echo "$perfbench_out"
