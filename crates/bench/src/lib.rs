@@ -16,7 +16,8 @@
 //!
 //! [`harness`] drives repetitions (deterministic per `(seed, rep)`,
 //! parallelised across host threads); [`report`] renders the paper-style
-//! tables.
+//! tables; [`sweep`] is the shared flag parser, `BENCH_*.json` writer
+//! and claim gate of the sweep binaries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,5 +25,6 @@
 pub mod experiments;
 pub mod harness;
 pub mod report;
+pub mod sweep;
 
 pub use harness::{run_many, run_once, NoiseKind, RunConfig, Scheduler};

@@ -15,6 +15,7 @@
 //!   bit streams everywhere.
 //! * [`stats`] — summary statistics (min/avg/max/var% as the paper defines
 //!   them), histograms, percentiles and correlation for the figures.
+//! * [`json`] — the JSON string escape every JSON producer shares.
 //! * [`plot`] — ASCII histogram/scatter rendering used by the experiment
 //!   harness to "draw" Figures 2, 3a, 3b and 4 in a terminal.
 //!
@@ -25,6 +26,7 @@
 #![warn(missing_docs)]
 
 pub mod event;
+pub mod json;
 pub mod plot;
 pub mod rng;
 pub mod stats;

@@ -62,6 +62,16 @@ cargo run --release -q -p hpl-bench --bin faults -- --smoke --out target/BENCH_f
 echo "== coord smoke (weighted slicing + user-space arbiter, bit-exact replay) =="
 cargo run --release -q -p hpl-bench --bin coord -- --smoke --out target/BENCH_coord_smoke.json
 
+echo "== bench flags (each sweep binary rejects an unknown flag with exit 2, before any work) =="
+for bin in eventloop cluster batch faults coord; do
+    rc=0
+    cargo run --release -q -p hpl-bench --bin "$bin" -- --no-such-flag 2>/dev/null || rc=$?
+    if [[ $rc -ne 2 ]]; then
+        echo "$bin --no-such-flag exited $rc, want 2" >&2
+        exit 1
+    fi
+done
+
 echo "== repo benchmark smoke (perfbench, every workload: every case correct, host paths agree) =="
 for workload in node cluster batch coord; do
     perfbench_out=$(cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
