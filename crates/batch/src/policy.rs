@@ -481,8 +481,14 @@ struct PlannedStart {
     nodes: Vec<usize>,
 }
 
+/// How many queued jobs hold reservations (and are candidates for
+/// admission) per [`ConservativeBackfill`] decision. Real conservative
+/// schedulers cap this too; jobs beyond the horizon simply wait their
+/// turn.
+const CONSERVATIVE_DEPTH: usize = 32;
+
 /// Conservative backfilling on dedicated nodes: every queued job (up to
-/// [`Self::with_depth`]) holds a concrete reservation — a node set and
+/// the first 32) holds a concrete reservation — a node set and
 /// a promised start computed from running jobs' estimates and all
 /// earlier reservations — and a job is admitted out of arrival order
 /// only when its own reservation starts *now*, i.e. it fits into a hole
@@ -495,37 +501,18 @@ struct PlannedStart {
 /// set, occupancy or node health changes, or when the clock crosses a
 /// running job's estimated end (which can reorder the availability
 /// profile).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ConservativeBackfill {
-    depth: usize,
     decisions: AuditLog<ReservationDecision>,
     /// Memo of the last plan that admitted nothing: the fingerprint of
     /// its view and the clock horizon it stays valid for.
     memo: Option<(u64, SimTime)>,
 }
 
-impl Default for ConservativeBackfill {
-    fn default() -> Self {
-        ConservativeBackfill {
-            depth: 32,
-            decisions: AuditLog::default(),
-            memo: None,
-        }
-    }
-}
-
 impl ConservativeBackfill {
-    /// Fresh policy with the default reservation depth (32).
+    /// Fresh policy.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Cap how many queued jobs hold reservations (and are candidates
-    /// for admission) per decision. Real conservative schedulers cap
-    /// this too; jobs beyond the horizon simply wait their turn.
-    pub fn with_depth(mut self, depth: usize) -> Self {
-        self.depth = depth.max(1);
-        self
     }
 
     /// The retained admission audits, oldest first (bounded ring; see
@@ -534,7 +521,7 @@ impl ConservativeBackfill {
         self.decisions.iter()
     }
 
-    /// Plan reservations for the first `depth` queued jobs, in order.
+    /// Plan reservations for the first `CONSERVATIVE_DEPTH` queued jobs, in order.
     /// Returns each job's promised `(start, nodes)`; `None` entries are
     /// jobs the current up-node pool cannot ever satisfy (their promise
     /// is vacuous until a restart widens the pool).
@@ -565,8 +552,8 @@ impl ConservativeBackfill {
             .collect();
         // Future reserved intervals per node, appended as we plan.
         let mut reserved: Vec<Vec<(SimTime, SimTime)>> = vec![Vec::new(); n_nodes];
-        let mut plans = Vec::with_capacity(queue.len().min(self.depth));
-        for q in queue.iter().take(self.depth) {
+        let mut plans = Vec::with_capacity(queue.len().min(CONSERVATIVE_DEPTH));
+        for q in queue.iter().take(CONSERVATIVE_DEPTH) {
             let need = q.nodes as usize;
             let dur = q.est_runtime.max(eps);
             // Candidate start times: now, every busy-until, every
@@ -621,7 +608,7 @@ impl ConservativeBackfill {
             h = h.wrapping_mul(0x100000001b3);
         };
         mix(queue.len() as u64);
-        for q in queue.iter().take(self.depth) {
+        for q in queue.iter().take(CONSERVATIVE_DEPTH) {
             mix(q.id as u64);
             mix(q.nodes as u64);
             mix(q.est_runtime.as_nanos());

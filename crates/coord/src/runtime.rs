@@ -11,6 +11,13 @@ use hpl_mpi::{JobSpec, SchedMode};
 use hpl_sim::SimDuration;
 use std::sync::{Arc, Mutex};
 
+/// The arbiter daemon's RT priority: above the HPC ranks it arbitrates,
+/// like the kernel's migration threads.
+const ARBITER_PRIORITY: u8 = 90;
+
+/// Modeled CPU cost of one arbitration pass.
+const ARBITER_COST: SimDuration = SimDuration::from_micros(2);
+
 /// Which mechanism realizes the shares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoordBackend {
@@ -33,8 +40,6 @@ pub enum CoordBackend {
 pub struct CoordRuntime {
     backend: CoordBackend,
     epoch: SimDuration,
-    arb_prio: u8,
-    arb_cost: SimDuration,
     /// Per-cluster-node shared segments (user-space backend only).
     states: Vec<SharedCoord>,
     installed: bool,
@@ -48,8 +53,6 @@ impl CoordRuntime {
         CoordRuntime {
             backend: CoordBackend::KernelWeighted,
             epoch,
-            arb_prio: 90,
-            arb_cost: SimDuration::from_micros(2),
             states: Vec::new(),
             installed: false,
         }
@@ -64,20 +67,6 @@ impl CoordRuntime {
             backend: CoordBackend::UserSpace,
             ..CoordRuntime::kernel_weighted(epoch)
         }
-    }
-
-    /// Override the arbiter daemon's RT priority (default 90 — above
-    /// the HPC ranks it arbitrates, like the kernel's migration
-    /// threads).
-    pub fn with_arbiter_priority(mut self, prio: u8) -> Self {
-        self.arb_prio = prio;
-        self
-    }
-
-    /// Override the modeled CPU cost of one arbitration pass.
-    pub fn with_arbiter_cost(mut self, cost: SimDuration) -> Self {
-        self.arb_cost = cost;
-        self
     }
 
     /// Which backend this runtime drives.
@@ -97,10 +86,10 @@ impl CoordRuntime {
         }
         for n in 0..cluster.len() {
             let shm: SharedCoord = Arc::new(Mutex::new(NodeCoordState::default()));
-            let prog = ArbiterProgram::new(shm.clone(), self.epoch, self.arb_cost);
+            let prog = ArbiterProgram::new(shm.clone(), self.epoch, ARBITER_COST);
             cluster.node_mut(n).spawn(TaskSpec::new(
                 "coordd",
-                Policy::Fifo(self.arb_prio),
+                Policy::Fifo(ARBITER_PRIORITY),
                 Box::new(prog),
             ));
             self.states.push(shm);

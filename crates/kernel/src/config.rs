@@ -79,8 +79,8 @@ pub struct KernelConfig {
     /// share is set, a gang's slice of the rotation period is
     /// proportional to its share (unlisted gangs weigh 1000) with an
     /// exact integer budget split and deterministic remainder rotation
-    /// — see the `gang` module. Empty (the default) keeps the legacy
-    /// equal-epoch rotation code path byte for byte. Requires
+    /// — see the `gang` module. Empty (the default) is equal shares:
+    /// every gang gets one epoch per rotation. Requires
     /// [`Self::gang_epoch`].
     pub gang_shares: Vec<(u64, u32)>,
 

@@ -23,10 +23,11 @@
 //!
 //! With equal shares every slice is exactly `epoch` and the remainder
 //! is zero, so slice boundaries land on epoch multiples and the active
-//! index degenerates to `(t / epoch) % count` — the legacy rotation.
-//! `node.rs` still short-circuits to the legacy code path when the
-//! share table is empty, making "no shares configured" byte-identical
-//! to PR 9 by construction rather than by arithmetic accident.
+//! index degenerates to `(t / epoch) % count` — the equal rotation.
+//! `node.rs` has no other rotation: an empty share table weighs every
+//! gang 1000, and this identity is what keeps share-free runs on the
+//! equal rotation (`equal_shares_degenerate_to_legacy_rotation` pins
+//! it).
 //!
 //! `hpl-coord`'s user-space arbiter reuses these functions for its
 //! lease schedule, which is what makes the kernel-weighted and

@@ -19,9 +19,8 @@
 //! blocked rank lets the core idle. The [`EnergyReport`] quantifies that
 //! trade-off per scheduler.
 
-use hpl_perf::{HwEvent, PerCpuCounters};
 use hpl_sim::SimTime;
-use hpl_topology::{CpuId, Topology};
+use hpl_topology::Topology;
 
 /// Power-model parameters. Defaults approximate a POWER6 core pair: each
 /// 4.2 GHz dual-thread core dissipates ~15-20 W busy within a ~100 W
@@ -99,15 +98,6 @@ pub fn energy_of_window(
         mean_watts: total / wall_s.max(1e-12),
         utilisation: busy_s / capacity_s,
     }
-}
-
-/// Convenience: instantaneous busy time per CPU from the live counters
-/// (useful for per-CPU power heat maps in traces).
-pub fn busy_ns_per_cpu(counters: &PerCpuCounters, topo: &Topology) -> Vec<u64> {
-    topo.all_cpus()
-        .iter()
-        .map(|c: CpuId| counters.cpu(c).hw(HwEvent::BusyNs))
-        .collect()
 }
 
 /// Energy-delay product, the figure of merit that rewards both finishing

@@ -302,11 +302,7 @@ impl JobSpec {
 /// The program one rank executes.
 pub struct RankProgram {
     rank: u32,
-    nprocs: u32,
-    nodes: u32,
-    ops: Vec<MpiOp>,
-    config: MpiConfig,
-    id_base: u64,
+    job: JobSpec,
     op_idx: usize,
     pending: VecDeque<Step>,
     init_done: bool,
@@ -319,40 +315,12 @@ impl RankProgram {
         assert!(rank < job.nprocs);
         RankProgram {
             rank,
-            nprocs: job.nprocs,
-            nodes: job.nodes,
-            ops: job.ops.clone(),
-            config: job.config.clone(),
-            id_base: job.id_base,
+            job: job.clone(),
             op_idx: 0,
             pending: VecDeque::new(),
             init_done: false,
             label: format!("rank{rank}"),
         }
-    }
-
-    fn barrier(&self) -> Step {
-        Step::BarrierSpin {
-            id: BarrierId(self.id_base),
-            parties: self.nprocs,
-            spin_limit: self.config.spin_limit,
-        }
-    }
-
-    fn chan(&self, src: u32, dst: u32) -> ChanId {
-        ChanId(self.id_base + 1 + (src * self.nprocs + dst) as u64)
-    }
-
-    fn ranks_per_node(&self) -> u32 {
-        self.nprocs / self.nodes
-    }
-
-    fn node_of(&self, rank: u32) -> u32 {
-        rank / self.ranks_per_node()
-    }
-
-    fn leader_of(&self, node: u32) -> u32 {
-        node * self.ranks_per_node()
     }
 
     /// Phase-exit synchronisation. Single-node jobs keep the exact
@@ -363,38 +331,43 @@ impl RankProgram {
     /// (round `k`: send to `(me+2ᵏ) mod n`, wait from `(me−2ᵏ) mod n`)
     /// works for any node count, not just powers of two.
     fn push_sync_phase(&mut self, bytes: u64) {
-        if self.nodes == 1 {
-            let b = self.barrier();
-            self.pending.push_back(b);
+        let job = &self.job;
+        let spin_limit = job.config.spin_limit;
+        if job.nodes == 1 {
+            self.pending.push_back(Step::BarrierSpin {
+                id: job.barrier_id(),
+                parties: job.nprocs,
+                spin_limit,
+            });
             return;
         }
-        let node = self.node_of(self.rank);
-        let rpn = self.ranks_per_node();
+        let node = job.node_of(self.rank);
+        let rpn = job.ranks_per_node();
         self.pending.push_back(Step::BarrierSpin {
-            id: BarrierId(self.id_base + 1 + (self.nprocs as u64).pow(2) + node as u64),
+            id: job.local_barrier_id(node),
             parties: rpn,
-            spin_limit: self.config.spin_limit,
+            spin_limit,
         });
-        let release =
-            ChanId(self.id_base + 1 + (self.nprocs as u64).pow(2) + (self.nodes + node) as u64);
-        if self.rank == self.leader_of(node) {
-            let n = self.nodes;
-            let me = self.leader_of(node);
+        let release = job.release_chan(node);
+        let me = job.leader_of(node);
+        if self.rank == me {
+            let n = job.nodes;
+            let msg_cost = self.msg_cost(1, 0);
             let mut k = 1;
             while k < n {
-                let to = self.leader_of((node + k) % n);
-                let from = self.leader_of((node + n - k) % n);
+                let to = job.leader_of((node + k) % n);
+                let from = job.leader_of((node + n - k) % n);
                 // Sender CPU overhead (the LogGP o term) for injecting
                 // the message; wire latency comes from the interconnect.
-                self.pending.push_back(Step::Compute(self.msg_cost(1, 0)));
+                self.pending.push_back(Step::Compute(msg_cost));
                 self.pending.push_back(Step::NetSend {
-                    chan: self.chan(me, to),
+                    chan: job.chan_id(me, to),
                     tokens: 1,
                     bytes,
                 });
                 self.pending.push_back(Step::WaitChanSpin {
-                    chan: self.chan(from, me),
-                    spin_limit: self.config.spin_limit,
+                    chan: job.chan_id(from, me),
+                    spin_limit,
                 });
                 k *= 2;
             }
@@ -407,7 +380,7 @@ impl RankProgram {
         } else {
             self.pending.push_back(Step::WaitChanSpin {
                 chan: release,
-                spin_limit: self.config.spin_limit,
+                spin_limit,
             });
         }
     }
@@ -417,7 +390,7 @@ impl RankProgram {
     /// which itself degrades to a notify when both endpoints share a
     /// node, so only genuinely remote messages cross the interconnect.
     fn push_send(&mut self, chan: ChanId, bytes: u64) {
-        if self.nodes == 1 {
+        if self.job.nodes == 1 {
             self.pending.push_back(Step::Notify { chan, tokens: 1 });
         } else {
             self.pending.push_back(Step::NetSend {
@@ -429,13 +402,13 @@ impl RankProgram {
     }
 
     fn msg_cost(&self, messages: u64, bytes_each: u64) -> SimDuration {
-        let per_msg =
-            self.config.alpha.as_nanos() as f64 + self.config.beta_ns_per_byte * bytes_each as f64;
+        let per_msg = self.job.config.alpha.as_nanos() as f64
+            + self.job.config.beta_ns_per_byte * bytes_each as f64;
         SimDuration::from_nanos((per_msg * messages as f64).round() as u64)
     }
 
     fn jittered(&self, ctx: &mut ProgCtx<'_>, mean: SimDuration) -> SimDuration {
-        let sigma = self.config.compute_jitter;
+        let sigma = self.job.config.compute_jitter;
         if sigma <= 0.0 {
             return mean;
         }
@@ -465,7 +438,7 @@ impl RankProgram {
             self.push_sync_phase(8);
             return;
         }
-        let Some(op) = self.ops.get(self.op_idx).cloned() else {
+        let Some(op) = self.job.ops.get(self.op_idx).cloned() else {
             // MPI_Finalize: closing barrier, then exit.
             self.push_sync_phase(8);
             self.pending.push_back(Step::Exit);
@@ -473,7 +446,7 @@ impl RankProgram {
             return;
         };
         self.op_idx += 1;
-        let p = self.nprocs as u64;
+        let p = self.job.nprocs as u64;
         match op {
             MpiOp::Compute { mean } => {
                 self.pending
@@ -507,19 +480,19 @@ impl RankProgram {
                 self.push_sync_phase(bytes);
             }
             MpiOp::Wavefront { bytes } => {
-                if self.nprocs == 1 {
+                if self.job.nprocs == 1 {
                     return;
                 }
                 if self.rank > 0 {
                     self.pending.push_back(Step::WaitChanSpin {
-                        chan: self.chan(self.rank - 1, self.rank),
-                        spin_limit: self.config.spin_limit,
+                        chan: self.job.chan_id(self.rank - 1, self.rank),
+                        spin_limit: self.job.config.spin_limit,
                     });
                 }
                 self.pending
                     .push_back(Step::Compute(self.msg_cost(1, bytes)));
-                if self.rank + 1 < self.nprocs {
-                    self.push_send(self.chan(self.rank, self.rank + 1), bytes);
+                if self.rank + 1 < self.job.nprocs {
+                    self.push_send(self.job.chan_id(self.rank, self.rank + 1), bytes);
                 }
             }
             MpiOp::Checkpoint { cost } => {
@@ -530,37 +503,32 @@ impl RankProgram {
                 self.push_sync_phase(8);
                 self.pending
                     .push_back(Step::Compute(self.jittered(ctx, cost)));
-                let node = self.node_of(self.rank);
+                let node = self.job.node_of(self.rank);
                 self.pending.push_back(Step::BarrierSpin {
-                    id: BarrierId(
-                        self.id_base
-                            + 1
-                            + (self.nprocs as u64).pow(2)
-                            + (2 * self.nodes + node) as u64,
-                    ),
-                    parties: self.ranks_per_node(),
-                    spin_limit: self.config.spin_limit,
+                    id: self.job.ckpt_barrier_id(node),
+                    parties: self.job.ranks_per_node(),
+                    spin_limit: self.job.config.spin_limit,
                 });
             }
             MpiOp::NeighborExchange { bytes } => {
-                if self.nprocs == 1 {
+                if self.job.nprocs == 1 {
                     return;
                 }
-                let left = (self.rank + self.nprocs - 1) % self.nprocs;
-                let right = (self.rank + 1) % self.nprocs;
+                let left = (self.rank + self.job.nprocs - 1) % self.job.nprocs;
+                let right = (self.rank + 1) % self.job.nprocs;
                 // Send both ways (message cost), then receive both ways.
                 self.pending
                     .push_back(Step::Compute(self.msg_cost(2, bytes)));
-                self.push_send(self.chan(self.rank, left), bytes);
-                self.push_send(self.chan(self.rank, right), bytes);
+                self.push_send(self.job.chan_id(self.rank, left), bytes);
+                self.push_send(self.job.chan_id(self.rank, right), bytes);
                 self.pending.push_back(Step::WaitChanSpin {
-                    chan: self.chan(left, self.rank),
-                    spin_limit: self.config.spin_limit,
+                    chan: self.job.chan_id(left, self.rank),
+                    spin_limit: self.job.config.spin_limit,
                 });
                 if left != right {
                     self.pending.push_back(Step::WaitChanSpin {
-                        chan: self.chan(right, self.rank),
-                        spin_limit: self.config.spin_limit,
+                        chan: self.job.chan_id(right, self.rank),
+                        spin_limit: self.job.config.spin_limit,
                     });
                 }
             }

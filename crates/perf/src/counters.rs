@@ -102,12 +102,6 @@ impl PerCpuCounters {
         &self.cpus[cpu.index()]
     }
 
-    /// Mutable counter set of one CPU.
-    #[inline]
-    pub fn cpu_mut(&mut self, cpu: CpuId) -> &mut CounterSet {
-        &mut self.cpus[cpu.index()]
-    }
-
     /// Increment a software event on `cpu`.
     #[inline]
     pub fn add_sw(&mut self, cpu: CpuId, e: SwEvent, n: u64) {

@@ -134,11 +134,6 @@ impl Summary {
         }
         (self.max - self.min) / self.min * 100.0
     }
-
-    /// Coefficient of variation in percent (`stddev / mean × 100`).
-    pub fn cv_pct(&self) -> f64 {
-        100.0 * self.stddev() / self.mean()
-    }
 }
 
 impl fmt::Display for Summary {

@@ -134,9 +134,6 @@ pub struct InvariantOracle {
     /// lost-pick and rr-rotation rules exempt HPC tasks.
     gang_rotation: bool,
     violations: Vec<Violation>,
-    /// Total violations seen (may exceed `violations.len()`).
-    total: u64,
-    events: u64,
 }
 
 /// Cap on the recorded gang switch stream: long runs rotate millions of
@@ -186,8 +183,6 @@ impl InvariantOracle {
             leases: 0,
             gang_rotation: false,
             violations: Vec::new(),
-            total: 0,
-            events: 0,
         }
     }
 
@@ -207,8 +202,6 @@ impl InvariantOracle {
             leases: 0,
             gang_rotation: false,
             violations: Vec::new(),
-            total: 0,
-            events: 0,
         }
     }
 
@@ -222,16 +215,6 @@ impl InvariantOracle {
     /// Violations recorded so far (capped at an internal limit).
     pub fn violations(&self) -> &[Violation] {
         &self.violations
-    }
-
-    /// Total violations observed, including those past the cap.
-    pub fn total_violations(&self) -> u64 {
-        self.total
-    }
-
-    /// Events observed.
-    pub fn events_seen(&self) -> u64 {
-        self.events
     }
 
     /// The recorded gang switch stream `(time ns, active gang)`,
@@ -316,7 +299,6 @@ impl InvariantOracle {
     }
 
     fn record(&mut self, at: SimTime, rule: &'static str, detail: String) {
-        self.total += 1;
         if self.violations.len() < MAX_VIOLATIONS {
             self.violations.push(Violation { at, rule, detail });
         }
@@ -611,7 +593,6 @@ impl InvariantOracle {
 
 impl SchedObserver for InvariantOracle {
     fn observe(&mut self, at: SimTime, ev: &SchedEvent) {
-        self.events += 1;
         if at < self.last_at {
             self.record(
                 at,

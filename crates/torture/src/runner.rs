@@ -29,8 +29,8 @@ use hpl_kernel::noise::{IrqSpec, NoiseProfile};
 use hpl_kernel::observe::ChromeTraceSink;
 use hpl_kernel::program::ScriptProgram;
 use hpl_kernel::{
-    BarrierId, ChanId, KernelConfig, Node, NodeBuilder, ObserverId, Pid, Policy, RunOutcome, Step,
-    TaskSpec, TaskState,
+    BarrierId, ChanId, KernelConfig, Node, NodeBuilder, ObserverId, Policy, RunOutcome, Step,
+    TaskSpec,
 };
 use hpl_mpi::{launch, JobSpec, MpiOp, SchedMode};
 use hpl_sim::{Rng, SimDuration, SimTime};
@@ -1104,18 +1104,4 @@ pub fn debug_run_single(sc: &Scenario, fast: bool, extra: Box<dyn hpl_kernel::Sc
             eprintln!("violation: {v}");
         }
     }
-}
-
-// Re-exported for tests: confirm the soup builder produces the pids it
-// claims (driver + tasks) on a plain node.
-#[doc(hidden)]
-pub fn __soup_smoke(sc: &Scenario) -> (Pid, TaskState) {
-    let Workload::Soup(soup) = &sc.workload else {
-        panic!("not a soup scenario")
-    };
-    let mut node = build_node(sc, 0, false);
-    let driver = node.spawn(soup_driver_spec(soup));
-    let outcome = node.run_until_exit(driver, EVENT_BUDGET);
-    assert!(outcome.is_complete(), "soup smoke did not complete");
-    (driver, node.tasks.get(driver).state)
 }
