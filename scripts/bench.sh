@@ -3,8 +3,15 @@
 #
 #   scripts/bench.sh          # full sweeps  (~minutes)
 #   scripts/bench.sh --quick  # short sweeps
+#   scripts/bench.sh --smoke  # seconds-long CI-sized sweeps
 #
-# Writes four JSON reports at the repo root:
+# The arguments go to each of the five sweep binaries, which share one
+# flag parser (`--smoke | --quick`; an unknown flag exits 2 before any
+# work) and one claim gate: replay, audit, occupancy and lost-job flags
+# fail the run (exit 1) at every flavour, comparative claims except
+# under --smoke.
+#
+# Writes five JSON reports at the repo root:
 #
 #   BENCH_eventloop.json — per-sweep events/sec and wall seconds for the
 #     event-loop fast path vs the reference path, a loop-bound headline
@@ -36,8 +43,8 @@
 #   BENCH_coord.json — the coordination-backend sweep: a 750/250 share
 #     split measured differentially against a 500/500 control under
 #     both the weighted kernel gang slicer and the user-space lease
-#     arbiter; gates on the all-equal-shares identity with the legacy
-#     rotation, the differential skew on both backends, a bounded
+#     arbiter; gates on the all-equal-shares identity with no share
+#     table, the differential skew on both backends, a bounded
 #     user-vs-kernel coordination tax, and serial-vs-pooled bit
 #     equality.
 #
