@@ -196,10 +196,12 @@ impl Histogram {
     }
 
     /// Create a histogram sized to cover a sample with a little headroom.
+    /// A sample of equal values gets the narrowest range that holds them.
     pub fn covering(xs: &[f64], nbins: usize) -> Self {
         let s = Summary::from_slice(xs);
         let span = (s.max() - s.min()).max(1e-12);
-        let mut h = Histogram::new(s.min(), s.max() + span * 1e-6, nbins);
+        let hi = (s.max() + span * 1e-6).max(s.min().next_up());
+        let mut h = Histogram::new(s.min(), hi, nbins);
         for &x in xs {
             h.add(x);
         }
@@ -430,6 +432,9 @@ mod tests {
         let h = Histogram::covering(&xs, 12);
         assert_eq!(h.underflow() + h.overflow(), 0);
         assert_eq!(h.bins().iter().sum::<u64>(), 100);
+        // One run of ~10 s: the relative headroom rounds away.
+        let h = Histogram::covering(&[10.63], 24);
+        assert_eq!((h.bins()[0], h.underflow() + h.overflow()), (1, 0));
     }
 
     #[test]
