@@ -27,6 +27,8 @@ pub struct HplClass {
     /// default, and the permanent state when `gang_epoch` is unset)
     /// restores plain round-robin and its exact pick order.
     gang_active: Option<u64>,
+    /// Reused output of [`Self::hpc_load`].
+    load_buf: Vec<u32>,
 }
 
 impl HplClass {
@@ -50,11 +52,13 @@ impl HplClass {
     /// what lets fork placement during MPI_Init (when earlier ranks are
     /// briefly asleep in connection setup) still reserve one hardware
     /// thread per rank — the paper's "one process per core" discipline.
-    fn hpc_load(&self, tasks: &TaskTable, exclude: Pid) -> Vec<u32> {
+    fn hpc_load(&mut self, tasks: &TaskTable, exclude: Pid) -> &[u32] {
         use hpl_kernel::task::BlockReason;
         use hpl_kernel::TaskState;
-        let mut load = vec![0u32; self.rqs.len()];
-        for t in tasks.iter() {
+        let load = &mut self.load_buf;
+        load.clear();
+        load.resize(self.rqs.len(), 0);
+        for t in tasks.iter_live() {
             // A task blocked waiting for its children (mpiexec in
             // waitpid) is passive for the rest of the job's life; its
             // CPU is fair game. Everything else — running, queued, or
@@ -180,7 +184,7 @@ impl SchedClass for HplClass {
         tasks: &TaskTable,
     ) -> CpuId {
         let load = self.hpc_load(tasks, task.pid);
-        hpl_fork_placement(ctx.topo, task, &load)
+        hpl_fork_placement(ctx.topo, task, load)
     }
 
     fn select_cpu_wakeup(
@@ -234,7 +238,7 @@ impl SchedClass for HplClass {
         let free_exists = free_core_exists
             || (0..load.len()).any(|i| load[i] == 0 && task.can_run_on(CpuId(i as u32)));
         if contended && free_exists {
-            crate::placement::hpl_fork_placement(ctx.topo, task, &load)
+            crate::placement::hpl_fork_placement(ctx.topo, task, load)
         } else {
             prev
         }
@@ -296,6 +300,45 @@ mod tests {
             curr_kind: vec![None; n],
             curr_rt_prio: vec![0; n],
         }
+    }
+
+    /// `hpc_load` over live tasks equals the count over every task ever
+    /// created, on a table whose history is mostly dead.
+    #[test]
+    fn hpc_load_of_live_tasks_matches_a_full_scan() {
+        use hpl_kernel::task::BlockReason;
+        let mut hpl = HplClass::new();
+        hpl.init(8);
+        let mut tt = TaskTable::new();
+        for i in 0..40u32 {
+            let pid = hpc_task(&mut tt, "t");
+            let t = tt.get_mut(pid);
+            t.cpu = CpuId(i * 3 % 8);
+            match i % 5 {
+                0 => t.state = TaskState::Running,
+                1 => t.state = TaskState::Blocked(BlockReason::Children),
+                2 => t.state = TaskState::Blocked(BlockReason::Timer),
+                3 => t.set_policy(Policy::Normal { nice: 0 }),
+                _ => tt.exit(pid, SimTime::ZERO),
+            }
+            if i % 7 == 0 {
+                tt.exit(pid, SimTime::ZERO);
+            }
+        }
+        for exclude in [Pid(0), Pid(4), Pid(12), Pid(99)] {
+            let mut scan = vec![0u32; 8];
+            for t in tt.iter() {
+                let passive = matches!(
+                    t.state,
+                    TaskState::Dead | TaskState::Blocked(BlockReason::Children)
+                );
+                if t.pid != exclude && t.policy == Policy::Hpc && !passive {
+                    scan[t.cpu.index()] += 1;
+                }
+            }
+            assert_eq!(hpl.hpc_load(&tt, exclude), scan, "exclude {exclude}");
+        }
+        assert!(tt.iter_live().count() < tt.len());
     }
 
     #[test]

@@ -26,6 +26,10 @@
 //! `PRUNE_THRESHOLD` keeps it to the few tasks that ran there recently,
 //! where a scan beats hashing. Every entry's update depends
 //! only on its own warmth, so the order of the list never matters.
+//!
+//! Both exponential rates are memoized on their last `(dt, tau)`: most
+//! settle intervals repeat exactly (a tick period minus the tick cost),
+//! and `exp` is pure, so a hit returns the very bits a fresh call would.
 
 use crate::config::KernelConfig;
 use crate::task::Pid;
@@ -35,12 +39,36 @@ use hpl_topology::{CpuId, Topology};
 /// Warmth below which a footprint entry is dropped.
 const PRUNE_THRESHOLD: f64 = 1e-3;
 
+/// `exp(−dt / tau)`, remembering the last value. Keyed on `tau` as well
+/// as `dt`, so a config edited between calls is never served a stale
+/// rate.
+#[derive(Debug, Default)]
+struct RateMemo {
+    /// `(dt, tau)` in ns of `rate`; `None` before the first call.
+    key: Option<(u64, u64)>,
+    rate: f64,
+}
+
+impl RateMemo {
+    #[inline]
+    fn rate(&mut self, dt: SimDuration, tau: SimDuration) -> f64 {
+        let key = Some((dt.as_nanos(), tau.as_nanos()));
+        if self.key != key {
+            self.key = key;
+            self.rate = (-dt.as_secs_f64() / tau.as_secs_f64()).exp();
+        }
+        self.rate
+    }
+}
+
 /// Cache warmth state for every physical core.
 #[derive(Debug)]
 pub struct CacheModel {
     /// Per-core footprints: `(task, warmth fraction)`, at most one entry
     /// per task, in no particular order.
     cores: Vec<Vec<(Pid, f64)>>,
+    warm: RateMemo,
+    evict: RateMemo,
 }
 
 impl CacheModel {
@@ -48,6 +76,8 @@ impl CacheModel {
     pub fn new(topo: &Topology) -> Self {
         CacheModel {
             cores: (0..topo.total_cores()).map(|_| Vec::new()).collect(),
+            warm: RateMemo::default(),
+            evict: RateMemo::default(),
         }
     }
 
@@ -87,7 +117,7 @@ impl CacheModel {
             return;
         }
         let core = topo.core_of(cpu) as usize;
-        let evict_rate = (-dt.as_secs_f64() / cfg.cache_evict_tau.as_secs_f64()).exp();
+        let evict_rate = self.evict_rate(cfg, dt);
         let list = &mut self.cores[core];
         let mut found = false;
         for (owner, w) in list.iter_mut() {
@@ -106,8 +136,14 @@ impl CacheModel {
 
     /// `exp(−dt / cache_warm_tau)`: the fraction of a cold gap that
     /// stays cold after `dt` of running.
-    pub fn warm_rate(cfg: &KernelConfig, dt: SimDuration) -> f64 {
-        (-dt.as_secs_f64() / cfg.cache_warm_tau.as_secs_f64()).exp()
+    pub fn warm_rate(&mut self, cfg: &KernelConfig, dt: SimDuration) -> f64 {
+        self.warm.rate(dt, cfg.cache_warm_tau)
+    }
+
+    /// `exp(−dt / cache_evict_tau)`: the fraction of another task's
+    /// footprint that survives `dt` of someone else running.
+    pub fn evict_rate(&mut self, cfg: &KernelConfig, dt: SimDuration) -> f64 {
+        self.evict.rate(dt, cfg.cache_evict_tau)
     }
 
     /// Account a migration of `pid` from `from` to `to`.
@@ -172,7 +208,8 @@ mod tests {
             pid: Pid,
             dt: SimDuration,
         ) {
-            self.run_for(cfg, topo, cpu, pid, dt, CacheModel::warm_rate(cfg, dt));
+            let warm_rate = self.warm_rate(cfg, dt);
+            self.run_for(cfg, topo, cpu, pid, dt, warm_rate);
         }
     }
 

@@ -14,7 +14,7 @@
 //! synchronisation-heavy codes. The kernel (node.rs) performs the actual
 //! blocking, spinning and waking; this module is pure bookkeeping.
 
-use crate::task::Pid;
+use crate::task::{BlockReason, Pid, SpinTarget, Task, TaskState};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
@@ -193,13 +193,31 @@ impl SyncState {
         b.blocked.push(pid);
     }
 
-    /// Remove a pid from every wait list (task teardown safety net).
-    pub fn forget(&mut self, pid: Pid) {
-        for c in self.chans.values_mut() {
+    /// Remove an exiting task from the one wait list it can be on: the
+    /// spinners of its `spin` target, else the blocked list its
+    /// [`BlockReason`] names. Call before the task is marked dead. Debug
+    /// builds check that no other list holds it.
+    pub fn forget(&mut self, task: &Task) {
+        let pid = task.pid;
+        match (task.spin, task.state) {
+            (Some(SpinTarget::Chan(id)), _) => self.leave_chan(id, pid),
+            (Some(SpinTarget::Barrier(id)), _) => self.leave_barrier(id, pid),
+            (None, TaskState::Blocked(BlockReason::Chan(id))) => self.leave_chan(id, pid),
+            (None, TaskState::Blocked(BlockReason::Barrier(id))) => self.leave_barrier(id, pid),
+            (None, _) => {}
+        }
+        debug_assert!(!self.holds(pid), "{pid} still waits after exit");
+    }
+
+    fn leave_chan(&mut self, id: ChanId, pid: Pid) {
+        if let Some(c) = self.chans.get_mut(&id) {
             c.blocked.retain(|&w| w != pid);
             c.spinners.retain(|&w| w != pid);
         }
-        for b in self.barriers.values_mut() {
+    }
+
+    fn leave_barrier(&mut self, id: BarrierId, pid: Pid) {
+        if let Some(b) = self.barriers.get_mut(&id) {
             let before = b.blocked.len() + b.spinners.len();
             b.blocked.retain(|&w| w != pid);
             b.spinners.retain(|&w| w != pid);
@@ -209,6 +227,18 @@ impl SyncState {
                 b.arrived = b.arrived.saturating_sub(1);
             }
         }
+    }
+
+    /// Does any wait list hold `pid`? A scan of every channel and
+    /// barrier the node ever used, for debug checks.
+    fn holds(&self, pid: Pid) -> bool {
+        self.chans
+            .values()
+            .any(|c| c.blocked.contains(&pid) || c.spinners.contains(&pid))
+            || self
+                .barriers
+                .values()
+                .any(|b| b.blocked.contains(&pid) || b.spinners.contains(&pid))
     }
 
     /// Tokens currently banked on a channel (diagnostics).
@@ -326,19 +356,100 @@ mod tests {
         assert_eq!(s.barrier_generation(b), 5);
     }
 
+    fn task(pid: u32, state: TaskState, spin: Option<SpinTarget>) -> Task {
+        let mut t = Task::new(
+            Pid(pid),
+            "t",
+            crate::task::Policy::Hpc,
+            hpl_topology::CpuMask::first_n(1),
+        );
+        t.state = state;
+        t.spin = spin;
+        t
+    }
+
     #[test]
     fn forget_removes_waiters() {
         let mut s = SyncState::new();
         let ch = ChanId(6);
         let b = BarrierId(6);
         s.wait(ch, Pid(5));
-        s.barrier_arrive(b, 3, Pid(5), true);
-        s.forget(Pid(5));
+        s.barrier_arrive(b, 3, Pid(4), true);
+        s.forget(&task(5, TaskState::Blocked(BlockReason::Chan(ch)), None));
         assert_eq!(s.chan_waiters(ch), 0);
+        s.forget(&task(4, TaskState::Runnable, Some(SpinTarget::Barrier(b))));
         // Barrier arrival count rolled back: two remaining parties
         // complete it.
         assert_eq!(s.barrier_arrive(b, 2, Pid(1), false), None);
         assert!(s.barrier_arrive(b, 2, Pid(2), false).is_some());
+    }
+
+    /// Every list in a fixed order, for comparing two states.
+    fn snapshot(s: &SyncState) -> String {
+        let chans: std::collections::BTreeMap<_, _> = s.chans.iter().collect();
+        let barriers: std::collections::BTreeMap<_, _> = s.barriers.iter().collect();
+        format!("{chans:?} {barriers:?}")
+    }
+
+    /// Channels and barriers of a long-running node: many stale (empty)
+    /// ones, some with waiters, one completed barrier generation.
+    fn busy_state() -> SyncState {
+        let mut s = SyncState::new();
+        for i in 0..50 {
+            s.notify(ChanId(i), 1);
+            s.wait(ChanId(i), Pid(100));
+        }
+        s.wait(ChanId(3), Pid(1));
+        s.wait(ChanId(3), Pid(2));
+        s.spin_wait(ChanId(4), Pid(3));
+        s.spin_wait(ChanId(4), Pid(9));
+        s.barrier_arrive(BarrierId(0), 1, Pid(100), false);
+        s.barrier_arrive(BarrierId(1), 4, Pid(5), false);
+        s.barrier_arrive(BarrierId(1), 4, Pid(6), true);
+        s.barrier_arrive(BarrierId(1), 4, Pid(7), true);
+        s
+    }
+
+    /// The pre-targeting teardown: sweep the pid out of every list.
+    fn forget_everywhere(s: &mut SyncState, pid: Pid) {
+        for c in s.chans.values_mut() {
+            c.blocked.retain(|&w| w != pid);
+            c.spinners.retain(|&w| w != pid);
+        }
+        for b in s.barriers.values_mut() {
+            let before = b.blocked.len() + b.spinners.len();
+            b.blocked.retain(|&w| w != pid);
+            b.spinners.retain(|&w| w != pid);
+            if b.blocked.len() + b.spinners.len() != before {
+                b.arrived = b.arrived.saturating_sub(1);
+            }
+        }
+    }
+
+    #[test]
+    fn targeted_forget_matches_a_full_scan() {
+        use SpinTarget as S;
+        use TaskState as T;
+        let cases = [
+            task(1, T::Blocked(BlockReason::Chan(ChanId(3))), None),
+            task(2, T::Blocked(BlockReason::Chan(ChanId(3))), None),
+            task(3, T::Running, Some(S::Chan(ChanId(4)))),
+            task(9, T::Runnable, Some(S::Chan(ChanId(4)))),
+            task(5, T::Blocked(BlockReason::Barrier(BarrierId(1))), None),
+            task(6, T::Running, Some(S::Barrier(BarrierId(1)))),
+            task(7, T::Runnable, Some(S::Barrier(BarrierId(1)))),
+            task(8, T::Running, None),
+            task(10, T::Blocked(BlockReason::Timer), None),
+            task(11, T::Blocked(BlockReason::Children), None),
+            task(12, T::Dead, None),
+        ];
+        for t in &cases {
+            let (mut fast, mut scan) = (busy_state(), busy_state());
+            fast.forget(t);
+            forget_everywhere(&mut scan, t.pid);
+            assert_eq!(snapshot(&fast), snapshot(&scan), "{:?}", t.pid);
+            assert!(!fast.holds(t.pid));
+        }
     }
 
     #[test]

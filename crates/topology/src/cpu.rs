@@ -99,6 +99,14 @@ impl CpuMask {
         cpu.0 < Self::CAPACITY && (self.0 >> cpu.0) & 1 == 1
     }
 
+    /// Remove and return the lowest CPU in the set.
+    #[inline]
+    pub fn pop_first(&mut self) -> Option<CpuId> {
+        let cpu = self.first()?;
+        self.0 &= self.0 - 1;
+        Some(cpu)
+    }
+
     /// Number of CPUs in the set.
     #[inline]
     pub const fn count(self) -> u32 {
@@ -236,6 +244,10 @@ mod tests {
         assert_eq!(v, vec![1, 4, 7]);
         assert_eq!(m.first(), Some(CpuId(1)));
         assert_eq!(CpuMask::EMPTY.first(), None);
+        let mut popped = m;
+        let v: Vec<u32> = std::iter::from_fn(|| popped.pop_first().map(|c| c.0)).collect();
+        assert_eq!(v, vec![1, 4, 7]);
+        assert!(popped.is_empty());
     }
 
     #[test]

@@ -56,6 +56,9 @@ pub struct Topology {
     threads_per_core: u32,
     caches: Vec<CacheLevel>,
     name: String,
+    /// `core_of` per logical CPU, precomputed: the cache model and the
+    /// SMT-sibling check look it up on every settle of a CPU.
+    core_index: [u8; CpuMask::CAPACITY as usize],
 }
 
 impl Topology {
@@ -76,12 +79,17 @@ impl Topology {
         );
         let mut caches = caches;
         caches.sort_by_key(|c| c.level);
+        let mut core_index = [0; CpuMask::CAPACITY as usize];
+        for (cpu, core) in core_index.iter_mut().enumerate().take(total as usize) {
+            *core = (cpu as u32 / threads_per_core) as u8;
+        }
         Topology {
             sockets,
             cores_per_socket,
             threads_per_core,
             caches,
             name: name.into(),
+            core_index,
         }
     }
 
@@ -244,8 +252,10 @@ impl Topology {
     }
 
     /// Physical core index (machine-wide) of a logical CPU.
+    #[inline]
     pub fn core_of(&self, cpu: CpuId) -> u32 {
-        cpu.0 / self.threads_per_core
+        debug_assert!(cpu.0 < self.total_cpus(), "{cpu} not on {}", self.name);
+        self.core_index[cpu.index()] as u32
     }
 
     /// Socket index of a logical CPU.
@@ -379,6 +389,27 @@ mod tests {
         assert_eq!(t.threads_per_core(), 1);
         // All cores share the L3.
         assert_eq!(t.shared_cache_level(CpuId(0), CpuId(3)), Some(3));
+    }
+
+    #[test]
+    fn core_table_matches_division() {
+        for t in [
+            Topology::power6_js22(),
+            Topology::smp(1),
+            Topology::smp(64),
+            Topology::bluegene_p(),
+            Topology::xeon_2s4c2t(),
+            Topology::new("2s8c4t", 2, 8, 4, vec![]),
+        ] {
+            for cpu in t.all_cpus().iter() {
+                assert_eq!(
+                    t.core_of(cpu),
+                    cpu.0 / t.threads_per_core(),
+                    "{cpu} on {}",
+                    t.name()
+                );
+            }
+        }
     }
 
     #[test]
