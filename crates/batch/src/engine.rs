@@ -49,7 +49,7 @@
 use crate::policy::{AllocPolicy, ClusterView, QueuedJob, RunningJob};
 use crate::trace::{BatchJob, BatchTrace};
 use hpl_cluster::{Cluster, ClusterJobHandle, JobCoordinator, Placement};
-use hpl_kernel::{RunOutcome, SchedEvent, TaskState};
+use hpl_kernel::{RunOutcome, SchedEvent};
 use hpl_mpi::{JobSpec, MpiOp, SchedMode};
 use hpl_sim::{SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -326,20 +326,6 @@ fn busy_node_seconds(spans: &[BusySpan], nnodes: usize) -> f64 {
     total
 }
 
-/// Time the job released its last node: the max `perf` exit time over
-/// its placement. `None` while any tree is still alive.
-fn job_end_time(cluster: &Cluster, h: &ClusterJobHandle) -> Option<SimTime> {
-    let mut end = SimTime::ZERO;
-    for (j, &n) in h.placement.iter().enumerate() {
-        let t = cluster.node(n).tasks.get(h.perf_pids[j]);
-        if t.state != TaskState::Dead {
-            return None;
-        }
-        end = end.max(t.exited_at?);
-    }
-    Some(end)
-}
-
 /// Builder for one batch run — the construction-API counterpart of
 /// `hpl_cluster::ClusterBuilder`.
 ///
@@ -510,9 +496,9 @@ impl Engine<'_> {
         }
     }
 
-    /// Harvest completions and crash casualties. The failure check comes
-    /// first: a crashed job's perf pids are stale (its node may have
-    /// restarted), so `job_end_time` must never look at them.
+    /// Harvest completions and crash casualties. A job ends when the
+    /// cluster has recorded its last launcher tree's exit
+    /// ([`Cluster::job_end`]); a failed job never does and is requeued.
     fn harvest(&mut self, cluster: &mut Cluster, now: SimTime) {
         let mut i = 0;
         while i < self.running.len() {
@@ -521,7 +507,7 @@ impl Engine<'_> {
                 self.requeue(cluster, r, now);
                 continue;
             }
-            let Some(ended) = job_end_time(cluster, &self.running[i].handle) else {
+            let Some(ended) = cluster.job_end(&self.running[i].handle) else {
                 i += 1;
                 continue;
             };

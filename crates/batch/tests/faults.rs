@@ -167,3 +167,44 @@ fn crashy_run_is_deterministic_and_flavour_invariant() {
         "pooled windows must reproduce the crashy serial report bit for bit"
     );
 }
+
+/// A 2-node job whose first tree exits, then whose first node crashes
+/// and restarts before the second tree exits, ends when the second tree
+/// does: the harvest reads the cluster's record of each tree's exit,
+/// not the restarted node's fresh task table.
+#[test]
+fn restart_between_a_jobs_tree_exits_keeps_its_end() {
+    let trace = long_job_trace();
+    let mut clean = build_cluster(2, 42, FaultPlan::none(), CosimConfig::serial());
+    let report = BatchRun::new(&trace)
+        .run(&mut clean, &mut Fcfs)
+        .expect("run completes");
+    // Each node's `perf` exit: the job's launcher trees are the only
+    // `perf` tasks.
+    let exits: Vec<SimTime> = (0..2)
+        .map(|n| {
+            let perf = clean.node(n).tasks.iter().filter(|t| t.name == "perf");
+            perf.filter_map(|t| t.exited_at)
+                .max()
+                .expect("one tree per node")
+        })
+        .collect();
+    let first = if exits[0] < exits[1] { 0 } else { 1 };
+    let last = exits[0].max(exits[1]);
+    assert_eq!(report.outcomes[0].ended, last);
+    assert!(
+        last.since(exits[first]) > clean.net().lookahead(),
+        "the trees end in different windows"
+    );
+
+    let t = exits[first] + SimDuration::from_nanos(1);
+    let plan = FaultPlan::default().crash(first, t).restart(first, t);
+    let mut cluster = build_cluster(2, 42, plan, CosimConfig::serial());
+    let faulty = BatchRun::new(&trace)
+        .run(&mut cluster, &mut Fcfs)
+        .expect("run completes");
+    assert_eq!(cluster.crashes(), 1, "the crash lands before the job ends");
+    assert_eq!(faulty.requeues, 0, "the job had left the crashed node");
+    assert_eq!(faulty.outcomes[0].ended, last);
+    assert_eq!(faulty.outcomes, report.outcomes);
+}

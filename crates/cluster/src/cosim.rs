@@ -46,6 +46,9 @@
 //! The cluster clock, a monotone dispatched-event count and the
 //! launcher-tree exit count are kept as the caches are refreshed, so a
 //! driver polls them in O(1).
+//! The same refresh records each launcher tree's exit times as the tree
+//! dies; job completion, end and exec times and node occupancy are
+//! reads of that record, never of a (possibly restarted) task table.
 
 use crate::fault::{FaultPlan, NodeFault};
 use crate::net::{Interconnect, LinkFaults, NetConfig};
@@ -178,13 +181,29 @@ struct ActiveJob {
     /// Root (`perf`) pid per job-relative node.
     perf_pids: Vec<Pid>,
     /// Node incarnation at launch, per job-relative node: a pid is only
-    /// meaningful on the incarnation that spawned it, so every task-table
-    /// read is guarded by this (a restarted node has a fresh table).
+    /// meaningful on the incarnation that spawned it, so a later read of
+    /// the node's state (checkpoint generations) is guarded by this.
     incarnations: Vec<u64>,
+    /// How each job-relative node's launcher tree ended, recorded by
+    /// [`Cluster::refresh`] as the tree leaves the live set. `None`
+    /// while the tree is live, and forever for a tree frozen on a
+    /// crashed node.
+    ends: Vec<Option<TreeEnd>>,
     /// Set when a node hosting a live launcher tree of this job
     /// crashes. Failed jobs release occupancy, stop routing, and never
     /// complete; a batch driver requeues them.
     failed: bool,
+}
+
+/// The exit times of one launcher tree, read from its node's task table
+/// in the refresh that saw the tree die.
+#[derive(Clone, Copy)]
+struct TreeEnd {
+    /// The root (`perf`) task's exit: when the tree released its node.
+    perf: SimTime,
+    /// `mpiexec`'s exit; `None` for a tree killed before `perf` forked
+    /// it.
+    mpiexec: Option<SimTime>,
 }
 
 /// Where [`Cluster::launch`] places a job's nodes.
@@ -400,9 +419,9 @@ pub struct Cluster {
     /// node `n`, in launch order. Jobs sharing a node have disjoint id
     /// ranges, so a channel id names at most one of them.
     jobs_on: Vec<Vec<usize>>,
-    /// `live_trees[n]`: root (`perf`) pids of the launcher trees on node
-    /// `n` not yet seen to exit.
-    live_trees: Vec<Vec<Pid>>,
+    /// `live_trees[n]`: `(job index, job-relative node)` of each
+    /// launcher tree on node `n` not yet seen to exit, in launch order.
+    live_trees: Vec<Vec<(usize, usize)>>,
     /// `next_at[n]`: node `n`'s next-event time as of its last refresh,
     /// `SimTime::MAX` when its queue is empty or it is down. The window
     /// minimum and the active list are read from this dense array.
@@ -584,7 +603,8 @@ impl Cluster {
     }
 
     /// Read node `n` back into the caches: its next-event time, the
-    /// cluster clock, the dispatched-event count and its tree exits.
+    /// cluster clock, the dispatched-event count and its tree exits,
+    /// recording each tree that died in its job's per-tree ends.
     /// Idempotent, so it is safe wherever a node may have changed.
     fn refresh(&mut self, n: usize) {
         let node = &self.nodes[n];
@@ -599,18 +619,54 @@ impl Cluster {
         slot.events = node.events_processed();
         if node.exits() != slot.exits {
             slot.exits = node.exits();
+            let jobs = &mut self.jobs;
             let live = &mut self.live_trees[n];
             let before = live.len();
-            live.retain(|&pid| node.tasks.get(pid).state != TaskState::Dead);
+            live.retain(|&(ji, j)| {
+                let aj = &mut jobs[ji];
+                let perf = node.tasks.get(aj.perf_pids[j]);
+                if perf.state != TaskState::Dead {
+                    return true;
+                }
+                aj.ends[j] = Some(TreeEnd {
+                    perf: perf.exited_at.expect("a dead task has an exit time"),
+                    mpiexec: find_mpiexec(node, aj.perf_pids[j])
+                        .and_then(|m| node.tasks.get(m).exited_at),
+                });
+                false
+            });
             self.tree_exits += (before - live.len()) as u64;
         }
     }
 
     /// Debug builds: every cache entry equals a fresh read of its node,
-    /// and no node holds an outbound message the last routing missed.
+    /// no node holds an outbound message the last routing missed, and
+    /// the live-tree record matches a scan of the task tables: a tree of
+    /// the node's current incarnation is live iff its root is not dead,
+    /// and a dead one's recorded end is its root's exit time.
     #[cfg(debug_assertions)]
     fn assert_caches_consistent(&self) {
         for (n, node) in self.nodes.iter().enumerate() {
+            let mut live = Vec::new();
+            for &ji in &self.jobs_on[n] {
+                let aj = &self.jobs[ji];
+                let j = aj.placement.iter().position(|&p| p == n);
+                let j = j.expect("jobs_on lists jobs placed on the node");
+                if self.slots[n].down || aj.incarnations[j] != self.slots[n].incarnation {
+                    continue;
+                }
+                let perf = node.tasks.get(aj.perf_pids[j]);
+                if perf.state == TaskState::Dead {
+                    assert_eq!(
+                        aj.ends[j].map(|e| e.perf),
+                        perf.exited_at,
+                        "node {n}: stale tree end"
+                    );
+                } else {
+                    live.push((ji, j));
+                }
+            }
+            assert_eq!(self.live_trees[n], live, "node {n}: stale live trees");
             let fresh = if self.slots[n].down {
                 SimTime::MAX
             } else {
@@ -660,25 +716,23 @@ impl Cluster {
     /// [`Self::job_done`] turns true once every tree is dead, so an
     /// engine harvesting completions observes the kill as an early end
     /// (each node's `perf` task records its node-local kill time in
-    /// `exited_at`). No-op on a job already failed by a crash — crash
-    /// recovery owns those. Returns the number of trees reaped.
+    /// `exited_at`, and the refresh after the kill records it as the
+    /// tree's end). No-op on a job already failed by a crash — the crash
+    /// reaped its live trees. Returns the number of trees reaped.
     pub fn cancel_job(&mut self, handle: &ClusterJobHandle) -> usize {
-        let aj = &self.jobs[handle.job_id];
-        if aj.failed {
-            return 0;
-        }
-        let victims: Vec<(usize, hpl_kernel::Pid)> = aj
-            .placement
-            .iter()
-            .enumerate()
-            .filter(|&(j, &n)| {
-                !self.slots[n].down && aj.incarnations[j] == self.slots[n].incarnation
-            })
-            .map(|(j, &n)| (n, aj.perf_pids[j]))
-            .collect();
+        self.kill_live_trees(handle.job_id)
+    }
+
+    /// Kill job `ji`'s live launcher trees in placement order, refreshing
+    /// each node so the kill is recorded as the tree's end. Returns the
+    /// number of trees killed.
+    fn kill_live_trees(&mut self, ji: usize) -> usize {
         let mut reaped = 0;
-        for (n, pid) in victims {
-            if self.nodes[n].tasks.get(pid).state != TaskState::Dead {
+        for j in 0..self.jobs[ji].placement.len() {
+            let (n, pid) = (self.jobs[ji].placement[j], self.jobs[ji].perf_pids[j]);
+            if self.live_trees[n].contains(&(ji, j))
+                && self.nodes[n].tasks.get(pid).state != TaskState::Dead
+            {
                 self.nodes[n].kill_tree(pid);
                 self.refresh(n);
                 reaped += 1;
@@ -792,9 +846,9 @@ impl Cluster {
             self.refresh(n);
         }
         let job_id = self.jobs.len();
-        for (&n, &root) in placement.iter().zip(&perf_pids) {
+        for (j, &n) in placement.iter().enumerate() {
             self.jobs_on[n].push(job_id);
-            self.live_trees[n].push(root);
+            self.live_trees[n].push((job_id, j));
         }
         let incarnations = placement
             .iter()
@@ -805,6 +859,7 @@ impl Cluster {
             placement: placement.clone(),
             perf_pids: perf_pids.clone(),
             incarnations,
+            ends: vec![None; placement.len()],
             failed: false,
         });
         ClusterJobHandle {
@@ -961,60 +1016,24 @@ impl Cluster {
                 if self.slots[ev.node].down {
                     return;
                 }
-                // Fail every job with a live launcher tree on the node
-                // (the node's task table is still valid here — it is
-                // only replaced on restart). Jobs whose tree already
-                // exited on this node are unaffected.
-                for &ji in &self.jobs_on[ev.node] {
-                    let aj = &mut self.jobs[ji];
-                    if aj.failed {
-                        continue;
-                    }
-                    let j = aj
-                        .placement
-                        .iter()
-                        .position(|&p| p == ev.node)
-                        .expect("jobs_on lists jobs placed on the node");
-                    if aj.incarnations[j] == self.slots[ev.node].incarnation
-                        && self.nodes[ev.node].tasks.get(aj.perf_pids[j]).state != TaskState::Dead
-                    {
-                        aj.failed = true;
-                    }
+                // Fail exactly the jobs with a live launcher tree on the
+                // node. Those trees are frozen and never exit; jobs
+                // whose tree already exited here keep their record.
+                let failed = std::mem::take(&mut self.live_trees[ev.node]);
+                for &(ji, _) in &failed {
+                    self.jobs[ji].failed = true;
                 }
                 self.slots[ev.node].down = true;
                 self.next_at[ev.node] = SimTime::MAX;
                 self.crashes += 1;
-                // The frozen node's trees never exit; their jobs failed
-                // above, or had already left the node.
-                self.live_trees[ev.node].clear();
                 // Runtime-level abort on the survivors: reap each failed
                 // job's task tree on its other nodes, so orphaned ranks
                 // don't spin against (and skew placement for) whatever
                 // runs there next. Checkpoint barrier generations stay
                 // readable — killing a task doesn't unwind the commits
                 // it already made.
-                for k in 0..self.jobs_on[ev.node].len() {
-                    let aj = &self.jobs[self.jobs_on[ev.node][k]];
-                    if !aj.failed {
-                        continue;
-                    }
-                    let victims: Vec<(usize, hpl_kernel::Pid)> = aj
-                        .placement
-                        .iter()
-                        .enumerate()
-                        .filter(|&(j, &n)| {
-                            n != ev.node
-                                && !self.slots[n].down
-                                && aj.incarnations[j] == self.slots[n].incarnation
-                        })
-                        .map(|(j, &n)| (n, aj.perf_pids[j]))
-                        .collect();
-                    for (n, pid) in victims {
-                        if self.nodes[n].tasks.get(pid).state != TaskState::Dead {
-                            self.nodes[n].kill_tree(pid);
-                            self.refresh(n);
-                        }
-                    }
+                for &(ji, _) in &failed {
+                    self.kill_live_trees(ji);
                 }
             }
             NodeFault::Restart => {
@@ -1155,68 +1174,44 @@ impl Cluster {
 
     /// True iff the whole launcher tree has exited on every node **of
     /// this job** — other jobs do not affect the answer. Always `false`
-    /// for a failed job, and for a job whose node was since restarted
-    /// (its pids belong to a dead incarnation); poll at every window
-    /// that moves [`Self::tree_exits`] (or simply every window), as the
-    /// engines do, and completion is observed before any later crash
-    /// can obscure it.
+    /// for a failed job. A tree's exit is recorded when the cluster
+    /// refreshes its node (every window, every [`Self::tree_exits`]
+    /// call), and a later crash or restart of that node leaves the
+    /// record alone.
     pub fn job_done(&self, handle: &ClusterJobHandle) -> bool {
-        let aj = &self.jobs[handle.job_id];
-        !aj.failed
-            && handle
-                .perf_pids
-                .iter()
-                .zip(&handle.placement)
-                .enumerate()
-                .all(|(j, (&pid, &n))| {
-                    !self.slots[n].down
-                        && aj.incarnations[j] == self.slots[n].incarnation
-                        && self.nodes[n].tasks.get(pid).state == TaskState::Dead
-                })
+        self.job_end(handle).is_some()
+    }
+
+    /// Time the job released its last node: the latest `perf` exit over
+    /// its launcher trees. `None` until every tree has exited, and
+    /// forever for a failed job (its tree on the crashed node never
+    /// exits).
+    pub fn job_end(&self, handle: &ClusterJobHandle) -> Option<SimTime> {
+        let mut end = SimTime::ZERO;
+        for e in &self.jobs[handle.job_id].ends {
+            end = end.max(e.as_ref()?.perf);
+        }
+        Some(end)
     }
 
     /// Application execution time of a completed job: the longest
     /// per-node `mpiexec` lifetime since launch. `None` until every
-    /// node's mpiexec has exited, and forever for a failed job.
+    /// tree has exited, and forever for a failed job.
     pub fn job_exec_time(&self, handle: &ClusterJobHandle) -> Option<SimDuration> {
-        let aj = &self.jobs[handle.job_id];
-        if aj.failed {
-            return None;
-        }
+        let ends = &self.jobs[handle.job_id].ends;
         let mut exec = SimDuration::ZERO;
-        for (j, &n) in handle.placement.iter().enumerate() {
-            if self.slots[n].down || aj.incarnations[j] != self.slots[n].incarnation {
-                return None;
-            }
-            let node = &self.nodes[n];
-            let mpiexec = find_mpiexec(node, handle.perf_pids[j])?;
-            let exited = node.tasks.get(mpiexec).exited_at?;
-            exec = exec.max(exited.since(handle.launched_at[j]));
+        for (e, &at) in ends.iter().zip(&handle.launched_at) {
+            exec = exec.max(e.as_ref()?.mpiexec?.since(at));
         }
         Some(exec)
     }
 
-    /// Number of jobs currently occupying cluster node `n`: launched,
-    /// placed on `n`, not failed, and whose launcher tree on `n` has not
-    /// yet exited. This is the quantity a batch policy's occupancy limit
-    /// bounds; a crash releases its jobs' occupancy here immediately.
+    /// Number of jobs currently occupying cluster node `n`: those with a
+    /// launcher tree on `n` that has not yet exited. This is the
+    /// quantity a batch policy's occupancy limit bounds; a crash
+    /// releases its jobs' occupancy here immediately.
     pub fn active_jobs_on(&self, n: usize) -> usize {
-        self.jobs_on[n]
-            .iter()
-            .map(|&ji| &self.jobs[ji])
-            .filter(|aj| {
-                !aj.failed
-                    && aj.placement.iter().position(|&p| p == n).is_some_and(|j| {
-                        aj.incarnations[j] == self.slots[n].incarnation
-                            && self.nodes[n].tasks.get(aj.perf_pids[j]).state != TaskState::Dead
-                    })
-            })
-            .count()
-    }
-
-    /// Total jobs ever launched on the cluster.
-    pub fn jobs_launched(&self) -> usize {
-        self.jobs.len()
+        self.live_trees[n].len()
     }
 
     /// Merge each node's [`ChromeTraceSink`] into a single Chrome-trace

@@ -159,6 +159,56 @@ fn restart_heals_a_crashed_node_for_new_work() {
     assert!(!cluster.job_done(&doomed));
 }
 
+/// A job whose only launcher tree exited before its node crashed and
+/// restarted stays finished, with the exec time it had before the
+/// crash: the restart replaces the node's task table, not the cluster's
+/// record of how the tree ended.
+#[test]
+fn job_finished_before_its_node_restarts_stays_finished() {
+    let short = JobSpec::new(
+        2,
+        JobSpec::repeat(
+            2,
+            &[
+                MpiOp::Compute {
+                    mean: SimDuration::from_millis(1),
+                },
+                MpiOp::Allreduce { bytes: 64 },
+            ],
+        ),
+    );
+    // Keeps the cluster's queues busy past the faults.
+    let long = job(1, 2, 40).with_id_base(10_000);
+    let launch = |cluster: &mut Cluster| {
+        let h = cluster.launch(&short, SchedMode::Hpc, Placement::on(&[0]));
+        cluster.launch(&long, SchedMode::Hpc, Placement::on(&[1]));
+        h
+    };
+
+    // Where node 0's tree ends with no faults.
+    let mut clean = build_cluster(2, 42, FaultPlan::none(), CosimConfig::serial());
+    let h = launch(&mut clean);
+    let exec = clean.run_to_completion(&h, 200_000_000);
+    let exit = clean.node(0).tasks.get(h.perf_pids[0]).exited_at.unwrap();
+    assert_eq!(exit, SimTime::from_nanos(46_245_730));
+
+    // Crash and restart node 0 just after that exit.
+    let t = exit + SimDuration::from_nanos(1);
+    let plan = FaultPlan::default().crash(0, t).restart(0, t);
+    let mut cluster = build_cluster(2, 42, plan, CosimConfig::serial());
+    let h = launch(&mut cluster);
+    while cluster.faults_applied() < 2 {
+        assert!(cluster.step_window(), "the long job keeps the cluster busy");
+    }
+    assert_eq!(cluster.crashes(), 1);
+    assert!(!cluster.node_down(0));
+    assert!(!cluster.job_failed(&h), "the job had left the node");
+    assert!(cluster.job_done(&h));
+    assert_eq!(cluster.job_end(&h), Some(exit));
+    assert_eq!(cluster.job_exec_time(&h), Some(exec));
+    assert_eq!(cluster.try_run_to_completion(&h, 1_000_000), Ok(exec));
+}
+
 #[test]
 fn message_loss_delays_but_does_not_break_a_job() {
     // Heavy loss with retransmission: the job still completes, strictly

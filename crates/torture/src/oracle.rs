@@ -823,7 +823,7 @@ impl SchedObserver for InvariantOracle {
             | SchedEvent::JobShare { .. }
             // Batch-level job lifecycle events come from above the
             // kernel; the batch occupancy invariant is checked by the
-            // runner against Cluster::active_jobs_on instead.
+            // runner against the nodes' task tables instead.
             | SchedEvent::JobSubmit { .. }
             | SchedEvent::JobStart { .. }
             | SchedEvent::JobEnd { .. } => {}

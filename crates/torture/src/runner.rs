@@ -30,8 +30,9 @@ use hpl_kernel::observe::ChromeTraceSink;
 use hpl_kernel::program::ScriptProgram;
 use hpl_kernel::{
     BarrierId, ChanId, KernelConfig, Node, NodeBuilder, ObserverId, Policy, RunOutcome, Step,
-    TaskSpec,
+    TaskSpec, TaskState,
 };
+use hpl_mpi::launcher::APP_TAG;
 use hpl_mpi::{launch, JobSpec, MpiOp, SchedMode};
 use hpl_sim::{Rng, SimDuration, SimTime};
 use hpl_topology::{CpuId, CpuMask, Topology};
@@ -361,10 +362,18 @@ fn run_batch_workload(
             if report.jobs_killed > 0 || matches!(b.policy, BatchPolicyKind::Dfrs) {
                 // A walltime kill — or a DFRS share reallocation over a
                 // finished run — must fully release its nodes: with
-                // every job completed or killed, no node may still
-                // count an active batch job.
-                for n in 0..cluster.len() {
-                    let live = cluster.active_jobs_on(n);
+                // every job completed or killed, no up node may still
+                // hold a live task of any launched tree. Read from the
+                // task tables, not the cluster's own occupancy record,
+                // so the rule stays independent of the code it checks.
+                for n in (0..cluster.len()).filter(|&n| !cluster.node_down(n)) {
+                    let live = cluster
+                        .node(n)
+                        .tasks
+                        .iter_live()
+                        .filter(|t| t.state != TaskState::Dead)
+                        .filter(|t| t.name == "perf" || t.tag == Some(APP_TAG))
+                        .count();
                     if live > 0 {
                         violations.push(Violation {
                             at: cluster.node(0).now(),
