@@ -106,11 +106,6 @@ impl NodeCoordState {
             .collect()
     }
 
-    /// Total live ranks across all gangs.
-    pub fn total_ranks(&self) -> u32 {
-        self.gangs.values().map(|s| s.ranks).sum()
-    }
-
     /// Publish a share for `gang` (creating the slot if the job has
     /// not arrived yet — shares may be set ahead of launch).
     pub fn set_share(&mut self, gang: u64, share_milli: u32) {
@@ -138,7 +133,6 @@ mod tests {
         s.gangs.entry(11).or_default().ranks = 1;
         s.gangs.entry(13).or_default().ranks = 1;
         assert_eq!(s.registered(), vec![(7, 750), (11, 250), (13, 1000)]);
-        assert_eq!(s.total_ranks(), 4);
     }
 
     #[test]

@@ -73,16 +73,6 @@ pub struct KernelConfig {
     /// Epoch events are armed only while two or more gangs are enrolled;
     /// runs without gang overlap are byte-identical to `None`.
     pub gang_epoch: Option<SimDuration>,
-    /// Initial milli-CPU share table for weighted gang slicing:
-    /// `(gang id, share)` pairs copied into the node at build time
-    /// (runtime changes go through `Node::gang_set_share`). While any
-    /// share is set, a gang's slice of the rotation period is
-    /// proportional to its share (unlisted gangs weigh 1000) with an
-    /// exact integer budget split and deterministic remainder rotation
-    /// — see the `gang` module. Empty (the default) is equal shares:
-    /// every gang gets one epoch per rotation. Requires
-    /// [`Self::gang_epoch`].
-    pub gang_shares: Vec<(u64, u32)>,
 
     // ---- balancing ---------------------------------------------------
     /// Balancing mode (see [`BalanceMode`]).
@@ -138,7 +128,6 @@ impl Default for KernelConfig {
             rt_rr_timeslice: SimDuration::from_millis(100),
             hpc_rr_timeslice: SimDuration::from_millis(100),
             gang_epoch: None,
-            gang_shares: Vec::new(),
 
             balance: BalanceMode::Full,
             balance_cost: SimDuration::from_micros(5),
@@ -208,14 +197,6 @@ impl KernelConfig {
         if self.gang_epoch.is_some_and(|e| e.is_zero()) {
             return Err("gang_epoch must be non-zero when set".into());
         }
-        if !self.gang_shares.is_empty() {
-            if self.gang_epoch.is_none() {
-                return Err("gang_shares set without gang_epoch".into());
-            }
-            if self.gang_shares.iter().any(|&(_, s)| s == 0) {
-                return Err("gang shares must be non-zero".into());
-            }
-        }
         Ok(())
     }
 }
@@ -260,13 +241,5 @@ mod tests {
         assert!(c.validate().is_err());
         c.gang_epoch = Some(SimDuration::from_millis(5));
         assert!(c.validate().is_ok());
-
-        let mut c = KernelConfig::default();
-        c.gang_shares = vec![(1, 750), (2, 250)];
-        assert!(c.validate().is_err(), "shares without an epoch");
-        c.gang_epoch = Some(SimDuration::from_millis(5));
-        assert!(c.validate().is_ok());
-        c.gang_shares.push((3, 0));
-        assert!(c.validate().is_err(), "zero share");
     }
 }

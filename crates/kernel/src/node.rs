@@ -189,8 +189,6 @@ impl NodeBuilder {
             class_of_kind[c.kind() as usize].get_or_insert(i);
         }
         let balance_clock = BalanceClock::new(&domains);
-        let initial_shares: std::collections::BTreeMap<u64, u32> =
-            self.cfg.gang_shares.iter().copied().collect();
         let mut node = Node {
             cache: CacheModel::new(&self.topo),
             counters: PerCpuCounters::new(ncpus),
@@ -229,7 +227,7 @@ impl NodeBuilder {
             gang_refs: std::collections::BTreeMap::new(),
             gang_active: None,
             gang_armed: None,
-            gang_shares: initial_shares,
+            gang_shares: std::collections::BTreeMap::new(),
             gang_slice_mark: None,
             events: 0,
             exits: 0,

@@ -15,7 +15,7 @@
 
 use crate::program::{ProgCtx, Program, Step, TaskSpec};
 use crate::task::Policy;
-use hpl_sim::{SimDuration, SimTime};
+use hpl_sim::SimDuration;
 use hpl_topology::{CpuId, CpuMask};
 use std::collections::VecDeque;
 
@@ -86,12 +86,6 @@ impl DaemonSpec {
     /// Pin to a CPU.
     pub fn pinned_to(mut self, cpu: CpuId) -> Self {
         self.pinned = Some(cpu);
-        self
-    }
-
-    /// Set nice level.
-    pub fn with_nice(mut self, nice: i8) -> Self {
-        self.nice = nice;
         self
     }
 
@@ -373,23 +367,11 @@ impl NoiseProfile {
     }
 }
 
-/// Convenience: absolute time of first daemon activity is bounded by the
-/// largest period, so harnesses can warm the node up before measuring.
-pub fn warmup_bound(profile: &NoiseProfile) -> SimTime {
-    let max = profile
-        .daemons
-        .iter()
-        .map(|d| d.period_mean)
-        .max()
-        .unwrap_or(SimDuration::ZERO);
-    SimTime::ZERO + max
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::task::Pid;
-    use hpl_sim::Rng;
+    use hpl_sim::{Rng, SimTime};
 
     fn step_of(p: &mut DaemonProgram, rng: &mut Rng) -> Step {
         let mut ctx = ProgCtx {
@@ -479,7 +461,6 @@ mod tests {
     #[test]
     fn quiet_profile_is_empty() {
         assert!(NoiseProfile::quiet().daemons.is_empty());
-        assert_eq!(warmup_bound(&NoiseProfile::quiet()), SimTime::ZERO);
     }
 
     #[test]

@@ -19,7 +19,6 @@
 //! blocked rank lets the core idle. The [`EnergyReport`] quantifies that
 //! trade-off per scheduler.
 
-use hpl_sim::SimTime;
 use hpl_topology::Topology;
 
 /// Power-model parameters. Defaults approximate a POWER6 core pair: each
@@ -106,21 +105,6 @@ pub fn energy_delay_product(report: &EnergyReport, exec: hpl_sim::SimDuration) -
     report.total_joules * exec.as_secs_f64()
 }
 
-/// A power-aware observation the paper's future work targets: given two
-/// scheduler outcomes (energy + time), which dominates? Returns
-/// `Ordering::Less` when `a` is strictly better on EDP.
-pub fn compare_edp(
-    a: (&EnergyReport, SimTime, SimTime),
-    b: (&EnergyReport, SimTime, SimTime),
-) -> std::cmp::Ordering {
-    let edp = |(r, start, end): (&EnergyReport, SimTime, SimTime)| {
-        energy_delay_product(r, end.since(start))
-    };
-    edp(a)
-        .partial_cmp(&edp(b))
-        .unwrap_or(std::cmp::Ordering::Equal)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,13 +172,10 @@ mod tests {
         let wall = SimDuration::from_secs(10);
         let lean = energy_of_window(&m, &topo(), 10_000_000_000, wall);
         let hot = energy_of_window(&m, &topo(), 70_000_000_000, wall);
-        let t0 = SimTime::ZERO;
-        let t_fast = SimTime::from_nanos(8_000_000_000);
-        let t_slow = SimTime::from_nanos(12_000_000_000);
         // Lean and fast strictly dominates hot and slow.
-        assert_eq!(
-            compare_edp((&lean, t0, t_fast), (&hot, t0, t_slow)),
-            std::cmp::Ordering::Less
+        assert!(
+            energy_delay_product(&lean, SimDuration::from_secs(8))
+                < energy_delay_product(&hot, SimDuration::from_secs(12))
         );
     }
 }

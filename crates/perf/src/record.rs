@@ -9,7 +9,7 @@
 use crate::counters::CounterSet;
 use crate::event::SwEvent;
 use crate::metrics::SchedMetrics;
-use hpl_sim::stats::{pearson, spearman, Summary};
+use hpl_sim::stats::{pearson, Summary};
 
 /// How a measured run terminated.
 ///
@@ -181,12 +181,6 @@ impl RunTable {
         pearson(&self.switches_f64(), &self.times())
     }
 
-    /// Spearman (rank) correlation of time against migrations — more
-    /// robust to the heavy tails these distributions have.
-    pub fn time_migration_rank_correlation(&self) -> f64 {
-        spearman(&self.migrations_f64(), &self.times())
-    }
-
     /// Full raw table as CSV (one row per repetition) — what a paper's
     /// artifact-evaluation appendix would archive.
     pub fn to_csv(&self) -> String {
@@ -334,7 +328,6 @@ mod tests {
         let t = RunTable::new(recs);
         assert!(t.time_migration_correlation() > 0.99);
         assert!(t.time_switch_correlation() > 0.99);
-        assert!(t.time_migration_rank_correlation() > 0.99);
     }
 
     #[test]

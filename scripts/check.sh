@@ -41,6 +41,9 @@ cargo test -q --release -p hpl-kernel --test hot_path_golden
 echo "== paper-experiment golden digests (release: figures, tables, per-run records) =="
 cargo test -q --release -p hpl-bench --test paper_golden
 
+echo "== batch engine golden digests (release: job completion read where the benchmark runs) =="
+cargo test -q --release -p hpl-batch --test engine_golden
+
 echo "== parallel co-sim differential (release: serial vs pooled bit-equality) =="
 cargo test -q --release --test parallel_cosim
 
