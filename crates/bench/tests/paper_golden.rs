@@ -1,6 +1,7 @@
-//! Golden digests for the paper's own experiments: the text of
-//! Figures 1–4 and Tables Ia, Ib and II as `repro` prints it, and the
-//! raw per-run records behind the tables.
+//! Golden digests for every `repro` experiment: the text of Figures
+//! 1–4, Tables Ia, Ib and II and the extensions (`compare`, `ablate`,
+//! `noise-sweep`, `scaling`, `energy`, `uls`) as `repro` prints it, and
+//! the raw per-run records behind the tables.
 //!
 //! Every experiment runs at one repetition and a fixed seed. The
 //! experiment functions return their report without the wall-clock
@@ -96,6 +97,56 @@ fn table2() {
         &experiments::table2(&opts()),
         0x5d73_9001_b8be_94dc,
     );
+}
+
+#[test]
+fn compare() {
+    check(
+        "compare",
+        &experiments::compare(&opts()),
+        0xaa1d_0c79_d710_9d42,
+    );
+}
+
+#[test]
+fn ablate() {
+    check(
+        "ablate",
+        &experiments::ablate(&opts()),
+        0x96f1_c1f6_a193_5e30,
+    );
+}
+
+#[test]
+fn noise_sweep() {
+    check(
+        "noise_sweep",
+        &experiments::noise_sweep(&opts()),
+        0x7217_7b85_3811_f478,
+    );
+}
+
+#[test]
+fn scaling() {
+    check(
+        "scaling",
+        &experiments::scaling(&opts()),
+        0x8e29_3b38_3a70_cc3a,
+    );
+}
+
+#[test]
+fn energy() {
+    check(
+        "energy",
+        &experiments::energy(&opts()),
+        0x549b_efc8_1223_ffec,
+    );
+}
+
+#[test]
+fn uls() {
+    check("uls", &experiments::uls(&opts()), 0xf3b3_6f2a_63a6_3579);
 }
 
 /// One line per run of every NAS configuration under both schedulers,
