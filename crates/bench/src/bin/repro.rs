@@ -1,40 +1,44 @@
-//! `repro` — regenerate every table and figure of the paper.
+//! `repro` — regenerate every table and figure of the paper, plus the
+//! five extensions.
 //!
 //! ```text
 //! repro <experiment> [--reps N] [--seed S] [--out DIR]
-//!
-//! experiments:
-//!   fig1        preemption-delay timeline (Figure 1 mechanism)
-//!   fig2        ep.A.8 time histogram, standard Linux (Figure 2)
-//!   fig3a       time vs CPU migrations scatter (Figure 3a)
-//!   fig3b       time vs context switches scatter (Figure 3b)
-//!   fig4        ep.A.8 time histogram, RT scheduler (Figure 4)
-//!   table1a     scheduler noise counters, standard Linux (Table Ia)
-//!   table1b     scheduler noise counters, HPL (Table Ib)
-//!   table2      execution times std vs HPL (Table II)
-//!   compare     paper-vs-measured side-by-side (all three tables)
-//!   ablate      scheduler-variant ablations (extension)
-//!   noise-sweep injection sensitivity (extension)
-//!   resonance   multi-node amplification (extension)
-//!   energy      power-dimension accounting (extension)
-//!   scaling     strong-scaling study (extension)
-//!   topo-ablate migration cost vs cache sharing (extension)
-//!   lwk         HPL vs idealised lightweight kernel (extension)
-//!   coschedule  two jobs sharing one node (extension)
-//!   uls         user-level scheduler comparison (extension)
-//!   irq         interrupt-noise boundary study (extension)
-//!   all         everything above, in order
 //! ```
 //!
-//! The paper uses 1000 repetitions; the default here is 100 (pass
-//! `--reps 1000` to match — statistics converge long before that).
+//! `repro` with no arguments lists the experiments (described in the
+//! `hpl-bench` crate docs); `all` runs them in order. The paper uses
+//! 1000 repetitions; the default here is 100 (pass `--reps 1000` to
+//! match — statistics converge long before that).
 
 use hpl_bench::experiments::{self, ExpOpts, Fig3Panel};
 
+/// An experiment's entry point: options in, report out.
+type Experiment = fn(&ExpOpts) -> String;
+
+/// Every experiment, in `all` order. Drives dispatch, `all` and the
+/// usage text.
+const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("fig1", experiments::fig1),
+    ("fig2", experiments::fig2),
+    ("fig3a", |o| experiments::fig3(o, Fig3Panel::Migrations)),
+    ("fig3b", |o| experiments::fig3(o, Fig3Panel::Switches)),
+    ("fig4", experiments::fig4),
+    ("table1a", |o| experiments::table1(o, false)),
+    ("table1b", |o| experiments::table1(o, true)),
+    ("table2", experiments::table2),
+    ("compare", experiments::compare),
+    ("ablate", experiments::ablate),
+    ("noise-sweep", experiments::noise_sweep),
+    ("energy", experiments::energy),
+    ("scaling", experiments::scaling),
+    ("uls", experiments::uls),
+];
+
 fn usage() -> ! {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
     eprintln!(
-        "usage: repro <fig1|fig2|...|table2|ablate|noise-sweep|resonance|energy|scaling|all> \
-         [--reps N] [--seed S] [--out DIR]"
+        "usage: repro <{}|all> [--reps N] [--seed S] [--out DIR]",
+        names.join("|")
     );
     std::process::exit(2)
 }
@@ -72,69 +76,30 @@ fn main() {
         i += 1;
     }
     let which = which.unwrap_or_else(|| usage());
+    let selected: Vec<_> = if which == "all" {
+        EXPERIMENTS.iter().collect()
+    } else {
+        match EXPERIMENTS.iter().find(|(name, _)| *name == which) {
+            Some(exp) => vec![exp],
+            None => usage(),
+        }
+    };
     if opts.reps == 0 {
         eprintln!("error: --reps must be at least 1");
         std::process::exit(2);
     }
 
-    let run = |name: &str, opts: &ExpOpts| -> String {
+    for (name, run) in selected {
+        if which == "all" {
+            println!("{:=^78}", format!(" {name} "));
+        }
         let start = std::time::Instant::now();
-        let body = match name {
-            "fig1" => experiments::fig1(opts),
-            "fig2" => experiments::fig2(opts),
-            "fig3a" => experiments::fig3(opts, Fig3Panel::Migrations),
-            "fig3b" => experiments::fig3(opts, Fig3Panel::Switches),
-            "fig4" => experiments::fig4(opts),
-            "table1a" => experiments::table1(opts, false),
-            "table1b" => experiments::table1(opts, true),
-            "table2" => experiments::table2(opts),
-            "compare" => experiments::compare(opts),
-            "ablate" => experiments::ablate(opts),
-            "noise-sweep" => experiments::noise_sweep(opts),
-            "resonance" => experiments::resonance(opts),
-            "energy" => experiments::energy(opts),
-            "scaling" => experiments::scaling(opts),
-            "topo-ablate" => experiments::topo_ablate(opts),
-            "lwk" => experiments::lwk(opts),
-            "coschedule" => experiments::coschedule(opts),
-            "uls" => experiments::uls(opts),
-            "irq" => experiments::irq(opts),
-            _ => usage(),
-        };
-        format!(
+        let body = run(&opts);
+        println!(
             "{body}\n[{name}: {:.1}s wall, reps={}, seed={}]\n",
             start.elapsed().as_secs_f64(),
             opts.reps,
             opts.seed
-        )
-    };
-
-    if which == "all" {
-        for name in [
-            "fig1",
-            "fig2",
-            "fig3a",
-            "fig3b",
-            "fig4",
-            "table1a",
-            "table1b",
-            "table2",
-            "compare",
-            "ablate",
-            "noise-sweep",
-            "resonance",
-            "energy",
-            "scaling",
-            "topo-ablate",
-            "lwk",
-            "coschedule",
-            "uls",
-            "irq",
-        ] {
-            println!("{:=^78}", format!(" {name} "));
-            println!("{}", run(name, &opts));
-        }
-    } else {
-        println!("{}", run(&which, &opts));
+        );
     }
 }

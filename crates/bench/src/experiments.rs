@@ -1,20 +1,18 @@
-//! One function per paper table/figure (plus the extensions).
+//! One function per paper table/figure, plus the five extensions.
 //!
 //! Each experiment returns a report string; the `repro` binary prints it
 //! and optionally writes raw CSV next to it. Repetition counts default to
 //! a laptop-friendly 100 (the paper uses 1000; pass `--reps 1000` to
 //! match exactly — every statistic here converges well before that).
 
-use crate::harness::{run_many, NoiseKind, RunConfig, Scheduler};
+use crate::harness::{build_node, run_many, NoiseKind, RunConfig, Scheduler, MAX_EVENTS};
 use crate::report;
-use hpl_cluster::{compare_configs, EmpiricalDist, ResonanceModel};
-use hpl_kernel::noise::NoiseProfile;
 use hpl_kernel::NodeBuilder;
-use hpl_mpi::{launch, JobSpec, MpiOp, SchedMode};
+use hpl_mpi::{launch, SchedMode};
 use hpl_perf::RunTable;
 use hpl_sim::plot::{render_histogram, render_scatter, to_csv};
 use hpl_sim::stats::{Histogram, Summary};
-use hpl_sim::{Rng, SimDuration};
+use hpl_sim::SimDuration;
 use hpl_topology::Topology;
 use hpl_workloads::micro::noise_probe_job;
 use hpl_workloads::{nas_job, NasBenchmark, NasClass};
@@ -524,80 +522,6 @@ pub fn noise_sweep(opts: &ExpOpts) -> String {
 }
 
 // -------------------------------------------------------------------
-// Extension A — multi-node noise resonance
-// -------------------------------------------------------------------
-
-/// Noise resonance at cluster scale: per-phase distributions measured on
-/// the single-node simulator (std vs HPL), amplified by the
-/// max-over-nodes model of `hpl-cluster`.
-pub fn resonance(opts: &ExpOpts) -> String {
-    let mut out = String::from(
-        "Noise resonance — projected slowdown vs node count\n\
-         (per-phase times measured on the single-node simulator)\n\n",
-    );
-    // Measure per-phase (iteration) durations with a barrier probe.
-    let phase_times = |sched: Scheduler, mode: SchedMode| -> Vec<f64> {
-        let mut samples = Vec::new();
-        let n_nodes_measured = opts.reps.clamp(5, 40);
-        for rep in 0..n_nodes_measured {
-            let seed = Rng::for_run(opts.seed ^ 0xC0FFEE, rep as u64).next_u64();
-            let job = noise_probe_job(8, 40, SimDuration::from_millis(5));
-            let barrier = job.barrier_id();
-            let mut node = match sched {
-                Scheduler::Hpl => hpl_core::hpl_node_builder(Topology::power6_js22())
-                    .with_noise(NoiseProfile::standard(8))
-                    .with_seed(seed)
-                    .build(),
-                _ => NodeBuilder::new(Topology::power6_js22())
-                    .with_noise(NoiseProfile::standard(8))
-                    .with_seed(seed)
-                    .build(),
-            };
-            node.run_for(SimDuration::from_millis(400));
-            let handle = launch(&mut node, &job, mode);
-            let mut last_gen = node.sync.barrier_generation(barrier);
-            let mut last_t = node.now();
-            while node.tasks.get(handle.perf_pid).state != hpl_kernel::TaskState::Dead {
-                assert!(node.step());
-                let gen = node.sync.barrier_generation(barrier);
-                if gen > last_gen {
-                    // Skip the init and finalize barrier crossings (first
-                    // and last generations) — they are not compute phases.
-                    if last_gen > 0 {
-                        samples.push(node.now().since(last_t).as_secs_f64());
-                    }
-                    last_gen = gen;
-                    last_t = node.now();
-                }
-            }
-        }
-        samples
-    };
-    let std_samples = phase_times(Scheduler::StandardLinux, SchedMode::Cfs);
-    let hpl_samples = phase_times(Scheduler::Hpl, SchedMode::Hpc);
-    let phases = 500;
-    let std_model = ResonanceModel::new(EmpiricalDist::new(std_samples), phases);
-    let hpl_model = ResonanceModel::new(EmpiricalDist::new(hpl_samples), phases);
-    let nodes = [1u32, 4, 16, 64, 256, 1024, 4096];
-    let rows = compare_configs(&std_model, &hpl_model, &nodes, 30, opts.seed);
-    let _ = writeln!(
-        out,
-        "{:>6} | {:>12} | {:>12} | {:>8}",
-        "nodes", "std time (s)", "hpl time (s)", "std/hpl"
-    );
-    for (n, a, b) in rows {
-        let _ = writeln!(out, "{n:>6} | {a:>12.3} | {b:>12.3} | {:>8.2}", a / b);
-    }
-    let _ = writeln!(
-        out,
-        "\nPer-node noise that is marginal at N=1 compounds at scale: every\n\
-         phase waits for the unluckiest node (the paper's §II 'noise\n\
-         resonance'; cf. Petrini et al.'s 1.87x at 8k processors)."
-    );
-    out
-}
-
-// -------------------------------------------------------------------
 // Extension E — strong scaling (the paper's §III motivation)
 // -------------------------------------------------------------------
 
@@ -665,264 +589,6 @@ pub fn scaling(opts: &ExpOpts) -> String {
 }
 
 // -------------------------------------------------------------------
-// Extension G — HPL vs an idealised lightweight kernel
-// -------------------------------------------------------------------
-
-/// The paper's thesis is that a customised monolithic kernel can
-/// "behave like a micro-kernel". This experiment quantifies the residual
-/// gap: ep.A.8 and cg.A.8 under (a) standard Linux with daemons, (b) HPL
-/// with the same daemons, and (c) an idealised CNK-style lightweight
-/// kernel — no daemons, tickless, static placement. HPL should land
-/// within a fraction of a percent of (c) despite hosting the full
-/// daemon population.
-pub fn lwk(opts: &ExpOpts) -> String {
-    let mut out =
-        String::from("HPL vs lightweight kernel — residual noise of a full Linux stack\n\n");
-    let _ = writeln!(
-        out,
-        "{:>8} | {:>14} | {:>10} | {:>10} | {:>8} | {:>9}",
-        "bench", "kernel", "min (s)", "avg (s)", "var %", "vs LWK"
-    );
-    let reps = opts.reps.clamp(5, 200);
-    for (bench, class) in [
-        (NasBenchmark::Ep, NasClass::A),
-        (NasBenchmark::Cg, NasClass::A),
-    ] {
-        let mut lwk_avg = None;
-        for (name, sched, mode, noise) in [
-            (
-                "lwk (quiet)",
-                Scheduler::Lwk,
-                SchedMode::Hpc,
-                NoiseKind::Quiet,
-            ),
-            ("hpl", Scheduler::Hpl, SchedMode::Hpc, NoiseKind::Standard),
-            (
-                "std-linux",
-                Scheduler::StandardLinux,
-                SchedMode::Cfs,
-                NoiseKind::Standard,
-            ),
-        ] {
-            let cfg = RunConfig::new(
-                format!("{}.{}.8-{name}", bench.name(), class.name()),
-                nas_job(bench, class, 8),
-                mode,
-                sched,
-            )
-            .with_reps(reps)
-            .with_seed(opts.seed)
-            .with_noise(noise);
-            let t = run_many(&cfg).time_summary();
-            let base = *lwk_avg.get_or_insert(t.mean());
-            let _ = writeln!(
-                out,
-                "{:>8} | {:>14} | {:>10.3} | {:>10.3} | {:>8.2} | {:>+8.2}%",
-                format!("{}.{}", bench.name(), class.name()),
-                name,
-                t.min(),
-                t.mean(),
-                t.variation_pct(),
-                (t.mean() / base - 1.0) * 100.0
-            );
-        }
-        out.push('\n');
-    }
-    let _ = writeln!(
-        out,
-        "vs LWK = mean slowdown against the idealised lightweight kernel.\n\
-         HPL hosts the full daemon population yet tracks the LWK within a\n\
-         fraction of a percent — the paper's \"monolithic kernel that\n\
-         behaves like a micro-kernel\"."
-    );
-    out
-}
-
-// -------------------------------------------------------------------
-// Extension F — topology ablation (shared last-level cache)
-// -------------------------------------------------------------------
-
-/// The paper's POWER6 shares no cache between cores, so HPL judges that
-/// dynamic balancing "induced overheads exceed benefits" and disables it
-/// entirely. This ablation asks: how machine-specific is that judgement?
-/// The same workload runs on the js22 and on an x86-flavoured machine
-/// whose socket-wide L3 retains most of a migrated task's warmth.
-pub fn topo_ablate(opts: &ExpOpts) -> String {
-    let mut out = String::from("Topology ablation — migration cost vs cache sharing (cg.A.8)\n\n");
-    let _ = writeln!(
-        out,
-        "{:>22} | {:>10} | {:>10} | {:>10} | {:>8}",
-        "machine / scheduler", "min (s)", "avg (s)", "max (s)", "var %"
-    );
-    let reps = opts.reps.clamp(5, 120);
-    // Both machines have 8 hardware threads (2 sockets x 2 cores x 2
-    // SMT); they differ only in whether a socket-wide L3 exists, so any
-    // difference is purely the migration-cost model.
-    let with_l3 = Topology::new(
-        "x86ish-2s2c2t",
-        2,
-        2,
-        2,
-        vec![
-            hpl_topology::CacheLevel {
-                level: 1,
-                scope: hpl_topology::CacheScope::Core,
-                size_bytes: 64 * 1024,
-            },
-            hpl_topology::CacheLevel {
-                level: 3,
-                scope: hpl_topology::CacheScope::Socket,
-                size_bytes: 12 * 1024 * 1024,
-            },
-        ],
-    );
-    for (mname, topo) in [
-        ("power6-js22 (no L3)", Topology::power6_js22()),
-        ("x86ish-2s2c2t (shared L3)", with_l3),
-    ] {
-        for (sname, sched, mode) in [
-            ("std", Scheduler::StandardLinux, SchedMode::Cfs),
-            ("hpl", Scheduler::Hpl, SchedMode::Hpc),
-        ] {
-            let mut cfg = RunConfig::new(
-                format!("{mname}/{sname}"),
-                nas_job(NasBenchmark::Cg, NasClass::A, 8),
-                mode,
-                sched,
-            )
-            .with_reps(reps)
-            .with_seed(opts.seed);
-            cfg.topo = topo.clone();
-            let t = run_many(&cfg).time_summary();
-            let _ = writeln!(
-                out,
-                "{:>22}/{:<3} | {:>10.3} | {:>10.3} | {:>10.3} | {:>8.2}",
-                mname,
-                sname,
-                t.min(),
-                t.mean(),
-                t.max(),
-                t.variation_pct()
-            );
-        }
-    }
-    let _ = writeln!(
-        out,
-        "\nA shared L3 softens each migration (warmth partially survives), so\n\
-         standard Linux loses less on the xeon-flavoured machine — the paper's\n\
-         point that the balancing trade-off is a function of the topology,\n\
-         which is why HPL reads it from the machine description."
-    );
-    out
-}
-
-// -------------------------------------------------------------------
-// Extension H — co-scheduling two applications
-// -------------------------------------------------------------------
-
-/// Two 4-rank jobs sharing one node. The paper argues the OS should
-/// schedule *applications*, not processes; this experiment shows what
-/// that buys when applications must share: under CFS the two jobs'
-/// ranks interleave at millisecond granularity (every switch pays cache
-/// eviction), while the HPC class round-robins whole 100 ms slices, so
-/// each job runs long cache-warm bursts.
-pub fn coschedule(opts: &ExpOpts) -> String {
-    let mut out = String::from("Co-scheduling — two 8-rank jobs (ep-like) sharing one node\n\n");
-    let _ = writeln!(
-        out,
-        "{:>10} | {:>12} | {:>12} | {:>10} | {:>10}",
-        "scheduler", "job A (s)", "job B (s)", "switches", "fairness"
-    );
-    let reps = opts.reps.clamp(3, 40);
-    // Two full-width jobs: 16 ranks on 8 hardware threads force genuine
-    // time-sharing between the applications.
-    let mk_job = |base: u64| {
-        JobSpec::new(
-            8,
-            JobSpec::repeat(
-                8,
-                &[
-                    MpiOp::Compute {
-                        mean: SimDuration::from_millis(25),
-                    },
-                    MpiOp::Allreduce { bytes: 64 },
-                ],
-            ),
-        )
-        .with_id_base(base)
-    };
-    for (name, hpl_mode, mode) in [
-        ("std-cfs", false, SchedMode::Cfs),
-        ("hpl", true, SchedMode::Hpc),
-    ] {
-        let mut a_sum = 0.0;
-        let mut b_sum = 0.0;
-        let mut switches = 0u64;
-        for rep in 0..reps {
-            let seed = Rng::for_run(opts.seed ^ 0xC05C, rep as u64).next_u64();
-            let mut node = if hpl_mode {
-                hpl_core::hpl_node_builder(Topology::power6_js22())
-                    .with_noise(NoiseProfile::standard(8))
-                    .with_seed(seed)
-                    .build()
-            } else {
-                NodeBuilder::new(Topology::power6_js22())
-                    .with_noise(NoiseProfile::standard(8))
-                    .with_seed(seed)
-                    .build()
-            };
-            node.run_for(SimDuration::from_millis(400));
-            let mut session = hpl_perf::PerfSession::open(&node.counters, node.now());
-            let ha = launch(&mut node, &mk_job(0), mode);
-            let hb = launch(&mut node, &mk_job(1_000_000), mode);
-            assert!(node
-                .run_until_exit(ha.perf_pid, 40_000_000_000)
-                .is_complete());
-            assert!(node
-                .run_until_exit(hb.perf_pid, 40_000_000_000)
-                .is_complete());
-            session.close(&node.counters, node.now());
-            let ta = node
-                .tasks
-                .get(ha.mpiexec_pid)
-                .exited_at
-                .expect("job A done")
-                .since(ha.launched_at)
-                .as_secs_f64();
-            let tb = node
-                .tasks
-                .get(hb.mpiexec_pid)
-                .exited_at
-                .expect("job B done")
-                .since(hb.launched_at)
-                .as_secs_f64();
-            a_sum += ta;
-            b_sum += tb;
-            switches += session.delta().sw(hpl_perf::SwEvent::ContextSwitches);
-        }
-        let n = reps as f64;
-        let (ta, tb) = (a_sum / n, b_sum / n);
-        let _ = writeln!(
-            out,
-            "{:>10} | {:>12.3} | {:>12.3} | {:>10.0} | {:>10.3}",
-            name,
-            ta,
-            tb,
-            switches as f64 / n,
-            ta.min(tb) / ta.max(tb)
-        );
-    }
-    let _ = writeln!(
-        out,
-        "\nfairness = min/max of the two makespans (1.0 = perfectly even).\n\
-         With 16 ranks on 8 threads both kernels must time-share; the HPC\n\
-         class's coarse round-robin keeps caches warm, CFS's fine\n\
-         interleaving plus daemon traffic does not."
-    );
-    out
-}
-
-// -------------------------------------------------------------------
 // Extension I — user-level scheduler comparison (§IV / Catamount PCT)
 // -------------------------------------------------------------------
 
@@ -969,17 +635,20 @@ pub fn uls(opts: &ExpOpts) -> String {
     }
 
     // The user-level scheduler row needs a custom driver.
+    let uls_cfg = RunConfig::new(
+        "ep.A.8-uls",
+        job(),
+        SchedMode::Cfs,
+        Scheduler::StandardLinux,
+    )
+    .with_seed(opts.seed ^ 0x0715);
     let mut times = Vec::new();
     let mut migs = Vec::new();
     for rep in 0..reps {
-        let seed = Rng::for_run(opts.seed ^ 0x0715, rep as u64).next_u64();
-        let mut node = NodeBuilder::new(Topology::power6_js22())
-            .with_noise(NoiseProfile::standard(8))
-            .with_seed(seed)
-            .build();
-        node.run_for(SimDuration::from_millis(400));
+        let mut node = build_node(&uls_cfg, rep as u64);
+        node.run_for(uls_cfg.warmup);
         let mut session = hpl_perf::PerfSession::open(&node.counters, node.now());
-        let handle = launch(&mut node, &job(), SchedMode::Cfs);
+        let handle = launch(&mut node, &uls_cfg.job, uls_cfg.mode);
         // Wait for all ranks to exist, then start the manager.
         node.run_for(SimDuration::from_millis(5));
         let ranks: Vec<Pid> = node
@@ -1015,7 +684,7 @@ pub fn uls(opts: &ExpOpts) -> String {
             hpl_kernel::Policy::Normal { nice: -5 },
             manager,
         ));
-        let exec = handle.run_to_completion(&mut node, 40_000_000_000);
+        let exec = handle.run_to_completion(&mut node, MAX_EVENTS);
         session.close(&node.counters, node.now());
         times.push(exec.as_secs_f64());
         migs.push(session.delta().sw(hpl_perf::SwEvent::CpuMigrations) as f64);
@@ -1037,85 +706,6 @@ pub fn uls(opts: &ExpOpts) -> String {
          migrations and cold caches; §IV: user-level scheduling pays \"repeated\n\
          system call invocations\" and still races the kernel's own scheduler,\n\
          while HPL does the same job below the syscall boundary."
-    );
-    out
-}
-
-// -------------------------------------------------------------------
-// Extension J — interrupt noise (the limit of scheduler-level fixes)
-// -------------------------------------------------------------------
-
-/// Device interrupts preempt every scheduling class, so HPL cannot hide
-/// them — the boundary of the paper's approach, and the reason the
-/// related work (Mann & Mittal) reaches for interrupt *redirection*.
-/// This experiment puts a NIC-style IRQ load on the node three ways:
-/// default Linux routing (everything to cpu0), irqbalance-style spread,
-/// and redirected to one SMT thread left idle by running only 7 ranks —
-/// the Mann & Mittal configuration.
-pub fn irq(opts: &ExpOpts) -> String {
-    use hpl_kernel::noise::IrqSpec;
-    use hpl_topology::{CpuId, CpuMask};
-    let mut out = String::from("Interrupt noise — 8 kHz x 15 us NIC-style IRQ load (ep.A)\n\n");
-    let _ = writeln!(
-        out,
-        "{:>10} | {:>22} | {:>10} | {:>10} | {:>8}",
-        "scheduler", "irq routing", "min (s)", "avg (s)", "var %"
-    );
-    let reps = opts.reps.clamp(5, 60);
-    let spec = |mask: CpuMask| IrqSpec {
-        rate_hz: 8000.0,
-        cost: SimDuration::from_micros(15),
-        affinity: mask,
-    };
-    for (sname, sched, mode) in [
-        ("std-cfs", Scheduler::StandardLinux, SchedMode::Cfs),
-        ("hpl", Scheduler::Hpl, SchedMode::Hpc),
-    ] {
-        for (rname, mask, nprocs) in [
-            ("cpu0 (default)", CpuMask::single(CpuId(0)), 8u32),
-            ("spread (irqbalance)", CpuMask::first_n(8), 8),
-            ("redirected, 7 ranks", CpuMask::single(CpuId(1)), 7),
-        ] {
-            let noise = NoiseProfile::standard(8).with_irq(spec(mask));
-            let job = nas_job(NasBenchmark::Ep, NasClass::A, nprocs);
-            // The harness's NoiseKind cannot carry an IrqSpec, so drive
-            // the repetitions directly.
-            let mut times = Vec::new();
-            for rep in 0..reps {
-                let seed = Rng::for_run(opts.seed ^ 0x1209, rep as u64).next_u64();
-                let mut node = match sched {
-                    Scheduler::Hpl => hpl_core::hpl_node_builder(Topology::power6_js22()),
-                    _ => NodeBuilder::new(Topology::power6_js22()),
-                }
-                .with_noise(noise.clone())
-                .with_seed(seed)
-                .build();
-                node.run_for(SimDuration::from_millis(400));
-                let handle = launch(&mut node, &job, mode);
-                times.push(
-                    handle
-                        .run_to_completion(&mut node, 40_000_000_000)
-                        .as_secs_f64(),
-                );
-            }
-            let ts = hpl_sim::stats::Summary::from_slice(&times);
-            let _ = writeln!(
-                out,
-                "{:>10} | {:>22} | {:>10.3} | {:>10.3} | {:>8.2}",
-                sname,
-                rname,
-                ts.min(),
-                ts.mean(),
-                ts.variation_pct()
-            );
-        }
-    }
-    let _ = writeln!(
-        out,
-        "\nIRQs outrank every class: HPL gains nothing against cpu0-routed\n\
-         interrupts. Redirecting them to a dedicated thread (and giving up\n\
-         one rank) removes the noise at a capacity price — Mann & Mittal's\n\
-         trade, orthogonal to the paper's scheduler fix."
     );
     out
 }
@@ -1147,31 +737,24 @@ pub fn energy(opts: &ExpOpts) -> String {
         ("hpl", Scheduler::Hpl, SchedMode::Hpc),
         ("hpl-tickless", Scheduler::HplTickless, SchedMode::Hpc),
     ] {
+        let cfg = RunConfig::new(
+            format!("ep.A.8-{name}"),
+            nas_job(NasBenchmark::Ep, NasClass::A, 8),
+            mode,
+            sched,
+        )
+        .with_seed(opts.seed ^ 0xE0E0);
         let mut time_sum = 0.0;
         let mut joules = 0.0;
         let mut watts = 0.0;
         let mut util = 0.0;
         let mut edp = 0.0;
         for rep in 0..reps {
-            let seed = Rng::for_run(opts.seed ^ 0xE0E0, rep as u64).next_u64();
-            let mut node = match sched {
-                Scheduler::Hpl => hpl_core::hpl_node_builder(Topology::power6_js22()),
-                Scheduler::HplTickless => {
-                    let mut kc = hpl_kernel::KernelConfig::hpl();
-                    kc.tickless_single_hpc = true;
-                    NodeBuilder::new(Topology::power6_js22())
-                        .with_config(kc)
-                        .with_hpc_class(Box::new(hpl_core::HplClass::new()))
-                }
-                _ => NodeBuilder::new(Topology::power6_js22()),
-            }
-            .with_noise(NoiseProfile::standard(8))
-            .with_seed(seed)
-            .build();
-            node.run_for(SimDuration::from_millis(400));
+            let mut node = build_node(&cfg, rep as u64);
+            node.run_for(cfg.warmup);
             let mut session = hpl_perf::PerfSession::open(&node.counters, node.now());
-            let handle = launch(&mut node, &nas_job(NasBenchmark::Ep, NasClass::A, 8), mode);
-            let exec = handle.run_to_completion(&mut node, 40_000_000_000);
+            let handle = launch(&mut node, &cfg.job, cfg.mode);
+            let exec = handle.run_to_completion(&mut node, MAX_EVENTS);
             session.close(&node.counters, node.now());
             let busy = session.delta().hw(hpl_perf::HwEvent::BusyNs);
             let wall = SimDuration::from_secs_f64(session.elapsed_secs());

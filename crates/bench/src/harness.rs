@@ -29,12 +29,6 @@ pub enum Scheduler {
     /// Ablation: HPL plus NETTICK-style tickless operation for lone HPC
     /// tasks (the paper's projected further improvement).
     HplTickless,
-    /// An idealised lightweight kernel in the CNK mould: the HPC class,
-    /// no balancing, tickless, and (by convention — pair it with
-    /// [`NoiseKind::Quiet`]) no daemons at all. The yardstick for the
-    /// paper's "monolithic kernel that behaves like a micro-kernel"
-    /// claim.
-    Lwk,
 }
 
 /// Which daemon population the node runs.
@@ -44,8 +38,6 @@ pub enum NoiseKind {
     Standard,
     /// No daemons at all (idealised floor).
     Quiet,
-    /// Standard scaled by a factor (sensitivity sweeps).
-    Scaled(f64),
     /// Ferreira-style injection: per-CPU daemons with fixed
     /// period/duration.
     Injection {
@@ -61,7 +53,6 @@ impl NoiseKind {
         match self {
             NoiseKind::Standard => NoiseProfile::standard(ncpus),
             NoiseKind::Quiet => NoiseProfile::quiet(),
-            NoiseKind::Scaled(f) => NoiseProfile::standard(ncpus).scaled(*f),
             NoiseKind::Injection { period, duration } => {
                 hpl_workloads::micro::injection_profile(ncpus, *period, *duration)
             }
@@ -156,13 +147,16 @@ impl RunConfig {
     }
 }
 
-fn build_node(cfg: &RunConfig, seed: u64) -> Node {
+/// Boot repetition `rep`'s node: the kernel flavour, daemons and
+/// topology of `cfg`, seeded from stream `(cfg.base_seed, rep)`.
+pub(crate) fn build_node(cfg: &RunConfig, rep: u64) -> Node {
+    let seed = Rng::for_run(cfg.base_seed, rep).next_u64();
     let noise = cfg.noise.profile(cfg.topo.total_cpus());
     let (mut kc, hpc_class) = match cfg.scheduler {
         Scheduler::StandardLinux => (KernelConfig::default(), false),
         Scheduler::Hpl => (KernelConfig::hpl(), true),
         Scheduler::HplBalanceOn => (KernelConfig::default(), true),
-        Scheduler::HplTickless | Scheduler::Lwk => {
+        Scheduler::HplTickless => {
             let mut kc = KernelConfig::hpl();
             kc.tickless_single_hpc = true;
             (kc, true)
@@ -181,15 +175,14 @@ fn build_node(cfg: &RunConfig, seed: u64) -> Node {
 
 /// Upper bound on events per repetition (hang guard): generous multiple
 /// of the tick count for the longest plausible run.
-const MAX_EVENTS: u64 = 40_000_000_000;
+pub(crate) const MAX_EVENTS: u64 = 40_000_000_000;
 
 /// Execute one repetition. A repetition that deadlocks or exhausts its
 /// event budget is *recorded*, not panicked on: its [`RunRecord`]
 /// carries the failed [`hpl_perf::RunOutcome`] and the wall time up to
 /// the stop, so sweeps keep aggregating and reports can flag the rep.
 pub fn run_once(cfg: &RunConfig, rep: u64) -> RunRecord {
-    let seed = Rng::for_run(cfg.base_seed, rep).next_u64();
-    let mut node = build_node(cfg, seed);
+    let mut node = build_node(cfg, rep);
     node.run_for(cfg.warmup);
     // Observer attached after warmup so the registry covers the same
     // window as the perf session.
@@ -345,7 +338,6 @@ mod tests {
             Scheduler::Hpl,
             Scheduler::HplBalanceOn,
             Scheduler::HplTickless,
-            Scheduler::Lwk,
         ] {
             let mode = match s {
                 Scheduler::StandardLinux => SchedMode::Cfs,

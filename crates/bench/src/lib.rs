@@ -1,6 +1,7 @@
 //! # hpl-bench — the experiment harness
 //!
-//! Regenerates every table and figure of the paper:
+//! Regenerates every table and figure of the paper, a paper-vs-measured
+//! comparison and five extensions:
 //!
 //! | Experiment | Paper artefact | Function |
 //! |---|---|---|
@@ -10,9 +11,12 @@
 //! | `fig4`     | ep.A.8 histogram, RT scheduler | [`experiments::fig4`] |
 //! | `table1a/b`| scheduler noise counters | [`experiments::table1`] |
 //! | `table2`   | execution times std vs HPL | [`experiments::table2`] |
+//! | `compare`  | paper vs measured, Tables Ia/Ib/II | [`experiments::compare`] |
 //! | `ablate`   | design-choice ablations | [`experiments::ablate`] |
 //! | `noise-sweep` | injection sensitivity | [`experiments::noise_sweep`] |
-//! | `resonance`| multi-node amplification | [`experiments::resonance`] |
+//! | `energy`   | power and energy-delay product | [`experiments::energy`] |
+//! | `scaling`  | strong scaling, 1–8 ranks | [`experiments::scaling`] |
+//! | `uls`      | user-level re-pinning vs HPL | [`experiments::uls`] |
 //!
 //! [`harness`] drives repetitions (deterministic per `(seed, rep)`,
 //! parallelised across host threads); [`report`] renders the paper-style

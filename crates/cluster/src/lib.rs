@@ -246,39 +246,6 @@ impl ResonanceModel {
         }
         acc * self.phases as f64
     }
-
-    /// Slowdown factor vs the noise-free time, for each node count.
-    pub fn slowdown_curve(&self, nodes: &[u32], reps: u32, seed: u64) -> Vec<(u32, f64)> {
-        let ideal = self.ideal_time();
-        nodes
-            .iter()
-            .map(|&n| (n, self.expected_time(n, reps, seed) / ideal))
-            .collect()
-    }
-}
-
-/// Compare two per-node configurations across node counts — e.g. a noisy
-/// full-capacity node against a de-noised node with a capacity penalty
-/// (one core given to the OS: per-phase times scaled by `p/(p−1)` but the
-/// noise tail clipped). Returns `(nodes, time_a, time_b)` rows; the
-/// crossover where `b` wins is the paper's §II / Petrini effect.
-pub fn compare_configs(
-    a: &ResonanceModel,
-    b: &ResonanceModel,
-    nodes: &[u32],
-    reps: u32,
-    seed: u64,
-) -> Vec<(u32, f64, f64)> {
-    nodes
-        .iter()
-        .map(|&n| {
-            (
-                n,
-                a.expected_time(n, reps, seed),
-                b.expected_time(n, reps, seed ^ 0x9E37_79B9),
-            )
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -325,7 +292,10 @@ mod tests {
     #[test]
     fn slowdown_grows_with_node_count() {
         let m = ResonanceModel::new(noisy(), 50);
-        let curve = m.slowdown_curve(&[1, 16, 256, 4096], 40, 7);
+        let curve: Vec<(u32, f64)> = [1, 16, 256, 4096]
+            .into_iter()
+            .map(|n| (n, m.expected_time(n, 40, 7) / m.ideal_time()))
+            .collect();
         for w in curve.windows(2) {
             assert!(w[1].1 >= w[0].1, "slowdown must be monotone: {curve:?}");
         }
@@ -341,9 +311,15 @@ mod tests {
         // donated to the OS) but tail-free — the Petrini trade.
         let a = ResonanceModel::new(noisy(), 50);
         let b = ResonanceModel::new(noisy().clipped_at_quantile(0.94).scaled(8.0 / 7.0), 50);
-        let rows = compare_configs(&a, &b, &[1, 4096], 40, 11);
-        let (_, a1, b1) = rows[0];
-        let (_, a4k, b4k) = rows[1];
+        let (seed_a, seed_b) = (11, 11 ^ 0x9E37_79B9);
+        let (a1, b1) = (
+            a.expected_time(1, 40, seed_a),
+            b.expected_time(1, 40, seed_b),
+        );
+        let (a4k, b4k) = (
+            a.expected_time(4096, 40, seed_a),
+            b.expected_time(4096, 40, seed_b),
+        );
         assert!(b1 > a1, "at one node the capacity loss dominates");
         assert!(b4k < a4k, "at scale the tail dominates");
         // Amplification factor a4k/b4k in the Petrini ballpark (>1.5x).

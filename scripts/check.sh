@@ -41,6 +41,9 @@ cargo test -q --release -p hpl-kernel --test hot_path_golden
 echo "== paper-experiment golden digests (release: figures, tables, per-run records) =="
 cargo test -q --release -p hpl-bench --test paper_golden
 
+echo "== repro, every experiment through the binary (one repetition each) =="
+cargo run --release -q -p hpl-bench --bin repro -- all --reps 1 >/dev/null
+
 echo "== batch engine golden digests (release: job completion read where the benchmark runs) =="
 cargo test -q --release -p hpl-batch --test engine_golden
 
@@ -93,6 +96,6 @@ echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== rustdoc (deny warnings: broken or ambiguous doc links) =="
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --exclude proptest --exclude criterion
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --exclude proptest
 
 echo "all checks passed"
