@@ -10,7 +10,7 @@
 //! scheduling laboratory:
 //!
 //! * [`BatchTrace`] — replayable job streams: seeded synthetic arrival
-//!   processes and a round-trippable `batch-trace v1` text format;
+//!   processes and Standard Workload Format logs ([`SwfTrace`]);
 //! * [`AllocPolicy`] — the pluggable allocation policy trait, with
 //!   [`Fcfs`], [`EasyBackfill`] (head-job reservation + audited shadow-
 //!   window backfilling), [`Oversubscribed`] (two jobs per node, the

@@ -496,17 +496,18 @@ const CONSERVATIVE_DEPTH: usize = 32;
 /// classic one: EASY protects only the head job's start time,
 /// conservative protects every queued job's.
 ///
-/// Reservation planning is O(queue × nodes × profile events) and is
-/// memoized: the plan is recomputed only when the queue, the running
-/// set, occupancy or node health changes, or when the clock crosses a
-/// running job's estimated end (which can reorder the availability
-/// profile).
+/// Reservation planning is O(queue × nodes × profile events) and runs
+/// on every `select`; the engine calls `select` only when the queue,
+/// occupancy or node health changed, or when the clock reaches
+/// [`AllocPolicy::next_decision`] — the next running job's estimated
+/// end after a pass that admitted nothing (an estimate crossing can
+/// reorder the availability profile).
 #[derive(Debug, Default)]
 pub struct ConservativeBackfill {
     decisions: AuditLog<ReservationDecision>,
-    /// Memo of the last plan that admitted nothing: the fingerprint of
-    /// its view and the clock horizon it stays valid for.
-    memo: Option<(u64, SimTime)>,
+    /// After a pass that admitted nothing, the next running job's
+    /// estimated end; `None` after an admission or with nothing running.
+    horizon: Option<SimTime>,
 }
 
 impl ConservativeBackfill {
@@ -597,34 +598,6 @@ impl ConservativeBackfill {
         }
         plans
     }
-
-    /// Fingerprint of everything the plan depends on except the bare
-    /// clock (FNV-1a). Clock crossings of running estimates are handled
-    /// by the memo horizon instead.
-    fn view_fingerprint(&self, queue: &[QueuedJob], view: &ClusterView) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x100000001b3);
-        };
-        mix(queue.len() as u64);
-        for q in queue.iter().take(CONSERVATIVE_DEPTH) {
-            mix(q.id as u64);
-            mix(q.nodes as u64);
-            mix(q.est_runtime.as_nanos());
-        }
-        for r in &view.running {
-            mix(r.id as u64);
-            mix(r.est_end.as_nanos());
-            for &n in &r.placement {
-                mix(n as u64);
-            }
-        }
-        for (n, &occ) in view.occupancy.iter().enumerate() {
-            mix(((occ as u64) << 1) | view.down[n] as u64);
-        }
-        h
-    }
 }
 
 impl AllocPolicy for ConservativeBackfill {
@@ -635,16 +608,6 @@ impl AllocPolicy for ConservativeBackfill {
     fn select(&mut self, queue: &[QueuedJob], view: &ClusterView) -> Option<Allocation> {
         if queue.is_empty() {
             return None;
-        }
-        let fp = self.view_fingerprint(queue, view);
-        if let Some((memo_fp, horizon)) = self.memo {
-            if memo_fp == fp && view.now < horizon {
-                // Same queue/running/occupancy and no estimate crossed:
-                // the last plan admitted nothing and still admits
-                // nothing (admissibility can only decay as time passes
-                // within a horizon).
-                return None;
-            }
         }
         let plans = self.plan(queue, view);
         for (qi, plan) in plans.iter().enumerate() {
@@ -665,33 +628,28 @@ impl AllocPolicy for ConservativeBackfill {
                     .collect(),
             };
             self.decisions.push(d);
-            self.memo = None;
+            self.horizon = None;
             return Some(Allocation {
                 queue_idx: qi,
                 placement: p.nodes.clone(),
             });
         }
-        // Nothing admissible: remember that until the view changes or
-        // the clock crosses the next running estimate.
-        let horizon = view
+        // Nothing admissible: replan when the clock crosses the next
+        // running estimate.
+        self.horizon = view
             .running
             .iter()
             .map(|r| r.est_end)
             .filter(|&e| e > view.now)
-            .min()
-            .unwrap_or(SimTime::MAX);
-        self.memo = Some((fp, horizon));
+            .min();
         None
     }
 
-    /// The memo horizon: until the clock crosses it, an unchanged view
-    /// is answered from the memo without replanning. No memo means the
-    /// last admission emptied the queue, and only a new submission can
-    /// give the planner work.
+    /// The horizon of the last pass that admitted nothing: the next
+    /// running estimate it could cross. After an admission the queue
+    /// changed, which triggers a pass of its own.
     fn next_decision(&self, _now: SimTime) -> Option<SimTime> {
-        self.memo
-            .map(|(_, horizon)| horizon)
-            .filter(|&h| h < SimTime::MAX)
+        self.horizon
     }
 
     fn audit(&self) -> AuditSummary {
@@ -1451,7 +1409,7 @@ mod tests {
     }
 
     #[test]
-    fn conservative_memo_invalidates_on_view_change() {
+    fn conservative_replans_on_view_change_and_estimate_crossing() {
         let running = vec![RunningJob {
             id: 9,
             placement: vec![0, 1],
@@ -1461,23 +1419,24 @@ mod tests {
         let queue = [qj(0, 4, 1_000), qj(1, 2, 100_000)];
         let mut p = ConservativeBackfill::new();
         assert!(p.select(&queue, &v).is_none());
-        // Same view again: memoized None.
+        // Nothing admitted: the next decision is job 9's estimated end.
+        assert_eq!(p.next_decision(v.now), Some(t(10_000)));
+        // Same view again: the replan still admits nothing.
         assert!(p.select(&queue, &v).is_none());
         // Running job finished early: nodes free, head admissible.
         let v2 = view(&[0, 0, 0, 0], vec![]);
         let a = p.select(&queue, &v2).unwrap();
         assert_eq!(a.queue_idx, 0);
-        // Memo horizon: same fingerprint but clock past the estimate
-        // crossing must replan rather than reuse the None.
+        assert_eq!(p.next_decision(v2.now), None);
+        // Clock past the estimate with the view otherwise unchanged.
         let mut p = ConservativeBackfill::new();
         assert!(p.select(&queue, &v).is_none());
         let mut v3 = view(&[1, 1, 0, 0], running);
         v3.now = t(10_001);
         // Job 9 overran its estimate; occupied nodes are busy until
-        // "just after now", so the 4-wide head still can't start — but
-        // the replan must actually run (no stale memo panic/false
-        // admit). The observable: still None, and a subsequent free
-        // view admits.
+        // "just after now", so the 4-wide head still can't start (no
+        // false admit). The observable: still None, and a subsequent
+        // free view admits.
         assert!(p.select(&queue, &v3).is_none());
         let a = p.select(&queue, &v2).unwrap();
         assert_eq!(a.queue_idx, 0);

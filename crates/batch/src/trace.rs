@@ -9,9 +9,8 @@
 //! * [`BatchTrace::synthetic`] — a seeded arrival process (exponential
 //!   inter-arrival times, mixed job widths) driven by the `hpl-sim`
 //!   [`Rng`], so every trace is replayable from `(seed, n, nodes)`;
-//! * hand-written text files in the round-trippable `batch-trace v1`
-//!   format ([`BatchTrace::to_text`] / [`BatchTrace::from_text`]),
-//!   mirroring the torture scenario format.
+//! * Standard Workload Format logs, mapped by
+//!   [`crate::SwfTrace::to_batch`].
 
 use hpl_sim::{Rng, SimDuration};
 
@@ -143,80 +142,6 @@ impl BatchTrace {
         }
         trace
     }
-
-    /// Serialise to the `batch-trace v2` text format: a header line then
-    /// one `job` line per submission, every field labelled. Whitespace-
-    /// and comment-tolerant on the way back in ([`Self::from_text`]),
-    /// which also still reads the pre-user/class `v1` lines.
-    pub fn to_text(&self) -> String {
-        let mut out = String::from("batch-trace v2\n");
-        for j in &self.jobs {
-            out.push_str(&format!(
-                "job {} submit {} nodes {} rpn {} iters {} compute {} bytes {} est {} user {} class {}\n",
-                j.id,
-                j.submit_ns,
-                j.nodes,
-                j.ranks_per_node,
-                j.iters,
-                j.compute_ns,
-                j.bytes,
-                j.est_runtime_ns,
-                j.user,
-                j.class
-            ));
-        }
-        out
-    }
-
-    /// Parse the `batch-trace v2` format (or `v1`, whose job lines
-    /// simply lack the trailing `user`/`class` fields — both default to
-    /// 0). Lines starting with `#` and blank lines are skipped; anything
-    /// else malformed is an error.
-    pub fn from_text(text: &str) -> Result<BatchTrace, String> {
-        let mut lines = text
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty() && !l.starts_with('#'));
-        let v2 = match lines.next() {
-            Some("batch-trace v1") => false,
-            Some("batch-trace v2") => true,
-            other => return Err(format!("bad header {other:?}")),
-        };
-        let want_toks = if v2 { 20 } else { 16 };
-        let mut jobs = Vec::new();
-        for line in lines {
-            let toks: Vec<&str> = line.split_whitespace().collect();
-            if toks.len() != want_toks || toks[0] != "job" {
-                return Err(format!("malformed job line {line:?}"));
-            }
-            let num = |label_idx: usize, label: &str| -> Result<u64, String> {
-                if toks[label_idx] != label {
-                    return Err(format!("expected {label:?} in {line:?}"));
-                }
-                toks[label_idx + 1]
-                    .parse::<u64>()
-                    .map_err(|_| format!("bad number for {label} in {line:?}"))
-            };
-            jobs.push(BatchJob {
-                id: num(0, "job")? as u32,
-                submit_ns: num(2, "submit")?,
-                nodes: num(4, "nodes")? as u32,
-                ranks_per_node: num(6, "rpn")? as u32,
-                iters: num(8, "iters")? as u32,
-                compute_ns: num(10, "compute")?,
-                bytes: num(12, "bytes")?,
-                est_runtime_ns: num(14, "est")?,
-                user: if v2 { num(16, "user")? as u32 } else { 0 },
-                class: if v2 { num(18, "class")? as u32 } else { 0 },
-            });
-        }
-        for j in &jobs {
-            if j.nodes == 0 || j.ranks_per_node == 0 || j.iters == 0 {
-                return Err(format!("job {} has a zero dimension", j.id));
-            }
-        }
-        Ok(BatchTrace { jobs })
-    }
 }
 
 #[cfg(test)]
@@ -241,42 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn text_round_trip() {
-        let t = BatchTrace::synthetic(3, 6, 4);
-        let text = t.to_text();
-        let back = BatchTrace::from_text(&text).expect("round trip parses");
-        assert_eq!(t, back);
-        assert_eq!(back.to_text(), text);
-    }
-
-    #[test]
-    fn from_text_accepts_comments_rejects_garbage() {
-        let ok = BatchTrace::from_text(
-            "# a comment\nbatch-trace v1\n\njob 0 submit 5 nodes 2 rpn 2 iters 3 compute 1000000 bytes 64 est 9000000\n",
-        )
-        .unwrap();
-        assert_eq!(ok.jobs.len(), 1);
-        assert_eq!(ok.jobs[0].nprocs(), 4);
-        assert_eq!((ok.jobs[0].user, ok.jobs[0].class), (0, 0), "v1 defaults");
-        assert!(BatchTrace::from_text("nope").is_err());
-        assert!(BatchTrace::from_text("batch-trace v1\njob 0 submit x").is_err());
-        assert!(BatchTrace::from_text(
-            "batch-trace v1\njob 0 submit 5 nodes 0 rpn 2 iters 3 compute 1 bytes 64 est 9\n"
-        )
-        .is_err());
-        // v2 lines carry user and class; a v2 header demands them.
-        let v2 = BatchTrace::from_text(
-            "batch-trace v2\njob 0 submit 5 nodes 2 rpn 2 iters 3 compute 1000000 bytes 64 est 9000000 user 3 class 1\n",
-        )
-        .unwrap();
-        assert_eq!((v2.jobs[0].user, v2.jobs[0].class), (3, 1));
-        assert!(BatchTrace::from_text(
-            "batch-trace v2\njob 0 submit 5 nodes 2 rpn 2 iters 3 compute 1 bytes 64 est 9\n"
-        )
-        .is_err());
-    }
-
-    #[test]
     fn multi_user_spreads_users_and_classes() {
         let t = BatchTrace::multi_user(11, 24, 4, 3, 2);
         assert_eq!(t, BatchTrace::multi_user(11, 24, 4, 3, 2));
@@ -288,7 +177,5 @@ mod tests {
             BatchTrace::multi_user(7, 8, 4, 1, 1),
             BatchTrace::synthetic(7, 8, 4)
         );
-        let text = t.to_text();
-        assert_eq!(BatchTrace::from_text(&text).unwrap(), t);
     }
 }

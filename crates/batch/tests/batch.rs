@@ -313,20 +313,16 @@ fn gang_rotation_closes_the_oversubscribed_hpl_gap() {
 #[test]
 fn batch_events_reach_observers_and_chrome_trace() {
     use hpl_kernel::observe::validate_chrome_trace;
-    use hpl_kernel::{ChromeTraceSink, MetricsSink};
+    use hpl_kernel::MetricsSink;
 
     let trace = backfill_friendly();
     let mut cluster = build_cluster(4, 3);
     let metrics_id = cluster
         .node_mut(0)
         .attach_observer(Box::new(MetricsSink::new()));
-    let sink_ids: Vec<_> = (0..4)
-        .map(|i| {
-            cluster
-                .node_mut(i)
-                .attach_observer(Box::new(ChromeTraceSink::new(200_000)))
-        })
-        .collect();
+    for i in 0..4 {
+        cluster.node_mut(i).enable_trace(200_000);
+    }
     let report = BatchRun::new(&trace)
         .run(&mut cluster, &mut EasyBackfill::new())
         .unwrap();
@@ -343,9 +339,7 @@ fn batch_events_reach_observers_and_chrome_trace() {
     assert_eq!(m.job_wait_ns.count(), 4);
     assert!(m.batch_queue_depth.count() >= 8);
 
-    let json = cluster
-        .export_chrome_trace(&sink_ids)
-        .expect("sinks resolve");
+    let json = cluster.export_chrome_trace().expect("every node traced");
     let stats = validate_chrome_trace(&json).expect("valid trace JSON");
     assert!(stats.complete_events > 0);
     assert!(json.contains("job submit j0"));
@@ -355,22 +349,35 @@ fn batch_events_reach_observers_and_chrome_trace() {
 
 #[test]
 fn trace_file_round_trip_drives_engine() {
-    // A trace written by hand in the text format runs end to end.
-    let text = "\
-batch-trace v2
-job 0 submit 0 nodes 2 rpn 2 iters 2 compute 2000000 bytes 64 est 40000000 user 1 class 0
-job 1 submit 500000 nodes 1 rpn 2 iters 2 compute 1000000 bytes 64 est 35000000 user 0 class 1
-";
-    let trace = BatchTrace::from_text(text).expect("parses");
-    assert_eq!(trace.to_text(), text);
-    // v1 text (no user/class) still parses, defaulting both to 0.
-    let v1 = "\
-batch-trace v1
-job 0 submit 0 nodes 1 rpn 2 iters 2 compute 1000 bytes 64 est 40000
-";
-    let old = BatchTrace::from_text(v1).expect("v1 parses");
-    assert_eq!(old.jobs[0].user, 0);
-    assert_eq!(old.jobs[0].class, 0);
+    // A two-job trace written out by hand runs end to end.
+    let trace = BatchTrace {
+        jobs: vec![
+            BatchJob {
+                id: 0,
+                submit_ns: 0,
+                nodes: 2,
+                ranks_per_node: 2,
+                iters: 2,
+                compute_ns: 2_000_000,
+                bytes: 64,
+                est_runtime_ns: 40_000_000,
+                user: 1,
+                class: 0,
+            },
+            BatchJob {
+                id: 1,
+                submit_ns: 500_000,
+                nodes: 1,
+                ranks_per_node: 2,
+                iters: 2,
+                compute_ns: 1_000_000,
+                bytes: 64,
+                est_runtime_ns: 35_000_000,
+                user: 0,
+                class: 1,
+            },
+        ],
+    };
     let mut cluster = build_cluster(2, 11);
     let report = BatchRun::new(&trace)
         .run(&mut cluster, &mut Fcfs)

@@ -54,8 +54,8 @@ use crate::fault::{FaultPlan, NodeFault};
 use crate::net::{Interconnect, LinkFaults, NetConfig};
 use crate::pool::WorkerPool;
 use crate::window::Window;
-use hpl_kernel::observe::{chrome_trace_json, ChromeTraceSink};
-use hpl_kernel::{NetMsg, Node, ObserverId, Pid, RunOutcome, TaskState};
+use hpl_kernel::observe::chrome_trace_json;
+use hpl_kernel::{NetMsg, Node, Pid, RunOutcome, TaskState};
 use hpl_mpi::{find_mpiexec, spawn_job_tree_with, JobSpec, RankWrap, SchedMode};
 use hpl_sim::time::{SimDuration, SimTime};
 
@@ -1214,19 +1214,16 @@ impl Cluster {
         self.live_trees[n].len()
     }
 
-    /// Merge each node's [`ChromeTraceSink`] into a single Chrome-trace
-    /// document, one trace *process* per node (process id = node
-    /// index plus one) so `chrome://tracing` renders the cluster as
-    /// stacked per-node track groups. `sinks[i]` must be the observer
-    /// id of a `ChromeTraceSink` registered on node `i`; returns
-    /// `None` if any id does not resolve.
-    pub fn export_chrome_trace(&self, sinks: &[ObserverId]) -> Option<String> {
-        assert_eq!(sinks.len(), self.nodes.len(), "one sink id per node");
+    /// Merge every node's trace ring ([`Node::enable_trace`]) into a
+    /// single Chrome-trace document, one trace *process* per node
+    /// (process id = node index plus one) so `chrome://tracing` renders
+    /// the cluster as stacked per-node track groups. Returns `None` if
+    /// any node has no trace, e.g. a node rebuilt by a restart.
+    pub fn export_chrome_trace(&self) -> Option<String> {
         let parts = self
             .nodes
             .iter()
-            .zip(sinks)
-            .map(|(node, &id)| Some((node.observer::<ChromeTraceSink>(id)?, node.now())))
+            .map(|node| Some((node.trace()?, node.now())))
             .collect::<Option<Vec<_>>>()?;
         Some(chrome_trace_json(&parts, |i, pid| {
             self.nodes[i].tasks.get(pid).name.clone()

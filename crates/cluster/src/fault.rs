@@ -3,11 +3,11 @@
 //! A [`FaultPlan`] is a *schedule*, fixed before the run starts: link
 //! degradation windows, a message-loss model with deterministic
 //! timeout+retransmit, and node crash/drain/restart events. Because the
-//! plan is data (seeded, text round-trippable like scenarios and batch
-//! traces) and every draw is keyed off the plan seed plus a
-//! deterministic message index, a faulty run is exactly as replayable as
-//! a healthy one — same fingerprints on the fast and reference event
-//! loops, and byte-identical between serial and pooled window stepping.
+//! plan is data (seeded; torture scenarios carry it as `fault_*` keys)
+//! and every draw is keyed off the plan seed plus a deterministic
+//! message index, a faulty run is exactly as replayable as a healthy
+//! one — same fingerprints on the fast and reference event loops, and
+//! byte-identical between serial and pooled window stepping.
 //!
 //! Determinism argument, per fault class:
 //!
@@ -234,104 +234,11 @@ impl FaultPlan {
         factor
     }
 
-    /// Serialise to the `fault-plan v1` text format. Integer-only
-    /// fields, so [`Self::from_text`] round-trips exactly.
-    pub fn to_text(&self) -> String {
-        let mut out = String::from("fault-plan v1\n");
-        out.push_str(&format!("seed {}\n", self.seed));
-        if let Some(l) = &self.loss {
-            out.push_str(&format!(
-                "loss {} {} {}\n",
-                l.ppm,
-                l.rto.as_nanos(),
-                l.max_retries
-            ));
-        }
-        for w in &self.degrade {
-            out.push_str(&format!(
-                "degrade {} {} {}\n",
-                w.from.as_nanos(),
-                w.to.as_nanos(),
-                w.factor
-            ));
-        }
-        for e in &self.events {
-            let kind = match e.kind {
-                NodeFault::Crash => "crash",
-                NodeFault::Drain => "drain",
-                NodeFault::Restart => "restart",
-            };
-            out.push_str(&format!("{kind} {} {}\n", e.node, e.at.as_nanos()));
-        }
-        out
-    }
-
-    /// Parse the `fault-plan v1` text format. Inverse of
-    /// [`Self::to_text`].
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines().map(str::trim).filter(|l| !l.is_empty());
-        match lines.next() {
-            Some("fault-plan v1") => {}
-            other => return Err(format!("expected 'fault-plan v1' header, got {other:?}")),
-        }
-        let mut plan = FaultPlan::none();
-        for line in lines {
-            let mut toks = line.split_whitespace();
-            let key = toks.next().expect("non-empty line has a first token");
-            let mut next = |what: &str| -> Result<u64, String> {
-                toks.next()
-                    .ok_or_else(|| format!("{key}: missing {what}"))?
-                    .parse::<u64>()
-                    .map_err(|e| format!("{key}: bad {what}: {e}"))
-            };
-            match key {
-                "seed" => plan.seed = next("seed")?,
-                "loss" => {
-                    let ppm = next("ppm")? as u32;
-                    if ppm > 1_000_000 {
-                        return Err(format!("loss: ppm {ppm} > 1000000"));
-                    }
-                    let rto = SimDuration::from_nanos(next("rto_ns")?);
-                    let retries = next("max_retries")? as u32;
-                    plan.loss = Some(LossSpec {
-                        ppm,
-                        rto,
-                        max_retries: retries,
-                    });
-                }
-                "degrade" => {
-                    let from = SimTime::from_nanos(next("from_ns")?);
-                    let to = SimTime::from_nanos(next("to_ns")?);
-                    let factor = next("factor")? as u32;
-                    if from >= to || factor < 1 {
-                        return Err(format!("degrade: bad window {line:?}"));
-                    }
-                    plan.degrade.push(DegradeWindow { from, to, factor });
-                }
-                "crash" | "drain" | "restart" => {
-                    let node = next("node")? as usize;
-                    let at = SimTime::from_nanos(next("at_ns")?);
-                    let kind = match key {
-                        "crash" => NodeFault::Crash,
-                        "drain" => NodeFault::Drain,
-                        _ => NodeFault::Restart,
-                    };
-                    plan.events.push(NodeEvent { at, node, kind });
-                }
-                other => return Err(format!("unknown fault-plan key {other:?}")),
-            }
-            if toks.next().is_some() {
-                return Err(format!("{key}: trailing tokens in {line:?}"));
-            }
-        }
-        Ok(plan)
-    }
-
     /// A random but reproducible plan over a cluster of `nodes` nodes —
     /// the generator behind torture's fault sampling and the round-trip
-    /// property test. Crash events target nodes `1..nodes` (never node
-    /// 0) and each crash is paired with a later restart, so a sampled
-    /// plan never takes capacity away permanently.
+    /// test of its scenario keys. Crash events target nodes `1..nodes`
+    /// (never node 0) and each crash is paired with a later restart, so
+    /// a sampled plan never takes capacity away permanently.
     pub fn sample(seed: u64, nodes: usize) -> Self {
         let mut rng = Rng::for_run(seed ^ 0xFA17, 0);
         let mut plan = FaultPlan::none().with_seed(rng.next_u64());
@@ -369,41 +276,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_plan_is_none_and_round_trips() {
-        let plan = FaultPlan::none();
-        assert!(plan.is_none());
-        assert_eq!(FaultPlan::from_text(&plan.to_text()).unwrap(), plan);
-    }
-
-    #[test]
-    fn text_round_trip_is_exact_for_sampled_plans() {
-        // Property test: any sampled plan survives to_text/from_text
-        // byte-exactly (all fields are integers, so no rounding).
-        for seed in 0..200u64 {
-            for nodes in [1usize, 2, 4, 9] {
-                let plan = FaultPlan::sample(seed, nodes);
-                let text = plan.to_text();
-                let back = FaultPlan::from_text(&text).unwrap_or_else(|e| {
-                    panic!("seed {seed}: plan text did not parse: {e}\n{text}")
-                });
-                assert_eq!(back, plan, "seed {seed}: round-trip changed the plan");
-                assert_eq!(
-                    back.to_text(),
-                    text,
-                    "seed {seed}: re-serialisation differs"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn from_text_rejects_garbage() {
-        assert!(FaultPlan::from_text("").is_err());
-        assert!(FaultPlan::from_text("fault-plan v2\n").is_err());
-        assert!(FaultPlan::from_text("fault-plan v1\nbogus 1 2\n").is_err());
-        assert!(FaultPlan::from_text("fault-plan v1\nloss 2000000 10 1\n").is_err());
-        assert!(FaultPlan::from_text("fault-plan v1\ndegrade 10 5 2\n").is_err());
-        assert!(FaultPlan::from_text("fault-plan v1\ncrash 0 5 9\n").is_err());
+    fn empty_plan_is_none() {
+        assert!(FaultPlan::none().is_none());
     }
 
     #[test]

@@ -12,7 +12,6 @@
 
 use crate::observe::{DeactivateReason, SchedEvent};
 use crate::task::Pid;
-use hpl_sim::stats::Summary;
 use hpl_sim::{SimDuration, SimTime};
 use hpl_topology::CpuId;
 use std::collections::{HashMap, HashSet};
@@ -158,18 +157,6 @@ impl TraceAnalysis {
     /// Preemption episodes suffered by one task.
     pub fn preemptions_of(&self, pid: Pid) -> impl Iterator<Item = &Preemption> {
         self.preemptions.iter().filter(move |p| p.victim == pid)
-    }
-
-    /// Summary of stolen-time durations (the noise-duration distribution
-    /// the injection literature characterises).
-    pub fn stolen_time_summary(&self) -> Summary {
-        Summary::from_slice(
-            &self
-                .preemptions
-                .iter()
-                .map(|p| p.stolen.as_secs_f64())
-                .collect::<Vec<_>>(),
-        )
     }
 
     /// Total time stolen from a set of tasks (e.g. the application's
@@ -325,7 +312,7 @@ mod tests {
     }
 
     #[test]
-    fn stolen_summary_and_filters() {
+    fn stolen_time_and_filters() {
         let mut b = Log::new();
         switch(&mut b, 0, 0, None, Some(1));
         switch(&mut b, 100, 0, Some(1), Some(2));
@@ -335,8 +322,6 @@ mod tests {
         let a = TraceAnalysis::analyse(&b, 1, t(0), t(1000));
         assert_eq!(a.preemptions.len(), 2);
         assert_eq!(a.preemptions_of(Pid(1)).count(), 2);
-        let s = a.stolen_time_summary();
-        assert_eq!(s.count(), 2);
         assert_eq!(
             a.total_stolen_from(&[Pid(1)]),
             SimDuration::from_nanos(100 + 300)

@@ -74,8 +74,8 @@ pub use config::{BalanceMode, KernelConfig};
 pub use hpl_perf::RunOutcome;
 pub use node::{NetMsg, NetSpan, Node, NodeBuilder};
 pub use observe::{
-    BalanceKind, ChromeTraceSink, DeactivateReason, MetricsSink, MigrateReason, ObserverId,
-    PreemptVerdict, RingSink, SchedEvent, SchedObserver, TickOutcome,
+    BalanceKind, DeactivateReason, MetricsSink, MigrateReason, ObserverId, PreemptVerdict,
+    RingSink, SchedEvent, SchedObserver, TickOutcome,
 };
 pub use program::{FnProgram, ProgCtx, Program, Step, TaskSpec};
 pub use sync::{BarrierId, ChanId};

@@ -464,15 +464,16 @@ impl Node {
         self.observer::<RingSink>(self.ring?)
     }
 
-    /// Render the Chrome-trace JSON of the [`crate::observe::ChromeTraceSink`]
-    /// behind `id`, closing open occupancy slices at the current time and
-    /// resolving task names from the task table. `None` if `id` is not a
-    /// Chrome-trace sink.
-    pub fn export_chrome_trace(&self, id: ObserverId) -> Option<String> {
-        let sink = self.observer::<crate::observe::ChromeTraceSink>(id)?;
-        Some(sink.to_json(self.now(), |pid| {
-            format!("{} {}", self.tasks.get(pid).name, pid)
-        }))
+    /// Render the trace recorded so far as Chrome-trace JSON (see
+    /// [`crate::observe::chrome_trace_json`]), closing open occupancy
+    /// slices at the current time and naming tasks `"{name} {pid}"`
+    /// from the task table. `None` if tracing is off.
+    pub fn export_chrome_trace(&self) -> Option<String> {
+        let ring = self.trace()?;
+        Some(crate::observe::chrome_trace_json(
+            &[(ring, self.now())],
+            |_, pid| format!("{} {}", self.tasks.get(pid).name, pid),
+        ))
     }
 
     /// Per-task statistics in the shape of `perf stat -p <pid>` plus

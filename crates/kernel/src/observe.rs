@@ -14,18 +14,18 @@
 //! decision point; the event payloads are plain `Copy` data already at
 //! hand, so nothing is formatted or allocated on the disabled path.
 //!
-//! Three sinks ship with the kernel:
+//! Two sinks ship with the kernel:
 //!
 //! * [`RingSink`] — a bounded, head-kept log of every [`SchedEvent`]
 //!   with its timestamp, plus the ASCII Gantt renderer over its
-//!   switches. It is what [`crate::Node::enable_trace`] attaches and
-//!   what [`crate::analysis::TraceAnalysis`] reads.
-//! * [`ChromeTraceSink`] — a streaming Chrome-trace (a.k.a. Trace Event
-//!   Format / Perfetto JSON) exporter: one "X" complete event per
-//!   occupancy slice per CPU plus "i" instants for migrations, wakeups,
-//!   network messages and batch job lifecycle, stored as the
-//!   [`SchedEvent`]s themselves. The output loads directly in
-//!   `chrome://tracing` or <https://ui.perfetto.dev>.
+//!   switches. It is what [`crate::Node::enable_trace`] attaches, what
+//!   [`crate::analysis::TraceAnalysis`] reads, and the one trace store:
+//!   [`chrome_trace_json`] renders a Chrome-trace (a.k.a. Trace Event
+//!   Format / Perfetto JSON) document from it at export time — one "X"
+//!   complete event per occupancy slice per CPU plus "i" instants for
+//!   migrations, wakeups, network messages and batch job lifecycle.
+//!   The output loads directly in `chrome://tracing` or
+//!   <https://ui.perfetto.dev>.
 //! * [`MetricsSink`] — fills an [`hpl_perf::SchedMetrics`] registry:
 //!   decision counters, per-CPU switch counts and log2 histograms of
 //!   timeslice length, off-CPU latency and migration inter-arrival.
@@ -515,16 +515,8 @@ impl SchedObserver for RingSink {
 }
 
 // ---------------------------------------------------------------------
-// Sink 2: Chrome-trace / Perfetto JSON
+// Chrome-trace / Perfetto JSON, rendered from the ring
 // ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy)]
-struct Slice {
-    cpu: CpuId,
-    pid: Pid,
-    start: SimTime,
-    end: SimTime,
-}
 
 /// Synthetic `tid` for the network track in Chrome-trace output: net
 /// events render on their own row below the per-CPU tracks.
@@ -535,289 +527,171 @@ const NET_TID: u32 = 9_999;
 /// single trace shows both scheduling levels.
 const BATCH_TID: u32 = 9_998;
 
-/// Streaming Chrome-trace exporter: tracks per-CPU occupancy slices from
-/// switch events and keeps the instant-worthy events as they arrived;
-/// [`Self::to_json`]
-/// renders the Trace Event Format JSON that `chrome://tracing` and
-/// Perfetto load directly.
-#[derive(Debug)]
-pub struct ChromeTraceSink {
-    slices: Vec<Slice>,
-    /// Stored instant events: migrations, wakeups, network messages and
-    /// batch job lifecycle, rendered by [`Self::write_events`].
-    instants: Vec<(SimTime, SchedEvent)>,
-    /// Open occupancy per CPU: (task, switch-in time).
-    open: Vec<Option<(Pid, SimTime)>>,
-    capacity: usize,
-    dropped: u64,
-    switches: u64,
-    migrations: u64,
-    wakeups: u64,
-}
-
-impl ChromeTraceSink {
-    /// Exporter bounded at `capacity` stored items (slices + instants);
-    /// overflow increments a drop counter instead of growing unbounded.
-    pub fn new(capacity: usize) -> Self {
-        ChromeTraceSink {
-            slices: Vec::new(),
-            instants: Vec::new(),
-            open: Vec::new(),
-            capacity,
-            dropped: 0,
-            switches: 0,
-            migrations: 0,
-            wakeups: 0,
-        }
-    }
-
-    /// Whether one more slice or instant fits under the capacity bound;
-    /// counts a drop when it does not.
-    fn has_room(&mut self) -> bool {
-        let room = self.slices.len() + self.instants.len() < self.capacity;
-        if !room {
-            self.dropped += 1;
-        }
-        room
-    }
-
-    /// Switch events received (== metrics-registry switches).
-    pub fn switch_count(&self) -> u64 {
-        self.switches
-    }
-
-    /// Migrate events received.
-    pub fn migration_count(&self) -> u64 {
-        self.migrations
-    }
-
-    /// Wakeup events received.
-    pub fn wakeup_count(&self) -> u64 {
-        self.wakeups
-    }
-
-    /// Closed occupancy slices so far (open ones are closed by
-    /// [`Self::to_json`] at its `end` argument).
-    pub fn slice_count(&self) -> usize {
-        self.slices.len()
-    }
-
-    /// Instant events (migrations, wakeups, network messages and job
-    /// lifecycle) stored.
-    pub fn instant_count(&self) -> usize {
-        self.instants.len()
-    }
-
-    /// Items that did not fit under the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Render Trace Event Format JSON over everything recorded, closing
-    /// still-open occupancy slices at `end`. `resolve` maps a pid to a
-    /// display name (the node does this from its task table). Timestamps
-    /// are microseconds (the format's unit); `pid` in the output is the
-    /// node (1), `tid` is the CPU, so each CPU renders as one track.
-    pub fn to_json(&self, end: SimTime, mut resolve: impl FnMut(Pid) -> String) -> String {
-        chrome_trace_json(&[(self, end)], |_, pid| resolve(pid))
-    }
-
-    /// Append this sink's trace events to a document under Chrome-trace
-    /// process id `process`. `first` tracks comma placement across
-    /// multiple appending sinks.
-    fn write_events(
-        &self,
-        out: &mut String,
-        first: &mut bool,
-        process: u32,
-        end: SimTime,
-        mut resolve: impl FnMut(Pid) -> String,
-    ) {
-        let us = |t: SimTime| t.as_nanos() as f64 / 1e3;
-        let mut push = |out: &mut String, ev: String| {
-            if !*first {
-                out.push(',');
-            }
-            *first = false;
-            out.push('\n');
-            out.push_str(&ev);
-        };
-        let closed_at_end = self.open.iter().enumerate().filter_map(|(i, o)| {
-            o.map(|(pid, start)| Slice {
-                cpu: CpuId(i as u32),
-                pid,
-                start,
-                end,
-            })
-        });
-        for s in self.slices.iter().copied().chain(closed_at_end) {
-            let dur = (s.end.since(s.start).as_nanos() as f64 / 1e3).max(0.001);
-            push(
-                out,
-                format!(
-                    "{{\"name\":{},\"cat\":\"sched\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":{},\"tid\":{},\"args\":{{\"task\":{}}}}}",
-                    json::quote(&resolve(s.pid)),
-                    us(s.start),
-                    dur,
-                    process,
-                    s.cpu.0,
-                    s.pid.0
-                ),
-            );
-        }
-        for &(at, ev) in &self.instants {
-            let (name, tid, extra) = match ev {
-                SchedEvent::Migrate { pid, from, to, .. } => (
-                    format!("migrate {}", resolve(pid)),
-                    to.0,
-                    format!(
-                        ",\"task\":{},\"from_cpu\":{},\"to_cpu\":{}",
-                        pid.0, from.0, to.0
-                    ),
-                ),
-                SchedEvent::Wakeup { pid, cpu } => (
-                    format!("wakeup {}", resolve(pid)),
-                    cpu.0,
-                    format!(",\"task\":{}", pid.0),
-                ),
-                SchedEvent::NetSend {
-                    pid, chan, bytes, ..
-                } => (
-                    format!("net send c{}", chan.0),
-                    NET_TID,
-                    format!(
-                        ",\"task\":{},\"chan\":{},\"bytes\":{}",
-                        pid.0, chan.0, bytes
-                    ),
-                ),
-                SchedEvent::NetDeliver {
-                    chan,
-                    latency,
-                    queued,
-                    ..
-                } => (
-                    format!("net recv c{}", chan.0),
-                    NET_TID,
-                    format!(
-                        ",\"chan\":{},\"latency_ns\":{},\"queued_ns\":{}",
-                        chan.0,
-                        latency.as_nanos(),
-                        queued.as_nanos()
-                    ),
-                ),
-                SchedEvent::JobSubmit { job, queue_depth } => (
-                    format!("job submit j{job}"),
-                    BATCH_TID,
-                    format!(",\"job\":{job},\"queue_depth\":{queue_depth}"),
-                ),
-                SchedEvent::JobStart {
-                    job,
-                    queue_depth,
-                    waited,
-                } => (
-                    format!("job start j{job}"),
-                    BATCH_TID,
-                    format!(
-                        ",\"job\":{job},\"queue_depth\":{queue_depth},\"waited_ns\":{}",
-                        waited.as_nanos()
-                    ),
-                ),
-                SchedEvent::JobEnd { job, queue_depth } => (
-                    format!("job end j{job}"),
-                    BATCH_TID,
-                    format!(",\"job\":{job},\"queue_depth\":{queue_depth}"),
-                ),
-                // `observe` stores only the variants above.
-                _ => continue,
-            };
-            push(
-                out,
-                format!(
-                    "{{\"name\":{},\"cat\":\"sched\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{:.3},\"pid\":{},\"tid\":{},\"args\":{{\"node\":{}{}}}}}",
-                    json::quote(&name),
-                    us(at),
-                    process,
-                    tid,
-                    process,
-                    extra
-                ),
-            );
-        }
-    }
-}
-
-/// Render `parts` as one Chrome-trace document. Part `i` — a sink and
-/// the time its still-open occupancy slices close at — becomes trace
-/// process `i + 1` (a cluster export passes one part per node, so each
-/// node renders as its own track group), and `otherData.dropped` sums
-/// the parts' drop counters. `resolve(i, pid)` names task `pid` of
-/// part `i`.
+/// Render `parts` as one Chrome-trace (Trace Event Format) document,
+/// the JSON `chrome://tracing` and Perfetto load directly. Part `i` — a
+/// ring and the time its still-open occupancy slices close at — becomes
+/// trace process `i + 1` (a cluster export passes one part per node, so
+/// each node renders as its own track group), and `otherData.dropped`
+/// sums the rings' drop counters. `resolve(i, pid)` names task `pid` of
+/// part `i`. Timestamps are microseconds (the format's unit) and `tid`
+/// is the CPU, so each CPU renders as one track.
 pub fn chrome_trace_json(
-    parts: &[(&ChromeTraceSink, SimTime)],
+    parts: &[(&RingSink, SimTime)],
     mut resolve: impl FnMut(usize, Pid) -> String,
 ) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
     let mut first = true;
-    for (i, &(sink, end)) in parts.iter().enumerate() {
-        sink.write_events(&mut out, &mut first, i as u32 + 1, end, |pid| {
-            resolve(i, pid)
-        });
+    for (i, &(ring, end)) in parts.iter().enumerate() {
+        write_events(
+            &mut out,
+            &mut first,
+            i as u32 + 1,
+            ring.events(),
+            end,
+            |pid| resolve(i, pid),
+        );
     }
-    let dropped: u64 = parts.iter().map(|(sink, _)| sink.dropped).sum();
+    let dropped: u64 = parts.iter().map(|(ring, _)| ring.dropped()).sum();
     let _ = write!(out, "\n],\"otherData\":{{\"dropped\":{dropped}}}}}");
     out
 }
 
-impl SchedObserver for ChromeTraceSink {
-    fn observe(&mut self, at: SimTime, ev: &SchedEvent) {
-        match *ev {
-            SchedEvent::Switch { cpu, to, .. } => {
-                self.switches += 1;
-                if cpu.index() >= self.open.len() {
-                    self.open.resize(cpu.index() + 1, None);
-                }
-                if let Some((pid, start)) = self.open[cpu.index()].take() {
-                    if self.has_room() {
-                        self.slices.push(Slice {
-                            cpu,
-                            pid,
-                            start,
-                            end: at,
-                        });
-                    }
-                }
-                if let Some(next) = to {
-                    self.open[cpu.index()] = Some((next, at));
-                }
+/// Append one ring's trace events under Chrome-trace process id
+/// `process`: an "X" complete event per per-CPU occupancy slice (folded
+/// from the switches, in the order the slices closed, then the slices
+/// still open, closed at `end`, by CPU), then an "i" instant per
+/// migration, wakeup, network message and batch job lifecycle event,
+/// in arrival order. `first` tracks comma placement across parts.
+fn write_events(
+    out: &mut String,
+    first: &mut bool,
+    process: u32,
+    events: &[(SimTime, SchedEvent)],
+    end: SimTime,
+    mut resolve: impl FnMut(Pid) -> String,
+) {
+    let us = |t: SimTime| t.as_nanos() as f64 / 1e3;
+    let mut push = |out: &mut String, ev: String| {
+        if !*first {
+            out.push(',');
+        }
+        *first = false;
+        out.push('\n');
+        out.push_str(&ev);
+    };
+    let mut slice = |out: &mut String, cpu: usize, pid: Pid, start: SimTime, end: SimTime| {
+        let dur = (end.since(start).as_nanos() as f64 / 1e3).max(0.001);
+        let ev = format!(
+            "{{\"name\":{},\"cat\":\"sched\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":{},\"tid\":{},\"args\":{{\"task\":{}}}}}",
+            json::quote(&resolve(pid)),
+            us(start),
+            dur,
+            process,
+            cpu,
+            pid.0
+        );
+        push(out, ev);
+    };
+    // Open occupancy per CPU: (task, switch-in time).
+    let mut open: Vec<Option<(Pid, SimTime)>> = Vec::new();
+    for &(at, ev) in events {
+        if let SchedEvent::Switch { cpu, to, .. } = ev {
+            let c = cpu.index();
+            if c >= open.len() {
+                open.resize(c + 1, None);
             }
-            SchedEvent::Migrate { .. }
-            | SchedEvent::Wakeup { .. }
-            | SchedEvent::NetSend { .. }
-            | SchedEvent::NetDeliver { .. }
-            | SchedEvent::JobSubmit { .. }
-            | SchedEvent::JobStart { .. }
-            | SchedEvent::JobEnd { .. } => {
-                self.migrations += u64::from(matches!(ev, SchedEvent::Migrate { .. }));
-                self.wakeups += u64::from(matches!(ev, SchedEvent::Wakeup { .. }));
-                if self.has_room() {
-                    self.instants.push((at, *ev));
-                }
+            if let Some((pid, start)) = open[c].take() {
+                slice(out, c, pid, start, at);
             }
-            _ => {}
+            open[c] = to.map(|next| (next, at));
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
+    for (c, o) in open.iter().enumerate() {
+        if let Some((pid, start)) = *o {
+            slice(out, c, pid, start, end);
+        }
     }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+    for &(at, ev) in events {
+        let (name, tid, extra) = match ev {
+            SchedEvent::Migrate { pid, from, to, .. } => (
+                format!("migrate {}", resolve(pid)),
+                to.0,
+                format!(
+                    ",\"task\":{},\"from_cpu\":{},\"to_cpu\":{}",
+                    pid.0, from.0, to.0
+                ),
+            ),
+            SchedEvent::Wakeup { pid, cpu } => (
+                format!("wakeup {}", resolve(pid)),
+                cpu.0,
+                format!(",\"task\":{}", pid.0),
+            ),
+            SchedEvent::NetSend {
+                pid, chan, bytes, ..
+            } => (
+                format!("net send c{}", chan.0),
+                NET_TID,
+                format!(
+                    ",\"task\":{},\"chan\":{},\"bytes\":{}",
+                    pid.0, chan.0, bytes
+                ),
+            ),
+            SchedEvent::NetDeliver {
+                chan,
+                latency,
+                queued,
+                ..
+            } => (
+                format!("net recv c{}", chan.0),
+                NET_TID,
+                format!(
+                    ",\"chan\":{},\"latency_ns\":{},\"queued_ns\":{}",
+                    chan.0,
+                    latency.as_nanos(),
+                    queued.as_nanos()
+                ),
+            ),
+            SchedEvent::JobSubmit { job, queue_depth } => (
+                format!("job submit j{job}"),
+                BATCH_TID,
+                format!(",\"job\":{job},\"queue_depth\":{queue_depth}"),
+            ),
+            SchedEvent::JobStart {
+                job,
+                queue_depth,
+                waited,
+            } => (
+                format!("job start j{job}"),
+                BATCH_TID,
+                format!(
+                    ",\"job\":{job},\"queue_depth\":{queue_depth},\"waited_ns\":{}",
+                    waited.as_nanos()
+                ),
+            ),
+            SchedEvent::JobEnd { job, queue_depth } => (
+                format!("job end j{job}"),
+                BATCH_TID,
+                format!(",\"job\":{job},\"queue_depth\":{queue_depth}"),
+            ),
+            _ => continue,
+        };
+        push(
+            out,
+            format!(
+                "{{\"name\":{},\"cat\":\"sched\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{:.3},\"pid\":{},\"tid\":{},\"args\":{{\"node\":{}{}}}}}",
+                json::quote(&name),
+                us(at),
+                process,
+                tid,
+                process,
+                extra
+            ),
+        );
     }
 }
 
 // ---------------------------------------------------------------------
-// Sink 3: the metrics registry
+// Sink 2: the metrics registry
 // ---------------------------------------------------------------------
 
 /// Fills an [`hpl_perf::SchedMetrics`] registry from the event stream:
@@ -1337,8 +1211,8 @@ mod tests {
     }
 
     #[test]
-    fn chrome_sink_builds_slices_and_instants() {
-        let mut s = ChromeTraceSink::new(100);
+    fn chrome_export_renders_slices_and_instants_from_the_ring() {
+        let mut s = RingSink::new(100);
         s.observe(t(100), &switch(0, None, Some(1)));
         s.observe(t(300), &switch(0, Some(1), Some(2)));
         s.observe(
@@ -1357,28 +1231,42 @@ mod tests {
                 cpu: CpuId(1),
             },
         );
-        assert_eq!(s.switch_count(), 2);
-        assert_eq!(s.slice_count(), 1); // pid 1's closed slice
-        assert_eq!(s.instant_count(), 2);
-        let json = s.to_json(t(500), |p| format!("task{}", p.0));
+        let json = chrome_trace_json(&[(&s, t(500))], |_, p| format!("task{}", p.0));
         let stats = validate_chrome_trace(&json).expect("valid json");
-        // One closed slice + pid 2 still open, closed at end.
+        // pid 1's closed slice, then pid 2's still open, closed at end.
         assert_eq!(stats.complete_events, 2);
         assert_eq!(stats.instant_events, 2);
-        assert!(json.contains("\"task1\""));
-        assert!(json.contains("migrate task3"));
+        let pos = |needle: &str| json.find(needle).expect(needle);
+        assert!(pos("\"task1\"") < pos("\"task2\""));
+        assert!(json.contains("\"ts\":0.300,\"dur\":0.200"));
+        // Slices come before instants, instants in arrival order.
+        assert!(pos("\"task2\"") < pos("migrate task3"));
+        assert!(pos("migrate task3") < pos("wakeup task3"));
+        assert!(json.ends_with("\"dropped\":0}}"));
     }
 
     #[test]
-    fn chrome_sink_respects_capacity() {
-        let mut s = ChromeTraceSink::new(1);
-        s.observe(t(1), &switch(0, None, Some(1)));
-        s.observe(t(2), &switch(0, Some(1), Some(2)));
-        s.observe(t(3), &switch(0, Some(2), None));
-        assert_eq!(s.slice_count(), 1);
-        assert!(s.dropped() > 0);
-        // Counters keep counting past the storage bound.
-        assert_eq!(s.switch_count(), 3);
+    fn chrome_export_of_a_truncated_ring_renders_the_kept_head() {
+        let mut s = RingSink::new(2);
+        s.observe(t(1_000), &switch(0, None, Some(1)));
+        s.observe(t(2_000), &switch(0, Some(1), Some(2)));
+        s.observe(t(3_000), &switch(0, Some(2), None));
+        s.observe(
+            t(4_000),
+            &SchedEvent::Wakeup {
+                pid: Pid(1),
+                cpu: CpuId(0),
+            },
+        );
+        assert_eq!(s.dropped(), 2);
+        let json = chrome_trace_json(&[(&s, t(10_000))], |_, p| format!("task{}", p.0));
+        let stats = validate_chrome_trace(&json).expect("valid json");
+        // The kept head: pid 1's slice, and pid 2's, whose closing
+        // switch was dropped, closed at the export time.
+        assert_eq!(stats.complete_events, 2);
+        assert_eq!(stats.instant_events, 0);
+        assert!(json.contains("\"ts\":2.000,\"dur\":8.000"));
+        assert!(json.ends_with("\"dropped\":2}}"));
     }
 
     #[test]

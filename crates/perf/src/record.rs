@@ -9,7 +9,7 @@
 use crate::counters::CounterSet;
 use crate::event::SwEvent;
 use crate::metrics::SchedMetrics;
-use hpl_sim::stats::{pearson, Summary};
+use hpl_sim::stats::Summary;
 
 /// How a measured run terminated.
 ///
@@ -171,16 +171,6 @@ impl RunTable {
             .collect()
     }
 
-    /// Pearson correlation of time against migrations (Fig. 3a).
-    pub fn time_migration_correlation(&self) -> f64 {
-        pearson(&self.migrations_f64(), &self.times())
-    }
-
-    /// Pearson correlation of time against context switches (Fig. 3b).
-    pub fn time_switch_correlation(&self) -> f64 {
-        pearson(&self.switches_f64(), &self.times())
-    }
-
     /// Full raw table as CSV (one row per repetition) — what a paper's
     /// artifact-evaluation appendix would archive.
     pub fn to_csv(&self) -> String {
@@ -276,6 +266,7 @@ impl RunTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpl_sim::stats::pearson;
 
     fn rec(run: u64, t: f64, mig: u64, cs: u64) -> RunRecord {
         RunRecord {
@@ -326,8 +317,8 @@ mod tests {
             .map(|i| rec(i, 8.5 + 0.01 * i as f64, 30 + i * 10, 500 + i * 20))
             .collect();
         let t = RunTable::new(recs);
-        assert!(t.time_migration_correlation() > 0.99);
-        assert!(t.time_switch_correlation() > 0.99);
+        assert!(pearson(&t.migrations_f64(), &t.times()) > 0.99);
+        assert!(pearson(&t.switches_f64(), &t.times()) > 0.99);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Runs N random scenarios, each on both event-loop flavours with an
 //! invariant oracle attached per node, plus a shrinker selftest (a
 //! deliberately injected scheduler bug must be caught and shrunk to a
-//! replayable artifact) and a mechanistic-vs-analytic differential.
+//! replayable artifact with a complete Chrome trace) and a
+//! mechanistic-vs-analytic differential.
 //!
 //! ```text
 //! torture [--scenarios N] [--seed S] [--smoke] [--faults] [--replay FILE]
@@ -17,6 +18,7 @@
 //! Exit code 0 = everything held; 1 = a failure was found (artifact
 //! paths are printed).
 
+use hpl_kernel::observe::validate_chrome_trace;
 use hpl_torture::artifact::{read_artifact, write_failure};
 use hpl_torture::runner::{analytic_differential, check_scenario};
 use hpl_torture::scenario::{Fault, ModeKind, Scenario, Workload};
@@ -133,8 +135,9 @@ fn torture_one(sc: &Scenario, out: &Path) -> bool {
 
 /// The shrinker selftest: inject a real scheduler bug (HPC wakeups
 /// migrate to the next CPU, violating migrate-only-at-fork), confirm
-/// the oracle catches it, shrink it, write the artifact, then re-parse
-/// the artifact and confirm the replay still fails.
+/// the oracle catches it, shrink it, write the artifact, check its
+/// Chrome trace, then re-parse the artifact and confirm the replay
+/// still fails.
 fn selftest(out: &Path) -> bool {
     // A scenario guaranteed to exercise HPC wakeups: HPC-mode MPI job,
     // whose init handshake sleeps and wakes every rank.
@@ -178,6 +181,10 @@ fn selftest(out: &Path) -> bool {
             return false;
         }
     };
+    if let Err(e) = check_trace_artifact(paths.trace.as_deref()) {
+        eprintln!("selftest: trace artifact: {e}");
+        return false;
+    }
     let replayed = match read_artifact(&paths.scenario) {
         Ok(s) => s,
         Err(e) => {
@@ -196,6 +203,21 @@ fn selftest(out: &Path) -> bool {
         paths.scenario.display()
     );
     true
+}
+
+/// A failure's Chrome trace must exist, parse as a trace with at least
+/// one occupancy slice, and report that its ring dropped nothing.
+fn check_trace_artifact(path: Option<&Path>) -> Result<(), String> {
+    let path = path.ok_or("no trace written")?;
+    let json = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let stats = validate_chrome_trace(&json)?;
+    if stats.complete_events == 0 {
+        return Err(format!("{}: no occupancy slice", path.display()));
+    }
+    if !json.ends_with("\"dropped\":0}}") {
+        return Err(format!("{}: the trace ring dropped events", path.display()));
+    }
+    Ok(())
 }
 
 fn main() {

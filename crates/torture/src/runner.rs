@@ -26,7 +26,6 @@ use hpl_cluster::{
 use hpl_coord::CoordRuntime;
 use hpl_core::HplClass;
 use hpl_kernel::noise::{IrqSpec, NoiseProfile};
-use hpl_kernel::observe::ChromeTraceSink;
 use hpl_kernel::program::ScriptProgram;
 use hpl_kernel::{
     BarrierId, ChanId, KernelConfig, Node, NodeBuilder, ObserverId, Policy, RunOutcome, Step,
@@ -653,8 +652,9 @@ fn attach_oracle(node: &mut Node, min_alpha: Option<SimDuration>) -> ObserverId 
 fn run_single(sc: &Scenario, fast: bool, with_trace: bool) -> RunReport {
     let mut node = build_node(sc, 0, fast);
     let oracle_id = attach_oracle(&mut node, None);
-    let trace_id =
-        with_trace.then(|| node.attach_observer(Box::new(ChromeTraceSink::new(200_000))));
+    if with_trace {
+        node.enable_trace(200_000);
+    }
     node.run_for(WARMUP);
     let (outcome, exec_ns) = match &sc.workload {
         Workload::Soup(soup) => {
@@ -707,7 +707,7 @@ fn run_single(sc: &Scenario, fast: bool, with_trace: bool) -> RunReport {
             });
         }
     }
-    let trace = trace_id.and_then(|id| node.export_chrome_trace(id));
+    let trace = node.export_chrome_trace();
     RunReport {
         outcome,
         exec_ns,
@@ -750,12 +750,11 @@ fn run_cluster(sc: &Scenario, fast: bool, with_trace: bool) -> RunReport {
         .faults(sc.faults.clone())
         .build();
     let mut oracle_ids = Vec::new();
-    let mut trace_ids = Vec::new();
     for i in 0..sc.nodes as usize {
         let node = cluster.node_mut(i);
         oracle_ids.push(attach_oracle(node, Some(alpha)));
         if with_trace {
-            trace_ids.push(node.attach_observer(Box::new(ChromeTraceSink::new(200_000))));
+            node.enable_trace(200_000);
         }
         node.run_for(WARMUP);
     }
@@ -837,9 +836,7 @@ fn run_cluster(sc: &Scenario, fast: bool, with_trace: bool) -> RunReport {
             }
         }
     }
-    let trace = (!trace_ids.is_empty())
-        .then(|| cluster.export_chrome_trace(&trace_ids))
-        .flatten();
+    let trace = cluster.export_chrome_trace();
     RunReport {
         outcome,
         exec_ns,

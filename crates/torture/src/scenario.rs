@@ -1231,6 +1231,28 @@ mod tests {
         let back = Scenario::from_text(&text).expect("faulted scenario parses");
         assert_eq!(back, sc);
         assert_eq!(back.to_text(), text);
+        // Every sampled plan survives the keys byte-exactly (all fields
+        // are integers, so no rounding). A plan that schedules nothing
+        // writes no keys and reads back as the healthy default.
+        for seed in 0..200u64 {
+            for nodes in [1usize, 2, 4, 9] {
+                sc.faults = FaultPlan::sample(seed, nodes);
+                let text = sc.to_text();
+                let back = Scenario::from_text(&text).unwrap_or_else(|e| {
+                    panic!("seed {seed}: plan keys did not parse: {e}\n{text}")
+                });
+                if sc.faults.is_none() {
+                    assert!(back.faults.is_none(), "seed {seed}: empty plan grew faults");
+                    sc.faults = FaultPlan::none();
+                }
+                assert_eq!(back, sc, "seed {seed}: round-trip changed the plan");
+                assert_eq!(
+                    back.to_text(),
+                    text,
+                    "seed {seed}: re-serialisation differs"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1323,6 +1345,19 @@ mod tests {
         assert!(Scenario::from_text("not a scenario").is_err());
         assert!(Scenario::from_text("torture-scenario v1\nbogus 1").is_err());
         assert!(Scenario::from_text("torture-scenario v1\nseed 1").is_err());
+        // Fault keys: out-of-range and malformed plans, each next to a
+        // well-formed neighbour so the rejection is the field's.
+        let base = "torture-scenario v1\nseed 3\nnodes 2\nworkload soup\n";
+        let parse = |line: &str| Scenario::from_text(&format!("{base}{line}\n"));
+        assert!(parse("fault_loss 1000000 10 1").is_ok());
+        assert!(parse("fault_loss 2000000 10 1").is_err(), "ppm above 10^6");
+        assert!(parse("fault_degrade 1 10 2").is_ok());
+        assert!(parse("fault_degrade 10 5 2").is_err(), "from after to");
+        assert!(parse("fault_degrade 10 10 2").is_err(), "empty window");
+        assert!(parse("fault_degrade 1 10 0").is_err(), "factor 0");
+        assert!(parse("fault_node crash 1 5").is_ok());
+        assert!(parse("fault_node crash 0 5 9").is_err(), "trailing tokens");
+        assert!(parse("fault_node reboot 1 5").is_err(), "unknown kind");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! Runs a short synchronised job under standard Linux and under HPL with
 //! the full observability stack attached (the event ring, which records
-//! every scheduler event, the Chrome-trace exporter and the metrics
+//! every scheduler event and renders the Chrome trace, and the metrics
 //! registry), then prints for each:
 //!
 //! * a per-CPU Gantt chart of the launch window (ranks as digits,
@@ -42,10 +42,9 @@ fn xray(label: &str, file_tag: &str, hpl_mode: bool) {
             .with_seed(33)
             .build()
     };
-    // The full observability stack: the bounded event ring (Gantt),
-    // Chrome-trace exporter, and the metrics registry.
+    // The full observability stack: the bounded event ring (Gantt,
+    // preemption episodes, Chrome trace) and the metrics registry.
     node.enable_trace(500_000);
-    let chrome = node.attach_observer(Box::new(ChromeTraceSink::new(500_000)));
     let metrics_id = node.attach_observer(Box::new(MetricsSink::new()));
     node.run_for(SimDuration::from_millis(200));
 
@@ -111,25 +110,30 @@ fn xray(label: &str, file_tag: &str, hpl_mode: bool) {
     }
 
     // Export the Chrome trace and prove it is well-formed and consistent
-    // with the metrics registry before telling the user to load it.
-    let json = node
-        .export_chrome_trace(chrome)
-        .expect("chrome sink attached");
+    // with the ring and the metrics registry before telling the user to
+    // load it.
+    let json = node.export_chrome_trace().expect("ring attached");
     let stats = validate_chrome_trace(&json).expect("exported trace must parse");
-    let sink = node
-        .observer::<ChromeTraceSink>(chrome)
-        .expect("chrome sink attached");
     let m = node
         .observer::<MetricsSink>(metrics_id)
         .expect("metrics sink attached")
         .metrics();
+    let count = |is: fn(&SchedEvent) -> bool| trace.events().iter().filter(|(_, e)| is(e)).count();
+    let switches = count(|e| matches!(e, SchedEvent::Switch { .. }));
+    let migrations = count(|e| matches!(e, SchedEvent::Migrate { .. }));
+    let wakeups = count(|e| matches!(e, SchedEvent::Wakeup { .. }));
     assert_eq!(
-        sink.switch_count(),
-        m.switches,
-        "chrome sink and metrics registry disagree on switches"
+        switches as u64, m.switches,
+        "ring and metrics registry disagree on switches"
     );
-    assert_eq!(sink.migration_count(), m.migrations);
-    assert_eq!(sink.wakeup_count(), m.wakeups);
+    assert_eq!(migrations as u64, m.migrations);
+    assert_eq!(wakeups as u64, m.wakeups);
+    assert_eq!(
+        stats.complete_events,
+        count(|e| matches!(e, SchedEvent::Switch { to: Some(_), .. })),
+        "one slice per switch onto a task"
+    );
+    assert_eq!(stats.instant_events, migrations + wakeups);
     let path = format!("target/xray_{file_tag}.trace.json");
     std::fs::write(&path, &json).expect("write trace file");
     println!(

@@ -123,9 +123,9 @@ pub mod prelude {
     pub use hpl_kernel::noise::{NoiseProfile, NOISE_TAG};
     pub use hpl_kernel::observe::{validate_chrome_trace, ChromeTraceStats};
     pub use hpl_kernel::{
-        BalanceKind, BalanceMode, ChromeTraceSink, KernelConfig, MetricsSink, MigrateReason, Node,
-        NodeBuilder, ObserverId, Pid, Policy, PreemptVerdict, RingSink, RunOutcome, SchedEvent,
-        SchedObserver, Step, TaskSpec, TaskState, TickOutcome,
+        BalanceKind, BalanceMode, KernelConfig, MetricsSink, MigrateReason, Node, NodeBuilder,
+        ObserverId, Pid, Policy, PreemptVerdict, RingSink, RunOutcome, SchedEvent, SchedObserver,
+        Step, TaskSpec, TaskState, TickOutcome,
     };
     pub use hpl_mpi::{launch, JobSpec, MpiConfig, MpiOp, SchedMode};
     pub use hpl_perf::{

@@ -73,11 +73,10 @@ fn observe(case: &Case, cosim: CosimConfig) -> Observed {
         .cosim(cosim)
         .build();
     let mut metric_ids = Vec::new();
-    let mut trace_ids = Vec::new();
     for i in 0..case.nodes as usize {
         let node = cluster.node_mut(i);
         metric_ids.push(node.attach_observer(Box::new(MetricsSink::new())));
-        trace_ids.push(node.attach_observer(Box::new(ChromeTraceSink::new(100_000))));
+        node.enable_trace(100_000);
         node.run_for(SimDuration::from_millis(50));
     }
     let handle = cluster.launch(&job(case.nodes), SchedMode::Hpc, Placement::All);
@@ -96,9 +95,7 @@ fn observe(case: &Case, cosim: CosimConfig) -> Observed {
             )
         })
         .collect();
-    let trace = cluster
-        .export_chrome_trace(&trace_ids)
-        .expect("trace sinks resolve");
+    let trace = cluster.export_chrome_trace().expect("every node traced");
     validate_chrome_trace(&trace).expect("merged trace is well-formed");
     Observed {
         exec_ns: exec.as_nanos(),
@@ -190,11 +187,10 @@ fn observe_gang(seed: u64, cosim: CosimConfig) -> Observed {
         .cosim(cosim)
         .build();
     let mut metric_ids = Vec::new();
-    let mut trace_ids = Vec::new();
     for i in 0..NODES as usize {
         let node = cluster.node_mut(i);
         metric_ids.push(node.attach_observer(Box::new(MetricsSink::new())));
-        trace_ids.push(node.attach_observer(Box::new(ChromeTraceSink::new(100_000))));
+        node.enable_trace(100_000);
         node.run_for(SimDuration::from_millis(50));
     }
     let a = cluster.launch(&job(NODES), SchedMode::Hpc, Placement::All);
@@ -219,9 +215,7 @@ fn observe_gang(seed: u64, cosim: CosimConfig) -> Observed {
             )
         })
         .collect();
-    let trace = cluster
-        .export_chrome_trace(&trace_ids)
-        .expect("trace sinks resolve");
+    let trace = cluster.export_chrome_trace().expect("every node traced");
     validate_chrome_trace(&trace).expect("merged trace is well-formed");
     Observed {
         exec_ns: exec_a.as_nanos() + exec_b.as_nanos(),

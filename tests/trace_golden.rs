@@ -65,7 +65,6 @@ fn fig1_text_is_unchanged() {
 /// sinks and job, run to completion.
 struct Xray {
     node: Node,
-    chrome: ObserverId,
     start: SimTime,
     ranks: Vec<Pid>,
 }
@@ -85,7 +84,6 @@ fn xray(hpl_mode: bool) -> Xray {
             .build()
     };
     node.enable_trace(500_000);
-    let chrome = node.attach_observer(Box::new(ChromeTraceSink::new(500_000)));
     node.attach_observer(Box::new(MetricsSink::new()));
     node.run_for(SimDuration::from_millis(200));
     let job = JobSpec::new(
@@ -114,12 +112,7 @@ fn xray(hpl_mode: bool) -> Xray {
         .filter(|t| t.name.starts_with("rank"))
         .map(|t| t.pid)
         .collect();
-    Xray {
-        node,
-        chrome,
-        start,
-        ranks,
-    }
+    Xray { node, start, ranks }
 }
 
 #[test]
@@ -129,7 +122,7 @@ fn xray_exports_and_episodes_are_unchanged() {
         ("hpl", true, 0x5ec690f2804a03a4, 0x9cc16ef6f4180935),
     ] {
         let x = xray(hpl_mode);
-        let json = x.node.export_chrome_trace(x.chrome).expect("chrome sink");
+        let json = x.node.export_chrome_trace().expect("tracing enabled");
         check(&format!("xray {label} chrome export"), &json, export_digest);
         let (eps, a) = episodes(&x.node, 8, x.start, x.node.now());
         println!(
@@ -179,11 +172,10 @@ fn merged_cluster_export_is_unchanged() {
         .fabric(Interconnect::flat(NODES, NetConfig::default()))
         .cosim(CosimConfig::serial())
         .build();
-    let mut trace_ids = Vec::new();
     for i in 0..NODES {
         let node = cluster.node_mut(i);
         node.attach_observer(Box::new(MetricsSink::new()));
-        trace_ids.push(node.attach_observer(Box::new(ChromeTraceSink::new(100_000))));
+        node.enable_trace(100_000);
         node.run_for(SimDuration::from_millis(50));
     }
     let job = JobSpec::new(
@@ -202,9 +194,7 @@ fn merged_cluster_export_is_unchanged() {
     .with_nodes(NODES as u32);
     let handle = cluster.launch(&job, SchedMode::Hpc, Placement::All);
     cluster.run_to_completion(&handle, 80_000_000);
-    let json = cluster
-        .export_chrome_trace(&trace_ids)
-        .expect("trace sinks resolve");
+    let json = cluster.export_chrome_trace().expect("every node traced");
     check("cluster merged export", &json, 0x3cd239a6933ee4ae);
 }
 
