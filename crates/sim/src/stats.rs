@@ -1,10 +1,11 @@
-//! Summary statistics, histograms and correlation.
+//! Summary statistics, histograms, correlation and a two-sample test.
 //!
 //! The paper reports `Min / Avg / Max` and a variation percentage defined
 //! (its footnote 8) as `(max − min) / min × 100`. [`Summary`] computes
 //! exactly that, plus standard deviation and percentiles for richer
 //! reporting. [`Histogram`] bins execution times for Figures 2 and 4;
-//! [`pearson`]/[`spearman`] quantify the Figure 3 relationships.
+//! [`pearson`]/[`spearman`] quantify the Figure 3 relationships;
+//! [`ks_two_sample`] compares two versions' per-run distributions.
 
 use std::fmt;
 
@@ -336,6 +337,79 @@ fn ranks(xs: &[f64]) -> Vec<f64> {
     out
 }
 
+/// Two-sample Kolmogorov–Smirnov test: returns `(D, p)`, where `D` is
+/// the largest gap between the two empirical CDFs and `p` the exact
+/// two-sided probability of a gap at least that large when both samples
+/// come from one continuous distribution.
+///
+/// Ties are stepped past together, so `D` is the gap between the true
+/// ECDFs even for integer counters; `p` then stays conservative (too
+/// large), as in every exact KS implementation. The p-value counts the
+/// lattice paths from `(0, 0)` to `(m, n)` that keep every gap below
+/// `D` (Smirnov's method), normalised row by row so nothing overflows:
+/// O(m·n) time, accurate to about 1e-15 absolute.
+///
+/// ```
+/// use hpl_sim::stats::ks_two_sample;
+///
+/// // Complete separation of 3 vs 3: 2 of the 20 orderings, p = 0.1.
+/// let (d, p) = ks_two_sample(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]);
+/// assert_eq!(d, 1.0);
+/// assert!((p - 0.1).abs() < 1e-12);
+/// ```
+pub fn ks_two_sample(xs: &[f64], ys: &[f64]) -> (f64, f64) {
+    assert!(
+        !xs.is_empty() && !ys.is_empty(),
+        "ks_two_sample: empty sample"
+    );
+    let sorted = |v: &[f64]| {
+        let mut v = v.to_vec();
+        v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in KS input"));
+        v
+    };
+    // Keep the shorter sample in `a`: the path count walks its rows.
+    let (a, b) = if xs.len() <= ys.len() {
+        (sorted(xs), sorted(ys))
+    } else {
+        (sorted(ys), sorted(xs))
+    };
+    let (m, n) = (a.len() as u64, b.len() as u64);
+    // Gaps in units of 1/(m·n), so the path test below is exact.
+    let (mut i, mut j, mut gap) = (0, 0, 0u64);
+    while i < a.len() && j < b.len() {
+        let v = a[i].min(b[j]);
+        while i < a.len() && a[i] == v {
+            i += 1;
+        }
+        while j < b.len() && b[j] == v {
+            j += 1;
+        }
+        gap = gap.max((i as u64 * n).abs_diff(j as u64 * m));
+    }
+    let d = gap as f64 / (m * n) as f64;
+    // u[j] after row i: paths to (i, j) with every gap < `gap`, times
+    // the product of i'/(i' + n) over rows i' ≤ i — which ends at
+    // 1/C(m+n, m), turning the final count into a probability.
+    let inside = |i: u64, j: usize| (i * n).abs_diff(j as u64 * m) < gap;
+    let mut u = vec![0.0; b.len() + 1];
+    u[0] = f64::from(inside(0, 0));
+    for j in 1..=b.len() {
+        u[j] = if inside(0, j) { u[j - 1] } else { 0.0 };
+    }
+    for i in 1..=m {
+        let w = i as f64 / (i + n) as f64;
+        u[0] = if inside(i, 0) { w * u[0] } else { 0.0 };
+        for j in 1..=b.len() {
+            u[j] = if inside(i, j) {
+                w * u[j] + u[j - 1]
+            } else {
+                0.0
+            };
+        }
+    }
+    (d, (1.0 - u[b.len()]).clamp(0.0, 1.0))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,5 +560,71 @@ mod tests {
     fn ranks_handle_ties() {
         let r = ranks(&[3.0, 1.0, 3.0]);
         assert_eq!(r, vec![2.5, 1.0, 2.5]);
+    }
+
+    #[test]
+    fn ks_identical_samples_have_no_gap() {
+        let xs = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
+        assert_eq!(ks_two_sample(&xs, &xs), (0.0, 1.0));
+    }
+
+    #[test]
+    fn ks_textbook_pair() {
+        // m = n = 3 (Smirnov's table): D = 1 needs complete separation,
+        // 2 of the C(6,3) = 20 orderings.
+        let (d, p) = ks_two_sample(&[4.0, 5.0, 6.0], &[1.0, 2.0, 3.0]);
+        assert_eq!(d, 1.0);
+        assert!((p - 0.1).abs() < 1e-12, "p={p}");
+        // D ≥ 2/3 fails only the 2³ orderings that alternate pairwise.
+        let (d, p) = ks_two_sample(&[1.0, 2.0, 5.0], &[3.0, 4.0, 6.0]);
+        assert!((d - 2.0 / 3.0).abs() < 1e-12, "d={d}");
+        assert!((p - 0.6).abs() < 1e-12, "p={p}");
+    }
+
+    #[test]
+    fn ks_p_matches_enumerated_orderings() {
+        // Every way to interleave 4 x-draws with 5 y-draws is equally
+        // likely under the null; p is the share with a gap ≥ D.
+        let xs = [0.3, 1.1, 2.6, 4.0];
+        let ys = [0.5, 0.9, 1.7, 3.3, 5.2];
+        let (d, p) = ks_two_sample(&xs, &ys);
+        let (mut hits, mut total) = (0, 0);
+        for mask in 0u32..(1 << 9) {
+            if mask.count_ones() != 4 {
+                continue;
+            }
+            total += 1;
+            let (mut fx, mut fy, mut max) = (0.0f64, 0.0f64, 0.0f64);
+            for k in 0..9 {
+                if mask & (1 << k) != 0 {
+                    fx += 0.25;
+                } else {
+                    fy += 0.2;
+                }
+                max = max.max((fx - fy).abs());
+            }
+            if max >= d - 1e-12 {
+                hits += 1;
+            }
+        }
+        assert_eq!(total, 126);
+        assert!((p - hits as f64 / 126.0).abs() < 1e-12, "p={p} hits={hits}");
+        assert_eq!(ks_two_sample(&ys, &xs), (d, p), "the test is symmetric");
+    }
+
+    #[test]
+    fn ks_steps_past_ties_together() {
+        // At 1 the ECDFs are 2/4 and 1/4; at 2 both reach 1.
+        let (d, _) = ks_two_sample(&[1.0, 1.0, 2.0, 2.0], &[1.0, 2.0, 2.0, 2.0]);
+        assert_eq!(d, 0.25);
+        // Equal multisets in another order have no gap at all.
+        assert_eq!(
+            ks_two_sample(&[7.0, 7.0, 8.0], &[8.0, 7.0, 7.0]),
+            (0.0, 1.0)
+        );
+        // Two constant samples at different values are fully separated.
+        let (d, p) = ks_two_sample(&[5.0; 10], &[6.0; 10]);
+        assert_eq!(d, 1.0);
+        assert!(p < 1e-4, "p={p}");
     }
 }

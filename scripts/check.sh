@@ -41,6 +41,9 @@ cargo test -q --release -p hpl-kernel --test hot_path_golden
 echo "== paper-experiment golden digests (release: figures, tables, per-run records) =="
 cargo test -q --release -p hpl-bench --test paper_golden
 
+echo "== paper distribution gate (release: per-run records vs the recorded baseline, Bonferroni KS) =="
+cargo test -q --release -p hpl-bench --test paper_distributions -- --ignored distributions_match
+
 echo "== repro, every experiment through the binary (one repetition each) =="
 cargo run --release -q -p hpl-bench --bin repro -- all --reps 1 >/dev/null
 
