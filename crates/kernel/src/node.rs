@@ -39,6 +39,9 @@ use hpl_sim::time::round_to_u64;
 use hpl_sim::{EventQueue, Rng, SimDuration, SimTime};
 use hpl_topology::{CpuId, CpuMask, DomainHierarchy, Topology};
 
+/// Rounding slack of the late-completion oracle ([`Node::late_completion`]).
+const COMPLETION_SLACK: SimDuration = SimDuration::from_micros(1);
+
 // `Clone` because periodic timer-wheel slots re-arm by cloning their
 // payload on every pop (all variants are tiny Copy-able data).
 #[derive(Debug, Clone)]
@@ -116,6 +119,14 @@ struct CpuState {
     curr: Option<Pid>,
     last_update: SimTime,
     seg_gen: u64,
+    /// Due time of the live `SegDone` (generation `seg_gen`), read only
+    /// by the debug oracle [`Node::late_completion`].
+    seg_due: SimTime,
+    /// Whether the SMT siblings' completion estimates assume this CPU
+    /// busy. `schedule` compares it with the CPU's new occupancy, so
+    /// siblings re-solve even when the task left before the reschedule
+    /// ran (yanked by a migration, or woken and placed elsewhere).
+    occupied: bool,
     pending_overhead: SimDuration,
 }
 
@@ -197,6 +208,8 @@ impl NodeBuilder {
                     curr: None,
                     last_update: SimTime::ZERO,
                     seg_gen: 0,
+                    seg_due: SimTime::ZERO,
+                    occupied: false,
                     pending_overhead: SimDuration::ZERO,
                 })
                 .collect(),
@@ -688,7 +701,30 @@ impl Node {
             .run_for(&self.cfg, &self.topo, cpu, pid, productive, warm_rate);
     }
 
+    /// Wall time from now until `pid`, current on `cpu`, finishes its
+    /// segment at the CPU's present speed. Zero when the segment
+    /// completed during accounting (e.g. a sync landed right past the
+    /// estimate), so the program advances at once.
+    fn completion_delay(&self, cpu: CpuId, pid: Pid) -> SimDuration {
+        let remaining = self.tasks.get(pid).segment_remaining;
+        if remaining == 0 {
+            return SimDuration::ZERO;
+        }
+        let smt = self.smt_factor(cpu);
+        let w0 = self.cache.warmth(&self.topo, cpu, pid);
+        let mut dt_s = self.time_for_work(smt, w0, remaining as f64 / 1e9);
+        // Pending overheads delay completion by exactly their length.
+        dt_s += self.cpus[cpu.index()].pending_overhead.as_secs_f64();
+        SimDuration::from_secs_f64(dt_s).max(SimDuration::from_nanos(1))
+    }
+
     /// Re-estimate and schedule the segment-completion event of `cpu`.
+    ///
+    /// Only a change of the CPU's speed or of its task's remaining work
+    /// flags a re-estimate (`recomp`). Overhead charged later (ticks,
+    /// IRQs, balance passes) only pushes the end out by its own length,
+    /// so the live event stays and fires early; `on_seg_done` then finds
+    /// work left and re-solves once.
     fn schedule_completion(&mut self, cpu: CpuId) {
         let idx = cpu.index();
         self.cpus[idx].seg_gen += 1;
@@ -696,22 +732,34 @@ impl Node {
         let Some(pid) = self.cpus[idx].curr else {
             return;
         };
-        let remaining = self.tasks.get(pid).segment_remaining;
-        if remaining == 0 {
-            // The segment completed during accounting (e.g. a tick synced
-            // right past the estimated completion); fire immediately so
-            // the program advances.
-            self.queue.schedule(self.now(), Ev::SegDone { cpu, gen });
-            return;
+        debug_assert_eq!(
+            self.cpus[idx].last_update,
+            self.now(),
+            "{cpu}: re-estimate from unsettled accounting"
+        );
+        let due = self.now() + self.completion_delay(cpu, pid);
+        self.cpus[idx].seg_due = due;
+        self.queue.schedule(due, Ev::SegDone { cpu, gen });
+    }
+
+    /// Debug oracle of the lazy rule in [`Self::schedule_completion`]:
+    /// `Some((live due time, fresh solve))` when `cpu`'s live `SegDone`
+    /// is later than a fresh solve allows. A late event means a speed-up
+    /// or new work skipped `recomp`. Call it right after a sync.
+    ///
+    /// The slack is [`COMPLETION_SLACK`]: each sync rounds work to whole
+    /// ns (at most 1.2 ns of wall time at the slowest speed, SMT × cold
+    /// cache), and each solve converges within 0.5 ns and rounds once.
+    /// Every tick and IRQ adds microseconds of overhead the live event
+    /// does not include, which only widens the margin.
+    fn late_completion(&self, cpu: CpuId) -> Option<(SimTime, SimTime)> {
+        let pid = self.cpus[cpu.index()].curr?;
+        if self.resched.contains(cpu) || self.recomp.contains(cpu) {
+            return None; // a re-estimate is already due
         }
-        let smt = self.smt_factor(cpu);
-        let w0 = self.cache.warmth(&self.topo, cpu, pid);
-        let mut dt_s = self.time_for_work(smt, w0, remaining as f64 / 1e9);
-        // Pending overheads delay completion by exactly their length.
-        dt_s += self.cpus[idx].pending_overhead.as_secs_f64();
-        let dt = SimDuration::from_secs_f64(dt_s).max(SimDuration::from_nanos(1));
-        self.queue
-            .schedule(self.now() + dt, Ev::SegDone { cpu, gen });
+        let due = self.cpus[cpu.index()].seg_due;
+        let fresh = self.now() + self.completion_delay(cpu, pid);
+        (due > fresh + COMPLETION_SLACK).then_some((due, fresh))
     }
 
     // ---------------------------------------------------------------
@@ -924,8 +972,6 @@ impl Node {
                 self.tasks.get_mut(plan.pid).last_wakeup = self.now();
                 self.enqueue_task(plan.to, plan.pid, false);
                 self.check_preempt(plan.to, plan.pid);
-                self.recomp.set(plan.from);
-                self.recomp.set(plan.to);
                 applied += 1;
                 continue;
             }
@@ -936,8 +982,6 @@ impl Node {
             self.tasks.get_mut(plan.pid).last_wakeup = self.now();
             self.enqueue_task(plan.to, plan.pid, false);
             self.check_preempt(plan.to, plan.pid);
-            self.recomp.set(plan.from);
-            self.recomp.set(plan.to);
             applied += 1;
         }
         applied
@@ -1606,7 +1650,6 @@ impl Node {
                 prev = None;
             }
         }
-        let prev_occupied = prev.is_some();
 
         if let Some(p) = prev {
             self.tasks.get_mut(p).last_descheduled = now;
@@ -1735,7 +1778,8 @@ impl Node {
         }
 
         // Occupancy transitions change the SMT speed of siblings.
-        if prev_occupied != new.is_some() {
+        if self.cpus[idx].occupied != new.is_some() {
+            self.cpus[idx].occupied = new.is_some();
             for sib in self.topo.smt_siblings(cpu).iter() {
                 if sib != cpu {
                     self.sync_cpu(sib, now);
@@ -1839,6 +1883,7 @@ impl Node {
         }
 
         self.sync_cpu(cpu, now);
+        debug_assert_eq!(self.late_completion(cpu), None, "{cpu}: late SegDone");
         self.counters.add_sw(cpu, SwEvent::TimerTicks, 1);
 
         // Tick handler cost (micro-noise). Idle CPUs are always tickless
@@ -1855,7 +1900,6 @@ impl Node {
             self.cpus[idx].pending_overhead += self.cfg.tick_cost;
             self.counters
                 .add_hw(cpu, HwEvent::TickOverheadNs, self.cfg.tick_cost.as_nanos());
-            self.recomp.set(cpu);
         }
 
         // Scheduler-class tick (slice expiry etc.).
@@ -1981,6 +2025,7 @@ impl Node {
             .expect("with_irq asserts a non-empty affinity");
         let now = self.now();
         self.sync_cpu(cpu, now);
+        debug_assert_eq!(self.late_completion(cpu), None, "{cpu}: late SegDone");
         // The handler steals wall time from whatever runs there — task,
         // HPC rank, RT thread alike. Interrupts outrank every scheduler.
         self.cpus[cpu.index()].pending_overhead += irq.cost;
@@ -1993,7 +2038,6 @@ impl Node {
                 cost: irq.cost,
             });
         }
-        self.recomp.set(cpu);
         let next = exp_interval(irq.rate_hz, &mut self.rng);
         self.queue.schedule(now + next, Ev::Irq);
     }
@@ -2401,6 +2445,23 @@ mod tests {
         // must take more than 10ms but less than 10/0.7 ms.
         assert!(elapsed > 0.010, "elapsed {elapsed}");
         assert!(elapsed < 0.0143, "elapsed {elapsed}");
+    }
+
+    #[test]
+    fn overhead_only_ticks_leave_the_live_completion_alone() {
+        // One 2 s compute segment on an otherwise quiet node. Each busy
+        // tick charges `tick_cost` but re-solves nothing: beside the
+        // ticks, only the segment's first estimate and the few re-solves
+        // after it fires early by the accumulated overhead dispatch.
+        let mut node = quiet_node();
+        let pid = node.spawn(compute_spec("job", 2000));
+        assert!(node.run_until_exit(pid, 10_000_000).is_complete());
+        let ticks = node.counters.total().sw(SwEvent::TimerTicks);
+        let others = node.events_processed() - ticks;
+        let busy_ticks =
+            node.counters.total().hw(HwEvent::TickOverheadNs) / node.cfg.tick_cost.as_nanos();
+        assert!(busy_ticks >= 2000, "{busy_ticks} busy ticks");
+        assert!(others <= 8, "{others} non-tick events beside {ticks} ticks");
     }
 
     /// The speed-model inverse as written with one exponential for the
