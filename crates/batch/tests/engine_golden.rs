@@ -91,7 +91,7 @@ fn fcfs_on_swf() {
     let r = BatchRun::new(&trace)
         .run(&mut cluster(8, 7001), &mut Fcfs)
         .unwrap();
-    check("fcfs", digest(&[&r]), 0x694c_cc73_1aea_2433);
+    check("fcfs", digest(&[&r]), 0x852e_d2bf_848a_3c97);
 }
 
 #[test]
@@ -105,7 +105,7 @@ fn easy_on_swf() {
     check(
         "easy",
         digest(&[&r, &trail, &p.audit().checked]),
-        0x4672_a15a_bffd_0c27,
+        0x0ace_4c30_b187_3c16,
     );
 }
 
@@ -120,7 +120,7 @@ fn conservative_on_swf() {
     check(
         "conservative",
         digest(&[&r, &trail, &p.audit().checked]),
-        0xc154_2c16_594c_52d4,
+        0x852f_9f90_d43c_c546,
     );
 }
 
@@ -136,7 +136,7 @@ fn multiqueue_on_swf() {
     check(
         "multiq",
         digest(&[&r, &p.dispatches()]),
-        0xd1b5_a488_afae_8342,
+        0x3a7f_fbce_5c0c_dc46,
     );
 }
 
@@ -152,9 +152,9 @@ fn fairshare_on_swf() {
     // (and only those) differ between debug and release builds. Skipping
     // decay calls moves the same bits, so they are pinned per profile.
     let want = if cfg!(debug_assertions) {
-        0xffca_7fcd_8a00_2414
+        0x87ce_99f9_e0e7_7be1
     } else {
-        0x87f6_7104_57d8_17d4
+        0xe388_3ad2_50ac_5fed
     };
     check("fairshare", digest(&[&r, &trail]), want);
 }
@@ -165,7 +165,7 @@ fn oversub_on_swf() {
     let r = BatchRun::new(&trace)
         .run(&mut cluster(8, 7006), &mut Oversubscribed)
         .unwrap();
-    check("oversub", digest(&[&r]), 0x9562_68f0_0dc9_cda8);
+    check("oversub", digest(&[&r]), 0x4359_1775_2b78_63bb);
 }
 
 #[test]
@@ -177,7 +177,7 @@ fn dfrs_on_swf() {
         .run(&mut build(8, 7007, Some(epoch), FaultPlan::none()), &mut p)
         .unwrap();
     let trail: Vec<_> = p.decisions().collect();
-    check("dfrs", digest(&[&r, &trail]), 0xfec3_272b_2a00_7f46);
+    check("dfrs", digest(&[&r, &trail]), 0x671c_a837_e5b8_accb);
 }
 
 #[test]
@@ -193,7 +193,7 @@ fn walltime_kills_on_honest_swf() {
         .walltime(1.0)
         .run(&mut cluster(8, 7008), &mut p)
         .unwrap();
-    check("walltime", digest(&[&r, &e]), 0x7958_78f1_db41_652b);
+    check("walltime", digest(&[&r, &e]), 0xfec2_4019_5b49_595b);
 }
 
 #[test]
@@ -218,7 +218,7 @@ fn checkpoint_under_crash_restart_churn() {
         .run(&mut build(8, 7009, None, plan), &mut p)
         .unwrap();
     assert!(r.requeues > 0, "the case must exercise crash requeues");
-    check("churn", digest(&[&r]), 0x111d_7fac_f038_7025);
+    check("churn", digest(&[&r]), 0xabfe_cae3_1d44_265e);
 }
 
 #[test]
@@ -243,7 +243,7 @@ fn coordinated_dfrs_both_backends() {
         let trail: Vec<_> = p.decisions().collect();
         digests.push(digest(&[&r, &trail]));
     }
-    check("coord", digest(&[&digests]), 0x35a5_fa2e_8691_209e);
+    check("coord", digest(&[&digests]), 0x3fd6_3745_d56b_e48b);
 }
 
 fn job(id: u32, submit_us: u64, nodes: u32, iters: u32, compute_us: u64) -> BatchJob {
@@ -281,7 +281,7 @@ fn narrow_job_starts_on_first_freed_node_of_a_wide_job() {
         narrow.started,
         wide.ended
     );
-    check("first-freed", digest(&[&r]), 0xf2d2_c458_a722_3870);
+    check("first-freed", digest(&[&r]), 0x4874_422b_2716_90ec);
 }
 
 /// Aging alone unblocks a job: with the best-class head blocked and the
@@ -318,6 +318,6 @@ fn multiqueue_promotion_starts_a_job_between_events() {
     check(
         "multiq-aging",
         digest(&[&r, &p.dispatches()]),
-        0xd0d1_e182_878a_0bd3,
+        0xae8f_49d1_c061_7d7a,
     );
 }

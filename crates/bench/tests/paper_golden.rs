@@ -45,7 +45,7 @@ fn check(name: &str, text: &str, want: u64) {
 
 #[test]
 fn fig1() {
-    check("fig1", &experiments::fig1(&opts()), 0x2a68_11de_abac_c103);
+    check("fig1", &experiments::fig1(&opts()), 0x734c_efb5_ea9b_8f28);
 }
 
 #[test]
@@ -77,7 +77,7 @@ fn table1a() {
     check(
         "table1a",
         &experiments::table1(&opts(), false),
-        0x3e24_acbe_8e48_8577,
+        0x9d74_a0eb_4bcd_7abd,
     );
 }
 
@@ -95,7 +95,7 @@ fn table2() {
     check(
         "table2",
         &experiments::table2(&opts()),
-        0x5d73_9001_b8be_94dc,
+        0x265e_c0b1_52b4_e28c,
     );
 }
 
@@ -104,7 +104,7 @@ fn compare() {
     check(
         "compare",
         &experiments::compare(&opts()),
-        0xaa1d_0c79_d710_9d42,
+        0x2ad1_e0f2_ea7f_324a,
     );
 }
 
@@ -113,7 +113,7 @@ fn ablate() {
     check(
         "ablate",
         &experiments::ablate(&opts()),
-        0x96f1_c1f6_a193_5e30,
+        0x35c3_6cf9_2b63_2675,
     );
 }
 
@@ -122,7 +122,7 @@ fn noise_sweep() {
     check(
         "noise_sweep",
         &experiments::noise_sweep(&opts()),
-        0x7217_7b85_3811_f478,
+        0xa1e2_6851_5436_5f0a,
     );
 }
 
@@ -140,13 +140,13 @@ fn energy() {
     check(
         "energy",
         &experiments::energy(&opts()),
-        0x549b_efc8_1223_ffec,
+        0x411b_8cbb_0f0f_7bb7,
     );
 }
 
 #[test]
 fn uls() {
-    check("uls", &experiments::uls(&opts()), 0xf3b3_6f2a_63a6_3579);
+    check("uls", &experiments::uls(&opts()), 0xe486_77c6_c4bf_baa8);
 }
 
 /// One line per run of every NAS configuration under both schedulers,
@@ -174,5 +174,5 @@ fn table_run_records() {
             }
         }
     }
-    check("records", &text, 0x4d69_4adc_2eb7_f700);
+    check("records", &text, 0xa44f_cad1_75d3_4c00);
 }

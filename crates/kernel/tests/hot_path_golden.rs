@@ -147,14 +147,14 @@ fn total_hw(node: &Node, e: HwEvent) -> u64 {
 
 #[test]
 fn cg_a_under_cfs_on_js22() {
-    let node = Case::paper(false, 0x601d_0001).check("cfs", 0x247b_1cd1_ef2e_c699);
+    let node = Case::paper(false, 0x601d_0001).check("cfs", 0xa34a_6946_0223_670e);
     assert!(node.counters.total().sw(SwEvent::CpuMigrations) > 0);
     assert!(total_hw(&node, HwEvent::ColdCacheStallNs) > 0);
 }
 
 #[test]
 fn cg_a_under_hpl_on_js22() {
-    let node = Case::paper(true, 0x601d_0002).check("hpl", 0x1506_deec_228e_ff5c);
+    let node = Case::paper(true, 0x601d_0002).check("hpl", 0x0903_5cd9_3c3c_75fc);
     assert!(total_hw(&node, HwEvent::BusyNs) > 0);
 }
 
@@ -163,7 +163,7 @@ fn cg_a_under_rt_on_js22() {
     // SCHED_FIFO ranks: RT push/pull on every blocking collective.
     let mut case = Case::paper(false, 0x601d_0003);
     case.mode = SchedMode::Rt { prio: 50 };
-    let node = case.check("rt", 0xbc9a_1c12_6fdc_288a);
+    let node = case.check("rt", 0x7d07_eaac_3ee2_7743);
     assert!(node.counters.total().sw(SwEvent::CpuMigrations) > 0);
 }
 
@@ -179,7 +179,7 @@ fn cg_a_migrates_under_shared_l3_on_xeon() {
         ranks: 12,
         seed: 0x601d_0004,
     };
-    let want = 0xde24_9805_e1b9_1694;
+    let want = 0xa213_b6cd_e267_20ce;
     case.check("xeon", want);
     // Make sure the pinned run is the intended one: warmth must actually
     // be carried across a shared L3. Observers only watch, so the run
@@ -202,7 +202,7 @@ fn cg_a_under_irq_noise_on_js22() {
         cost: SimDuration::from_micros(15),
         affinity: case.topo.all_cpus(),
     });
-    let node = case.check("irq", 0x18ae_e032_9e4b_1d60);
+    let node = case.check("irq", 0x4be6_bbe1_0d4e_c600);
     assert!(total_hw(&node, HwEvent::IrqOverheadNs) > 0);
     assert!(total_hw(&node, HwEvent::SmtContentionNs) > 0);
 }
