@@ -41,7 +41,7 @@
 //! job, the engine requeues it at the tail of the queue — the job loses
 //! its position, the standard cluster-manager default — keeping its
 //! original submit time so wait and slowdown measure the full sojourn.
-//! With [`BatchConfig::checkpoint`] set, jobs write periodic
+//! With [`BatchRun::checkpoint`] set, jobs write periodic
 //! checkpoints and a requeued job restarts from the last checkpoint
 //! every surviving node committed (plus a restore penalty) instead of
 //! from scratch.
@@ -54,7 +54,7 @@ use hpl_mpi::{JobSpec, MpiOp, SchedMode};
 use hpl_sim::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
-/// Periodic checkpointing for batch jobs (see [`BatchConfig`]).
+/// Periodic checkpointing for batch jobs (see [`BatchRun::checkpoint`]).
 ///
 /// Every `every_iters` iterations each rank quiesces, writes its state
 /// (`cost` of compute per rank) and commits at a per-node checkpoint
@@ -73,29 +73,26 @@ pub struct CheckpointSpec {
     pub restore: SimDuration,
 }
 
-/// Engine knobs.
-#[derive(Debug, Clone)]
-pub struct BatchConfig {
+/// Bounded-slowdown runtime floor τ: slowdown =
+/// max((wait + run) / max(run, τ), 1). The standard guard against tiny
+/// jobs dominating the mean; τ = 1 ms suits ms-scale jobs.
+const SLOWDOWN_TAU: SimDuration = SimDuration::from_millis(1);
+
+/// Engine knobs, set through [`BatchRun`]'s builder methods.
+#[derive(Debug)]
+pub(crate) struct BatchConfig {
     /// OS-level scheduling mode every job launches under (the CFS-vs-HPL
     /// axis of the two-level study).
-    pub mode: SchedMode,
+    mode: SchedMode,
     /// Cluster-wide dispatched-event budget (hang guard).
-    pub max_events: u64,
-    /// Bounded-slowdown runtime floor τ: slowdown =
-    /// max((wait + run) / max(run, τ), 1). The standard guard against
-    /// tiny jobs dominating the mean; τ = 1 ms suits ms-scale jobs.
-    pub slowdown_tau: SimDuration,
+    max_events: u64,
     /// Periodic checkpoint/restart for every job; `None` (the default)
     /// means failed jobs recompute from scratch.
-    pub checkpoint: Option<CheckpointSpec>,
-    /// Walltime enforcement: kill a job once it has occupied its nodes
-    /// for `factor ×` its runtime estimate (`1.0` = kill exactly at
-    /// estimate expiry, the production default on most clusters).
-    /// Killed jobs are not requeued — they end at the kill, flagged
-    /// [`JobOutcome::killed`] and counted in
-    /// [`BatchReport::jobs_killed`]. `None` (the default) never kills,
-    /// which preserves every pre-existing run bit for bit.
-    pub walltime_factor: Option<f64>,
+    checkpoint: Option<CheckpointSpec>,
+    /// Walltime kill factor ([`BatchRun::walltime`]); `None` (the
+    /// default) never kills, which preserves every pre-existing run bit
+    /// for bit.
+    walltime_factor: Option<f64>,
 }
 
 impl Default for BatchConfig {
@@ -103,7 +100,6 @@ impl Default for BatchConfig {
         BatchConfig {
             mode: SchedMode::Hpc,
             max_events: 600_000_000,
-            slowdown_tau: SimDuration::from_millis(1),
             checkpoint: None,
             walltime_factor: None,
         }
@@ -127,7 +123,7 @@ pub struct JobOutcome {
     pub wait: SimDuration,
     /// Node-occupancy time (`ended - started`).
     pub run: SimDuration,
-    /// Bounded slowdown (see [`BatchConfig::slowdown_tau`]).
+    /// Bounded slowdown `max((wait + run) / max(run, 1 ms), 1)`.
     pub bounded_slowdown: f64,
     /// Times this job was requeued after a node crash before it
     /// finally completed.
@@ -135,7 +131,7 @@ pub struct JobOutcome {
     /// Submitting user (trace field; fair-share key).
     pub user: u32,
     /// True iff the job was killed at its walltime limit
-    /// ([`BatchConfig::walltime_factor`]) instead of completing.
+    /// ([`BatchRun::walltime`]) instead of completing.
     pub killed: bool,
 }
 
@@ -177,7 +173,7 @@ pub struct BatchReport {
     /// torture oracle checks it).
     pub jobs_lost: u64,
     /// Jobs killed at their walltime limit (0 unless
-    /// [`BatchConfig::walltime_factor`] is set).
+    /// [`BatchRun::walltime`] is set).
     pub jobs_killed: u64,
     /// Per-user wait/slowdown breakdown, ascending by user id. Empty
     /// only if the trace was empty.
@@ -342,18 +338,13 @@ pub struct BatchRun<'a> {
 }
 
 impl<'a> BatchRun<'a> {
-    /// Start describing a run of `trace` with default [`BatchConfig`].
+    /// Start describing a run of `trace`: HPC mode, a 600M-event budget,
+    /// no checkpoints and no walltime kills.
     pub fn new(trace: &'a BatchTrace) -> Self {
         BatchRun {
             trace,
             cfg: BatchConfig::default(),
         }
-    }
-
-    /// Replace the whole config at once.
-    pub fn config(mut self, cfg: BatchConfig) -> Self {
-        self.cfg = cfg;
-        self
     }
 
     /// OS-level scheduling mode for every job.
@@ -368,20 +359,18 @@ impl<'a> BatchRun<'a> {
         self
     }
 
-    /// Bounded-slowdown runtime floor τ.
-    pub fn slowdown_tau(mut self, tau: SimDuration) -> Self {
-        self.cfg.slowdown_tau = tau;
-        self
-    }
-
     /// Enable periodic checkpoint/restart for every job.
     pub fn checkpoint(mut self, spec: CheckpointSpec) -> Self {
+        assert!(spec.every_iters >= 1, "checkpoint interval must be >= 1");
         self.cfg.checkpoint = Some(spec);
         self
     }
 
     /// Enforce walltime limits: kill jobs at `factor ×` their runtime
-    /// estimate (see [`BatchConfig::walltime_factor`]).
+    /// estimate (`1.0` = kill exactly at estimate expiry, the production
+    /// default on most clusters). Killed jobs are not requeued — they end
+    /// at the kill, flagged [`JobOutcome::killed`] and counted in
+    /// [`BatchReport::jobs_killed`]. Without this call no job is killed.
     pub fn walltime(mut self, factor: f64) -> Self {
         assert!(factor >= 1.0, "walltime factor below 1.0 kills on launch");
         self.cfg.walltime_factor = Some(factor);
@@ -519,7 +508,7 @@ impl Engine<'_> {
             });
             let wait = r.started.since(r.submitted);
             let run = ended.since(r.started);
-            let floor = run.max(self.cfg.slowdown_tau);
+            let floor = run.max(SLOWDOWN_TAU);
             let slowdown = ((wait + run).as_secs_f64() / floor.as_secs_f64()).max(1.0);
             self.outcomes.push(JobOutcome {
                 id: r.job.id,
@@ -729,9 +718,6 @@ fn run_batch_inner(
     mut coordinator: Option<&mut dyn JobCoordinator>,
 ) -> Result<BatchReport, RunOutcome> {
     let nnodes = cluster.len();
-    if let Some(c) = &cfg.checkpoint {
-        assert!(c.every_iters >= 1, "checkpoint interval must be >= 1");
-    }
     for j in &trace.jobs {
         assert!(
             (j.nodes as usize) <= nnodes,
@@ -909,6 +895,24 @@ mod tests {
         ];
         assert_eq!(busy_node_seconds(&spans, 2), 1.2);
         assert_eq!(busy_node_seconds(&[], 4), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "walltime factor below 1.0")]
+    fn walltime_factor_below_one_is_rejected() {
+        let trace = BatchTrace { jobs: Vec::new() };
+        let _ = BatchRun::new(&trace).walltime(0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint interval must be >= 1")]
+    fn zero_checkpoint_interval_is_rejected() {
+        let trace = BatchTrace { jobs: Vec::new() };
+        let _ = BatchRun::new(&trace).checkpoint(CheckpointSpec {
+            every_iters: 0,
+            cost: SimDuration::from_micros(100),
+            restore: SimDuration::from_micros(300),
+        });
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub mod policy;
 pub mod swf;
 pub mod trace;
 
-pub use engine::{BatchConfig, BatchReport, BatchRun, CheckpointSpec, JobOutcome, UserStats};
+pub use engine::{BatchReport, BatchRun, CheckpointSpec, JobOutcome, UserStats};
 pub use policy::{
     AllocPolicy, Allocation, AuditSummary, Audited, BackfillDecision, ClusterView,
     ConservativeBackfill, Dfrs, DfrsDecision, EasyBackfill, FairShare, FairShareDispatch, Fcfs,

@@ -14,7 +14,7 @@
 //!   `table_run_records` builds them) and Figure 4's RT cell (ep.A.8,
 //!   SCHED_FIFO, standard Linux);
 //! - [`REPS`] = 300 runs per cell at seed [`SEED`]. At 100 runs the gate
-//!   missed `sleeper_bonus` = 0 (smallest p 1.3e-3); at 300 it fails it;
+//!   missed a zero CFS `SLEEPER_BONUS` (smallest p 1.3e-3); at 300 it fails it;
 //! - metrics: execution time (ns), context switches, CPU migrations;
 //! - family-wise α = 0.05, Bonferroni-corrected over all 75
 //!   (cell, metric) comparisons.

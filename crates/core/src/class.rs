@@ -32,6 +32,10 @@ pub struct HplClass {
 }
 
 impl HplClass {
+    /// Round-robin timeslice of the HPL class. The paper uses a simple
+    /// round-robin run queue; with one task per CPU it rarely matters.
+    pub const RR_TIMESLICE: SimDuration = SimDuration::from_millis(100);
+
     /// New, uninitialised class (the node calls [`SchedClass::init`]).
     pub fn new() -> Self {
         HplClass::default()
@@ -93,15 +97,15 @@ impl SchedClass for HplClass {
         self.rqs = (0..ncpus).map(|_| VecDeque::new()).collect();
     }
 
-    fn enqueue(&mut self, cpu: CpuId, task: &mut Task, ctx: &SchedCtx<'_>, _wakeup: bool) {
+    fn enqueue(&mut self, cpu: CpuId, task: &mut Task, _wakeup: bool) {
         if task.time_slice.is_zero() {
-            task.time_slice = ctx.cfg.hpc_rr_timeslice;
+            task.time_slice = Self::RR_TIMESLICE;
         }
         debug_assert!(!self.rqs[cpu.index()].contains(&task.pid));
         self.rqs[cpu.index()].push_back(task.pid);
     }
 
-    fn dequeue(&mut self, cpu: CpuId, task: &mut Task, _ctx: &SchedCtx<'_>) {
+    fn dequeue(&mut self, cpu: CpuId, task: &mut Task) {
         let rq = &mut self.rqs[cpu.index()];
         let before = rq.len();
         rq.retain(|&p| p != task.pid);
@@ -119,11 +123,11 @@ impl SchedClass for HplClass {
         self.rqs[cpu.index()].remove(idx)
     }
 
-    fn put_prev(&mut self, cpu: CpuId, task: &mut Task, ctx: &SchedCtx<'_>) {
+    fn put_prev(&mut self, cpu: CpuId, task: &mut Task) {
         let rq = &mut self.rqs[cpu.index()];
         if task.time_slice.is_zero() {
             // Round-robin expiry: tail, fresh slice.
-            task.time_slice = ctx.cfg.hpc_rr_timeslice;
+            task.time_slice = Self::RR_TIMESLICE;
             rq.push_back(task.pid);
         } else {
             // Preempted by a higher class (RT): resume first.
@@ -135,13 +139,13 @@ impl SchedClass for HplClass {
         task.time_slice = task.time_slice.saturating_sub(ran);
     }
 
-    fn task_tick(&mut self, cpu: CpuId, task: &mut Task, ctx: &SchedCtx<'_>) -> bool {
+    fn task_tick(&mut self, cpu: CpuId, task: &mut Task) -> bool {
         if task.time_slice.is_zero() {
             if !self.rqs[cpu.index()].is_empty() {
                 return true;
             }
             // Alone on the CPU (the expected case): just refresh.
-            task.time_slice = ctx.cfg.hpc_rr_timeslice;
+            task.time_slice = Self::RR_TIMESLICE;
         }
         false
     }
@@ -155,13 +159,7 @@ impl SchedClass for HplClass {
         self.rqs[cpu.index()].is_empty()
     }
 
-    fn wakeup_preempt(
-        &self,
-        _cpu: CpuId,
-        _curr: &Task,
-        _woken: &Task,
-        _ctx: &SchedCtx<'_>,
-    ) -> bool {
+    fn wakeup_preempt(&self, _cpu: CpuId, _curr: &Task, _woken: &Task) -> bool {
         // HPC tasks are peers: a waking rank never preempts another rank
         // (round-robin order decides).
         false
@@ -260,12 +258,11 @@ impl SchedClass for HplClass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpl_kernel::{KernelConfig, Policy, TaskState};
+    use hpl_kernel::{Policy, TaskState};
     use hpl_sim::SimTime;
     use hpl_topology::{CpuMask, DomainHierarchy, Topology};
 
     struct Fixture {
-        cfg: KernelConfig,
         topo: Topology,
         domains: DomainHierarchy,
     }
@@ -274,16 +271,11 @@ mod tests {
         fn new() -> Self {
             let topo = Topology::power6_js22();
             let domains = DomainHierarchy::build(&topo);
-            Fixture {
-                cfg: KernelConfig::hpl(),
-                topo,
-                domains,
-            }
+            Fixture { topo, domains }
         }
         fn ctx(&self) -> SchedCtx<'_> {
             SchedCtx {
                 now: SimTime::ZERO,
-                cfg: &self.cfg,
                 topo: &self.topo,
                 domains: &self.domains,
             }
@@ -343,67 +335,59 @@ mod tests {
 
     #[test]
     fn round_robin_order() {
-        let fx = Fixture::new();
         let mut hpl = HplClass::new();
         hpl.init(8);
         let mut tt = TaskTable::new();
         let a = hpc_task(&mut tt, "a");
         let b = hpc_task(&mut tt, "b");
-        let ctx = fx.ctx();
-        hpl.enqueue(CpuId(0), tt.get_mut(a), &ctx, false);
-        hpl.enqueue(CpuId(0), tt.get_mut(b), &ctx, false);
+        hpl.enqueue(CpuId(0), tt.get_mut(a), false);
+        hpl.enqueue(CpuId(0), tt.get_mut(b), false);
         assert_eq!(hpl.pick_next(CpuId(0), &tt), Some(a));
         // Slice expired: goes to the tail.
         tt.get_mut(a).time_slice = SimDuration::ZERO;
-        hpl.put_prev(CpuId(0), tt.get_mut(a), &ctx);
+        hpl.put_prev(CpuId(0), tt.get_mut(a));
         assert_eq!(hpl.pick_next(CpuId(0), &tt), Some(b));
     }
 
     #[test]
     fn preempted_task_resumes_first() {
-        let fx = Fixture::new();
         let mut hpl = HplClass::new();
         hpl.init(8);
         let mut tt = TaskTable::new();
         let a = hpc_task(&mut tt, "a");
         let b = hpc_task(&mut tt, "b");
-        let ctx = fx.ctx();
-        hpl.enqueue(CpuId(0), tt.get_mut(a), &ctx, false);
-        hpl.enqueue(CpuId(0), tt.get_mut(b), &ctx, false);
+        hpl.enqueue(CpuId(0), tt.get_mut(a), false);
+        hpl.enqueue(CpuId(0), tt.get_mut(b), false);
         let first = hpl.pick_next(CpuId(0), &tt).unwrap();
         // Preempted by RT with slice remaining: back to the head.
-        hpl.put_prev(CpuId(0), tt.get_mut(first), &ctx);
+        hpl.put_prev(CpuId(0), tt.get_mut(first));
         assert_eq!(hpl.pick_next(CpuId(0), &tt), Some(first));
     }
 
     #[test]
     fn tick_reschedules_only_with_competition() {
-        let fx = Fixture::new();
         let mut hpl = HplClass::new();
         hpl.init(8);
         let mut tt = TaskTable::new();
         let a = hpc_task(&mut tt, "a");
         let b = hpc_task(&mut tt, "b");
-        let ctx = fx.ctx();
         tt.get_mut(a).time_slice = SimDuration::ZERO;
         // Alone: refreshed, no resched.
-        assert!(!hpl.task_tick(CpuId(0), tt.get_mut(a), &ctx));
-        assert_eq!(tt.get(a).time_slice, fx.cfg.hpc_rr_timeslice);
+        assert!(!hpl.task_tick(CpuId(0), tt.get_mut(a)));
+        assert_eq!(tt.get(a).time_slice, HplClass::RR_TIMESLICE);
         // With a peer queued: resched.
-        hpl.enqueue(CpuId(0), tt.get_mut(b), &ctx, false);
+        hpl.enqueue(CpuId(0), tt.get_mut(b), false);
         tt.get_mut(a).time_slice = SimDuration::ZERO;
-        assert!(hpl.task_tick(CpuId(0), tt.get_mut(a), &ctx));
+        assert!(hpl.task_tick(CpuId(0), tt.get_mut(a)));
     }
 
     #[test]
     fn no_wakeup_preemption_between_ranks() {
-        let fx = Fixture::new();
         let hpl = HplClass::new();
         let mut tt = TaskTable::new();
         let a = hpc_task(&mut tt, "a");
         let b = hpc_task(&mut tt, "b");
-        let ctx = fx.ctx();
-        assert!(!hpl.wakeup_preempt(CpuId(0), tt.get(a), tt.get(b), &ctx));
+        assert!(!hpl.wakeup_preempt(CpuId(0), tt.get(a), tt.get(b)));
     }
 
     #[test]
@@ -453,7 +437,7 @@ mod tests {
         let a = hpc_task(&mut tt, "a");
         let ctx = fx.ctx();
         tt.get_mut(a).cpu = CpuId(2);
-        hpl.enqueue(CpuId(2), tt.get_mut(a), &ctx, false);
+        hpl.enqueue(CpuId(2), tt.get_mut(a), false);
         let mut snap = snapshot(8);
         snap.nr_running[2] = 1;
         let mut plans = Vec::new();
@@ -465,21 +449,18 @@ mod tests {
 
     #[test]
     fn tick_skippable_iff_alone() {
-        let fx = Fixture::new();
         let mut hpl = HplClass::new();
         hpl.init(8);
         let mut tt = TaskTable::new();
         let a = hpc_task(&mut tt, "a");
         let b = hpc_task(&mut tt, "b");
-        let ctx = fx.ctx();
         assert!(hpl.tick_skippable(CpuId(0), tt.get(a)));
-        hpl.enqueue(CpuId(0), tt.get_mut(b), &ctx, false);
+        hpl.enqueue(CpuId(0), tt.get_mut(b), false);
         assert!(!hpl.tick_skippable(CpuId(0), tt.get(a)));
     }
 
     #[test]
     fn gang_rotation_filters_picks() {
-        let fx = Fixture::new();
         let mut hpl = HplClass::new();
         hpl.init(8);
         let mut tt = TaskTable::new();
@@ -488,10 +469,9 @@ mod tests {
         let m = hpc_task(&mut tt, "m"); // gangless (mpiexec-style)
         tt.get_mut(a).gang = Some(1);
         tt.get_mut(b).gang = Some(2);
-        let ctx = fx.ctx();
-        hpl.enqueue(CpuId(0), tt.get_mut(a), &ctx, false);
-        hpl.enqueue(CpuId(0), tt.get_mut(b), &ctx, false);
-        hpl.enqueue(CpuId(0), tt.get_mut(m), &ctx, false);
+        hpl.enqueue(CpuId(0), tt.get_mut(a), false);
+        hpl.enqueue(CpuId(0), tt.get_mut(b), false);
+        hpl.enqueue(CpuId(0), tt.get_mut(m), false);
         // Rotation announcing a change requests a reschedule; repeating
         // the same active gang does not.
         assert!(hpl.gang_epoch(Some(2)));
@@ -507,24 +487,22 @@ mod tests {
         assert_eq!(hpl.pick_next(CpuId(0), &tt), Some(a));
         // Rotation over: plain pop-front order.
         assert!(hpl.gang_epoch(None));
-        hpl.enqueue(CpuId(0), tt.get_mut(b), &ctx, false);
-        hpl.enqueue(CpuId(0), tt.get_mut(a), &ctx, false);
+        hpl.enqueue(CpuId(0), tt.get_mut(b), false);
+        hpl.enqueue(CpuId(0), tt.get_mut(a), false);
         assert_eq!(hpl.pick_next(CpuId(0), &tt), Some(b));
         assert_eq!(hpl.pick_next(CpuId(0), &tt), Some(a));
     }
 
     #[test]
     fn dequeue_removes() {
-        let fx = Fixture::new();
         let mut hpl = HplClass::new();
         hpl.init(8);
         let mut tt = TaskTable::new();
         let a = hpc_task(&mut tt, "a");
-        let ctx = fx.ctx();
-        hpl.enqueue(CpuId(1), tt.get_mut(a), &ctx, false);
+        hpl.enqueue(CpuId(1), tt.get_mut(a), false);
         assert_eq!(hpl.nr_queued(CpuId(1)), 1);
         assert_eq!(hpl.queued_pids(CpuId(1)), vec![a]);
-        hpl.dequeue(CpuId(1), tt.get_mut(a), &ctx);
+        hpl.dequeue(CpuId(1), tt.get_mut(a));
         assert_eq!(hpl.nr_queued(CpuId(1)), 0);
     }
 }

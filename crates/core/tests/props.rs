@@ -179,7 +179,7 @@ proptest! {
         node.run_for(SimDuration::from_millis(work_ms));
         let ra = node.tasks.get(a).total_runtime.as_secs_f64();
         let rb = node.tasks.get(b).total_runtime.as_secs_f64();
-        let slice = KernelConfig::hpl().hpc_rr_timeslice.as_secs_f64();
+        let slice = HplClass::RR_TIMESLICE.as_secs_f64();
         prop_assert!(
             (ra - rb).abs() <= slice + 1e-6,
             "round-robin imbalance: {ra} vs {rb}"

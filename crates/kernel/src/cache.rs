@@ -8,13 +8,14 @@
 //!
 //! Model: each physical core's cache holds a *warmth fraction*
 //! `w ∈ [0, 1]` per task. While a task runs on the core its warmth rises
-//! exponentially toward 1 with time constant `cache_warm_tau`; every
-//! other task's footprint on that core decays with `cache_evict_tau`.
+//! exponentially toward 1 with time constant `CACHE_WARM_TAU`; every
+//! other task's footprint on that core decays with `CACHE_EVICT_TAU`.
 //! Execution speed scales as `cold + (1 − cold) · w`. On migration the
-//! task keeps a `shared_cache_retention` fraction of its warmth if source
-//! and destination share any cache level (e.g. SMT siblings on POWER6, or
-//! cores under a shared L3 on the x86 preset) and loses everything
-//! otherwise — the exact mitigation footnote 2 of the paper describes.
+//! task keeps a `SHARED_CACHE_RETENTION` fraction of its warmth if
+//! source and destination share any cache level (e.g. SMT siblings on
+//! POWER6, or cores under a shared L3 on the x86 preset) and loses
+//! everything otherwise — the exact mitigation footnote 2 of the paper
+//! describes.
 //!
 //! The model is deliberately capacity-free: warmths of different tasks on
 //! one core are independent except for eviction-by-running, which keeps
@@ -27,35 +28,81 @@
 //! where a scan beats hashing. Every entry's update depends
 //! only on its own warmth, so the order of the list never matters.
 //!
-//! Both exponential rates are memoized on their last `(dt, tau)`: most
-//! settle intervals repeat exactly (a tick period minus the tick cost),
-//! and `exp` is pure, so a hit returns the very bits a fresh call would.
+//! Both exponential rates are memoized on their last `dt`: most settle
+//! intervals repeat exactly (a tick period minus the tick cost), and
+//! `exp` is pure, so a hit returns the very bits a fresh call would.
+//!
+//! The speed model's constants live here too, calibrated for the
+//! paper's POWER6 js22; the NAS workloads divide their calibration
+//! targets by [`smt_steady_state_thread_factor`], which reads the same
+//! constants the speed model does.
 
-use crate::config::KernelConfig;
 use crate::task::Pid;
 use hpl_sim::SimDuration;
 use hpl_topology::{CpuId, Topology};
 
+/// Per-thread throughput factor when the SMT sibling is busy. POWER6
+/// SMT2 gives roughly 1.2-1.3× core throughput with two threads, i.e.
+/// ~0.62 per thread.
+pub const SMT_BUSY_FACTOR: f64 = 0.62;
+/// Execution-speed factor with a completely cold cache. Speed scales
+/// `cold + (1−cold)·warmth`.
+pub const CACHE_COLD_FACTOR: f64 = 0.70;
+/// Time constant for a running task's working set to rewarm.
+pub(crate) const CACHE_WARM_TAU: SimDuration = SimDuration::from_millis(4);
+/// Time constant for a non-running task's footprint to be evicted while
+/// another task runs on the core.
+pub(crate) const CACHE_EVICT_TAU: SimDuration = SimDuration::from_millis(3);
+/// Fraction of warmth retained when migrating between CPUs that share a
+/// cache level (e.g. SMT siblings, or cores under a shared L3).
+/// Migrations without any shared level retain nothing.
+const SHARED_CACHE_RETENTION: f64 = 0.8;
+
+const _: () = assert!(SMT_BUSY_FACTOR > 0.0 && SMT_BUSY_FACTOR <= 1.0);
+const _: () = assert!(CACHE_COLD_FACTOR > 0.0 && CACHE_COLD_FACTOR <= 1.0);
+const _: () = assert!(SHARED_CACHE_RETENTION >= 0.0 && SHARED_CACHE_RETENTION <= 1.0);
+const _: () = assert!(!CACHE_WARM_TAU.is_zero() && !CACHE_EVICT_TAU.is_zero());
+
+/// Per-thread steady-state throughput when both SMT siblings run
+/// distinct tasks continuously: the SMT pipeline factor times the cache
+/// factor at the warm/evict equilibrium
+/// `w* = (1/τ_warm) / (1/τ_warm + 1/τ_evict)`. Workload calibration
+/// divides the paper's clean execution times by this to get per-rank
+/// work.
+pub fn smt_steady_state_thread_factor() -> f64 {
+    let rw = 1.0 / CACHE_WARM_TAU.as_secs_f64();
+    let re = 1.0 / CACHE_EVICT_TAU.as_secs_f64();
+    let w_eq = rw / (rw + re);
+    SMT_BUSY_FACTOR * (CACHE_COLD_FACTOR + (1.0 - CACHE_COLD_FACTOR) * w_eq)
+}
+
 /// Warmth below which a footprint entry is dropped.
 const PRUNE_THRESHOLD: f64 = 1e-3;
 
-/// `exp(−dt / tau)`, remembering the last value. Keyed on `tau` as well
-/// as `dt`, so a config edited between calls is never served a stale
-/// rate.
-#[derive(Debug, Default)]
+/// `exp(−dt / tau)` for one fixed `tau`, remembering the last value.
+#[derive(Debug)]
 struct RateMemo {
-    /// `(dt, tau)` in ns of `rate`; `None` before the first call.
-    key: Option<(u64, u64)>,
+    tau: SimDuration,
+    /// `dt` in ns of `rate`; `None` before the first call.
+    key: Option<u64>,
     rate: f64,
 }
 
 impl RateMemo {
+    fn new(tau: SimDuration) -> Self {
+        RateMemo {
+            tau,
+            key: None,
+            rate: 0.0,
+        }
+    }
+
     #[inline]
-    fn rate(&mut self, dt: SimDuration, tau: SimDuration) -> f64 {
-        let key = Some((dt.as_nanos(), tau.as_nanos()));
+    fn rate(&mut self, dt: SimDuration) -> f64 {
+        let key = Some(dt.as_nanos());
         if self.key != key {
             self.key = key;
-            self.rate = (-dt.as_secs_f64() / tau.as_secs_f64()).exp();
+            self.rate = (-dt.as_secs_f64() / self.tau.as_secs_f64()).exp();
         }
         self.rate
     }
@@ -76,8 +123,8 @@ impl CacheModel {
     pub fn new(topo: &Topology) -> Self {
         CacheModel {
             cores: (0..topo.total_cores()).map(|_| Vec::new()).collect(),
-            warm: RateMemo::default(),
-            evict: RateMemo::default(),
+            warm: RateMemo::new(CACHE_WARM_TAU),
+            evict: RateMemo::new(CACHE_EVICT_TAU),
         }
     }
 
@@ -95,18 +142,17 @@ impl CacheModel {
     }
 
     /// Execution-speed factor from cache state for `pid` running on `cpu`.
-    pub fn speed_factor(&self, cfg: &KernelConfig, topo: &Topology, cpu: CpuId, pid: Pid) -> f64 {
+    pub fn speed_factor(&self, topo: &Topology, cpu: CpuId, pid: Pid) -> f64 {
         let w = self.warmth(topo, cpu, pid);
-        cfg.cache_cold_factor + (1.0 - cfg.cache_cold_factor) * w
+        CACHE_COLD_FACTOR + (1.0 - CACHE_COLD_FACTOR) * w
     }
 
     /// Account `dt` of `pid` running on `cpu`: its warmth rises, every
     /// other footprint on the core decays. `warm_rate` is
-    /// `exp(−dt / cache_warm_tau)` with `dt` in seconds, which the caller
+    /// `exp(−dt / CACHE_WARM_TAU)` with `dt` in seconds, which the caller
     /// has already computed for the speed model.
     pub fn run_for(
         &mut self,
-        cfg: &KernelConfig,
         topo: &Topology,
         cpu: CpuId,
         pid: Pid,
@@ -117,7 +163,7 @@ impl CacheModel {
             return;
         }
         let core = topo.core_of(cpu) as usize;
-        let evict_rate = self.evict_rate(cfg, dt);
+        let evict_rate = self.evict_rate(dt);
         let list = &mut self.cores[core];
         let mut found = false;
         for (owner, w) in list.iter_mut() {
@@ -134,32 +180,25 @@ impl CacheModel {
         list.retain(|&(_, w)| w > PRUNE_THRESHOLD);
     }
 
-    /// `exp(−dt / cache_warm_tau)`: the fraction of a cold gap that
+    /// `exp(−dt / CACHE_WARM_TAU)`: the fraction of a cold gap that
     /// stays cold after `dt` of running.
-    pub fn warm_rate(&mut self, cfg: &KernelConfig, dt: SimDuration) -> f64 {
-        self.warm.rate(dt, cfg.cache_warm_tau)
+    pub fn warm_rate(&mut self, dt: SimDuration) -> f64 {
+        self.warm.rate(dt)
     }
 
-    /// `exp(−dt / cache_evict_tau)`: the fraction of another task's
+    /// `exp(−dt / CACHE_EVICT_TAU)`: the fraction of another task's
     /// footprint that survives `dt` of someone else running.
-    pub fn evict_rate(&mut self, cfg: &KernelConfig, dt: SimDuration) -> f64 {
-        self.evict.rate(dt, cfg.cache_evict_tau)
+    pub fn evict_rate(&mut self, dt: SimDuration) -> f64 {
+        self.evict.rate(dt)
     }
 
     /// Account a migration of `pid` from `from` to `to`.
     ///
     /// Within one core (SMT sibling move) the footprint is untouched.
-    /// Across cores, the destination starts with `shared_cache_retention ×
+    /// Across cores, the destination starts with `SHARED_CACHE_RETENTION ×
     /// warmth` if the CPUs share a cache level, or 0 otherwise; the old
     /// footprint stays behind and decays naturally.
-    pub fn migrate(
-        &mut self,
-        cfg: &KernelConfig,
-        topo: &Topology,
-        pid: Pid,
-        from: CpuId,
-        to: CpuId,
-    ) {
+    pub fn migrate(&mut self, topo: &Topology, pid: Pid, from: CpuId, to: CpuId) {
         let from_core = topo.core_of(from) as usize;
         let to_core = topo.core_of(to) as usize;
         if from_core == to_core {
@@ -167,7 +206,7 @@ impl CacheModel {
         }
         let old = self.core_warmth(from_core, pid);
         let retained = match topo.shared_cache_level(from, to) {
-            Some(_) => old * cfg.shared_cache_retention,
+            Some(_) => old * SHARED_CACHE_RETENTION,
             None => 0.0,
         };
         // Whatever the task had built on the destination core previously
@@ -200,56 +239,46 @@ mod tests {
 
     impl CacheModel {
         /// `run_for` with the warm rate computed here, as `sync_cpu` does.
-        fn run(
-            &mut self,
-            cfg: &KernelConfig,
-            topo: &Topology,
-            cpu: CpuId,
-            pid: Pid,
-            dt: SimDuration,
-        ) {
-            let warm_rate = self.warm_rate(cfg, dt);
-            self.run_for(cfg, topo, cpu, pid, dt, warm_rate);
+        fn run(&mut self, topo: &Topology, cpu: CpuId, pid: Pid, dt: SimDuration) {
+            let warm_rate = self.warm_rate(dt);
+            self.run_for(topo, cpu, pid, dt, warm_rate);
         }
     }
 
-    fn setup() -> (KernelConfig, Topology, CacheModel) {
+    fn setup() -> (Topology, CacheModel) {
         let topo = Topology::power6_js22();
         let model = CacheModel::new(&topo);
-        (KernelConfig::default(), topo, model)
+        (topo, model)
     }
 
     #[test]
     fn warmth_starts_cold() {
-        let (cfg, topo, model) = setup();
+        let (topo, model) = setup();
         assert_eq!(model.warmth(&topo, CpuId(0), Pid(1)), 0.0);
-        assert!(
-            (model.speed_factor(&cfg, &topo, CpuId(0), Pid(1)) - cfg.cache_cold_factor).abs()
-                < 1e-12
-        );
+        assert!((model.speed_factor(&topo, CpuId(0), Pid(1)) - CACHE_COLD_FACTOR).abs() < 1e-12);
     }
 
     #[test]
     fn running_warms_towards_one() {
-        let (cfg, topo, mut model) = setup();
+        let (topo, mut model) = setup();
         let pid = Pid(1);
-        model.run(&cfg, &topo, CpuId(0), pid, SimDuration::from_millis(1));
+        model.run(&topo, CpuId(0), pid, SimDuration::from_millis(1));
         let w1 = model.warmth(&topo, CpuId(0), pid);
         assert!(w1 > 0.0 && w1 < 1.0);
         // After many time constants: essentially warm.
-        model.run(&cfg, &topo, CpuId(0), pid, SimDuration::from_millis(100));
+        model.run(&topo, CpuId(0), pid, SimDuration::from_millis(100));
         let w2 = model.warmth(&topo, CpuId(0), pid);
         assert!(w2 > 0.999, "w2={w2}");
-        assert!(model.speed_factor(&cfg, &topo, CpuId(0), pid) > 0.999);
+        assert!(model.speed_factor(&topo, CpuId(0), pid) > 0.999);
     }
 
     #[test]
     fn warming_is_monotonic() {
-        let (cfg, topo, mut model) = setup();
+        let (topo, mut model) = setup();
         let pid = Pid(1);
         let mut last = 0.0;
         for _ in 0..20 {
-            model.run(&cfg, &topo, CpuId(0), pid, SimDuration::from_micros(500));
+            model.run(&topo, CpuId(0), pid, SimDuration::from_micros(500));
             let w = model.warmth(&topo, CpuId(0), pid);
             assert!(w >= last);
             last = w;
@@ -258,13 +287,13 @@ mod tests {
 
     #[test]
     fn other_task_evicts() {
-        let (cfg, topo, mut model) = setup();
+        let (topo, mut model) = setup();
         let hpc = Pid(1);
         let daemon = Pid(2);
-        model.run(&cfg, &topo, CpuId(0), hpc, SimDuration::from_millis(50));
+        model.run(&topo, CpuId(0), hpc, SimDuration::from_millis(50));
         let before = model.warmth(&topo, CpuId(0), hpc);
         // Daemon runs 5ms on the same core.
-        model.run(&cfg, &topo, CpuId(0), daemon, SimDuration::from_millis(5));
+        model.run(&topo, CpuId(0), daemon, SimDuration::from_millis(5));
         let after = model.warmth(&topo, CpuId(0), hpc);
         assert!(
             after < before * 0.5,
@@ -274,22 +303,22 @@ mod tests {
 
     #[test]
     fn smt_siblings_share_warmth() {
-        let (cfg, topo, mut model) = setup();
+        let (topo, mut model) = setup();
         let pid = Pid(1);
-        model.run(&cfg, &topo, CpuId(0), pid, SimDuration::from_millis(50));
+        model.run(&topo, CpuId(0), pid, SimDuration::from_millis(50));
         // CPUs 0 and 1 are the same POWER6 core.
         assert!(model.warmth(&topo, CpuId(1), pid) > 0.99);
         // Migration between siblings keeps everything.
-        model.migrate(&cfg, &topo, pid, CpuId(0), CpuId(1));
+        model.migrate(&topo, pid, CpuId(0), CpuId(1));
         assert!(model.warmth(&topo, CpuId(1), pid) > 0.99);
     }
 
     #[test]
     fn cross_core_migration_loses_everything_on_power6() {
-        let (cfg, topo, mut model) = setup();
+        let (topo, mut model) = setup();
         let pid = Pid(1);
-        model.run(&cfg, &topo, CpuId(0), pid, SimDuration::from_millis(50));
-        model.migrate(&cfg, &topo, pid, CpuId(0), CpuId(2));
+        model.run(&topo, CpuId(0), pid, SimDuration::from_millis(50));
+        model.migrate(&topo, pid, CpuId(0), CpuId(2));
         // No shared cache between POWER6 cores: cold on arrival.
         assert_eq!(model.warmth(&topo, CpuId(2), pid), 0.0);
         // Old footprint still present on the old core (would be warm if
@@ -300,35 +329,34 @@ mod tests {
     #[test]
     fn shared_l3_retains_warmth() {
         let topo = Topology::xeon_2s4c2t();
-        let cfg = KernelConfig::default();
         let mut model = CacheModel::new(&topo);
         let pid = Pid(1);
-        model.run(&cfg, &topo, CpuId(0), pid, SimDuration::from_millis(50));
+        model.run(&topo, CpuId(0), pid, SimDuration::from_millis(50));
         // cpu0 → cpu2: different core, same socket, shared L3.
-        model.migrate(&cfg, &topo, pid, CpuId(0), CpuId(2));
+        model.migrate(&topo, pid, CpuId(0), CpuId(2));
         let w = model.warmth(&topo, CpuId(2), pid);
-        assert!((w - cfg.shared_cache_retention).abs() < 0.01, "w={w}");
+        assert!((w - SHARED_CACHE_RETENTION).abs() < 0.01, "w={w}");
         // Cross-socket: nothing.
-        model.migrate(&cfg, &topo, pid, CpuId(2), CpuId(8));
+        model.migrate(&topo, pid, CpuId(2), CpuId(8));
         assert_eq!(model.warmth(&topo, CpuId(8), pid), 0.0);
     }
 
     #[test]
     fn ping_pong_return_keeps_residual() {
-        let (cfg, topo, mut model) = setup();
+        let (topo, mut model) = setup();
         let pid = Pid(1);
-        model.run(&cfg, &topo, CpuId(0), pid, SimDuration::from_millis(50));
-        model.migrate(&cfg, &topo, pid, CpuId(0), CpuId(2));
+        model.run(&topo, CpuId(0), pid, SimDuration::from_millis(50));
+        model.migrate(&topo, pid, CpuId(0), CpuId(2));
         // Return immediately: the old footprint is still on core 0.
-        model.migrate(&cfg, &topo, pid, CpuId(2), CpuId(0));
+        model.migrate(&topo, pid, CpuId(2), CpuId(0));
         assert!(model.warmth(&topo, CpuId(0), pid) > 0.99);
     }
 
     #[test]
     fn forget_clears_footprints() {
-        let (cfg, topo, mut model) = setup();
+        let (topo, mut model) = setup();
         let pid = Pid(1);
-        model.run(&cfg, &topo, CpuId(0), pid, SimDuration::from_millis(10));
+        model.run(&topo, CpuId(0), pid, SimDuration::from_millis(10));
         model.forget(pid);
         assert_eq!(model.warmth(&topo, CpuId(0), pid), 0.0);
     }
@@ -340,20 +368,13 @@ mod tests {
     }
 
     impl MapModel {
-        fn run_for(
-            &mut self,
-            cfg: &KernelConfig,
-            topo: &Topology,
-            cpu: CpuId,
-            pid: Pid,
-            dt: SimDuration,
-        ) {
+        fn run_for(&mut self, topo: &Topology, cpu: CpuId, pid: Pid, dt: SimDuration) {
             if dt.is_zero() {
                 return;
             }
             let dt_s = dt.as_secs_f64();
-            let warm_rate = (-dt_s / cfg.cache_warm_tau.as_secs_f64()).exp();
-            let evict_rate = (-dt_s / cfg.cache_evict_tau.as_secs_f64()).exp();
+            let warm_rate = (-dt_s / CACHE_WARM_TAU.as_secs_f64()).exp();
+            let evict_rate = (-dt_s / CACHE_EVICT_TAU.as_secs_f64()).exp();
             let map = &mut self.cores[topo.core_of(cpu) as usize];
             for (&owner, w) in map.iter_mut() {
                 if owner == pid {
@@ -366,21 +387,14 @@ mod tests {
             map.retain(|_, w| *w > PRUNE_THRESHOLD);
         }
 
-        fn migrate(
-            &mut self,
-            cfg: &KernelConfig,
-            topo: &Topology,
-            pid: Pid,
-            from: CpuId,
-            to: CpuId,
-        ) {
+        fn migrate(&mut self, topo: &Topology, pid: Pid, from: CpuId, to: CpuId) {
             let (fc, tc) = (topo.core_of(from) as usize, topo.core_of(to) as usize);
             if fc == tc {
                 return;
             }
             let old = self.cores[fc].get(&pid).copied().unwrap_or(0.0);
             let retained = match topo.shared_cache_level(from, to) {
-                Some(_) => old * cfg.shared_cache_retention,
+                Some(_) => old * SHARED_CACHE_RETENTION,
                 None => 0.0,
             };
             let existing = self.cores[tc].get(&pid).copied().unwrap_or(0.0);
@@ -408,7 +422,6 @@ mod tests {
 
     #[test]
     fn list_model_matches_map_model_bit_for_bit() {
-        let cfg = KernelConfig::default();
         for (topo, seed) in [
             (Topology::power6_js22(), 1u64),
             (Topology::xeon_2s4c2t(), 2),
@@ -431,13 +444,13 @@ mod tests {
                             let dt = SimDuration::from_nanos(
                                 10f64.powf(rng.range_f64(0.0, 8.0)) as u64 - 1,
                             );
-                            model.run(&cfg, &topo, cpu, pid, dt);
-                            reference.run_for(&cfg, &topo, cpu, pid, dt);
+                            model.run(&topo, cpu, pid, dt);
+                            reference.run_for(&topo, cpu, pid, dt);
                         }
                         7 | 8 => {
                             let to = CpuId(rng.below(ncpus) as u32);
-                            model.migrate(&cfg, &topo, pid, cpu, to);
-                            reference.migrate(&cfg, &topo, pid, cpu, to);
+                            model.migrate(&topo, pid, cpu, to);
+                            reference.migrate(&topo, pid, cpu, to);
                         }
                         _ => {
                             model.forget(pid);

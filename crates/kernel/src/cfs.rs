@@ -6,13 +6,13 @@
 //!   inversely proportional to its nice-derived weight; the leftmost
 //!   (smallest-vruntime) task runs next.
 //! * **sleeper fairness** — a task that wakes from sleep is placed at
-//!   `min_vruntime − sleeper_bonus`, so daemons that sleep most of the
+//!   `min_vruntime − SLEEPER_BONUS`, so daemons that sleep most of the
 //!   time *always* look underserved. This is precisely why raising an HPC
 //!   task's static priority (nice) cannot prevent preemption: "a user
 //!   daemon that has been sleeping for enough time [...] can preempt a
 //!   process with a high static priority" (§IV).
 //! * **wakeup preemption** — the woken task preempts the current one if
-//!   its vruntime lag exceeds `wakeup_granularity`.
+//!   its vruntime lag exceeds `WAKEUP_GRANULARITY`.
 //! * **load balancing** — periodic, domain-driven balancing plus new-idle
 //!   pulls, both operating on runnable-task counts (the paper: "the Linux
 //!   load balancer does not distinguish between the parallel application
@@ -29,6 +29,26 @@ use crate::task::{Pid, Policy, Task, TaskTable, NICE_0_WEIGHT};
 use hpl_sim::SimDuration;
 use hpl_topology::CpuId;
 use std::collections::BTreeSet;
+
+/// `sysctl_sched_latency` after the `1+log2(ncpus)` scaling Linux
+/// applies (8 CPUs → factor 4 → 24 ms).
+const SCHED_LATENCY: SimDuration = SimDuration::from_millis(24);
+/// `sysctl_sched_min_granularity` (scaled: 3 ms).
+const MIN_GRANULARITY: SimDuration = SimDuration::from_millis(3);
+/// `sysctl_sched_wakeup_granularity` (scaled: 4 ms). A waking task
+/// preempts the current one if its vruntime lag exceeds this.
+const WAKEUP_GRANULARITY: SimDuration = SimDuration::from_millis(4);
+/// GENTLE_FAIR_SLEEPERS: a waking sleeper is placed at
+/// `min_vruntime − SCHED_LATENCY/2`, giving daemons the boost that
+/// defeats `nice`-based protection of HPC tasks.
+const SLEEPER_BONUS: SimDuration = SimDuration::from_millis(12);
+/// Steal gate combining `sysctl_sched_migration_cost` (cache-hot tasks
+/// are not stolen) with load-average smoothing (a task queued only
+/// briefly is not a *sustained* imbalance): a task is stealable once it
+/// has been waiting this long.
+const HOT_TASK_THRESHOLD: SimDuration = SimDuration::from_millis(3);
+
+const _: () = assert!(MIN_GRANULARITY.as_nanos() <= SCHED_LATENCY.as_nanos());
 
 /// Per-CPU CFS runqueue.
 #[derive(Debug, Default)]
@@ -90,7 +110,7 @@ impl CfsClass {
     /// microseconds before its sleeper-fairness preemption fires never
     /// shows up in `load_avg`, so it is never worth stealing). A task is
     /// stealable only when it has been waiting — neither run nor woken
-    /// nor moved — for at least `hot_task_threshold`.
+    /// nor moved — for at least [`HOT_TASK_THRESHOLD`].
     fn steal_candidate(
         &self,
         from: CpuId,
@@ -101,7 +121,7 @@ impl CfsClass {
         self.rq(from).tree.iter().map(|&(_, pid)| pid).find(|&pid| {
             let t = tasks.get(pid);
             let waited_since = t.last_descheduled.max(t.last_wakeup);
-            let sustained = ctx.now.since(waited_since) >= ctx.cfg.hot_task_threshold;
+            let sustained = ctx.now.since(waited_since) >= HOT_TASK_THRESHOLD;
             t.can_run_on(to) && sustained
         })
     }
@@ -140,7 +160,7 @@ impl CfsClass {
             }
             let Some(pid) = snap.curr_kind[victim_cpu.index()]
                 .filter(|&k| k == ClassKind::Fair)
-                .and_then(|_| self.running_victim(victim_cpu, cpu, ctx, tasks))
+                .and_then(|_| self.running_victim(victim_cpu, cpu, tasks))
             else {
                 continue;
             };
@@ -153,20 +173,14 @@ impl CfsClass {
     /// the destination and on-CPU long enough to be a sustained overload
     /// rather than a blip (Linux gates active balance behind repeated
     /// failed passive attempts).
-    fn running_victim(
-        &self,
-        victim_cpu: CpuId,
-        to: CpuId,
-        ctx: &SchedCtx<'_>,
-        tasks: &TaskTable,
-    ) -> Option<Pid> {
+    fn running_victim(&self, victim_cpu: CpuId, to: CpuId, tasks: &TaskTable) -> Option<Pid> {
         tasks
             .iter()
             .find(|t| {
                 t.state == crate::task::TaskState::Running
                     && t.cpu == victim_cpu
                     && t.can_run_on(to)
-                    && t.ran_since_pick >= ctx.cfg.hot_task_threshold
+                    && t.ran_since_pick >= HOT_TASK_THRESHOLD
             })
             .map(|t| t.pid)
     }
@@ -181,9 +195,9 @@ impl SchedClass for CfsClass {
         self.rqs = (0..ncpus).map(|_| CfsRq::default()).collect();
     }
 
-    fn enqueue(&mut self, cpu: CpuId, task: &mut Task, ctx: &SchedCtx<'_>, wakeup: bool) {
-        let latency = ctx.cfg.sched_latency.as_nanos();
-        let bonus = ctx.cfg.sleeper_bonus.as_nanos();
+    fn enqueue(&mut self, cpu: CpuId, task: &mut Task, wakeup: bool) {
+        let latency = SCHED_LATENCY.as_nanos();
+        let bonus = SLEEPER_BONUS.as_nanos();
         let rq = self.rq_mut(cpu);
         if wakeup {
             // place_entity: sleepers resume at min_vruntime − bonus
@@ -207,7 +221,7 @@ impl SchedClass for CfsClass {
         rq.queued_weight += task.weight;
     }
 
-    fn dequeue(&mut self, cpu: CpuId, task: &mut Task, _ctx: &SchedCtx<'_>) {
+    fn dequeue(&mut self, cpu: CpuId, task: &mut Task) {
         let rq = self.rq_mut(cpu);
         let removed = rq.tree.remove(&(task.vruntime, task.pid));
         debug_assert!(removed, "{} not queued on {}", task.pid, cpu);
@@ -224,7 +238,7 @@ impl SchedClass for CfsClass {
         Some(pid)
     }
 
-    fn put_prev(&mut self, cpu: CpuId, task: &mut Task, _ctx: &SchedCtx<'_>) {
+    fn put_prev(&mut self, cpu: CpuId, task: &mut Task) {
         let rq = self.rq_mut(cpu);
         let inserted = rq.tree.insert((task.vruntime, task.pid));
         debug_assert!(inserted);
@@ -247,7 +261,7 @@ impl SchedClass for CfsClass {
         rq.advance_min_vruntime(cand);
     }
 
-    fn task_tick(&mut self, cpu: CpuId, task: &mut Task, ctx: &SchedCtx<'_>) -> bool {
+    fn task_tick(&mut self, cpu: CpuId, task: &mut Task) -> bool {
         let rq = self.rq(cpu);
         if rq.tree.is_empty() {
             return false;
@@ -255,24 +269,21 @@ impl SchedClass for CfsClass {
         // Ideal slice: latency share proportional to weight, floored at
         // min_granularity.
         let total_weight = rq.queued_weight + task.weight;
-        let slice_ns =
-            ctx.cfg.sched_latency.as_nanos().saturating_mul(task.weight) / total_weight.max(1);
-        let slice = SimDuration::from_nanos(slice_ns).max(ctx.cfg.min_granularity);
+        let slice_ns = SCHED_LATENCY.as_nanos().saturating_mul(task.weight) / total_weight.max(1);
+        let slice = SimDuration::from_nanos(slice_ns).max(MIN_GRANULARITY);
         if task.ran_since_pick >= slice {
             return true;
         }
         // Also resched if the leftmost queued task is far behind us.
         if let Some(&(leftmost, _)) = rq.tree.iter().next() {
-            if task.vruntime > leftmost
-                && task.vruntime - leftmost > ctx.cfg.sched_latency.as_nanos()
-            {
+            if task.vruntime > leftmost && task.vruntime - leftmost > SCHED_LATENCY.as_nanos() {
                 return true;
             }
         }
         false
     }
 
-    fn wakeup_preempt(&self, _cpu: CpuId, curr: &Task, woken: &Task, ctx: &SchedCtx<'_>) -> bool {
+    fn wakeup_preempt(&self, _cpu: CpuId, curr: &Task, woken: &Task) -> bool {
         // SCHED_BATCH tasks neither preempt nor get preempted on wakeup.
         if matches!(woken.policy, Policy::Batch { .. })
             || matches!(curr.policy, Policy::Batch { .. })
@@ -283,12 +294,8 @@ impl SchedClass for CfsClass {
             return false;
         }
         // Scale granularity by the woken task's weight, as wakeup_gran does.
-        let gran = ctx
-            .cfg
-            .wakeup_granularity
-            .as_nanos()
-            .saturating_mul(NICE_0_WEIGHT)
-            / woken.weight.max(1);
+        let gran =
+            WAKEUP_GRANULARITY.as_nanos().saturating_mul(NICE_0_WEIGHT) / woken.weight.max(1);
         curr.vruntime - woken.vruntime > gran
     }
 
@@ -458,12 +465,10 @@ impl SchedClass for CfsClass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::KernelConfig;
     use hpl_sim::SimTime;
     use hpl_topology::{CpuMask, DomainHierarchy, Topology};
 
     struct Fixture {
-        cfg: KernelConfig,
         topo: Topology,
         domains: DomainHierarchy,
     }
@@ -472,11 +477,7 @@ mod tests {
         fn new() -> Self {
             let topo = Topology::power6_js22();
             let domains = DomainHierarchy::build(&topo);
-            Fixture {
-                cfg: KernelConfig::default(),
-                topo,
-                domains,
-            }
+            Fixture { topo, domains }
         }
 
         fn ctx(&self) -> SchedCtx<'_> {
@@ -484,7 +485,6 @@ mod tests {
                 // Far enough from t=0 that fresh tasks (last activity at
                 // the epoch) count as sustained-queued for steal tests.
                 now: SimTime::from_nanos(1_000_000_000),
-                cfg: &self.cfg,
                 topo: &self.topo,
                 domains: &self.domains,
             }
@@ -526,7 +526,6 @@ mod tests {
 
     #[test]
     fn picks_smallest_vruntime() {
-        let fx = Fixture::new();
         let mut cfs = CfsClass::new();
         cfs.init(8);
         let mut tt = TaskTable::new();
@@ -534,9 +533,8 @@ mod tests {
         let b = mk_task(&mut tt, "b", 0);
         tt.get_mut(a).vruntime = 100;
         tt.get_mut(b).vruntime = 50;
-        let ctx = fx.ctx();
-        cfs.enqueue(CpuId(0), tt.get_mut(a), &ctx, false);
-        cfs.enqueue(CpuId(0), tt.get_mut(b), &ctx, false);
+        cfs.enqueue(CpuId(0), tt.get_mut(a), false);
+        cfs.enqueue(CpuId(0), tt.get_mut(b), false);
         assert_eq!(cfs.pick_next(CpuId(0), &tt), Some(b));
         assert_eq!(cfs.pick_next(CpuId(0), &tt), Some(a));
         assert_eq!(cfs.pick_next(CpuId(0), &tt), None);
@@ -544,30 +542,27 @@ mod tests {
 
     #[test]
     fn sleeper_gets_bonus_placement() {
-        let fx = Fixture::new();
         let mut cfs = CfsClass::new();
         cfs.init(8);
         let mut tt = TaskTable::new();
         let hpc = mk_task(&mut tt, "rank", 0);
         let daemon = mk_task(&mut tt, "daemon", 0);
-        let ctx = fx.ctx();
 
         // The HPC task runs for 10 s; min_vruntime follows it up.
-        cfs.enqueue(CpuId(0), tt.get_mut(hpc), &ctx, false);
+        cfs.enqueue(CpuId(0), tt.get_mut(hpc), false);
         cfs.pick_next(CpuId(0), &tt);
         cfs.update_curr(CpuId(0), tt.get_mut(hpc), SimDuration::from_secs(10));
         assert_eq!(cfs.rq(CpuId(0)).min_vruntime, 10_000_000_000);
 
         // A daemon that slept for ages wakes with vruntime 0 → placed at
         // min_vruntime − bonus, not at 0 and not at min_vruntime.
-        cfs.enqueue(CpuId(0), tt.get_mut(daemon), &ctx, true);
-        let expected = 10_000_000_000 - fx.cfg.sleeper_bonus.as_nanos();
+        cfs.enqueue(CpuId(0), tt.get_mut(daemon), true);
+        let expected = 10_000_000_000 - SLEEPER_BONUS.as_nanos();
         assert_eq!(tt.get(daemon).vruntime, expected);
     }
 
     #[test]
     fn woken_sleeper_preempts_current() {
-        let fx = Fixture::new();
         let mut cfs = CfsClass::new();
         cfs.init(8);
         let mut tt = TaskTable::new();
@@ -575,53 +570,48 @@ mod tests {
         let daemon = mk_task(&mut tt, "daemon", 0);
         tt.get_mut(hpc).vruntime = 10_000_000_000;
         // Daemon placed with sleeper bonus 12ms behind -> lag > 4ms gran.
-        tt.get_mut(daemon).vruntime = 10_000_000_000 - fx.cfg.sleeper_bonus.as_nanos();
-        let ctx = fx.ctx();
-        assert!(cfs.wakeup_preempt(CpuId(0), tt.get(hpc), tt.get(daemon), &ctx));
+        tt.get_mut(daemon).vruntime = 10_000_000_000 - SLEEPER_BONUS.as_nanos();
+        assert!(cfs.wakeup_preempt(CpuId(0), tt.get(hpc), tt.get(daemon)));
         // A task barely behind does not preempt.
         tt.get_mut(daemon).vruntime = 10_000_000_000 - 1_000_000;
-        assert!(!cfs.wakeup_preempt(CpuId(0), tt.get(hpc), tt.get(daemon), &ctx));
+        assert!(!cfs.wakeup_preempt(CpuId(0), tt.get(hpc), tt.get(daemon)));
     }
 
     #[test]
     fn nice_does_not_prevent_sleeper_preemption() {
         // The paper's §IV point: an HPC task with nice -19 is still
         // preempted by a waking daemon.
-        let fx = Fixture::new();
         let mut cfs = CfsClass::new();
         cfs.init(8);
         let mut tt = TaskTable::new();
         let hpc = mk_task(&mut tt, "rank", -19);
         let daemon = mk_task(&mut tt, "daemon", 0);
-        let ctx = fx.ctx();
         tt.get_mut(hpc).vruntime = 5_000_000_000;
-        cfs.enqueue(CpuId(0), tt.get_mut(hpc), &ctx, false);
+        cfs.enqueue(CpuId(0), tt.get_mut(hpc), false);
         cfs.pick_next(CpuId(0), &tt);
-        cfs.enqueue(CpuId(0), tt.get_mut(daemon), &ctx, true);
-        cfs.dequeue(CpuId(0), tt.get_mut(daemon), &ctx);
+        cfs.enqueue(CpuId(0), tt.get_mut(daemon), true);
+        cfs.dequeue(CpuId(0), tt.get_mut(daemon));
         assert!(
-            cfs.wakeup_preempt(CpuId(0), tt.get(hpc), tt.get(daemon), &ctx),
+            cfs.wakeup_preempt(CpuId(0), tt.get(hpc), tt.get(daemon)),
             "sleeper bonus defeats static priority"
         );
     }
 
     #[test]
     fn batch_tasks_get_no_bonus_and_no_preempt() {
-        let fx = Fixture::new();
         let mut cfs = CfsClass::new();
         cfs.init(8);
         let mut tt = TaskTable::new();
         let hpc = mk_task(&mut tt, "rank", 0);
         let batch =
             tt.alloc(|p| Task::new(p, "batch", Policy::Batch { nice: 0 }, CpuMask::first_n(8)));
-        let ctx = fx.ctx();
-        cfs.enqueue(CpuId(0), tt.get_mut(hpc), &ctx, false);
+        cfs.enqueue(CpuId(0), tt.get_mut(hpc), false);
         cfs.pick_next(CpuId(0), &tt);
         cfs.update_curr(CpuId(0), tt.get_mut(hpc), SimDuration::from_secs(10));
-        cfs.enqueue(CpuId(0), tt.get_mut(batch), &ctx, true);
+        cfs.enqueue(CpuId(0), tt.get_mut(batch), true);
         // No sleeper credit for batch: placed at min_vruntime, not below.
         assert_eq!(tt.get(batch).vruntime, 10_000_000_000);
-        assert!(!cfs.wakeup_preempt(CpuId(0), tt.get(hpc), tt.get(batch), &ctx));
+        assert!(!cfs.wakeup_preempt(CpuId(0), tt.get(hpc), tt.get(batch)));
     }
 
     #[test]
@@ -643,23 +633,21 @@ mod tests {
 
     #[test]
     fn tick_expires_slice_only_with_competition() {
-        let fx = Fixture::new();
         let mut cfs = CfsClass::new();
         cfs.init(8);
         let mut tt = TaskTable::new();
         let a = mk_task(&mut tt, "a", 0);
         let b = mk_task(&mut tt, "b", 0);
-        let ctx = fx.ctx();
         // Alone: never resched regardless of runtime.
         tt.get_mut(a).ran_since_pick = SimDuration::from_secs(10);
-        assert!(!cfs.task_tick(CpuId(0), tt.get_mut(a), &ctx));
+        assert!(!cfs.task_tick(CpuId(0), tt.get_mut(a)));
         // With a competitor queued: slice = latency/2 = 12ms.
-        cfs.enqueue(CpuId(0), tt.get_mut(b), &ctx, false);
+        cfs.enqueue(CpuId(0), tt.get_mut(b), false);
         tt.get_mut(a).ran_since_pick = SimDuration::from_millis(13);
-        assert!(cfs.task_tick(CpuId(0), tt.get_mut(a), &ctx));
+        assert!(cfs.task_tick(CpuId(0), tt.get_mut(a)));
         tt.get_mut(a).ran_since_pick = SimDuration::from_millis(5);
         tt.get_mut(a).vruntime = 0;
-        assert!(!cfs.task_tick(CpuId(0), tt.get_mut(a), &ctx));
+        assert!(!cfs.task_tick(CpuId(0), tt.get_mut(a)));
     }
 
     #[test]
@@ -747,7 +735,7 @@ mod tests {
         let ctx = fx.ctx();
         // CPU 4 runs `running` and also has `queued` waiting.
         tt.get_mut(queued).cpu = CpuId(4);
-        cfs.enqueue(CpuId(4), tt.get_mut(queued), &ctx, false);
+        cfs.enqueue(CpuId(4), tt.get_mut(queued), false);
         let mut snap = snapshot(8);
         snap.curr_kind[4] = Some(ClassKind::Fair);
         snap.nr_running[4] = 2;
@@ -779,7 +767,7 @@ mod tests {
         let q1 = mk_task(&mut tt, "q1", 0);
         let ctx = fx.ctx();
         tt.get_mut(q1).cpu = CpuId(1);
-        cfs.enqueue(CpuId(1), tt.get_mut(q1), &ctx, false);
+        cfs.enqueue(CpuId(1), tt.get_mut(q1), false);
         let mut snap = snapshot(8);
         snap.curr_kind[1] = Some(ClassKind::Fair);
         // cpu1 active=2 (1 running + 1 queued), cpu0 active=0 → steal.
@@ -794,7 +782,7 @@ mod tests {
         // Equal load: no move.
         snap.nr_running[0] = 2;
         let q0 = mk_task(&mut tt, "q0", 0);
-        cfs.enqueue(CpuId(0), tt.get_mut(q0), &ctx, false);
+        cfs.enqueue(CpuId(0), tt.get_mut(q0), false);
         let plans = periodic_plans(&mut cfs, CpuId(0), 0, &ctx, &snap, &tt);
         assert!(plans.is_empty());
     }
@@ -894,7 +882,7 @@ mod tests {
         });
         let ctx = fx.ctx();
         tt.get_mut(pinned).cpu = CpuId(4);
-        cfs.enqueue(CpuId(4), tt.get_mut(pinned), &ctx, false);
+        cfs.enqueue(CpuId(4), tt.get_mut(pinned), false);
         let mut snap = snapshot(8);
         snap.curr_kind[4] = Some(ClassKind::Fair);
         snap.nr_running[4] = 2;

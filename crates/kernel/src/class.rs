@@ -14,7 +14,6 @@
 //! list and performs every state transition (blocking, waking, switching,
 //! migrating) so that counters are bumped in exactly one place.
 
-use crate::config::KernelConfig;
 use crate::task::{Pid, Policy, Task, TaskTable};
 use hpl_sim::{SimDuration, SimTime};
 use hpl_topology::{CpuId, DomainHierarchy, Topology};
@@ -45,8 +44,6 @@ pub fn class_of_policy(policy: Policy) -> ClassKind {
 pub struct SchedCtx<'a> {
     /// Current simulated time.
     pub now: SimTime,
-    /// Kernel tunables.
-    pub cfg: &'a KernelConfig,
     /// Machine topology.
     pub topo: &'a Topology,
     /// Scheduling domains.
@@ -140,24 +137,24 @@ pub trait SchedClass: Send {
 
     /// Add a runnable task to `cpu`'s queue. `wakeup` distinguishes a
     /// sleeper waking (CFS grants the sleeper bonus) from a requeue.
-    fn enqueue(&mut self, cpu: CpuId, task: &mut Task, ctx: &SchedCtx<'_>, wakeup: bool);
+    fn enqueue(&mut self, cpu: CpuId, task: &mut Task, wakeup: bool);
 
     /// Remove a queued task (it blocked, died, migrated or changed class).
-    fn dequeue(&mut self, cpu: CpuId, task: &mut Task, ctx: &SchedCtx<'_>);
+    fn dequeue(&mut self, cpu: CpuId, task: &mut Task);
 
     /// Choose the next task to run on `cpu`, removing it from the queue.
     fn pick_next(&mut self, cpu: CpuId, tasks: &TaskTable) -> Option<Pid>;
 
     /// The previous current task of this class leaves the CPU; re-insert
     /// it if still runnable.
-    fn put_prev(&mut self, cpu: CpuId, task: &mut Task, ctx: &SchedCtx<'_>);
+    fn put_prev(&mut self, cpu: CpuId, task: &mut Task);
 
     /// Account `ran` of productive runtime to the running task.
     fn update_curr(&mut self, cpu: CpuId, task: &mut Task, ran: SimDuration);
 
     /// Per-tick hook for the running task; returns true if it should be
     /// preempted (timeslice/fairness expiry).
-    fn task_tick(&mut self, cpu: CpuId, task: &mut Task, ctx: &SchedCtx<'_>) -> bool;
+    fn task_tick(&mut self, cpu: CpuId, task: &mut Task) -> bool;
 
     /// True when [`task_tick`](Self::task_tick) is a provable no-op for
     /// `task` running *alone* on `cpu` (nothing queued in any class): the
@@ -172,7 +169,7 @@ pub trait SchedClass: Send {
     }
 
     /// Should `woken` (same class) preempt `curr` right now?
-    fn wakeup_preempt(&self, cpu: CpuId, curr: &Task, woken: &Task, ctx: &SchedCtx<'_>) -> bool;
+    fn wakeup_preempt(&self, cpu: CpuId, curr: &Task, woken: &Task) -> bool;
 
     /// Number of tasks queued (excluding any running task).
     fn nr_queued(&self, cpu: CpuId) -> u32;

@@ -30,11 +30,11 @@ impl SchedClass for IdleClass {
 
     fn init(&mut self, _ncpus: usize) {}
 
-    fn enqueue(&mut self, _cpu: CpuId, task: &mut Task, _ctx: &SchedCtx<'_>, _wakeup: bool) {
+    fn enqueue(&mut self, _cpu: CpuId, task: &mut Task, _wakeup: bool) {
         unreachable!("no task maps to the idle class: {}", task.pid);
     }
 
-    fn dequeue(&mut self, _cpu: CpuId, task: &mut Task, _ctx: &SchedCtx<'_>) {
+    fn dequeue(&mut self, _cpu: CpuId, task: &mut Task) {
         unreachable!("no task maps to the idle class: {}", task.pid);
     }
 
@@ -42,21 +42,15 @@ impl SchedClass for IdleClass {
         None
     }
 
-    fn put_prev(&mut self, _cpu: CpuId, _task: &mut Task, _ctx: &SchedCtx<'_>) {}
+    fn put_prev(&mut self, _cpu: CpuId, _task: &mut Task) {}
 
     fn update_curr(&mut self, _cpu: CpuId, _task: &mut Task, _ran: SimDuration) {}
 
-    fn task_tick(&mut self, _cpu: CpuId, _task: &mut Task, _ctx: &SchedCtx<'_>) -> bool {
+    fn task_tick(&mut self, _cpu: CpuId, _task: &mut Task) -> bool {
         false
     }
 
-    fn wakeup_preempt(
-        &self,
-        _cpu: CpuId,
-        _curr: &Task,
-        _woken: &Task,
-        _ctx: &SchedCtx<'_>,
-    ) -> bool {
+    fn wakeup_preempt(&self, _cpu: CpuId, _curr: &Task, _woken: &Task) -> bool {
         false
     }
 

@@ -20,7 +20,7 @@
 //! the real kernel.
 
 use crate::balance::BalanceClock;
-use crate::cache::CacheModel;
+use crate::cache::{CacheModel, CACHE_COLD_FACTOR, CACHE_WARM_TAU, SMT_BUSY_FACTOR};
 use crate::cfs::CfsClass;
 use crate::class::{class_of_policy, ClassKind, LoadSnapshot, MigrationPlan, SchedClass, SchedCtx};
 use crate::config::{BalanceMode, KernelConfig};
@@ -41,6 +41,23 @@ use hpl_topology::{CpuId, CpuMask, DomainHierarchy, Topology};
 
 /// Rounding slack of the late-completion oracle ([`Node::late_completion`]).
 const COMPLETION_SLACK: SimDuration = SimDuration::from_micros(1);
+
+/// Timer tick period. Linux HZ=1000 → 1 ms, the common distro choice on
+/// the paper's era of POWER hardware.
+const TICK_PERIOD: SimDuration = SimDuration::from_millis(1);
+/// CPU time consumed by each tick's handler (the "micro-noise" the paper
+/// explicitly leaves to NETTICK). A few microseconds per tick.
+const TICK_COST: SimDuration = SimDuration::from_micros(3);
+/// Direct cost of a context switch (register/address-space switch,
+/// runqueue bookkeeping).
+const CTX_SWITCH_COST: SimDuration = SimDuration::from_micros(4);
+/// Direct cost of executing one task migration (the migration-thread
+/// work the paper notes runs at high RT priority), charged to both CPUs.
+const MIGRATION_COST: SimDuration = SimDuration::from_micros(12);
+/// Direct CPU cost of one load-balancer invocation (domain scan).
+const BALANCE_COST: SimDuration = SimDuration::from_micros(5);
+
+const _: () = assert!(!TICK_PERIOD.is_zero());
 
 // `Clone` because periodic timer-wheel slots re-arm by cloning their
 // payload on every pop (all variants are tiny Copy-able data).
@@ -232,7 +249,6 @@ impl NodeBuilder {
             load: LoadSnapshot::empty(ncpus),
             plan_buf: Vec::new(),
             tick_slots: Vec::new(),
-            ff_horizons: vec![SimTime::ZERO; ncpus],
             ff_fired: vec![0; ncpus],
             ff_start: vec![SimTime::ZERO; ncpus],
             net_spans: Vec::new(),
@@ -250,7 +266,7 @@ impl NodeBuilder {
         // the reference path schedules plain events that the tick
         // handler re-arms. Both allocate sequence numbers in the same
         // order, so the two paths produce identical event streams.
-        let period = node.cfg.tick_period;
+        let period = TICK_PERIOD;
         for c in 0..ncpus as u32 {
             let offset = SimDuration::from_nanos(period.as_nanos() * (c as u64) / ncpus as u64);
             let first = SimTime::ZERO + period + offset;
@@ -363,9 +379,8 @@ pub struct Node {
     plan_buf: Vec<MigrationPlan>,
     /// Timer-wheel slot per CPU (`fast_event_loop` only; slot i == cpu i).
     tick_slots: Vec<hpl_sim::PeriodicId>,
-    /// Scratch for `fast_forward` (per-slot horizons / fire counts /
-    /// pre-batch tick times for all-idle balance replay).
-    ff_horizons: Vec<SimTime>,
+    /// Scratch for `fast_forward` (per-slot fire counts / pre-batch
+    /// tick times for all-idle balance replay).
     ff_fired: Vec<u64>,
     ff_start: Vec<SimTime>,
     /// Registered cross-node channel spans, in registration order: a
@@ -520,17 +535,11 @@ impl Node {
     }
 
     fn sched_ctx<'a>(
-        cfg: &'a KernelConfig,
         topo: &'a Topology,
         domains: &'a DomainHierarchy,
         now: SimTime,
     ) -> SchedCtx<'a> {
-        SchedCtx {
-            now,
-            cfg,
-            topo,
-            domains,
-        }
+        SchedCtx { now, topo, domains }
     }
 
     /// Rebuild the load view from scratch (O(cpus × classes)). The hot
@@ -604,7 +613,7 @@ impl Node {
 
     fn smt_factor(&self, cpu: CpuId) -> f64 {
         if self.sibling_busy(cpu) {
-            self.cfg.smt_busy_factor
+            SMT_BUSY_FACTOR
         } else {
             1.0
         }
@@ -613,11 +622,11 @@ impl Node {
     /// Full-speed work (seconds) done over `dt_s` starting from warmth
     /// `w0`, given the SMT factor. Closed form of
     /// `∫ smt·(cold + (1−cold)·w(t)) dt` with exponential rewarming;
-    /// `decay` is `exp(−dt_s / cache_warm_tau)`, which every caller also
+    /// `decay` is `exp(−dt_s / CACHE_WARM_TAU)`, which every caller also
     /// needs for something else and so computes once.
     fn work_integral(&self, smt: f64, w0: f64, dt_s: f64, decay: f64) -> f64 {
-        let cold = self.cfg.cache_cold_factor;
-        let tau = self.cfg.cache_warm_tau.as_secs_f64();
+        let cold = CACHE_COLD_FACTOR;
+        let tau = CACHE_WARM_TAU.as_secs_f64();
         smt * (dt_s - (1.0 - cold) * (1.0 - w0) * tau * (1.0 - decay))
     }
 
@@ -627,8 +636,8 @@ impl Node {
     /// in a handful of steps. One exponential per step serves both the
     /// integral and its derivative.
     fn time_for_work(&self, smt: f64, w0: f64, work_s: f64) -> f64 {
-        let cold = self.cfg.cache_cold_factor;
-        let tau = self.cfg.cache_warm_tau.as_secs_f64();
+        let cold = CACHE_COLD_FACTOR;
+        let tau = CACHE_WARM_TAU.as_secs_f64();
         debug_assert!(work_s >= 0.0);
         if work_s <= 0.0 {
             return 0.0;
@@ -673,7 +682,7 @@ impl Node {
         let smt = self.smt_factor(cpu);
         let w0 = self.cache.warmth(&self.topo, cpu, pid);
         let dt_s = productive.as_secs_f64();
-        let warm_rate = self.cache.warm_rate(&self.cfg, productive);
+        let warm_rate = self.cache.warm_rate(productive);
         let work_s = self.work_integral(smt, w0, dt_s, warm_rate);
         let work_ns = round_to_u64(work_s * 1e9);
         // Counter attribution: lost cycles split between SMT contention
@@ -698,7 +707,7 @@ impl Node {
         let (classes, tasks) = (&mut self.classes, &mut self.tasks);
         classes[ci].update_curr(cpu, tasks.get_mut(pid), productive);
         self.cache
-            .run_for(&self.cfg, &self.topo, cpu, pid, productive, warm_rate);
+            .run_for(&self.topo, cpu, pid, productive, warm_rate);
     }
 
     /// Wall time from now until `pid`, current on `cpu`, finishes its
@@ -771,7 +780,7 @@ impl Node {
         if from == to {
             return;
         }
-        self.cache.migrate(&self.cfg, &self.topo, pid, from, to);
+        self.cache.migrate(&self.topo, pid, from, to);
         let task = self.tasks.get_mut(pid);
         task.cpu = to;
         // Fork placement of a never-run task is not a migration in
@@ -792,43 +801,22 @@ impl Node {
         if reason == MigrateReason::Balance {
             self.counters.add_sw(to, SwEvent::LoadBalanceMigrations, 1);
             // The migration thread runs briefly on both CPUs.
-            self.cpus[from.index()].pending_overhead += self.cfg.migration_cost;
-            self.cpus[to.index()].pending_overhead += self.cfg.migration_cost;
-            self.counters.add_hw(
-                to,
-                HwEvent::CtxSwitchOverheadNs,
-                self.cfg.migration_cost.as_nanos(),
-            );
+            self.cpus[from.index()].pending_overhead += MIGRATION_COST;
+            self.cpus[to.index()].pending_overhead += MIGRATION_COST;
+            self.counters
+                .add_hw(to, HwEvent::CtxSwitchOverheadNs, MIGRATION_COST.as_nanos());
         }
     }
 
     fn enqueue_task(&mut self, cpu: CpuId, pid: Pid, wakeup: bool) {
         let ci = self.class_idx(self.tasks.get(pid));
-        let now = self.now();
-        let (classes, tasks, cfg, topo, domains) = (
-            &mut self.classes,
-            &mut self.tasks,
-            &self.cfg,
-            &self.topo,
-            &self.domains,
-        );
-        let ctx = Self::sched_ctx(cfg, topo, domains, now);
-        classes[ci].enqueue(cpu, tasks.get_mut(pid), &ctx, wakeup);
+        self.classes[ci].enqueue(cpu, self.tasks.get_mut(pid), wakeup);
         self.load.nr_running[cpu.index()] += 1;
     }
 
     fn dequeue_task(&mut self, cpu: CpuId, pid: Pid) {
         let ci = self.class_idx(self.tasks.get(pid));
-        let now = self.now();
-        let (classes, tasks, cfg, topo, domains) = (
-            &mut self.classes,
-            &mut self.tasks,
-            &self.cfg,
-            &self.topo,
-            &self.domains,
-        );
-        let ctx = Self::sched_ctx(cfg, topo, domains, now);
-        classes[ci].dequeue(cpu, tasks.get_mut(pid), &ctx);
+        self.classes[ci].dequeue(cpu, self.tasks.get_mut(pid));
         self.load.nr_running[cpu.index()] -= 1;
     }
 
@@ -844,13 +832,10 @@ impl Node {
                     std::cmp::Ordering::Less => PreemptVerdict::HigherClass,
                     std::cmp::Ordering::Greater => PreemptVerdict::LowerClass,
                     std::cmp::Ordering::Equal => {
-                        let now = self.now();
-                        let ctx = Self::sched_ctx(&self.cfg, &self.topo, &self.domains, now);
                         if self.classes[ci_w].wakeup_preempt(
                             cpu,
                             self.tasks.get(curr),
                             self.tasks.get(woken),
-                            &ctx,
                         ) {
                             PreemptVerdict::Granted
                         } else {
@@ -887,15 +872,14 @@ impl Node {
         }
         let ci = self.class_idx(self.tasks.get(pid));
         let target = {
-            let (classes, tasks, cfg, topo, domains, load) = (
+            let (classes, tasks, topo, domains, load) = (
                 &mut self.classes,
                 &self.tasks,
-                &self.cfg,
                 &self.topo,
                 &self.domains,
                 &self.load,
             );
-            let ctx = Self::sched_ctx(cfg, topo, domains, now);
+            let ctx = Self::sched_ctx(topo, domains, now);
             classes[ci].select_cpu_wakeup(tasks.get(pid), &ctx, load, tasks)
         };
         self.counters.add_sw(target, SwEvent::Wakeups, 1);
@@ -913,15 +897,14 @@ impl Node {
             let mut plans = std::mem::take(&mut self.plan_buf);
             plans.clear();
             {
-                let (classes, tasks, cfg, topo, domains, load) = (
+                let (classes, tasks, topo, domains, load) = (
                     &mut self.classes,
                     &self.tasks,
-                    &self.cfg,
                     &self.topo,
                     &self.domains,
                     &self.load,
                 );
-                let ctx = Self::sched_ctx(cfg, topo, domains, now);
+                let ctx = Self::sched_ctx(topo, domains, now);
                 classes[ci].push_overload(target, &ctx, load, tasks, &mut plans);
             }
             let applied = self.apply_migrations(&plans);
@@ -1021,15 +1004,14 @@ impl Node {
         // Fork placement through the class's fork balancer.
         let ci = self.class_idx(self.tasks.get(pid));
         let target = {
-            let (classes, tasks, cfg, topo, domains, load) = (
+            let (classes, tasks, topo, domains, load) = (
                 &mut self.classes,
                 &self.tasks,
-                &self.cfg,
                 &self.topo,
                 &self.domains,
                 &self.load,
             );
-            let ctx = Self::sched_ctx(cfg, topo, domains, now);
+            let ctx = Self::sched_ctx(topo, domains, now);
             classes[ci].select_cpu_fork(tasks.get(pid), parent_cpu, &ctx, load, tasks)
         };
         if !self.observers.is_empty() {
@@ -1656,15 +1638,7 @@ impl Node {
             if self.tasks.get(p).state == TaskState::Running {
                 self.tasks.get_mut(p).state = TaskState::Runnable;
                 let ci = self.class_idx(self.tasks.get(p));
-                let (classes, tasks, cfg, topo, domains) = (
-                    &mut self.classes,
-                    &mut self.tasks,
-                    &self.cfg,
-                    &self.topo,
-                    &self.domains,
-                );
-                let ctx = Self::sched_ctx(cfg, topo, domains, now);
-                classes[ci].put_prev(cpu, tasks.get_mut(p), &ctx);
+                self.classes[ci].put_prev(cpu, self.tasks.get_mut(p));
                 // put_prev re-inserted the (runnable) task into its
                 // class queue: the queue side of the load view grows.
                 self.load.nr_running[idx] += 1;
@@ -1677,21 +1651,20 @@ impl Node {
         if picked.is_none() && self.cfg.balance == BalanceMode::Full {
             // New-idle balance: classes in priority order.
             self.counters.add_sw(cpu, SwEvent::LoadBalanceCalls, 1);
-            self.cpus[idx].pending_overhead += self.cfg.balance_cost;
+            self.cpus[idx].pending_overhead += BALANCE_COST;
             let mut plans = std::mem::take(&mut self.plan_buf);
             let mut pulled = 0;
             for ci in 0..self.classes.len() {
                 plans.clear();
                 {
-                    let (classes, tasks, cfg, topo, domains, load) = (
+                    let (classes, tasks, topo, domains, load) = (
                         &mut self.classes,
                         &self.tasks,
-                        &self.cfg,
                         &self.topo,
                         &self.domains,
                         &self.load,
                     );
-                    let ctx = Self::sched_ctx(cfg, topo, domains, now);
+                    let ctx = Self::sched_ctx(topo, domains, now);
                     classes[ci].idle_balance(cpu, &ctx, load, tasks, &mut plans);
                 }
                 let applied = self.apply_migrations(&plans);
@@ -1754,11 +1727,11 @@ impl Node {
                 }
             }
             self.counters.add_sw(cpu, SwEvent::ContextSwitches, 1);
-            self.cpus[idx].pending_overhead += self.cfg.ctx_switch_cost;
+            self.cpus[idx].pending_overhead += CTX_SWITCH_COST;
             self.counters.add_hw(
                 cpu,
                 HwEvent::CtxSwitchOverheadNs,
-                self.cfg.ctx_switch_cost.as_nanos(),
+                CTX_SWITCH_COST.as_nanos(),
             );
             if let Some(p) = prev {
                 match self.tasks.get(p).state {
@@ -1843,14 +1816,25 @@ impl Node {
             // NOHZ idle: the tick only settles an idle clock.
             None => self.load.nr_running[idx] == 0,
             Some(pid) => {
-                if !self.cfg.tickless_single_hpc || self.load.nr_running[idx] != 1 {
-                    return false;
+                self.tickless_lone_hpc(cpu) && {
+                    let t = self.tasks.get(pid);
+                    self.classes[self.class_idx(t)].tick_skippable(cpu, t)
                 }
-                let t = self.tasks.get(pid);
-                t.policy == crate::task::Policy::Hpc
-                    && self.classes[self.class_idx(t)].tick_skippable(cpu, t)
             }
         }
+    }
+
+    /// Under `tickless_single_hpc`, is this CPU running an HPC task with
+    /// nothing queued behind it? `nr_running` counts the current task
+    /// plus every queued task across classes, so "nothing queued" is
+    /// `nr_running == 1`.
+    fn tickless_lone_hpc(&self, cpu: CpuId) -> bool {
+        let idx = cpu.index();
+        self.cfg.tickless_single_hpc
+            && self.load.nr_running[idx] == 1
+            && self.cpus[idx]
+                .curr
+                .is_some_and(|pid| self.tasks.get(pid).policy == crate::task::Policy::Hpc)
     }
 
     // ---------------------------------------------------------------
@@ -1876,8 +1860,7 @@ impl Node {
                 });
             }
             if !self.cfg.fast_event_loop {
-                self.queue
-                    .schedule(now + self.cfg.tick_period, Ev::Tick(cpu));
+                self.queue.schedule(now + TICK_PERIOD, Ev::Tick(cpu));
             }
             return;
         }
@@ -1890,34 +1873,18 @@ impl Node {
         // (NOHZ idle, standard since well before 2.6.34); the
         // NETTICK-style option extends that to CPUs running exactly one
         // HPC task.
-        let tickless = self.cpus[idx].curr.is_none()
-            || (self.cfg.tickless_single_hpc
-                && self.cpus[idx]
-                    .curr
-                    .is_some_and(|pid| self.tasks.get(pid).policy == crate::task::Policy::Hpc)
-                && self.classes.iter().map(|c| c.nr_queued(cpu)).sum::<u32>() == 0);
+        let tickless = self.cpus[idx].curr.is_none() || self.tickless_lone_hpc(cpu);
         if !tickless {
-            self.cpus[idx].pending_overhead += self.cfg.tick_cost;
+            self.cpus[idx].pending_overhead += TICK_COST;
             self.counters
-                .add_hw(cpu, HwEvent::TickOverheadNs, self.cfg.tick_cost.as_nanos());
+                .add_hw(cpu, HwEvent::TickOverheadNs, TICK_COST.as_nanos());
         }
 
         // Scheduler-class tick (slice expiry etc.).
         let mut tick_resched = false;
         if let Some(pid) = self.cpus[idx].curr {
             let ci = self.class_idx(self.tasks.get(pid));
-            let need = {
-                let (classes, tasks, cfg, topo, domains) = (
-                    &mut self.classes,
-                    &mut self.tasks,
-                    &self.cfg,
-                    &self.topo,
-                    &self.domains,
-                );
-                let ctx = Self::sched_ctx(cfg, topo, domains, now);
-                classes[ci].task_tick(cpu, tasks.get_mut(pid), &ctx)
-            };
-            if need {
+            if self.classes[ci].task_tick(cpu, self.tasks.get_mut(pid)) {
                 self.resched.set(cpu);
                 tick_resched = true;
             }
@@ -1942,20 +1909,19 @@ impl Node {
             let mut plans = std::mem::take(&mut self.plan_buf);
             for level in due {
                 self.counters.add_sw(cpu, SwEvent::LoadBalanceCalls, 1);
-                self.cpus[idx].pending_overhead += self.cfg.balance_cost;
+                self.cpus[idx].pending_overhead += BALANCE_COST;
                 let mut moved = 0;
                 for ci in 0..self.classes.len() {
                     plans.clear();
                     {
-                        let (classes, tasks, cfg, topo, domains, load) = (
+                        let (classes, tasks, topo, domains, load) = (
                             &mut self.classes,
                             &self.tasks,
-                            &self.cfg,
                             &self.topo,
                             &self.domains,
                             &self.load,
                         );
-                        let ctx = Self::sched_ctx(cfg, topo, domains, now);
+                        let ctx = Self::sched_ctx(topo, domains, now);
                         classes[ci].periodic_balance(cpu, level, &ctx, load, tasks, &mut plans);
                     }
                     moved += self.apply_migrations(&plans);
@@ -1976,8 +1942,7 @@ impl Node {
         // was popped (with the same sequence number this `schedule`
         // would have drawn — the handler allocates no other events).
         if !self.cfg.fast_event_loop {
-            self.queue
-                .schedule(now + self.cfg.tick_period, Ev::Tick(cpu));
+            self.queue.schedule(now + TICK_PERIOD, Ev::Tick(cpu));
         }
     }
 
@@ -2222,7 +2187,7 @@ impl Node {
         // below. Dispatching those ticks normally is exact — the
         // quiescent tick handler is itself O(1) — so skipping the batch
         // only trades wall time, never behaviour.
-        if horizon - per_t < self.cfg.tick_period * 2 {
+        if horizon - per_t < TICK_PERIOD * 2 {
             return 0;
         }
         // A pending reschedule/re-estimate (e.g. set_affinity called
@@ -2265,9 +2230,6 @@ impl Node {
         if horizon <= now {
             return 0;
         }
-        for h in self.ff_horizons.iter_mut() {
-            *h = horizon;
-        }
         for f in self.ff_fired.iter_mut() {
             *f = 0;
         }
@@ -2279,8 +2241,7 @@ impl Node {
             }
         }
         let mut fired = std::mem::take(&mut self.ff_fired);
-        let horizons = std::mem::take(&mut self.ff_horizons);
-        let total = self.queue.advance_periodic(&horizons, &mut fired);
+        let total = self.queue.advance_periodic(horizon, &mut fired);
         if replay_balance {
             // Replay each batched tick's balance pass arithmetically:
             // re-arm due levels and charge the calls, exactly as
@@ -2291,8 +2252,6 @@ impl Node {
             // as the global per-tick order. `pending_overhead` on an
             // idle CPU is absorbed at its next sync anyway — the charge
             // mirrors `on_tick`'s for strict parity.
-            let period = self.cfg.tick_period;
-            let cost = self.cfg.balance_cost;
             for (i, &n) in fired.iter().enumerate() {
                 if n == 0 {
                     continue;
@@ -2303,11 +2262,11 @@ impl Node {
                     &self.domains,
                     self.ff_start[i],
                     n,
-                    period,
+                    TICK_PERIOD,
                 );
                 if calls > 0 {
                     self.counters.add_sw(cpu, SwEvent::LoadBalanceCalls, calls);
-                    self.cpus[i].pending_overhead += cost * calls;
+                    self.cpus[i].pending_overhead += BALANCE_COST * calls;
                 }
             }
         }
@@ -2318,7 +2277,6 @@ impl Node {
             }
         }
         self.ff_fired = fired;
-        self.ff_horizons = horizons;
         self.events += total;
         total
     }
@@ -2405,6 +2363,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CACHE_EVICT_TAU;
     use crate::program::ScriptProgram;
     use crate::task::Policy;
 
@@ -2450,7 +2409,7 @@ mod tests {
     #[test]
     fn overhead_only_ticks_leave_the_live_completion_alone() {
         // One 2 s compute segment on an otherwise quiet node. Each busy
-        // tick charges `tick_cost` but re-solves nothing: beside the
+        // tick charges `TICK_COST` but re-solves nothing: beside the
         // ticks, only the segment's first estimate and the few re-solves
         // after it fires early by the accumulated overhead dispatch.
         let mut node = quiet_node();
@@ -2458,17 +2417,16 @@ mod tests {
         assert!(node.run_until_exit(pid, 10_000_000).is_complete());
         let ticks = node.counters.total().sw(SwEvent::TimerTicks);
         let others = node.events_processed() - ticks;
-        let busy_ticks =
-            node.counters.total().hw(HwEvent::TickOverheadNs) / node.cfg.tick_cost.as_nanos();
+        let busy_ticks = node.counters.total().hw(HwEvent::TickOverheadNs) / TICK_COST.as_nanos();
         assert!(busy_ticks >= 2000, "{busy_ticks} busy ticks");
         assert!(others <= 8, "{others} non-tick events beside {ticks} ticks");
     }
 
     /// The speed-model inverse as written with one exponential for the
     /// integral and another for its derivative.
-    fn time_for_work_two_exps(cfg: &KernelConfig, smt: f64, w0: f64, work_s: f64) -> f64 {
-        let cold = cfg.cache_cold_factor;
-        let tau = cfg.cache_warm_tau.as_secs_f64();
+    fn time_for_work_two_exps(smt: f64, w0: f64, work_s: f64) -> f64 {
+        let cold = CACHE_COLD_FACTOR;
+        let tau = CACHE_WARM_TAU.as_secs_f64();
         let integral =
             |t: f64| smt * (t - (1.0 - cold) * (1.0 - w0) * tau * (1.0 - (-t / tau).exp()));
         if work_s <= 0.0 {
@@ -2489,47 +2447,42 @@ mod tests {
 
     #[test]
     fn one_exponential_newton_step_matches_two() {
-        for cfg in [KernelConfig::default(), KernelConfig::hpl()] {
-            let mut node = NodeBuilder::new(Topology::power6_js22())
-                .with_config(cfg.clone())
-                .build();
-            let mut rng = Rng::new(0xe4b0);
-            for i in 0..20_000 {
-                let smt = match i % 3 {
-                    0 => 1.0,
-                    1 => cfg.smt_busy_factor,
-                    _ => rng.range_f64(0.3, 1.0),
-                };
-                let w0 = match i % 5 {
-                    0 => 0.0,
-                    1 => 1.0,
-                    _ => rng.f64(),
-                };
-                // Work from 1 ns to 10 s, log-spread.
-                let work_s = 10f64.powf(rng.range_f64(-9.0, 1.0));
-                let got = node.time_for_work(smt, w0, work_s);
-                let want = time_for_work_two_exps(&cfg, smt, w0, work_s);
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "smt {smt} w0 {w0} work {work_s}"
-                );
-                // `sync_cpu`'s integral, fed the cache model's warm rate.
-                let dt = SimDuration::from_nanos(rng.range_u64(1, 10_000_000_000));
-                let dt_s = dt.as_secs_f64();
-                let (cold, tau) = (cfg.cache_cold_factor, cfg.cache_warm_tau.as_secs_f64());
-                let want =
-                    smt * (dt_s - (1.0 - cold) * (1.0 - w0) * tau * (1.0 - (-dt_s / tau).exp()));
-                let warm_rate = node.cache.warm_rate(&cfg, dt);
-                let got = node.work_integral(smt, w0, dt_s, warm_rate);
-                assert_eq!(got.to_bits(), want.to_bits(), "smt {smt} w0 {w0} dt {dt:?}");
-            }
+        let mut node = NodeBuilder::new(Topology::power6_js22()).build();
+        let mut rng = Rng::new(0xe4b0);
+        for i in 0..20_000 {
+            let smt = match i % 3 {
+                0 => 1.0,
+                1 => SMT_BUSY_FACTOR,
+                _ => rng.range_f64(0.3, 1.0),
+            };
+            let w0 = match i % 5 {
+                0 => 0.0,
+                1 => 1.0,
+                _ => rng.f64(),
+            };
+            // Work from 1 ns to 10 s, log-spread.
+            let work_s = 10f64.powf(rng.range_f64(-9.0, 1.0));
+            let got = node.time_for_work(smt, w0, work_s);
+            let want = time_for_work_two_exps(smt, w0, work_s);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "smt {smt} w0 {w0} work {work_s}"
+            );
+            // `sync_cpu`'s integral, fed the cache model's warm rate.
+            let dt = SimDuration::from_nanos(rng.range_u64(1, 10_000_000_000));
+            let dt_s = dt.as_secs_f64();
+            let (cold, tau) = (CACHE_COLD_FACTOR, CACHE_WARM_TAU.as_secs_f64());
+            let want = smt * (dt_s - (1.0 - cold) * (1.0 - w0) * tau * (1.0 - (-dt_s / tau).exp()));
+            let warm_rate = node.cache.warm_rate(dt);
+            let got = node.work_integral(smt, w0, dt_s, warm_rate);
+            assert_eq!(got.to_bits(), want.to_bits(), "smt {smt} w0 {w0} dt {dt:?}");
         }
     }
 
     /// The cache model's memoized rates are the formula's exact bits,
-    /// for repeated and alternating intervals, and follow edits of the
-    /// public config on a running node.
+    /// for repeated and alternating intervals, before and after the
+    /// running node has used the memos itself.
     #[test]
     fn memoized_cache_rates_match_the_formula() {
         let mut node = quiet_node();
@@ -2538,30 +2491,13 @@ mod tests {
             (-dt.as_secs_f64() / tau.as_secs_f64()).exp().to_bits()
         };
         let intervals = [997_000, 997_000, 3_000, 997_000, 3_000, 3_000, 1, 997_000];
-        let taus = [
-            (None, None),
-            (Some(9), None),
-            (None, Some(2)),
-            (Some(1), Some(7)),
-        ];
-        for (warm_ms, evict_ms) in taus {
-            if let Some(ms) = warm_ms {
-                node.cfg.cache_warm_tau = SimDuration::from_millis(ms);
-            }
-            if let Some(ms) = evict_ms {
-                node.cfg.cache_evict_tau = SimDuration::from_millis(ms);
-            }
+        for _ in 0..2 {
             for dt in intervals.map(SimDuration::from_nanos) {
-                let warm = node.cache.warm_rate(&node.cfg, dt);
-                let evict = node.cache.evict_rate(&node.cfg, dt);
-                assert_eq!(warm.to_bits(), exact(dt, node.cfg.cache_warm_tau), "{dt:?}");
-                assert_eq!(
-                    evict.to_bits(),
-                    exact(dt, node.cfg.cache_evict_tau),
-                    "{dt:?}"
-                );
+                let warm = node.cache.warm_rate(dt);
+                let evict = node.cache.evict_rate(dt);
+                assert_eq!(warm.to_bits(), exact(dt, CACHE_WARM_TAU), "{dt:?}");
+                assert_eq!(evict.to_bits(), exact(dt, CACHE_EVICT_TAU), "{dt:?}");
             }
-            // Settle on the running node between edits.
             node.run_for(SimDuration::from_millis(5));
         }
     }
@@ -2956,26 +2892,26 @@ mod tests {
             fn init(&mut self, n: usize) {
                 self.0.init(n)
             }
-            fn enqueue(&mut self, c: CpuId, t: &mut Task, x: &SchedCtx<'_>, w: bool) {
-                self.0.enqueue(c, t, x, w)
+            fn enqueue(&mut self, c: CpuId, t: &mut Task, w: bool) {
+                self.0.enqueue(c, t, w)
             }
-            fn dequeue(&mut self, c: CpuId, t: &mut Task, x: &SchedCtx<'_>) {
-                self.0.dequeue(c, t, x)
+            fn dequeue(&mut self, c: CpuId, t: &mut Task) {
+                self.0.dequeue(c, t)
             }
             fn pick_next(&mut self, c: CpuId, tt: &TaskTable) -> Option<Pid> {
                 self.0.pick_next(c, tt)
             }
-            fn put_prev(&mut self, c: CpuId, t: &mut Task, x: &SchedCtx<'_>) {
-                self.0.put_prev(c, t, x)
+            fn put_prev(&mut self, c: CpuId, t: &mut Task) {
+                self.0.put_prev(c, t)
             }
             fn update_curr(&mut self, c: CpuId, t: &mut Task, r: SimDuration) {
                 self.0.update_curr(c, t, r)
             }
-            fn task_tick(&mut self, c: CpuId, t: &mut Task, x: &SchedCtx<'_>) -> bool {
-                self.0.task_tick(c, t, x)
+            fn task_tick(&mut self, c: CpuId, t: &mut Task) -> bool {
+                self.0.task_tick(c, t)
             }
-            fn wakeup_preempt(&self, c: CpuId, a: &Task, b: &Task, x: &SchedCtx<'_>) -> bool {
-                self.0.wakeup_preempt(c, a, b, x)
+            fn wakeup_preempt(&self, c: CpuId, a: &Task, b: &Task) -> bool {
+                self.0.wakeup_preempt(c, a, b)
             }
             fn nr_queued(&self, c: CpuId) -> u32 {
                 self.0.nr_queued(c)

@@ -19,6 +19,9 @@ use std::collections::VecDeque;
 
 const RT_PRIOS: usize = 100;
 
+/// SCHED_RR timeslice (Linux: 100 ms).
+const RT_RR_TIMESLICE: SimDuration = SimDuration::from_millis(100);
+
 /// Per-CPU RT runqueue: one FIFO per priority level.
 #[derive(Debug)]
 struct RtRq {
@@ -92,9 +95,9 @@ impl SchedClass for RtClass {
         self.rqs = (0..ncpus).map(|_| RtRq::default()).collect();
     }
 
-    fn enqueue(&mut self, cpu: CpuId, task: &mut Task, ctx: &SchedCtx<'_>, _wakeup: bool) {
+    fn enqueue(&mut self, cpu: CpuId, task: &mut Task, _wakeup: bool) {
         if task.time_slice.is_zero() {
-            task.time_slice = ctx.cfg.rt_rr_timeslice;
+            task.time_slice = RT_RR_TIMESLICE;
         }
         let prio = Self::prio_of(task) as usize;
         let rq = self.rq_mut(cpu);
@@ -103,7 +106,7 @@ impl SchedClass for RtClass {
         rq.nr_queued += 1;
     }
 
-    fn dequeue(&mut self, cpu: CpuId, task: &mut Task, _ctx: &SchedCtx<'_>) {
+    fn dequeue(&mut self, cpu: CpuId, task: &mut Task) {
         let prio = Self::prio_of(task) as usize;
         let rq = self.rq_mut(cpu);
         let before = rq.queues[prio].len();
@@ -122,13 +125,13 @@ impl SchedClass for RtClass {
         Some(pid)
     }
 
-    fn put_prev(&mut self, cpu: CpuId, task: &mut Task, ctx: &SchedCtx<'_>) {
+    fn put_prev(&mut self, cpu: CpuId, task: &mut Task) {
         let prio = Self::prio_of(task) as usize;
         let expired = task.time_slice.is_zero() && matches!(task.policy, Policy::Rr(_));
         let rq = self.rq_mut(cpu);
         if expired {
             // RR slice expiry: back of the line, fresh slice.
-            task.time_slice = ctx.cfg.rt_rr_timeslice;
+            task.time_slice = RT_RR_TIMESLICE;
             rq.queues[prio].push_back(task.pid);
         } else {
             // Preempted: stays at the head of its priority level.
@@ -143,7 +146,7 @@ impl SchedClass for RtClass {
         }
     }
 
-    fn task_tick(&mut self, cpu: CpuId, task: &mut Task, ctx: &SchedCtx<'_>) -> bool {
+    fn task_tick(&mut self, cpu: CpuId, task: &mut Task) -> bool {
         match task.policy {
             Policy::Rr(p) => {
                 if task.time_slice.is_zero() {
@@ -152,7 +155,7 @@ impl SchedClass for RtClass {
                         return true;
                     }
                     // No competitor at this level: just refresh the slice.
-                    task.time_slice = ctx.cfg.rt_rr_timeslice;
+                    task.time_slice = RT_RR_TIMESLICE;
                 }
                 false
             }
@@ -160,7 +163,7 @@ impl SchedClass for RtClass {
         }
     }
 
-    fn wakeup_preempt(&self, _cpu: CpuId, curr: &Task, woken: &Task, _ctx: &SchedCtx<'_>) -> bool {
+    fn wakeup_preempt(&self, _cpu: CpuId, curr: &Task, woken: &Task) -> bool {
         Self::prio_of(woken) > Self::prio_of(curr)
     }
 
@@ -340,12 +343,10 @@ impl SchedClass for RtClass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::KernelConfig;
     use hpl_sim::SimTime;
     use hpl_topology::{CpuMask, DomainHierarchy, Topology};
 
     struct Fixture {
-        cfg: KernelConfig,
         topo: Topology,
         domains: DomainHierarchy,
     }
@@ -354,16 +355,11 @@ mod tests {
         fn new() -> Self {
             let topo = Topology::power6_js22();
             let domains = DomainHierarchy::build(&topo);
-            Fixture {
-                cfg: KernelConfig::default(),
-                topo,
-                domains,
-            }
+            Fixture { topo, domains }
         }
         fn ctx(&self) -> SchedCtx<'_> {
             SchedCtx {
                 now: SimTime::ZERO,
-                cfg: &self.cfg,
                 topo: &self.topo,
                 domains: &self.domains,
             }
@@ -408,15 +404,13 @@ mod tests {
 
     #[test]
     fn highest_priority_picked_first() {
-        let fx = Fixture::new();
         let mut rt = RtClass::new();
         rt.init(8);
         let mut tt = TaskTable::new();
         let lo = fifo(&mut tt, "lo", 10);
         let hi = fifo(&mut tt, "hi", 90);
-        let ctx = fx.ctx();
-        rt.enqueue(CpuId(0), tt.get_mut(lo), &ctx, true);
-        rt.enqueue(CpuId(0), tt.get_mut(hi), &ctx, true);
+        rt.enqueue(CpuId(0), tt.get_mut(lo), true);
+        rt.enqueue(CpuId(0), tt.get_mut(hi), true);
         assert_eq!(rt.pick_next(CpuId(0), &tt), Some(hi));
         assert_eq!(rt.pick_next(CpuId(0), &tt), Some(lo));
         assert_eq!(rt.pick_next(CpuId(0), &tt), None);
@@ -424,99 +418,87 @@ mod tests {
 
     #[test]
     fn same_priority_is_fifo() {
-        let fx = Fixture::new();
         let mut rt = RtClass::new();
         rt.init(8);
         let mut tt = TaskTable::new();
         let a = fifo(&mut tt, "a", 50);
         let b = fifo(&mut tt, "b", 50);
-        let ctx = fx.ctx();
-        rt.enqueue(CpuId(0), tt.get_mut(a), &ctx, true);
-        rt.enqueue(CpuId(0), tt.get_mut(b), &ctx, true);
+        rt.enqueue(CpuId(0), tt.get_mut(a), true);
+        rt.enqueue(CpuId(0), tt.get_mut(b), true);
         assert_eq!(rt.pick_next(CpuId(0), &tt), Some(a));
     }
 
     #[test]
     fn preempted_task_returns_to_head() {
-        let fx = Fixture::new();
         let mut rt = RtClass::new();
         rt.init(8);
         let mut tt = TaskTable::new();
         let a = fifo(&mut tt, "a", 50);
         let b = fifo(&mut tt, "b", 50);
-        let ctx = fx.ctx();
-        rt.enqueue(CpuId(0), tt.get_mut(a), &ctx, true);
-        rt.enqueue(CpuId(0), tt.get_mut(b), &ctx, true);
+        rt.enqueue(CpuId(0), tt.get_mut(a), true);
+        rt.enqueue(CpuId(0), tt.get_mut(b), true);
         let picked = rt.pick_next(CpuId(0), &tt).unwrap();
         assert_eq!(picked, a);
         // a preempted by something higher-class: put_prev puts it at head.
-        rt.put_prev(CpuId(0), tt.get_mut(a), &ctx);
+        rt.put_prev(CpuId(0), tt.get_mut(a));
         assert_eq!(rt.pick_next(CpuId(0), &tt), Some(a));
     }
 
     #[test]
     fn rr_slice_expiry_requeues_to_tail() {
-        let fx = Fixture::new();
         let mut rt = RtClass::new();
         rt.init(8);
         let mut tt = TaskTable::new();
         let a = rr(&mut tt, "a", 50);
         let b = rr(&mut tt, "b", 50);
-        let ctx = fx.ctx();
-        rt.enqueue(CpuId(0), tt.get_mut(a), &ctx, true);
-        rt.enqueue(CpuId(0), tt.get_mut(b), &ctx, true);
+        rt.enqueue(CpuId(0), tt.get_mut(a), true);
+        rt.enqueue(CpuId(0), tt.get_mut(b), true);
         assert_eq!(rt.pick_next(CpuId(0), &tt), Some(a));
         // Burn the whole slice.
-        let slice = fx.cfg.rt_rr_timeslice;
+        let slice = RT_RR_TIMESLICE;
         rt.update_curr(CpuId(0), tt.get_mut(a), slice);
-        assert!(rt.task_tick(CpuId(0), tt.get_mut(a), &ctx), "slice expired");
-        rt.put_prev(CpuId(0), tt.get_mut(a), &ctx);
+        assert!(rt.task_tick(CpuId(0), tt.get_mut(a)), "slice expired");
+        rt.put_prev(CpuId(0), tt.get_mut(a));
         // Tail: b now runs first.
         assert_eq!(rt.pick_next(CpuId(0), &tt), Some(b));
         // Fresh slice granted on requeue.
-        assert_eq!(tt.get(a).time_slice, fx.cfg.rt_rr_timeslice);
+        assert_eq!(tt.get(a).time_slice, RT_RR_TIMESLICE);
     }
 
     #[test]
     fn rr_alone_never_reschedules() {
-        let fx = Fixture::new();
         let mut rt = RtClass::new();
         rt.init(8);
         let mut tt = TaskTable::new();
         let a = rr(&mut tt, "a", 50);
-        let ctx = fx.ctx();
         tt.get_mut(a).time_slice = SimDuration::ZERO;
-        assert!(!rt.task_tick(CpuId(0), tt.get_mut(a), &ctx));
-        assert_eq!(tt.get(a).time_slice, fx.cfg.rt_rr_timeslice);
+        assert!(!rt.task_tick(CpuId(0), tt.get_mut(a)));
+        assert_eq!(tt.get(a).time_slice, RT_RR_TIMESLICE);
     }
 
     #[test]
     fn fifo_ignores_slices() {
-        let fx = Fixture::new();
         let mut rt = RtClass::new();
         rt.init(8);
         let mut tt = TaskTable::new();
         let a = fifo(&mut tt, "a", 50);
         let b = fifo(&mut tt, "b", 50);
-        let ctx = fx.ctx();
-        rt.enqueue(CpuId(0), tt.get_mut(b), &ctx, true);
+        rt.enqueue(CpuId(0), tt.get_mut(b), true);
         rt.pick_next(CpuId(0), &tt);
         tt.get_mut(a).time_slice = SimDuration::ZERO;
-        assert!(!rt.task_tick(CpuId(0), tt.get_mut(a), &ctx));
+        assert!(!rt.task_tick(CpuId(0), tt.get_mut(a)));
         let _ = b;
     }
 
     #[test]
     fn wakeup_preempt_by_priority_only() {
-        let fx = Fixture::new();
         let rt = RtClass::new();
         let mut tt = TaskTable::new();
         let lo = fifo(&mut tt, "lo", 10);
         let hi = fifo(&mut tt, "hi", 90);
-        let ctx = fx.ctx();
-        assert!(rt.wakeup_preempt(CpuId(0), tt.get(lo), tt.get(hi), &ctx));
-        assert!(!rt.wakeup_preempt(CpuId(0), tt.get(hi), tt.get(lo), &ctx));
-        assert!(!rt.wakeup_preempt(CpuId(0), tt.get(lo), tt.get(lo), &ctx));
+        assert!(rt.wakeup_preempt(CpuId(0), tt.get(lo), tt.get(hi)));
+        assert!(!rt.wakeup_preempt(CpuId(0), tt.get(hi), tt.get(lo)));
+        assert!(!rt.wakeup_preempt(CpuId(0), tt.get(lo), tt.get(lo)));
     }
 
     #[test]
@@ -556,8 +538,8 @@ mod tests {
         let ctx = fx.ctx();
         tt.get_mut(lo).cpu = CpuId(2);
         tt.get_mut(hi).cpu = CpuId(3);
-        rt.enqueue(CpuId(2), tt.get_mut(lo), &ctx, true);
-        rt.enqueue(CpuId(3), tt.get_mut(hi), &ctx, true);
+        rt.enqueue(CpuId(2), tt.get_mut(lo), true);
+        rt.enqueue(CpuId(3), tt.get_mut(hi), true);
         let snap = snapshot(8);
         let plans = idle_plans(&mut rt, CpuId(0), &ctx, &snap, &tt);
         assert_eq!(plans, vec![MigrationPlan::pull(hi, CpuId(3), CpuId(0))]);
@@ -572,7 +554,7 @@ mod tests {
         let w = fifo(&mut tt, "w", 50);
         let ctx = fx.ctx();
         tt.get_mut(w).cpu = CpuId(0);
-        rt.enqueue(CpuId(0), tt.get_mut(w), &ctx, true);
+        rt.enqueue(CpuId(0), tt.get_mut(w), true);
         let mut snap = snapshot(8);
         // cpu0 runs a prio-60 RT task (so w waits); cpu1 runs prio-70;
         // cpu2 runs CFS → w beats cpu2.
@@ -599,7 +581,7 @@ mod tests {
         let mut tt = TaskTable::new();
         let w = fifo(&mut tt, "w", 50);
         let ctx = fx.ctx();
-        rt.enqueue(CpuId(0), tt.get_mut(w), &ctx, true);
+        rt.enqueue(CpuId(0), tt.get_mut(w), true);
         let mut snap = snapshot(8);
         snap.curr_kind = vec![Some(ClassKind::RealTime); 8];
         snap.curr_rt_prio = vec![99; 8];
@@ -608,15 +590,13 @@ mod tests {
 
     #[test]
     fn queued_pids_priority_ordered() {
-        let fx = Fixture::new();
         let mut rt = RtClass::new();
         rt.init(8);
         let mut tt = TaskTable::new();
         let lo = fifo(&mut tt, "lo", 10);
         let hi = fifo(&mut tt, "hi", 90);
-        let ctx = fx.ctx();
-        rt.enqueue(CpuId(0), tt.get_mut(lo), &ctx, true);
-        rt.enqueue(CpuId(0), tt.get_mut(hi), &ctx, true);
+        rt.enqueue(CpuId(0), tt.get_mut(lo), true);
+        rt.enqueue(CpuId(0), tt.get_mut(hi), true);
         assert_eq!(rt.queued_pids(CpuId(0)), vec![hi, lo]);
         assert_eq!(rt.nr_queued(CpuId(0)), 2);
     }

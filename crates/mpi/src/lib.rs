@@ -30,4 +30,4 @@ pub mod runtime;
 pub use launcher::{
     find_mpiexec, launch, spawn_job_tree, spawn_job_tree_with, LaunchHandle, RankWrap, SchedMode,
 };
-pub use runtime::{JobSpec, MpiConfig, MpiOp, RankProgram};
+pub use runtime::{JobSpec, MpiConfig, MpiOp, RankProgram, MSG_ALPHA, MSG_BETA_NS_PER_BYTE};

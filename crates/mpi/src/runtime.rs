@@ -10,16 +10,19 @@ use hpl_kernel::{BarrierId, ChanId, NetSpan, ProgCtx, Program, Step};
 use hpl_sim::SimDuration;
 use std::collections::VecDeque;
 
+/// Per-message latency of the LogP message-cost model (software +
+/// interconnect alpha term). The NAS calibration reads it too.
+pub const MSG_ALPHA: SimDuration = SimDuration::from_micros(20);
+/// Per-byte cost of the LogP message-cost model (1/bandwidth beta
+/// term), in ns.
+pub const MSG_BETA_NS_PER_BYTE: f64 = 1.0;
+
 /// Tunables of the simulated MPI library.
 #[derive(Debug, Clone)]
 pub struct MpiConfig {
     /// Busy-wait budget before a waiting rank yields its CPU (the MPICH
     /// progress-engine spin).
     pub spin_limit: SimDuration,
-    /// Per-message latency (software + interconnect alpha term).
-    pub alpha: SimDuration,
-    /// Per-byte cost (1/bandwidth beta term).
-    pub beta_ns_per_byte: f64,
     /// Relative standard deviation of per-rank compute jitter
     /// (application-intrinsic imbalance, not OS noise).
     pub compute_jitter: f64,
@@ -32,8 +35,6 @@ impl Default for MpiConfig {
             // long time (yielding, not blocking); 10 ms covers ordinary
             // rank skew so blocking only happens under real noise.
             spin_limit: SimDuration::from_millis(10),
-            alpha: SimDuration::from_micros(20),
-            beta_ns_per_byte: 1.0,
             compute_jitter: 0.002,
         }
     }
@@ -402,8 +403,7 @@ impl RankProgram {
     }
 
     fn msg_cost(&self, messages: u64, bytes_each: u64) -> SimDuration {
-        let per_msg = self.job.config.alpha.as_nanos() as f64
-            + self.job.config.beta_ns_per_byte * bytes_each as f64;
+        let per_msg = MSG_ALPHA.as_nanos() as f64 + MSG_BETA_NS_PER_BYTE * bytes_each as f64;
         SimDuration::from_nanos((per_msg * messages as f64).round() as u64)
     }
 

@@ -2,6 +2,7 @@
 //! every scheduler mode, and communication bookkeeping balances.
 
 use hpl_core::hpl_node_builder;
+use hpl_kernel::cache::{CACHE_COLD_FACTOR, SMT_BUSY_FACTOR};
 use hpl_kernel::{NodeBuilder, TaskState};
 use hpl_mpi::{launch, JobSpec, MpiOp, SchedMode};
 use hpl_sim::SimDuration;
@@ -126,9 +127,8 @@ proptest! {
         let handle = launch(&mut node, &job, SchedMode::Cfs);
         let exec = handle.run_to_completion(&mut node, 2_000_000_000).as_secs_f64();
         let work = work_ms as f64 / 1000.0;
-        let cfg = hpl_kernel::KernelConfig::default();
         let floor = work; // full speed
-        let ceil = work / (cfg.smt_busy_factor * cfg.cache_cold_factor) + 0.12; // worst case + launch
+        let ceil = work / (SMT_BUSY_FACTOR * CACHE_COLD_FACTOR) + 0.12; // worst case + launch
         prop_assert!(exec >= floor, "{exec} < {floor}");
         prop_assert!(exec <= ceil, "{exec} > {ceil}");
     }

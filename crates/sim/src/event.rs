@@ -282,8 +282,8 @@ impl<E> EventQueue<E> {
 
     /// Batch-fire periodic occurrences without popping them one by one.
     ///
-    /// Slot `i` fires (and re-arms) while its pending time is strictly
-    /// below `horizons[i]`; firings are processed in global `(time, seq)`
+    /// Every slot fires (and re-arms) while its pending time is strictly
+    /// below `horizon`; firings are processed in global `(time, seq)`
     /// order across slots so seq allocation matches what sequential
     /// [`pop`](Self::pop) calls would have produced. `fired[i]` is
     /// incremented per firing of slot `i`; the total is returned.
@@ -300,19 +300,18 @@ impl<E> EventQueue<E> {
     /// order is then a fixed round-robin over the slots, so each slot's
     /// firing count, final pending time and final seq have closed forms.
     /// Other configurations take the per-firing merge loop.
-    pub fn advance_periodic(&mut self, horizons: &[SimTime], fired: &mut [u64]) -> u64 {
-        debug_assert_eq!(horizons.len(), self.periodic.len());
+    pub fn advance_periodic(&mut self, horizon: SimTime, fired: &mut [u64]) -> u64 {
         debug_assert_eq!(fired.len(), self.periodic.len());
-        if let Some(total) = self.advance_bulk(horizons, fired) {
+        if let Some(total) = self.advance_bulk(horizon, fired) {
             return total;
         }
-        self.advance_loop(horizons, fired)
+        self.advance_loop(horizon, fired)
     }
 
     /// Closed-form batch advance. Returns `None` (leaving the queue
     /// untouched) when the preconditions do not hold: uniform period and
     /// pending-time spread of at most one period.
-    fn advance_bulk(&mut self, horizons: &[SimTime], fired: &mut [u64]) -> Option<u64> {
+    fn advance_bulk(&mut self, horizon: SimTime, fired: &mut [u64]) -> Option<u64> {
         let first = self.periodic.first()?;
         let period = first.period;
         let (mut lo, mut hi) = (first.time, first.time);
@@ -328,17 +327,17 @@ impl<E> EventQueue<E> {
         }
         let p = period.as_nanos();
         // Firing count: slot fires at `t + k·p < horizon`, k = 0, 1, …
-        let count = |t: SimTime, h: SimTime| -> u64 {
-            if t >= h {
+        let count = |t: SimTime| -> u64 {
+            if t >= horizon {
                 0
             } else {
-                (h - t).as_nanos().div_ceil(p)
+                (horizon - t).as_nanos().div_ceil(p)
             }
         };
         let mut total = 0u64;
         let mut last_fire = self.now;
-        for (i, s) in self.periodic.iter().enumerate() {
-            let n = count(s.time, horizons[i]);
+        for s in &self.periodic {
+            let n = count(s.time);
             if n > 0 {
                 total += n;
                 last_fire = last_fire.max(s.time + period * (n - 1));
@@ -359,7 +358,7 @@ impl<E> EventQueue<E> {
         let base = self.next_seq;
         self.periodic_order.clear();
         for (i, s) in self.periodic.iter().enumerate() {
-            let n_i = count(s.time, horizons[i]);
+            let n_i = count(s.time);
             if n_i == 0 {
                 self.periodic_order.push(Reverse((s.time, s.seq, i)));
                 continue;
@@ -369,7 +368,7 @@ impl<E> EventQueue<E> {
                 if j == i {
                     continue;
                 }
-                let n_j = count(o.time, horizons[j]);
+                let n_j = count(o.time);
                 before += if (o.time, o.seq) < (s.time, s.seq) {
                     n_j.min(n_i)
                 } else {
@@ -394,24 +393,15 @@ impl<E> EventQueue<E> {
 
     /// Per-firing batch advance: pops the mirror heap one occurrence at
     /// a time, in global `(time, seq)` order, for configurations the
-    /// closed form does not cover. A slot whose occurrence fails its
-    /// horizon stays failed for the whole call (its pending time only
-    /// moves *up* when it fires, which it will not), so it is parked
-    /// aside once and restored when the batch is done.
-    fn advance_loop(&mut self, horizons: &[SimTime], fired: &mut [u64]) -> u64 {
+    /// closed form does not cover. The earliest pending occurrence only
+    /// moves *up*, so the batch ends at the first one not below
+    /// `horizon`.
+    fn advance_loop(&mut self, horizon: SimTime, fired: &mut [u64]) -> u64 {
         let mut total = 0u64;
-        let mut parked: Vec<Reverse<(SimTime, u64, usize)>> = Vec::new();
-        while let Some(&Reverse((t, _, i))) = self.periodic_order.peek() {
-            if t >= horizons[i] {
-                parked.push(self.periodic_order.pop().expect("peeked"));
-                continue;
-            }
+        while self.peek_periodic_time().is_some_and(|t| t < horizon) {
             let (_, _, i) = self.fire_best_periodic();
             fired[i] += 1;
             total += 1;
-        }
-        for entry in parked {
-            self.periodic_order.push(entry);
         }
         total
     }
@@ -553,9 +543,8 @@ mod tests {
         mk(&mut popped);
 
         // Fire everything strictly before t=47.
-        let horizons = [SimTime::from_nanos(47), SimTime::from_nanos(47)];
         let mut fired = [0u64; 2];
-        let total = batched.advance_periodic(&horizons, &mut fired);
+        let total = batched.advance_periodic(SimTime::from_nanos(47), &mut fired);
         assert_eq!(fired, [4, 4]); // t0: 10,20,30,40  t1: 15,25,35,45
         assert_eq!(total, 8);
 
@@ -572,33 +561,11 @@ mod tests {
         }
     }
 
-    /// Per-slot horizons cap each slot independently while keeping the
-    /// global merge order for seq allocation.
-    #[test]
-    fn advance_periodic_per_slot_horizons() {
-        let period = SimDuration::from_nanos(10);
-        let mut q = EventQueue::new();
-        q.schedule_periodic(SimTime::from_nanos(10), period, "t0");
-        q.schedule_periodic(SimTime::from_nanos(15), period, "t1");
-        q.schedule(SimTime::from_nanos(47), "stop");
-        let horizons = [SimTime::from_nanos(47), SimTime::from_nanos(40)];
-        let mut fired = [0u64; 2];
-        let total = q.advance_periodic(&horizons, &mut fired);
-        assert_eq!(fired, [4, 3]); // t0: 10,20,30,40  t1: 15,25,35
-        assert_eq!(total, 7);
-        // t1's pending occurrence at 45 was left for a normal pop; it
-        // precedes the heap event at 47 and the re-armed t0 at 50.
-        let order: Vec<_> = (0..4).map(|_| q.pop().unwrap()).collect();
-        let times: Vec<_> = order.iter().map(|e| e.0.as_nanos()).collect();
-        let what: Vec<_> = order.iter().map(|e| e.2).collect();
-        assert_eq!(times, vec![45, 47, 50, 55]);
-        assert_eq!(what, vec!["t1", "stop", "t0", "t1"]);
-    }
-
     /// The closed-form bulk advance and the per-firing merge loop must
     /// leave byte-identical queues: same firing counts, same clock, same
     /// seq allocation, same continuation stream. A seeded LCG explores
-    /// phase ties, full-period spreads and ragged per-slot horizons.
+    /// phase ties, full-period spreads and horizons at or between
+    /// pending occurrences.
     #[test]
     fn bulk_advance_matches_firing_loop() {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -621,25 +588,21 @@ mod tests {
                     q.schedule_periodic(first, SimDuration::from_nanos(p), i);
                 }
             }
-            // One shared horizon, sometimes capped at a random subset's
-            // pending occurrences — the shape the kernel produces when
-            // non-quiescent CPUs freeze their tick slots. (A horizon
-            // that fires one slot past another's remaining occurrence
-            // would run the queue backwards on the next pop, so fully
-            // independent per-slot horizons are not a legal input.)
+            // A horizon sometimes capped at a random subset's pending
+            // occurrences — the shape the kernel produces when
+            // non-quiescent CPUs freeze their tick slots.
             let mut h = SimTime::from_nanos(rng() % (6 * p));
             for i in 0..nslots {
                 if rng() % 4 == 0 {
                     h = h.min(bulk.periodic_time(PeriodicId(i)));
                 }
             }
-            let horizons = vec![h; nslots];
             let mut fired_bulk = vec![0u64; nslots];
             let mut fired_loop = vec![0u64; nslots];
             let tb = bulk
-                .advance_bulk(&horizons, &mut fired_bulk)
+                .advance_bulk(h, &mut fired_bulk)
                 .expect("uniform period within one spread takes the closed form");
-            let tl = looped.advance_loop(&horizons, &mut fired_loop);
+            let tl = looped.advance_loop(h, &mut fired_loop);
             assert_eq!(tb, tl, "round {round}: firing totals diverged");
             assert_eq!(fired_bulk, fired_loop, "round {round}: per-slot counts");
             assert_eq!(bulk.now(), looped.now(), "round {round}: clock");
@@ -661,10 +624,10 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule_periodic(SimTime::from_nanos(0), SimDuration::from_nanos(10), "a");
         q.schedule_periodic(SimTime::from_nanos(25), SimDuration::from_nanos(10), "b");
-        let horizons = [SimTime::from_nanos(40); 2];
+        let horizon = SimTime::from_nanos(40);
         let mut fired = [0u64; 2];
-        assert!(q.advance_bulk(&horizons, &mut fired).is_none());
-        let total = q.advance_periodic(&horizons, &mut fired);
+        assert!(q.advance_bulk(horizon, &mut fired).is_none());
+        let total = q.advance_periodic(horizon, &mut fired);
         assert_eq!(fired, [4, 2]); // a: 0,10,20,30  b: 25,35
         assert_eq!(total, 6);
 
@@ -672,8 +635,8 @@ mod tests {
         q.schedule_periodic(SimTime::from_nanos(0), SimDuration::from_nanos(10), "a");
         q.schedule_periodic(SimTime::from_nanos(5), SimDuration::from_nanos(7), "b");
         let mut fired = [0u64; 2];
-        assert!(q.advance_bulk(&horizons, &mut fired).is_none());
-        let total = q.advance_periodic(&horizons, &mut fired);
+        assert!(q.advance_bulk(horizon, &mut fired).is_none());
+        let total = q.advance_periodic(horizon, &mut fired);
         assert_eq!(fired, [4, 5]); // a: 0,10,20,30  b: 5,12,19,26,33
         assert_eq!(total, 9);
     }

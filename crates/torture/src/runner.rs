@@ -16,8 +16,8 @@ use crate::scenario::{
     SoupStep, TopoKind, Workload,
 };
 use hpl_batch::{
-    AllocPolicy, BatchConfig, BatchReport, BatchRun, BatchTrace, CheckpointSpec,
-    ConservativeBackfill, Dfrs, EasyBackfill, FairShare, Fcfs, MultiQueue,
+    AllocPolicy, BatchRun, BatchTrace, CheckpointSpec, ConservativeBackfill, Dfrs, EasyBackfill,
+    FairShare, Fcfs, MultiQueue,
 };
 use hpl_cluster::{
     Cluster, CosimConfig, EmpiricalDist, Interconnect, NetConfig, NodeFault, Placement,
@@ -282,16 +282,12 @@ fn run_batch_workload(
             Some(c)
         }
     };
-    let mut drive = |cluster: &mut Cluster,
-                     policy: &mut dyn AllocPolicy,
-                     cfg: BatchConfig|
-     -> Result<BatchReport, RunOutcome> {
-        let run = BatchRun::new(&trace).config(cfg);
-        match &mut coord {
-            Some(c) => run.run_coordinated(cluster, policy, c),
-            None => run.run(cluster, policy),
-        }
+    let mode = if sc.hpl {
+        SchedMode::Hpc
+    } else {
+        SchedMode::Cfs
     };
+    let mut run = BatchRun::new(&trace).mode(mode).max_events(budget);
     // Under crash churn, give jobs a checkpoint cadence so a requeued
     // job resumes instead of recomputing — exercising the full
     // crash/requeue/restore path, not just the requeue.
@@ -300,23 +296,21 @@ fn run_batch_workload(
         .events
         .iter()
         .any(|e| matches!(e.kind, NodeFault::Crash));
-    let cfg = BatchConfig {
-        mode: if sc.hpl {
-            SchedMode::Hpc
-        } else {
-            SchedMode::Cfs
-        },
-        max_events: budget,
-        checkpoint: crashes.then_some(CheckpointSpec {
+    if crashes {
+        run = run.checkpoint(CheckpointSpec {
             every_iters: 1,
             cost: SimDuration::from_micros(200),
             restore: SimDuration::from_micros(500),
-        }),
-        walltime_factor: b.walltime.then_some(1.0),
-        ..BatchConfig::default()
-    };
+        });
+    }
+    if b.walltime {
+        run = run.walltime(1.0);
+    }
     let mut policy = batch_policy(b, sc.seed);
-    let result = drive(cluster, policy.as_mut(), cfg);
+    let result = match &mut coord {
+        Some(c) => run.run_coordinated(cluster, policy.as_mut(), c),
+        None => run.run(cluster, policy.as_mut()),
+    };
     // One audit contract for every policy; the tally covers decisions
     // the policy's audit ring has since dropped.
     let audit = policy.audit();

@@ -5,12 +5,13 @@
 //! paper's Table II **HPL minimum** column — the cleanest observed run on
 //! the real machine. Calibration accounts for the SMT-contended steady
 //! state of an 8-rank run on 8 hardware threads (per-thread throughput
-//! `smt_busy_factor`) and subtracts the analytic message costs of the
-//! communication pattern, so simulated clean runs land on the paper's
-//! times by construction and every *other* number (variance, counter
-//! distributions, standard-Linux slowdowns) is emergent.
+//! `hpl_kernel::cache::SMT_BUSY_FACTOR`) and subtracts the analytic
+//! message costs of the communication pattern, so simulated clean runs
+//! land on the paper's times by construction and every *other* number
+//! (variance, counter distributions, standard-Linux slowdowns) is
+//! emergent.
 
-use hpl_mpi::{JobSpec, MpiConfig, MpiOp};
+use hpl_mpi::{JobSpec, MpiOp, MSG_ALPHA, MSG_BETA_NS_PER_BYTE};
 use hpl_sim::SimDuration;
 
 /// The six NAS benchmarks the paper reports (bt/sp need square rank
@@ -212,11 +213,11 @@ fn shape(bench: NasBenchmark, class: NasClass) -> Shape {
 }
 
 /// Analytic full-speed cost the runtime will charge for one op's message
-/// processing (must mirror `RankProgram`'s LogP accounting).
-fn msg_cost(cfg: &MpiConfig, op: &MpiOp, nprocs: u32) -> f64 {
+/// processing: `RankProgram`'s LogP accounting over the same constants.
+fn msg_cost(op: &MpiOp, nprocs: u32) -> f64 {
     let p = nprocs as f64;
-    let alpha = cfg.alpha.as_secs_f64();
-    let beta = cfg.beta_ns_per_byte * 1e-9;
+    let alpha = MSG_ALPHA.as_secs_f64();
+    let beta = MSG_BETA_NS_PER_BYTE * 1e-9;
     match op {
         MpiOp::Compute { .. } => 0.0,
         MpiOp::Barrier => p.max(2.0).log2().ceil() * alpha,
@@ -236,10 +237,10 @@ fn msg_cost(cfg: &MpiConfig, op: &MpiOp, nprocs: u32) -> f64 {
 /// The SMT-contended per-thread throughput used for calibration: with 8
 /// ranks on 8 hardware threads every sibling pair is busy and each
 /// sibling's working set continuously evicts the other's, so a rank's
-/// wall time ≈ work / steady_state_factor. Computed from the default
-/// kernel cost model.
+/// wall time ≈ work / steady_state_factor. Computed from the speed
+/// model's own constants.
 pub fn calibration_thread_factor() -> f64 {
-    hpl_kernel::KernelConfig::default().smt_steady_state_thread_factor()
+    hpl_kernel::cache::smt_steady_state_thread_factor()
 }
 
 /// Build the MPI job for a NAS benchmark configuration.
@@ -250,7 +251,6 @@ pub fn calibration_thread_factor() -> f64 {
 pub fn nas_job(bench: NasBenchmark, class: NasClass, nprocs: u32) -> JobSpec {
     assert!(nprocs > 0);
     let s = shape(bench, class);
-    let cfg = MpiConfig::default();
 
     // Work the calibration target implies, at reference 8 ranks. The
     // measured execution time includes a roughly fixed launch cost
@@ -258,8 +258,8 @@ pub fn nas_job(bench: NasBenchmark, class: NasClass, nprocs: u32) -> JobSpec {
     // time, not SMT-scaled work; subtract it before converting.
     const LAUNCH_OVERHEAD_SECS: f64 = 0.025;
     let total_work = (s.target_secs - LAUNCH_OVERHEAD_SECS).max(0.01) * calibration_thread_factor();
-    let comm_per_iter: f64 = s.comm.iter().map(|op| msg_cost(&cfg, op, 8)).sum();
-    let tail_cost: f64 = s.tail.iter().map(|op| msg_cost(&cfg, op, 8)).sum();
+    let comm_per_iter: f64 = s.comm.iter().map(|op| msg_cost(op, 8)).sum();
+    let tail_cost: f64 = s.tail.iter().map(|op| msg_cost(op, 8)).sum();
     let compute_total = (total_work - comm_per_iter * s.iters as f64 - tail_cost).max(0.01);
     // Strong scaling: per-rank compute shrinks with more ranks.
     let compute_per_iter = compute_total / s.iters as f64 * (8.0 / nprocs as f64);
@@ -270,7 +270,7 @@ pub fn nas_job(bench: NasBenchmark, class: NasClass, nprocs: u32) -> JobSpec {
     body.extend_from_slice(s.comm);
     let mut ops = JobSpec::repeat(s.iters, &body);
     ops.extend_from_slice(s.tail);
-    JobSpec::new(nprocs, ops).with_config(cfg)
+    JobSpec::new(nprocs, ops)
 }
 
 /// Paper Table II HPL-minimum execution time for a configuration
@@ -332,9 +332,8 @@ mod tests {
     fn calibration_total_work_matches_target() {
         for (b, c) in all_configs() {
             let job = nas_job(b, c, 8);
-            let cfg = MpiConfig::default();
             let compute = job.total_compute().as_secs_f64();
-            let comm: f64 = job.ops.iter().map(|op| msg_cost(&cfg, op, 8)).sum();
+            let comm: f64 = job.ops.iter().map(|op| msg_cost(op, 8)).sum();
             // Matches nas_job's arithmetic: paper time minus the fixed
             // launch overhead, converted at the steady-state factor.
             let target = (paper_hpl_min_secs(b, c) - 0.025) * calibration_thread_factor();

@@ -107,10 +107,9 @@ pub use hpl_workloads as workloads;
 /// The names almost every user of this library needs.
 pub mod prelude {
     pub use hpl_batch::{
-        AllocPolicy, AuditSummary, Audited, BatchConfig, BatchJob, BatchReport, BatchRun,
-        BatchTrace, CheckpointSpec, ConservativeBackfill, Dfrs, DfrsDecision, EasyBackfill,
-        FairShare, Fcfs, JobOutcome, MultiQueue, Oversubscribed, SwfMap, SwfTrace, TraceTransform,
-        UserStats,
+        AllocPolicy, AuditSummary, Audited, BatchJob, BatchReport, BatchRun, BatchTrace,
+        CheckpointSpec, ConservativeBackfill, Dfrs, DfrsDecision, EasyBackfill, FairShare, Fcfs,
+        JobOutcome, MultiQueue, Oversubscribed, SwfMap, SwfTrace, TraceTransform, UserStats,
     };
     pub use hpl_bench::{run_many, run_once, NoiseKind, RunConfig, Scheduler};
     pub use hpl_cluster::{
