@@ -32,8 +32,8 @@
 //!   best effective class (job class minus levels earned by waiting),
 //!   FCFS within a class, so low-priority jobs cannot starve.
 //! * [`FairShare`] — per-user decayed usage accounting and
-//!   share-ordered dispatch: among jobs that fit, the user with the
-//!   lowest usage-to-share ratio goes first. Audited per dispatch
+//!   usage-ordered dispatch: among jobs that fit, the user with the
+//!   lowest decayed usage goes first. Audited per dispatch
 //!   ([`FairShareDispatch`]).
 //! * [`Oversubscribed`] — the fractional/co-scheduling contrast: up to
 //!   two jobs share a node (occupancy limit 2), allocation is FCFS onto
@@ -762,17 +762,17 @@ pub struct FairShareDispatch {
     pub job: u32,
     /// Its user.
     pub user: u32,
-    /// The user's usage-to-share ratio at dispatch (decayed
-    /// node-seconds over share weight).
+    /// The user's decayed usage at dispatch (node-seconds), the key
+    /// dispatch orders by.
     pub ratio: f64,
-    /// The minimum ratio over all queued jobs that *fit* the free
+    /// The minimum usage over all queued jobs that *fit* the free
     /// nodes at this decision (the dispatched job included).
     pub min_fittable_ratio: f64,
 }
 
 impl Audited for FairShareDispatch {
     /// The fair-share invariant: the dispatched job's user had the
-    /// lowest usage/share ratio among all queued jobs that could have
+    /// lowest decayed usage among all queued jobs that could have
     /// started instead (ties broken by arrival order).
     fn holds(&self) -> bool {
         self.ratio <= self.min_fittable_ratio + 1e-9
@@ -782,13 +782,12 @@ impl Audited for FairShareDispatch {
 /// Fair-share dispatch on dedicated nodes: per-user usage accumulates
 /// at launch (nodes × estimated runtime), decays exponentially with a
 /// configurable half-life, and dispatch order among jobs that fit the
-/// free nodes is lowest usage-to-share ratio first (then arrival
+/// free nodes is lowest decayed usage first (then arrival
 /// order). Work-conserving: if the poorest user's job doesn't fit, the
 /// next-poorest fittable job runs — the skip is what the audit records.
 #[derive(Debug)]
 pub struct FairShare {
     half_life: SimDuration,
-    shares: BTreeMap<u32, f64>,
     usage: BTreeMap<u32, f64>,
     last_decay: Option<SimTime>,
     decisions: AuditLog<FairShareDispatch>,
@@ -798,7 +797,6 @@ impl Default for FairShare {
     fn default() -> Self {
         FairShare {
             half_life: SimDuration::from_millis(50),
-            shares: BTreeMap::new(),
             usage: BTreeMap::new(),
             last_decay: None,
             decisions: AuditLog::default(),
@@ -807,7 +805,7 @@ impl Default for FairShare {
 }
 
 impl FairShare {
-    /// Fresh policy: equal shares, 50 ms usage half-life (virtual
+    /// Fresh policy: 50 ms usage half-life (virtual
     /// milliseconds — the traces here run jobs in the ms range).
     pub fn new() -> Self {
         Self::default()
@@ -820,14 +818,6 @@ impl FairShare {
         self
     }
 
-    /// Give `user` a share weight (default 1.0). Dispatch order uses
-    /// usage ÷ share, so doubling a share halves the cost of usage.
-    pub fn with_share(mut self, user: u32, weight: f64) -> Self {
-        assert!(weight > 0.0, "shares must be positive");
-        self.shares.insert(user, weight);
-        self
-    }
-
     /// The user's current decayed usage, node-seconds.
     pub fn usage(&self, user: u32) -> f64 {
         self.usage.get(&user).copied().unwrap_or(0.0)
@@ -837,14 +827,6 @@ impl FairShare {
     /// [`AllocPolicy::audit`] for the whole-run tally).
     pub fn decisions(&self) -> impl Iterator<Item = &FairShareDispatch> {
         self.decisions.iter()
-    }
-
-    fn share(&self, user: u32) -> f64 {
-        self.shares.get(&user).copied().unwrap_or(1.0)
-    }
-
-    fn ratio(&self, user: u32) -> f64 {
-        self.usage(user) / self.share(user)
     }
 
     fn decay_to(&mut self, now: SimTime) {
@@ -875,15 +857,15 @@ impl AllocPolicy for FairShare {
         }
         self.decay_to(view.now);
         let free = view.nodes_below(1);
-        // Among fittable jobs, lowest usage/share ratio first; ties by
+        // Among fittable jobs, lowest decayed usage first; ties by
         // arrival then id so the order is total and deterministic.
         let pick = queue
             .iter()
             .enumerate()
             .filter(|(_, q)| q.nodes as usize <= free.len())
             .min_by(|(_, a), (_, b)| {
-                self.ratio(a.user)
-                    .total_cmp(&self.ratio(b.user))
+                self.usage(a.user)
+                    .total_cmp(&self.usage(b.user))
                     .then(a.submitted.cmp(&b.submitted))
                     .then(a.id.cmp(&b.id))
             })?;
@@ -891,12 +873,12 @@ impl AllocPolicy for FairShare {
         let min_fittable_ratio = queue
             .iter()
             .filter(|c| c.nodes as usize <= free.len())
-            .map(|c| self.ratio(c.user))
+            .map(|c| self.usage(c.user))
             .fold(f64::INFINITY, f64::min);
         let d = FairShareDispatch {
             job: q.id,
             user: q.user,
-            ratio: self.ratio(q.user),
+            ratio: self.usage(q.user),
             min_fittable_ratio,
         };
         self.decisions.push(d);
@@ -998,7 +980,7 @@ impl Audited for DfrsDecision {
 /// (the yield-maximising split for symmetric CPU-bound jobs), with any
 /// remainder milli rotated by `(seed, epoch)` so no job is
 /// systematically favoured. Reallocations are pure functions of the
-/// cluster view ([`Dfrs::shares_for`]), audited ([`DfrsDecision`]) and
+/// cluster view ([`Dfrs::shares_for_weighted`]), audited ([`DfrsDecision`]) and
 /// handed to the engine through [`AllocPolicy::share_update`]; the OS
 /// level realises the shares via gang rotation
 /// (`KernelConfig::gang_epoch`).
@@ -1051,23 +1033,14 @@ impl Dfrs {
     }
 
     /// The share vector for one epoch — a *pure* function of
-    /// `(seed, epoch, view)`, shared by the live policy and the property
-    /// tests that replay it: same inputs, same shares, bit for bit. Per
-    /// node the split is even (`1000 / k` milli each over `k` residents)
-    /// with the remainder milli assigned round-robin starting at job
-    /// index `(seed ^ epoch) % k`, so shares sum to exactly 1000 on
-    /// every occupied node.
-    pub fn shares_for(seed: u64, epoch: u64, view: &ClusterView) -> Vec<(usize, u32, u32)> {
-        Self::shares_for_weighted(seed, epoch, view, &BTreeMap::new())
-    }
-
-    /// [`Self::shares_for`] generalized to per-job weights (absent jobs
-    /// weigh 1): node capacity splits `floor(1000·wᵢ/Σw)` each, with
-    /// the remainder milli assigned round-robin from the same
-    /// `(seed ^ epoch) % k` start index as the even split. Uniform
-    /// weights make every floor equal to `1000 / k` and the remainder
-    /// `1000 % k`, so the even split falls out as the identical special
-    /// case rather than a separate code path.
+    /// `(seed, epoch, view, weights)`, shared by the live policy and the
+    /// property tests that replay it: same inputs, same shares, bit for
+    /// bit. Per node the `k` residents split capacity
+    /// `floor(1000·wᵢ/Σw)` milli each (absent jobs weigh 1), with the
+    /// remainder milli assigned round-robin starting at job index
+    /// `(seed ^ epoch) % k`, so shares sum to exactly 1000 on every
+    /// occupied node. An empty weight map gives the even split: every
+    /// floor is `1000 / k` and the remainder `1000 % k`.
     pub fn shares_for_weighted(
         seed: u64,
         epoch: u64,
@@ -1526,28 +1499,6 @@ mod tests {
     }
 
     #[test]
-    fn fairshare_shares_weight_the_ratio() {
-        let mut p = FairShare::new().with_share(0, 4.0).with_share(1, 1.0);
-        let mut a0 = qj(0, 1, 1_000_000);
-        a0.user = 0;
-        let v = view(&[0, 0], vec![]);
-        let _ = p.select(&[a0], &v).unwrap();
-        let mut a1 = qj(1, 1, 1_000_000);
-        a1.user = 0;
-        let mut b0 = qj(2, 1, 4_000_000);
-        b0.user = 1;
-        b0.submitted = t(500);
-        // User 0 used 1 node-ms against share 4 (ratio ~0.25e-3); user
-        // 1 has 0. User 1 wins; after running 4 node-ms against share
-        // 1, user 0 wins the next round despite new usage.
-        let sel = p.select(&[a1, b0], &v).unwrap();
-        assert_eq!(sel.queue_idx, 1);
-        let sel = p.select(&[a1], &v).unwrap();
-        assert_eq!(sel.queue_idx, 0);
-        assert!(p.ratio(0) < p.ratio(1), "share 4 discounts usage 4x");
-    }
-
-    #[test]
     fn oversubscribed_stacks_two_jobs_per_node() {
         let mut p = Oversubscribed;
         let queue = [qj(0, 2, 100)];
@@ -1587,7 +1538,7 @@ mod tests {
         for epoch in 0..8u64 {
             for seed in 0..8u64 {
                 let v = view(&[3, 1, 0], running.clone());
-                let shares = Dfrs::shares_for(seed, epoch, &v);
+                let shares = Dfrs::shares_for_weighted(seed, epoch, &v, &BTreeMap::new());
                 let mut per_node = BTreeMap::new();
                 for &(n, _, s) in &shares {
                     *per_node.entry(n).or_insert(0u32) += s;
@@ -1601,7 +1552,7 @@ mod tests {
         // absorb it every time.
         let v = view(&[3, 1, 0], running);
         let who_extra = |epoch| {
-            Dfrs::shares_for(0, epoch, &v)
+            Dfrs::shares_for_weighted(0, epoch, &v, &BTreeMap::new())
                 .iter()
                 .find(|&&(n, _, s)| n == 0 && s == 334)
                 .map(|&(_, j, _)| j)
@@ -1634,7 +1585,7 @@ mod tests {
         for (epoch, seed) in [(0u64, 0u64), (3, 9), (17, 5)] {
             assert_eq!(
                 Dfrs::shares_for_weighted(seed, epoch, &v, &u),
-                Dfrs::shares_for(seed, epoch, &v),
+                Dfrs::shares_for_weighted(seed, epoch, &v, &BTreeMap::new()),
                 "equal weights degenerate to the even split"
             );
         }

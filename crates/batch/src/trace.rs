@@ -120,28 +120,6 @@ impl BatchTrace {
         }
         BatchTrace { jobs }
     }
-
-    /// Like [`Self::synthetic`] but spread across `users` submitting
-    /// users (round-robin with a seeded shuffle) and `classes` priority
-    /// classes, so fair-share and multi-queue policies have something to
-    /// discriminate on. `synthetic(seed, n, nodes)` is exactly
-    /// `multi_user(seed, n, nodes, 1, 1)`.
-    pub fn multi_user(
-        seed: u64,
-        n: u32,
-        cluster_nodes: u32,
-        users: u32,
-        classes: u32,
-    ) -> BatchTrace {
-        assert!(users >= 1 && classes >= 1);
-        let mut trace = Self::synthetic(seed, n, cluster_nodes);
-        let mut rng = Rng::for_run(seed ^ 0x05E6, 1);
-        for j in &mut trace.jobs {
-            j.user = rng.below(users as u64) as u32;
-            j.class = rng.below(classes as u64) as u32;
-        }
-        trace
-    }
 }
 
 #[cfg(test)]
@@ -163,19 +141,5 @@ mod tests {
         }
         // Different seeds differ.
         assert_ne!(a, BatchTrace::synthetic(8, 12, 4));
-    }
-
-    #[test]
-    fn multi_user_spreads_users_and_classes() {
-        let t = BatchTrace::multi_user(11, 24, 4, 3, 2);
-        assert_eq!(t, BatchTrace::multi_user(11, 24, 4, 3, 2));
-        assert!(t.jobs.iter().any(|j| j.user != t.jobs[0].user));
-        assert!(t.jobs.iter().any(|j| j.class != t.jobs[0].class));
-        assert!(t.jobs.iter().all(|j| j.user < 3 && j.class < 2));
-        // The single-user case is exactly the plain synthetic trace.
-        assert_eq!(
-            BatchTrace::multi_user(7, 8, 4, 1, 1),
-            BatchTrace::synthetic(7, 8, 4)
-        );
     }
 }

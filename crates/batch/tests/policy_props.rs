@@ -132,7 +132,7 @@ proptest! {
             g.jobs.iter().map(|&(id, _, _)| (id, common)).collect();
         prop_assert_eq!(
             Dfrs::shares_for_weighted(seed, epoch, &view, &uniform),
-            Dfrs::shares_for(seed, epoch, &view)
+            Dfrs::shares_for_weighted(seed, epoch, &view, &BTreeMap::new())
         );
     }
 }

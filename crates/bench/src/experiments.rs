@@ -718,14 +718,13 @@ pub fn uls(opts: &ExpOpts) -> String {
 /// utilisation and energy-delay product for ep.A.8 — quantifying the
 /// power cost/benefit of HPL's "spin hot, never migrate" policy.
 pub fn energy(opts: &ExpOpts) -> String {
-    use hpl_kernel::power::{energy_delay_product, energy_of_window, PowerModel};
+    use hpl_kernel::power::{energy_delay_product, energy_of_window};
     let mut out = String::from("Energy — ep.A.8 per scheduler (POWER6-flavoured power model)\n\n");
     let _ = writeln!(
         out,
         "{:>12} | {:>9} | {:>9} | {:>8} | {:>6} | {:>10}",
         "scheduler", "time (s)", "energy J", "mean W", "util", "EDP (J*s)"
     );
-    let model = PowerModel::default();
     let reps = opts.reps.clamp(3, 30);
     for (name, sched, mode) in [
         ("std-cfs", Scheduler::StandardLinux, SchedMode::Cfs),
@@ -758,7 +757,7 @@ pub fn energy(opts: &ExpOpts) -> String {
             session.close(&node.counters, node.now());
             let busy = session.delta().hw(hpl_perf::HwEvent::BusyNs);
             let wall = SimDuration::from_secs_f64(session.elapsed_secs());
-            let report = energy_of_window(&model, &node.topo, busy, wall);
+            let report = energy_of_window(&node.topo, busy, wall);
             time_sum += exec.as_secs_f64();
             joules += report.total_joules;
             watts += report.mean_watts;

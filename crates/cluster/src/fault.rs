@@ -222,18 +222,6 @@ impl FaultPlan {
         evs
     }
 
-    /// Combined degradation factor for a message sent at `at` (product
-    /// of all windows containing `at`; 1 when none do).
-    pub fn degrade_factor_at(&self, at: SimTime) -> u32 {
-        let mut factor = 1u32;
-        for w in &self.degrade {
-            if w.from <= at && at < w.to {
-                factor = factor.saturating_mul(w.factor);
-            }
-        }
-        factor
-    }
-
     /// A random but reproducible plan over a cluster of `nodes` nodes —
     /// the generator behind torture's fault sampling and the round-trip
     /// test of its scenario keys. Crash events target nodes `1..nodes`
@@ -261,6 +249,18 @@ impl FaultPlan {
         }
         plan
     }
+}
+
+/// Combined degradation factor for a message sent at `at`: the product
+/// of every window containing `at`, 1 when none does.
+pub(crate) fn degrade_factor(windows: &[DegradeWindow], at: SimTime) -> u32 {
+    let mut factor = 1u32;
+    for w in windows {
+        if w.from <= at && at < w.to {
+            factor = factor.saturating_mul(w.factor);
+        }
+    }
+    factor
 }
 
 fn kind_order(kind: NodeFault) -> u8 {
@@ -309,11 +309,12 @@ mod tests {
         let plan = FaultPlan::none()
             .degrade(SimTime::from_nanos(100), SimTime::from_nanos(200), 3)
             .degrade(SimTime::from_nanos(150), SimTime::from_nanos(300), 2);
-        assert_eq!(plan.degrade_factor_at(SimTime::from_nanos(50)), 1);
-        assert_eq!(plan.degrade_factor_at(SimTime::from_nanos(100)), 3);
-        assert_eq!(plan.degrade_factor_at(SimTime::from_nanos(150)), 6);
-        assert_eq!(plan.degrade_factor_at(SimTime::from_nanos(200)), 2);
-        assert_eq!(plan.degrade_factor_at(SimTime::from_nanos(300)), 1);
+        let at = |ns| degrade_factor(&plan.degrade, SimTime::from_nanos(ns));
+        assert_eq!(at(50), 1);
+        assert_eq!(at(100), 3);
+        assert_eq!(at(150), 6);
+        assert_eq!(at(200), 2);
+        assert_eq!(at(300), 1);
     }
 
     #[test]

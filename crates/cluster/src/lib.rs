@@ -56,7 +56,7 @@ pub use cosim::{
     Cluster, ClusterBuilder, ClusterJobHandle, CosimConfig, JobCoordinator, Placement,
 };
 pub use fault::{DegradeWindow, FaultPlan, LossSpec, NodeEvent, NodeFault};
-pub use net::{Fabric, FlatFabric, Interconnect, NetConfig, Route, SwitchedFabric};
+pub use net::{Fabric, FlatFabric, Interconnect, NetConfig, SwitchedFabric};
 pub use window::Window;
 
 use hpl_sim::Rng;

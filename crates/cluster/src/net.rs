@@ -14,7 +14,7 @@
 //! `alpha_min` past the cluster-wide next event without missing a
 //! cross-node wakeup.
 
-use crate::fault::{DegradeWindow, LossSpec};
+use crate::fault::{degrade_factor, DegradeWindow, LossSpec};
 use hpl_sim::time::{SimDuration, SimTime};
 
 /// Per-link cost parameters of the LogGP-style model.
@@ -44,16 +44,6 @@ impl NetConfig {
     }
 }
 
-/// A path through the fabric: the ordered links crossed plus the cost
-/// parameters applied along them.
-#[derive(Debug, Clone)]
-pub struct Route {
-    /// Link indices in traversal order (store-and-forward).
-    pub links: Vec<usize>,
-    /// Cost parameters for this path.
-    pub cfg: NetConfig,
-}
-
 /// A network topology: maps node pairs to link paths.
 pub trait Fabric {
     /// Number of nodes attached to the fabric.
@@ -65,12 +55,6 @@ pub trait Fabric {
     /// This is the allocation-free primitive [`Interconnect::transfer`]
     /// costs every message through.
     fn route_into(&self, src: usize, dst: usize, links: &mut Vec<usize>) -> NetConfig;
-    /// Path for a `src -> dst` message as an owned [`Route`]. `src != dst`.
-    fn route(&self, src: usize, dst: usize) -> Route {
-        let mut links = Vec::new();
-        let cfg = self.route_into(src, dst, &mut links);
-        Route { links, cfg }
-    }
     /// Minimum `alpha` over all paths — the co-simulation lookahead.
     fn min_alpha(&self) -> SimDuration;
 }
@@ -269,12 +253,7 @@ impl Interconnect {
     ) -> (SimTime, SimDuration) {
         let mut cfg = self.fabric.route_into(src, dst, &mut self.route_buf);
         if let Some(f) = &self.faults {
-            let mut factor = 1u32;
-            for w in &f.degrade {
-                if w.from <= at && at < w.to {
-                    factor = factor.saturating_mul(w.factor);
-                }
-            }
+            let factor = degrade_factor(&f.degrade, at);
             if factor > 1 {
                 cfg.alpha = cfg.alpha * factor as u64;
                 cfg.beta_ns_per_byte *= factor as f64;

@@ -37,12 +37,6 @@ impl Window {
         }
     }
 
-    /// True iff `t` lies inside the window (`start <= t < end`).
-    #[inline]
-    pub fn contains(&self, t: SimTime) -> bool {
-        self.start <= t && t < self.end
-    }
-
     /// The latest instant inside the window: the *inclusive* deadline
     /// for [`hpl_kernel::Node::run_until_time`], which runs events with
     /// `t <= deadline`. With `lookahead = 1 ns` this is `start` itself —
@@ -51,25 +45,6 @@ impl Window {
     pub fn deadline(&self) -> SimTime {
         debug_assert!(self.end > self.start, "window is empty");
         self.end - SimDuration::from_nanos(1)
-    }
-
-    /// The window's extent (`end - start`), i.e. the lookahead.
-    #[inline]
-    pub fn len(&self) -> SimDuration {
-        self.end.since(self.start)
-    }
-
-    /// True iff the window contains no representable instant. Never the
-    /// case for [`Window::conservative`] (lookahead >= 1 ns).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.end <= self.start
-    }
-}
-
-impl std::fmt::Display for Window {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "[{}, {})", self.start, self.end)
     }
 }
 
@@ -88,20 +63,13 @@ mod tests {
         let w = Window::conservative(ns(100), SimDuration::from_nanos(1));
         assert_eq!(w.start, ns(100));
         assert_eq!(w.end, ns(101));
-        assert!(!w.is_empty());
         assert_eq!(w.deadline(), ns(100), "only t=100 may run");
-        assert!(w.contains(ns(100)));
-        assert!(!w.contains(ns(101)), "end is exclusive");
-        assert!(!w.contains(ns(99)));
-        assert_eq!(w.len(), SimDuration::from_nanos(1));
     }
 
     #[test]
     fn deadline_is_the_last_contained_instant() {
         let w = Window::conservative(ns(1_000), SimDuration::from_micros(5));
         assert_eq!(w.deadline(), ns(5_999));
-        assert!(w.contains(w.deadline()));
-        assert!(!w.contains(w.end));
         // The earliest possible delivery of a message sent at `start`
         // lands exactly at `end` — outside the window, never inside.
         assert_eq!(w.start + SimDuration::from_micros(5), w.end);
@@ -113,8 +81,6 @@ mod tests {
         // every instant belongs to at most one of them.
         let a = Window::conservative(ns(0), SimDuration::from_nanos(1));
         let b = Window::conservative(a.end, SimDuration::from_nanos(1));
-        assert!(a.contains(ns(0)) && !b.contains(ns(0)));
-        assert!(!a.contains(ns(1)) && b.contains(ns(1)));
         assert_eq!(a.deadline() + SimDuration::from_nanos(1), b.start);
     }
 
@@ -122,12 +88,5 @@ mod tests {
     #[should_panic(expected = "lookahead must be >= 1ns")]
     fn zero_lookahead_is_rejected() {
         let _ = Window::conservative(ns(0), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn display_shows_half_open_bounds() {
-        let w = Window::conservative(ns(5), SimDuration::from_nanos(2));
-        let s = format!("{w}");
-        assert!(s.starts_with('[') && s.ends_with(')'), "{s}");
     }
 }

@@ -141,12 +141,6 @@ impl CacheModel {
         self.core_warmth(topo.core_of(cpu) as usize, pid)
     }
 
-    /// Execution-speed factor from cache state for `pid` running on `cpu`.
-    pub fn speed_factor(&self, topo: &Topology, cpu: CpuId, pid: Pid) -> f64 {
-        let w = self.warmth(topo, cpu, pid);
-        CACHE_COLD_FACTOR + (1.0 - CACHE_COLD_FACTOR) * w
-    }
-
     /// Account `dt` of `pid` running on `cpu`: its warmth rises, every
     /// other footprint on the core decays. `warm_rate` is
     /// `exp(−dt / CACHE_WARM_TAU)` with `dt` in seconds, which the caller
@@ -255,7 +249,6 @@ mod tests {
     fn warmth_starts_cold() {
         let (topo, model) = setup();
         assert_eq!(model.warmth(&topo, CpuId(0), Pid(1)), 0.0);
-        assert!((model.speed_factor(&topo, CpuId(0), Pid(1)) - CACHE_COLD_FACTOR).abs() < 1e-12);
     }
 
     #[test]
@@ -269,7 +262,6 @@ mod tests {
         model.run(&topo, CpuId(0), pid, SimDuration::from_millis(100));
         let w2 = model.warmth(&topo, CpuId(0), pid);
         assert!(w2 > 0.999, "w2={w2}");
-        assert!(model.speed_factor(&topo, CpuId(0), pid) > 0.999);
     }
 
     #[test]

@@ -74,11 +74,6 @@ impl LoadSnapshot {
             curr_rt_prio: vec![0; ncpus],
         }
     }
-
-    /// True iff `cpu` is running nothing.
-    pub fn is_idle(&self, cpu: CpuId) -> bool {
-        self.curr_kind[cpu.index()].is_none()
-    }
 }
 
 /// A migration proposed by a balance hook; the node validates and applies.
@@ -265,16 +260,5 @@ mod tests {
         assert_eq!(class_of_policy(Policy::Hpc), ClassKind::Hpc);
         assert_eq!(class_of_policy(Policy::Normal { nice: 0 }), ClassKind::Fair);
         assert_eq!(class_of_policy(Policy::Batch { nice: 5 }), ClassKind::Fair);
-    }
-
-    #[test]
-    fn snapshot_idle_check() {
-        let snap = LoadSnapshot {
-            nr_running: vec![1, 0],
-            curr_kind: vec![Some(ClassKind::Fair), None],
-            curr_rt_prio: vec![0, 0],
-        };
-        assert!(!snap.is_idle(CpuId(0)));
-        assert!(snap.is_idle(CpuId(1)));
     }
 }

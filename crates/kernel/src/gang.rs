@@ -60,7 +60,7 @@ pub fn weighted_slices(epoch_ns: u64, gangs: &[(u64, u32)], period_idx: u64) -> 
     }
     // Remainder < k: flooring k terms loses < 1 each. Hand it out one
     // nanosecond per gang starting at a period-rotated index, the same
-    // rule Dfrs::shares_for uses for its milli-CPU remainder.
+    // rule Dfrs::shares_for_weighted uses for its milli-CPU remainder.
     let rem = period - used;
     debug_assert!(rem < k);
     let start = (period_idx % k) as usize;

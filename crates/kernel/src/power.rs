@@ -5,9 +5,9 @@
 //! literature (e.g. Rountree et al.'s Adagio, which the paper cites)
 //! builds on:
 //!
-//! * **busy** — a hardware thread executing a task draws `busy_watts`
+//! * **busy** — a hardware thread executing a task draws [`BUSY_WATTS`]
 //!   (attributed per thread; SMT siblings each draw their share);
-//! * **idle** — a halted thread draws `idle_watts` (clock-gated core);
+//! * **idle** — a halted thread draws [`IDLE_WATTS`] (clock-gated core);
 //! * **tick/kernel overhead** — accounted as busy time (the handler
 //!   executes instructions).
 //!
@@ -21,39 +21,17 @@
 
 use hpl_topology::Topology;
 
-/// Power-model parameters. Defaults approximate a POWER6 core pair: each
-/// 4.2 GHz dual-thread core dissipates ~15-20 W busy within a ~100 W
-/// dual-core chip envelope; per hardware thread that is ~8 W busy above
-/// a ~2 W idle floor.
-#[derive(Debug, Clone)]
-pub struct PowerModel {
-    /// Watts drawn by one hardware thread executing instructions.
-    pub busy_watts: f64,
-    /// Watts drawn by one idle (halted) hardware thread.
-    pub idle_watts: f64,
-}
+/// Watts drawn by one hardware thread executing instructions. The two
+/// constants approximate a POWER6 core pair: each 4.2 GHz dual-thread
+/// core dissipates ~15-20 W busy within a ~100 W dual-core chip
+/// envelope; per hardware thread that is ~8 W busy above a ~2 W idle
+/// floor.
+pub const BUSY_WATTS: f64 = 8.0;
 
-impl Default for PowerModel {
-    fn default() -> Self {
-        PowerModel {
-            busy_watts: 8.0,
-            idle_watts: 2.0,
-        }
-    }
-}
+/// Watts drawn by one idle (halted) hardware thread.
+pub const IDLE_WATTS: f64 = 2.0;
 
-impl PowerModel {
-    /// Validate parameters.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.busy_watts < self.idle_watts {
-            return Err("busy_watts below idle_watts".into());
-        }
-        if self.idle_watts < 0.0 {
-            return Err("negative idle_watts".into());
-        }
-        Ok(())
-    }
-}
+const _: () = assert!(IDLE_WATTS >= 0.0 && BUSY_WATTS >= IDLE_WATTS);
 
 /// Energy accounting over a window, derived from counters.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,7 +54,6 @@ pub struct EnergyReport {
 /// `wall` is the window length. The caller typically obtains both from a
 /// `PerfSession`.
 pub fn energy_of_window(
-    model: &PowerModel,
     topo: &Topology,
     busy_ns_delta: u64,
     wall: hpl_sim::SimDuration,
@@ -86,9 +63,8 @@ pub fn energy_of_window(
     let busy_s = busy_ns_delta as f64 / 1e9;
     let capacity_s = (threads * wall_s).max(1e-12);
     let busy_s = busy_s.min(capacity_s);
-    let _idle_s = capacity_s - busy_s;
-    let dynamic = (model.busy_watts - model.idle_watts) * busy_s;
-    let floor = model.idle_watts * capacity_s;
+    let dynamic = (BUSY_WATTS - IDLE_WATTS) * busy_s;
+    let floor = IDLE_WATTS * capacity_s;
     let total = dynamic + floor;
     EnergyReport {
         total_joules: total,
@@ -115,19 +91,8 @@ mod tests {
     }
 
     #[test]
-    fn defaults_validate() {
-        PowerModel::default().validate().unwrap();
-        let bad = PowerModel {
-            busy_watts: 1.0,
-            idle_watts: 2.0,
-        };
-        assert!(bad.validate().is_err());
-    }
-
-    #[test]
     fn fully_idle_machine_draws_floor() {
-        let m = PowerModel::default();
-        let r = energy_of_window(&m, &topo(), 0, SimDuration::from_secs(10));
+        let r = energy_of_window(&topo(), 0, SimDuration::from_secs(10));
         assert_eq!(r.dynamic_joules, 0.0);
         // 8 threads x 2 W x 10 s = 160 J.
         assert!((r.idle_floor_joules - 160.0).abs() < 1e-9);
@@ -137,10 +102,9 @@ mod tests {
 
     #[test]
     fn fully_busy_machine_draws_peak() {
-        let m = PowerModel::default();
         let wall = SimDuration::from_secs(10);
         let busy_ns = 8 * 10 * 1_000_000_000u64;
-        let r = energy_of_window(&m, &topo(), busy_ns, wall);
+        let r = energy_of_window(&topo(), busy_ns, wall);
         // 8 threads x 8 W x 10 s = 640 J.
         assert!((r.total_joules - 640.0).abs() < 1e-9);
         assert!((r.utilisation - 1.0).abs() < 1e-12);
@@ -148,19 +112,17 @@ mod tests {
 
     #[test]
     fn busy_time_clamped_to_capacity() {
-        let m = PowerModel::default();
-        let r = energy_of_window(&m, &topo(), u64::MAX, SimDuration::from_millis(1));
+        let r = energy_of_window(&topo(), u64::MAX, SimDuration::from_millis(1));
         assert!(r.utilisation <= 1.0);
         assert!(r.total_joules.is_finite());
     }
 
     #[test]
     fn half_busy_is_between() {
-        let m = PowerModel::default();
         let wall = SimDuration::from_secs(1);
-        let r_idle = energy_of_window(&m, &topo(), 0, wall);
-        let r_half = energy_of_window(&m, &topo(), 4_000_000_000, wall);
-        let r_full = energy_of_window(&m, &topo(), 8_000_000_000, wall);
+        let r_idle = energy_of_window(&topo(), 0, wall);
+        let r_half = energy_of_window(&topo(), 4_000_000_000, wall);
+        let r_full = energy_of_window(&topo(), 8_000_000_000, wall);
         assert!(r_idle.total_joules < r_half.total_joules);
         assert!(r_half.total_joules < r_full.total_joules);
         assert!((r_half.utilisation - 0.5).abs() < 1e-12);
@@ -168,10 +130,9 @@ mod tests {
 
     #[test]
     fn edp_prefers_fast_and_lean() {
-        let m = PowerModel::default();
         let wall = SimDuration::from_secs(10);
-        let lean = energy_of_window(&m, &topo(), 10_000_000_000, wall);
-        let hot = energy_of_window(&m, &topo(), 70_000_000_000, wall);
+        let lean = energy_of_window(&topo(), 10_000_000_000, wall);
+        let hot = energy_of_window(&topo(), 70_000_000_000, wall);
         // Lean and fast strictly dominates hot and slow.
         assert!(
             energy_delay_product(&lean, SimDuration::from_secs(8))

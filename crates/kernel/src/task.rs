@@ -233,12 +233,6 @@ impl Task {
         self.affinity.contains(cpu)
     }
 
-    /// True iff runnable or running.
-    #[inline]
-    pub fn is_active(&self) -> bool {
-        matches!(self.state, TaskState::Runnable | TaskState::Running)
-    }
-
     /// Change policy (the `sched_setscheduler` core), refreshing weight.
     pub fn set_policy(&mut self, policy: Policy) {
         self.policy = policy;
@@ -368,7 +362,6 @@ mod tests {
         assert_eq!(t.state, TaskState::Runnable);
         assert!(t.can_run_on(CpuId(7)));
         assert!(!t.can_run_on(CpuId(8)));
-        assert!(t.is_active());
     }
 
     #[test]
@@ -397,14 +390,5 @@ mod tests {
         assert_eq!(tt.get(a).exited_at, Some(SimTime::from_nanos(5)));
         let live: Vec<Pid> = tt.iter_live().map(|t| t.pid).collect();
         assert_eq!((live, tt.len()), (vec![b], 2));
-    }
-
-    #[test]
-    fn blocked_is_not_active() {
-        let mut t = Task::new(Pid(0), "x", Policy::Hpc, CpuMask::first_n(1));
-        t.state = TaskState::Blocked(BlockReason::Timer);
-        assert!(!t.is_active());
-        t.state = TaskState::Dead;
-        assert!(!t.is_active());
     }
 }

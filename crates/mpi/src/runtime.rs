@@ -77,14 +77,6 @@ pub enum MpiOp {
         /// Payload per rank.
         bytes: u64,
     },
-    /// A true pipelined wavefront sweep: rank `r` waits for rank `r−1`'s
-    /// token, does its message processing, and releases rank `r+1`. No
-    /// global barrier — the pipeline skew is real, which is what makes
-    /// wavefront codes exquisitely sensitive to one delayed rank.
-    Wavefront {
-        /// Payload forwarded along the pipeline.
-        bytes: u64,
-    },
     /// A coordinated application checkpoint: quiesce (sync phase), write
     /// the checkpoint (`cost` of per-rank I/O-bound work), then arrive
     /// at a per-node checkpoint barrier whose generation counter is the
@@ -479,22 +471,6 @@ impl RankProgram {
                     .push_back(Step::Compute(self.msg_cost(rounds, bytes)));
                 self.push_sync_phase(bytes);
             }
-            MpiOp::Wavefront { bytes } => {
-                if self.job.nprocs == 1 {
-                    return;
-                }
-                if self.rank > 0 {
-                    self.pending.push_back(Step::WaitChanSpin {
-                        chan: self.job.chan_id(self.rank - 1, self.rank),
-                        spin_limit: self.job.config.spin_limit,
-                    });
-                }
-                self.pending
-                    .push_back(Step::Compute(self.msg_cost(1, bytes)));
-                if self.rank + 1 < self.job.nprocs {
-                    self.push_send(self.job.chan_id(self.rank, self.rank + 1), bytes);
-                }
-            }
             MpiOp::Checkpoint { cost } => {
                 // Quiesce for a consistent cut, write the checkpoint,
                 // then commit it at the per-node checkpoint barrier —
@@ -831,35 +807,6 @@ mod tests {
         assert!(matches!(next(&mut p, &mut rng), Step::BarrierSpin { .. }));
         assert!(matches!(next(&mut p, &mut rng), Step::Compute(_)));
         assert!(matches!(next(&mut p, &mut rng), Step::BarrierSpin { .. }));
-    }
-
-    #[test]
-    fn wavefront_is_a_pipeline() {
-        let job = JobSpec::new(4, vec![MpiOp::Wavefront { bytes: 128 }]);
-        let mut rng = Rng::new(22);
-        // Rank 0: no upstream wait, but notifies downstream.
-        let mut p0 = RankProgram::new(&job, 0);
-        skip_init(&mut p0, &mut rng);
-        assert!(matches!(next(&mut p0, &mut rng), Step::Compute(_)));
-        assert!(
-            matches!(next(&mut p0, &mut rng), Step::Notify { chan, .. } if chan == job.chan_id(0, 1))
-        );
-        // Middle rank: waits upstream, notifies downstream.
-        let mut p2 = RankProgram::new(&job, 2);
-        skip_init(&mut p2, &mut rng);
-        assert!(
-            matches!(next(&mut p2, &mut rng), Step::WaitChanSpin { chan, .. } if chan == job.chan_id(1, 2))
-        );
-        assert!(matches!(next(&mut p2, &mut rng), Step::Compute(_)));
-        assert!(
-            matches!(next(&mut p2, &mut rng), Step::Notify { chan, .. } if chan == job.chan_id(2, 3))
-        );
-        // Last rank: waits, computes, no notify (next is finalize barrier).
-        let mut p3 = RankProgram::new(&job, 3);
-        skip_init(&mut p3, &mut rng);
-        assert!(matches!(next(&mut p3, &mut rng), Step::WaitChanSpin { .. }));
-        assert!(matches!(next(&mut p3, &mut rng), Step::Compute(_)));
-        assert!(matches!(next(&mut p3, &mut rng), Step::BarrierSpin { .. }));
     }
 
     #[test]

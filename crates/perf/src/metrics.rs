@@ -113,25 +113,6 @@ impl Log2Hist {
         self.max = self.max.max(other.max);
     }
 
-    /// Approximate percentile (`q` in `0..=100`) using the geometric
-    /// midpoint of the bucket holding the rank — the usual log2-hist
-    /// estimate, exact only for the min/max of a populated bucket.
-    pub fn percentile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 100.0) / 100.0) * (self.count - 1) as f64).round() as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if c > 0 && seen > rank {
-                let (lo, hi) = Self::bucket_range(i);
-                return Some(((lo as u128 + hi as u128) / 2) as u64);
-            }
-        }
-        Some(self.max)
-    }
-
     /// Multi-line `funclatency`-style rendering: one row per populated
     /// bucket with an asterisk bar scaled to the modal bucket.
     pub fn render(&self, label: &str) -> String {
@@ -431,20 +412,6 @@ mod tests {
         let mut e = Log2Hist::new();
         e.merge(&before);
         assert_eq!(e, before);
-    }
-
-    #[test]
-    fn percentile_monotone() {
-        let mut h = Log2Hist::new();
-        for v in 1..=1000u64 {
-            h.record(v);
-        }
-        let p10 = h.percentile(10.0).unwrap();
-        let p50 = h.percentile(50.0).unwrap();
-        let p99 = h.percentile(99.0).unwrap();
-        assert!(p10 <= p50 && p50 <= p99);
-        assert!(h.percentile(0.0).is_some());
-        assert_eq!(Log2Hist::new().percentile(50.0), None);
     }
 
     #[test]

@@ -35,22 +35,12 @@ impl RunOutcome {
         matches!(self, RunOutcome::Completed)
     }
 
-    /// Stable lowercase label for reports/CSV.
+    /// Stable lowercase label for reports.
     pub fn label(self) -> &'static str {
         match self {
             RunOutcome::Completed => "completed",
             RunOutcome::Deadlock => "deadlock",
             RunOutcome::BudgetExhausted => "budget_exhausted",
-        }
-    }
-
-    /// Parse a [`Self::label`] back into the outcome (CSV ingestion).
-    pub fn parse(label: &str) -> Option<Self> {
-        match label {
-            "completed" => Some(RunOutcome::Completed),
-            "deadlock" => Some(RunOutcome::Deadlock),
-            "budget_exhausted" => Some(RunOutcome::BudgetExhausted),
-            _ => None,
         }
     }
 }
@@ -171,80 +161,9 @@ impl RunTable {
             .collect()
     }
 
-    /// Full raw table as CSV (one row per repetition) — what a paper's
-    /// artifact-evaluation appendix would archive.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "run,exec_time_s,cpu_migrations,context_switches,involuntary_preemptions,load_balance_calls,outcome\n",
-        );
-        for r in &self.records {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{}\n",
-                r.run,
-                r.exec_time_s,
-                r.cpu_migrations,
-                r.context_switches,
-                r.involuntary_preemptions,
-                r.load_balance_calls,
-                r.outcome.label()
-            ));
-        }
-        out
-    }
-
-    /// Parse a table back from [`Self::to_csv`] output. Strict on shape:
-    /// the header must match what `to_csv` writes and every row must
-    /// carry exactly its columns (observer metrics are not serialised,
-    /// so they come back as `None`).
-    pub fn from_csv(csv: &str) -> Result<Self, String> {
-        let mut lines = csv.lines();
-        let header = lines.next().ok_or("empty CSV")?;
-        let expected = "run,exec_time_s,cpu_migrations,context_switches,involuntary_preemptions,load_balance_calls,outcome";
-        if header != expected {
-            return Err(format!("unexpected header {header:?}"));
-        }
-        let mut records = Vec::new();
-        for (i, line) in lines.enumerate() {
-            if line.is_empty() {
-                continue;
-            }
-            let fields: Vec<&str> = line.split(',').collect();
-            if fields.len() != 7 {
-                return Err(format!("row {i}: expected 7 fields, got {}", fields.len()));
-            }
-            let num = |j: usize| -> Result<u64, String> {
-                fields[j]
-                    .parse()
-                    .map_err(|_| format!("row {i}: bad integer {:?}", fields[j]))
-            };
-            records.push(RunRecord {
-                run: num(0)?,
-                exec_time_s: fields[1]
-                    .parse()
-                    .map_err(|_| format!("row {i}: bad time {:?}", fields[1]))?,
-                cpu_migrations: num(2)?,
-                context_switches: num(3)?,
-                involuntary_preemptions: num(4)?,
-                load_balance_calls: num(5)?,
-                outcome: RunOutcome::parse(fields[6])
-                    .ok_or_else(|| format!("row {i}: unknown outcome {:?}", fields[6]))?,
-                metrics: None,
-            });
-        }
-        Ok(RunTable::new(records))
-    }
-
     /// True iff every repetition completed normally.
     pub fn all_completed(&self) -> bool {
         self.records.iter().all(|r| r.outcome.is_complete())
-    }
-
-    /// Records that did not complete (deadlocked or over budget).
-    pub fn failed_records(&self) -> Vec<&RunRecord> {
-        self.records
-            .iter()
-            .filter(|r| !r.outcome.is_complete())
-            .collect()
     }
 
     /// Merge the observer metrics of every repetition that collected
@@ -255,11 +174,6 @@ impl RunTable {
             acc.get_or_insert_with(SchedMetrics::new).merge(m);
         }
         acc
-    }
-
-    /// Execution-time percentile (`q` in 0..=100).
-    pub fn time_percentile(&self, q: f64) -> f64 {
-        hpl_sim::stats::percentile(&self.times(), q)
     }
 }
 
@@ -322,98 +236,14 @@ mod tests {
     }
 
     #[test]
-    fn csv_roundtrip_columns() {
-        let t = RunTable::new(vec![rec(0, 1.5, 10, 100)]);
-        let csv = t.to_csv();
-        let mut lines = csv.lines();
-        assert_eq!(
-            lines.next().unwrap(),
-            "run,exec_time_s,cpu_migrations,context_switches,involuntary_preemptions,load_balance_calls,outcome"
-        );
-        assert_eq!(lines.next().unwrap(), "0,1.5,10,100,0,0,completed");
-    }
-
-    #[test]
-    fn outcome_labels_roundtrip() {
-        for o in [
-            RunOutcome::Completed,
-            RunOutcome::Deadlock,
-            RunOutcome::BudgetExhausted,
-        ] {
-            assert_eq!(RunOutcome::parse(o.label()), Some(o));
-        }
-        assert_eq!(RunOutcome::parse("crashed"), None);
-    }
-
-    #[test]
-    fn outcome_parse_rejects_garbage() {
-        // Regression: parse must return None for anything that is not a
-        // verbatim label — never panic, never guess. Fuzz-ish battery of
-        // the shapes that show up in hand-edited or truncated CSVs.
-        for garbage in [
-            "",
-            " ",
-            "completed ",
-            " completed",
-            "Completed",
-            "COMPLETED",
-            "complete",
-            "completedd",
-            "dead lock",
-            "deadlock\n",
-            "budget-exhausted",
-            "budget_exhausted2",
-            "budget",
-            "0",
-            "✓",
-            "complet\u{00e9}d",
-            "completed\0",
-            "\0",
-            "null",
-            "none",
-            "ok",
-        ] {
-            assert_eq!(
-                RunOutcome::parse(garbage),
-                None,
-                "garbage label {garbage:?} must not parse"
-            );
-        }
-        // And a whole CSV row carrying a garbage outcome errors cleanly.
-        let bad = "run,exec_time_s,cpu_migrations,context_switches,involuntary_preemptions,load_balance_calls,outcome\n0,1.0,0,0,0,0,completed \n";
-        let err = RunTable::from_csv(bad).unwrap_err();
-        assert!(err.contains("unknown outcome"), "got {err:?}");
-    }
-
-    #[test]
-    fn csv_roundtrips_outcomes_through_table() {
-        let t = RunTable::new(vec![
-            rec(0, 8.54, 29, 550),
-            rec(1, 14.59, 615, 1886).with_outcome(RunOutcome::Deadlock),
-            rec(2, 9.0, 50, 652).with_outcome(RunOutcome::BudgetExhausted),
-        ]);
-        let parsed = RunTable::from_csv(&t.to_csv()).expect("round-trip");
-        assert_eq!(parsed.records(), t.records());
-        assert_eq!(parsed.failed_records().len(), 2);
-        // Malformed inputs are rejected, not mangled.
-        assert!(RunTable::from_csv("").is_err());
-        assert!(RunTable::from_csv("wrong,header\n").is_err());
-        let bad_outcome = "run,exec_time_s,cpu_migrations,context_switches,involuntary_preemptions,load_balance_calls,outcome\n0,1.0,0,0,0,0,crashed\n";
-        assert!(RunTable::from_csv(bad_outcome).is_err());
-    }
-
-    #[test]
     fn outcome_taints_table() {
         let ok = RunTable::new(vec![rec(0, 1.0, 0, 0)]);
         assert!(ok.all_completed());
-        assert!(ok.failed_records().is_empty());
         let bad = RunTable::new(vec![
             rec(0, 1.0, 0, 0),
             rec(1, 0.5, 0, 0).with_outcome(RunOutcome::Deadlock),
         ]);
         assert!(!bad.all_completed());
-        assert_eq!(bad.failed_records().len(), 1);
-        assert!(bad.to_csv().contains("deadlock"));
     }
 
     #[test]
@@ -433,18 +263,6 @@ mod tests {
         let merged = t.merged_metrics().unwrap();
         assert_eq!(merged.switches, 7);
         assert_eq!(merged.timeslice_ns.count(), 1);
-    }
-
-    #[test]
-    fn percentiles_bound_by_extremes() {
-        let t = RunTable::new(vec![
-            rec(0, 1.0, 0, 0),
-            rec(1, 2.0, 0, 0),
-            rec(2, 9.0, 0, 0),
-        ]);
-        assert_eq!(t.time_percentile(0.0), 1.0);
-        assert_eq!(t.time_percentile(100.0), 9.0);
-        assert!((t.time_percentile(50.0) - 2.0).abs() < 1e-12);
     }
 
     #[test]

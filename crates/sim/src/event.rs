@@ -20,11 +20,6 @@ use std::collections::BinaryHeap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventId(u64);
 
-impl EventId {
-    /// A sentinel id that no real event ever receives.
-    pub const NONE: EventId = EventId(u64::MAX);
-}
-
 /// Handle to a periodic slot created by [`EventQueue::schedule_periodic`].
 ///
 /// Slots are never removed, so the handle indexes a stable internal array.
@@ -458,7 +453,6 @@ mod tests {
         let a = q.schedule(SimTime::from_nanos(1), ());
         let b = q.schedule(SimTime::from_nanos(1), ());
         assert_ne!(a, b);
-        assert_ne!(a, EventId::NONE);
     }
 
     #[test]

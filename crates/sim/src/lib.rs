@@ -14,7 +14,7 @@
 //!   exponential, normal, log-normal, Pareto). No external crate: identical
 //!   bit streams everywhere.
 //! * [`stats`] — summary statistics (min/avg/max/var% as the paper defines
-//!   them), histograms, percentiles and correlation for the figures.
+//!   them), histograms, correlation and a two-sample test for the figures.
 //! * [`json`] — the JSON string escape every JSON producer shares.
 //! * [`plot`] — ASCII histogram/scatter rendering used by the experiment
 //!   harness to "draw" Figures 2, 3a, 3b and 4 in a terminal.

@@ -138,14 +138,6 @@ impl Rng {
         &items[self.below(items.len() as u64) as usize]
     }
 
-    /// Shuffle a slice in place (Fisher-Yates).
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
-
     /// Exponential variate with the given mean (`mean > 0`).
     pub fn exp(&mut self, mean: f64) -> f64 {
         debug_assert!(mean > 0.0);
@@ -314,17 +306,6 @@ mod tests {
         let mut r = Rng::new(29);
         assert!(!(0..100).any(|_| r.chance(0.0)));
         assert!((0..100).all(|_| r.chance(1.0)));
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = Rng::new(31);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

@@ -2,14 +2,13 @@
 //!
 //! The paper reports `Min / Avg / Max` and a variation percentage defined
 //! (its footnote 8) as `(max − min) / min × 100`. [`Summary`] computes
-//! exactly that, plus standard deviation and percentiles for richer
-//! reporting. [`Histogram`] bins execution times for Figures 2 and 4;
+//! exactly that. [`Histogram`] bins execution times for Figures 2 and 4;
 //! [`pearson`]/[`spearman`] quantify the Figure 3 relationships;
 //! [`ks_two_sample`] compares two versions' per-run distributions.
 
 use std::fmt;
 
-/// Running summary of a sample: min, max, mean, variance (Welford).
+/// Running summary of a sample: count, min, max and mean.
 ///
 /// ```
 /// use hpl_sim::stats::Summary;
@@ -24,7 +23,6 @@ pub struct Summary {
     min: f64,
     max: f64,
     mean: f64,
-    m2: f64,
 }
 
 impl Default for Summary {
@@ -41,7 +39,6 @@ impl Summary {
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
             mean: 0.0,
-            m2: 0.0,
         }
     }
 
@@ -62,27 +59,6 @@ impl Summary {
         self.max = self.max.max(x);
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Merge another summary into this one (parallel reduction).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of observations.
@@ -117,15 +93,6 @@ impl Summary {
         }
     }
 
-    /// Population standard deviation (NaN if empty).
-    pub fn stddev(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            (self.m2 / self.n as f64).sqrt()
-        }
-    }
-
     /// The paper's variation metric: `(max − min) / min × 100` (%).
     ///
     /// Returns NaN when empty and infinity when `min == 0`.
@@ -148,24 +115,6 @@ impl fmt::Display for Summary {
             self.max(),
             self.variation_pct()
         )
-    }
-}
-
-/// Percentile of a sample using linear interpolation between order
-/// statistics. `q` in `[0, 100]`. Sorts a copy; fine for reporting sizes.
-pub fn percentile(xs: &[f64], q: f64) -> f64 {
-    assert!(!xs.is_empty(), "percentile of empty sample");
-    assert!((0.0..=100.0).contains(&q), "percentile {q} out of range");
-    let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
-    let pos = q / 100.0 * (v.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        v[lo]
-    } else {
-        let frac = pos - lo as f64;
-        v[lo] * (1.0 - frac) + v[hi] * frac
     }
 }
 
@@ -434,32 +383,6 @@ mod tests {
     fn summary_single_point() {
         let s = Summary::from_slice(&[5.0]);
         assert_eq!(s.variation_pct(), 0.0);
-        assert_eq!(s.stddev(), 0.0);
-    }
-
-    #[test]
-    fn summary_merge_matches_bulk() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0 + 20.0).collect();
-        let bulk = Summary::from_slice(&xs);
-        let mut a = Summary::from_slice(&xs[..37]);
-        let b = Summary::from_slice(&xs[37..]);
-        a.merge(&b);
-        assert_eq!(a.count(), bulk.count());
-        assert!((a.mean() - bulk.mean()).abs() < 1e-9);
-        assert!((a.stddev() - bulk.stddev()).abs() < 1e-9);
-        assert_eq!(a.min(), bulk.min());
-        assert_eq!(a.max(), bulk.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = Summary::from_slice(&[1.0, 2.0]);
-        a.merge(&Summary::new());
-        assert_eq!(a.count(), 2);
-        let mut e = Summary::new();
-        e.merge(&Summary::from_slice(&[1.0, 2.0]));
-        assert_eq!(e.count(), 2);
-        assert_eq!(e.min(), 1.0);
     }
 
     #[test]
@@ -467,14 +390,6 @@ mod tests {
         // ep.A.8 from the paper: min 8.54, max 14.59 -> 70.84%.
         let s = Summary::from_slice(&[8.54, 14.59, 9.0, 10.0]);
         assert!((s.variation_pct() - 70.84).abs() < 0.01);
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&xs, 0.0), 1.0);
-        assert_eq!(percentile(&xs, 100.0), 4.0);
-        assert!((percentile(&xs, 50.0) - 2.5).abs() < 1e-12);
     }
 
     #[test]

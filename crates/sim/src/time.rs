@@ -55,12 +55,6 @@ impl SimTime {
         self.0
     }
 
-    /// Time since the epoch as a duration.
-    #[inline]
-    pub const fn elapsed_since_epoch(self) -> SimDuration {
-        SimDuration(self.0)
-    }
-
     /// Duration since `earlier`. Saturates to zero if `earlier` is later
     /// (callers assert in debug builds).
     #[inline]
@@ -128,12 +122,6 @@ impl SimDuration {
     #[inline]
     pub const fn as_micros(self) -> u64 {
         self.0 / 1_000
-    }
-
-    /// Whole milliseconds (truncating).
-    #[inline]
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
     }
 
     /// Fractional seconds.
@@ -324,7 +312,10 @@ mod tests {
     #[test]
     fn from_secs_f64_clamps_negative() {
         assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_secs_f64(1.5).as_millis(), 1500);
+        assert_eq!(
+            SimDuration::from_secs_f64(1.5),
+            SimDuration::from_millis(1500)
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests for the simulation substrate.
 
-use hpl_sim::stats::{percentile, Summary};
+use hpl_sim::stats::Summary;
 use hpl_sim::{EventQueue, Rng, SimTime};
 use proptest::prelude::*;
 
@@ -25,24 +25,6 @@ proptest! {
         }
     }
 
-    /// Welford merge equals bulk accumulation for any split point.
-    #[test]
-    fn summary_merge_equals_bulk(
-        xs in proptest::collection::vec(-1e6f64..1e6, 1..100),
-        split in 0usize..100
-    ) {
-        let split = split.min(xs.len());
-        let bulk = Summary::from_slice(&xs);
-        let mut a = Summary::from_slice(&xs[..split]);
-        let b = Summary::from_slice(&xs[split..]);
-        a.merge(&b);
-        prop_assert_eq!(a.count(), bulk.count());
-        prop_assert!((a.mean() - bulk.mean()).abs() <= 1e-6 * bulk.mean().abs().max(1.0));
-        prop_assert!((a.stddev() - bulk.stddev()).abs() <= 1e-6 * bulk.stddev().abs().max(1.0));
-        prop_assert_eq!(a.min(), bulk.min());
-        prop_assert_eq!(a.max(), bulk.max());
-    }
-
     /// min <= mean <= max and variation >= 0 for any sample.
     #[test]
     fn summary_ordering(xs in proptest::collection::vec(0.001f64..1e6, 1..100)) {
@@ -50,21 +32,6 @@ proptest! {
         prop_assert!(s.min() <= s.mean() + 1e-9);
         prop_assert!(s.mean() <= s.max() + 1e-9);
         prop_assert!(s.variation_pct() >= 0.0);
-    }
-
-    /// Percentiles are monotone in q and bounded by the extremes.
-    #[test]
-    fn percentile_monotone(
-        xs in proptest::collection::vec(-1e6f64..1e6, 1..60),
-        q1 in 0.0f64..100.0,
-        q2 in 0.0f64..100.0
-    ) {
-        let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
-        let p_lo = percentile(&xs, lo);
-        let p_hi = percentile(&xs, hi);
-        prop_assert!(p_lo <= p_hi + 1e-9);
-        prop_assert!(p_lo >= percentile(&xs, 0.0) - 1e-9);
-        prop_assert!(p_hi <= percentile(&xs, 100.0) + 1e-9);
     }
 
     /// range_u64 stays in range; below covers [0, n).

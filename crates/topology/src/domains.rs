@@ -55,13 +55,6 @@ pub struct SchedDomain {
     pub share_cache_in_group: bool,
 }
 
-impl SchedDomain {
-    /// The group containing `cpu`, if any.
-    pub fn group_of(&self, cpu: CpuId) -> Option<&CpuMask> {
-        self.groups.iter().find(|g| g.contains(cpu))
-    }
-}
-
 /// Per-CPU chains of scheduling domains, innermost first.
 #[derive(Debug, Clone)]
 pub struct DomainHierarchy {
@@ -249,15 +242,6 @@ mod tests {
         for w in chain.windows(2) {
             assert!(w[0].balance_interval_ns <= w[1].balance_interval_ns);
         }
-    }
-
-    #[test]
-    fn group_of_finds_member() {
-        let topo = Topology::power6_js22();
-        let h = DomainHierarchy::build(&topo);
-        let mc = &h.chain(CpuId(0))[1];
-        assert_eq!(mc.group_of(CpuId(1)), Some(&topo.core_cpus(0)));
-        assert_eq!(mc.group_of(CpuId(6)), None);
     }
 
     #[test]

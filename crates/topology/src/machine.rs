@@ -14,14 +14,10 @@ use crate::cpu::{CpuId, CpuMask};
 /// Scope at which a cache level is shared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CacheScope {
-    /// Private to one hardware thread (rare; modelled for completeness).
-    Thread,
     /// Shared by the SMT threads of one core (typical L1/L2).
     Core,
     /// Shared by all cores of a socket (typical L3).
     Socket,
-    /// Shared machine-wide (e.g. an external board-level cache).
-    System,
 }
 
 /// One level of the cache hierarchy.
@@ -140,34 +136,9 @@ impl Topology {
         )
     }
 
-    /// A Blue Gene/P-flavoured compute node: one chip, four single-thread
-    /// cores, shared L3 — the target of the paper's "port HPL to Blue
-    /// Gene compute nodes" future work, useful for LWK-comparison
-    /// studies.
-    pub fn bluegene_p() -> Self {
-        Topology::new(
-            "BlueGene/P node",
-            1,
-            4,
-            1,
-            vec![
-                CacheLevel {
-                    level: 1,
-                    scope: CacheScope::Core,
-                    size_bytes: 32 * 1024,
-                },
-                CacheLevel {
-                    level: 3,
-                    scope: CacheScope::Socket,
-                    size_bytes: 8 * 1024 * 1024,
-                },
-            ],
-        )
-    }
-
     /// A contemporary-style dual-socket x86: 2 sockets × 4 cores × 2 SMT,
-    /// private L1/L2, shared L3 per socket. Used by the ablation benches to
-    /// show how shared last-level cache changes migration cost.
+    /// private L1/L2, shared L3 per socket. Only tests use it, to run
+    /// the scheduler on a machine whose last-level cache spans a socket.
     pub fn xeon_2s4c2t() -> Self {
         Topology::new(
             "xeon 2s4c2t",
@@ -298,10 +269,8 @@ impl Topology {
         self.caches
             .iter()
             .find(|c| match c.scope {
-                CacheScope::Thread => false,
                 CacheScope::Core => same_core,
                 CacheScope::Socket => same_socket,
-                CacheScope::System => true,
             })
             .map(|c| c.level)
     }
@@ -383,21 +352,11 @@ mod tests {
     }
 
     #[test]
-    fn bluegene_preset() {
-        let t = Topology::bluegene_p();
-        assert_eq!(t.total_cpus(), 4);
-        assert_eq!(t.threads_per_core(), 1);
-        // All cores share the L3.
-        assert_eq!(t.shared_cache_level(CpuId(0), CpuId(3)), Some(3));
-    }
-
-    #[test]
     fn core_table_matches_division() {
         for t in [
             Topology::power6_js22(),
             Topology::smp(1),
             Topology::smp(64),
-            Topology::bluegene_p(),
             Topology::xeon_2s4c2t(),
             Topology::new("2s8c4t", 2, 8, 4, vec![]),
         ] {

@@ -7,7 +7,7 @@
 //! takes. [`nas`] captures exactly that structure per benchmark —
 //! embarrassingly parallel (ep), fine-grained allreduce + halo exchange
 //! (cg), transpose-dominated alltoall (ft), bucketed alltoall (is),
-//! wavefront neighbour pipelines (lu), and multigrid V-cycles (mg) —
+//! ring neighbour exchanges (lu), and multigrid V-cycles (mg) —
 //! with per-rank work calibrated so the clean-machine (HPL minimum)
 //! execution times land on the paper's Table II values.
 //!

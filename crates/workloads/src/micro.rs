@@ -26,21 +26,6 @@ pub fn noise_probe_job(nprocs: u32, iters: u32, quantum: SimDuration) -> JobSpec
     job
 }
 
-/// A pipelined wavefront probe: `iters` sweeps of compute + a true
-/// rank-to-rank pipeline (no global barrier). Wavefront codes are the
-/// worst case for OS noise *latency* (a hit on rank 0 ripples through
-/// every downstream rank), which is why Sweep3D-style applications
-/// feature so prominently in the noise literature the paper builds on.
-pub fn wavefront_probe_job(nprocs: u32, iters: u32, quantum: SimDuration) -> JobSpec {
-    let body = [
-        MpiOp::Compute { mean: quantum },
-        MpiOp::Wavefront { bytes: 16 * 1024 },
-    ];
-    let mut job = JobSpec::new(nprocs, JobSpec::repeat(iters, &body));
-    job.config.compute_jitter = 0.0;
-    job
-}
-
 /// A single injection daemon with the given period and service time
 /// (deterministic-ish: tiny jitter keeps the event stream aperiodic, as
 /// the injection papers do to avoid lockstep artefacts).
@@ -74,34 +59,6 @@ mod tests {
         assert_eq!(job.ops.len(), 200);
         assert_eq!(job.config.compute_jitter, 0.0);
         assert_eq!(job.total_compute(), SimDuration::from_millis(100));
-    }
-
-    #[test]
-    fn wavefront_probe_structure() {
-        let job = wavefront_probe_job(4, 10, SimDuration::from_millis(2));
-        let waves = job
-            .ops
-            .iter()
-            .filter(|o| matches!(o, MpiOp::Wavefront { .. }))
-            .count();
-        assert_eq!(waves, 10);
-        assert_eq!(job.total_compute(), SimDuration::from_millis(20));
-    }
-
-    #[test]
-    fn wavefront_probe_runs_end_to_end() {
-        use hpl_kernel::NodeBuilder;
-        use hpl_mpi::{launch, SchedMode};
-        use hpl_topology::Topology;
-        let mut node = NodeBuilder::new(Topology::power6_js22())
-            .with_seed(3)
-            .build();
-        let job = wavefront_probe_job(8, 4, SimDuration::from_millis(1));
-        let h = launch(&mut node, &job, SchedMode::Cfs);
-        let t = h.run_to_completion(&mut node, 2_000_000_000);
-        // A pipeline serialises the first sweep: expect at least
-        // nprocs x one message hop beyond pure compute.
-        assert!(t.as_secs_f64() > 0.004);
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub enum NasBenchmark {
     Ft,
     /// Integer sort: bucketed alltoall + allreduce per iteration.
     Is,
-    /// LU solver: many timesteps of wavefront neighbour exchanges.
+    /// LU solver: many timesteps of ring neighbour exchanges.
     Lu,
     /// Multigrid: V-cycle sweeps with boundary exchanges + allreduce.
     Mg,
@@ -168,7 +168,7 @@ fn shape(bench: NasBenchmark, class: NasClass) -> Shape {
             comm: &[Allreduce { bytes: 4 * KB }, Alltoall { bytes: 2 * MB }],
             tail: &[],
         },
-        // lu: 250 SSOR timesteps with wavefront (neighbour) exchanges.
+        // lu: 250 SSOR timesteps with ring neighbour exchanges.
         (NasBenchmark::Lu, NasClass::A) => Shape {
             target_secs: 17.71,
             iters: 250,
@@ -227,7 +227,6 @@ fn msg_cost(op: &MpiOp, nprocs: u32) -> f64 {
         MpiOp::Bcast { bytes } | MpiOp::Reduce { bytes } => {
             p.max(2.0).log2().ceil() * (alpha + beta * *bytes as f64)
         }
-        MpiOp::Wavefront { bytes } => alpha + beta * *bytes as f64,
         // Quiesce (barrier-shaped sync phase) plus the local write; the
         // commit barrier is node-local and costs no fabric messages.
         MpiOp::Checkpoint { cost } => p.max(2.0).log2().ceil() * alpha + cost.as_secs_f64(),

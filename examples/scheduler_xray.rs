@@ -24,7 +24,7 @@
 //! ```
 
 use hpl::kernel::analysis::TraceAnalysis;
-use hpl::kernel::power::{energy_of_window, PowerModel};
+use hpl::kernel::power::energy_of_window;
 use hpl::prelude::*;
 use std::collections::HashMap;
 
@@ -145,7 +145,7 @@ fn xray(label: &str, file_tag: &str, hpl_mode: bool) {
 
     let busy = perf.delta().hw(hpl::perf::HwEvent::BusyNs);
     let wall = SimDuration::from_secs_f64(perf.elapsed_secs());
-    let energy = energy_of_window(&PowerModel::default(), &node.topo, busy, wall);
+    let energy = energy_of_window(&node.topo, busy, wall);
     println!(
         "\n  energy {:.1} J, mean power {:.1} W, utilisation {:.1}%\n",
         energy.total_joules,
