@@ -67,16 +67,18 @@ use hpl_sim::time::{SimDuration, SimTime};
 /// (same fingerprints, traces, metrics and reports) because all
 /// cross-node effects are merged serially in fixed `(node, capture)`
 /// order after the window — see [`Cluster::step_window`].
+///
+/// The thread count alone selects the path: a window goes to the pool
+/// only when the resolved count is above 1 and the window's active set
+/// reaches `parallel_min_active`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CosimConfig {
-    /// Step windows on a worker pool instead of in a serial loop.
-    pub parallel: bool,
-    /// Stepping threads to use when `parallel` (including the calling
-    /// thread). `0` = the host's available parallelism.
+    /// Stepping threads (including the calling thread). `1` steps every
+    /// window serially; `0` = the host's available parallelism.
     pub threads: usize,
     /// Minimum number of *active* nodes (nodes with an event inside the
     /// window) before a window is worth fanning out; sparser windows run
-    /// serially even when `parallel` is set. Windows dense enough to
+    /// serially whatever the thread count. Windows dense enough to
     /// matter are exactly the ones that amortise the round-trip.
     pub parallel_min_active: usize,
 }
@@ -84,15 +86,14 @@ pub struct CosimConfig {
 impl Default for CosimConfig {
     fn default() -> Self {
         CosimConfig {
-            parallel: false,
-            threads: 0,
+            threads: 1,
             parallel_min_active: 8,
         }
     }
 }
 
 impl CosimConfig {
-    /// Serial lockstep (the default).
+    /// Serial lockstep on one thread (the default).
     pub fn serial() -> Self {
         CosimConfig::default()
     }
@@ -100,7 +101,7 @@ impl CosimConfig {
     /// Parallel lockstep on the host's available cores.
     pub fn parallel() -> Self {
         CosimConfig {
-            parallel: true,
+            threads: 0,
             ..CosimConfig::default()
         }
     }
@@ -362,11 +363,7 @@ impl ClusterBuilder {
             clock,
             dispatched: 0,
             tree_exits: 0,
-            threads: if cosim.parallel {
-                cosim.requested_threads()
-            } else {
-                1
-            },
+            threads: cosim.requested_threads(),
             cfg: cosim,
             pool: None,
             active: Vec::new(),
@@ -443,10 +440,10 @@ pub struct Cluster {
     /// Host-side execution policy (serial vs pooled window stepping).
     cfg: CosimConfig,
     /// Stepping threads asked for, with the host's parallelism resolved
-    /// once at build; 1 in serial mode.
+    /// once at build.
     threads: usize,
     /// Worker pool, spawned lazily on the first window dense enough to
-    /// fan out; `None` until then and in serial mode.
+    /// fan out; `None` until then and with one stepping thread.
     pool: Option<WorkerPool>,
     /// Scratch: indices of nodes with an event inside the current
     /// window. Reused across windows so steady-state stepping does not
@@ -901,7 +898,7 @@ impl Cluster {
     /// land in a node's past. Only the *active* nodes — those with an
     /// event inside the window — are stepped at all (for an inactive
     /// node `run_until_time` is a pure no-op, so skipping it is exact);
-    /// under [`CosimConfig::parallel`] a dense-enough active set is
+    /// with more than one stepping thread a dense-enough active set is
     /// fanned out over the worker pool, with every cross-node effect
     /// still merged serially in fixed `(node, capture)` order by
     /// `route_outbound`, which is what keeps the result byte-identical
@@ -957,8 +954,8 @@ impl Cluster {
                 .filter(|&(_, &t)| t <= deadline)
                 .map(|(i, _)| i),
         );
-        // Serial mode pays for none of the pool bookkeeping.
-        let workers = if self.cfg.parallel && self.active.len() >= self.cfg.parallel_min_active {
+        // One stepping thread pays for none of the pool bookkeeping.
+        let workers = if self.threads > 1 && self.active.len() >= self.cfg.parallel_min_active {
             // At most one stepping thread per alive node, and at least
             // one; counting alive nodes past the thread count is moot.
             let alive = self
