@@ -19,9 +19,10 @@
 //! paths are printed).
 
 use hpl_kernel::observe::validate_chrome_trace;
+use hpl_mpi::SchedMode;
 use hpl_torture::artifact::{read_artifact, write_failure};
 use hpl_torture::runner::{analytic_differential, check_scenario};
-use hpl_torture::scenario::{Fault, ModeKind, Scenario, Workload};
+use hpl_torture::scenario::{Fault, Scenario, Workload};
 use hpl_torture::shrink::shrink;
 use std::path::{Path, PathBuf};
 
@@ -159,7 +160,7 @@ fn selftest(out: &Path) -> bool {
         }
     }
     if let Workload::Mpi(m) = &mut sc.workload {
-        m.mode = ModeKind::Hpc;
+        m.mode = SchedMode::Hpc;
     }
     let failures = check_scenario(&sc);
     if failures.is_empty() {

@@ -40,7 +40,7 @@ pub mod shrink;
 pub use oracle::{InvariantOracle, Violation};
 pub use runner::{analytic_differential, check_scenario, run_scenario, Failure, RunReport};
 pub use scenario::{
-    BatchPolicyKind, BatchSpec, Fault, ModeKind, MpiSpec, OpKind, PolicyKind, Scenario, SoupSpec,
-    SoupStep, SoupTask, TopoKind, Workload,
+    BatchPolicyKind, BatchSpec, Fault, MpiSpec, OpKind, Scenario, SoupSpec, SoupStep, SoupTask,
+    TopoKind, Workload,
 };
 pub use shrink::{shrink, Shrunk};

@@ -12,8 +12,8 @@
 
 use crate::oracle::{InvariantOracle, Violation};
 use crate::scenario::{
-    BatchPolicyKind, BatchSpec, CoordKind, Fault, ModeKind, OpKind, PolicyKind, Scenario, SoupSpec,
-    SoupStep, TopoKind, Workload,
+    BatchPolicyKind, BatchSpec, CoordKind, Fault, OpKind, Scenario, SoupSpec, SoupStep, TopoKind,
+    Workload,
 };
 use hpl_batch::{
     AllocPolicy, BatchRun, BatchTrace, CheckpointSpec, ConservativeBackfill, Dfrs, EasyBackfill,
@@ -68,26 +68,6 @@ fn topology(kind: TopoKind) -> Topology {
     match kind {
         TopoKind::Smp(n) => Topology::smp(n),
         TopoKind::Power6 => Topology::power6_js22(),
-    }
-}
-
-fn policy(p: PolicyKind) -> Policy {
-    match p {
-        PolicyKind::Normal(nice) => Policy::Normal { nice },
-        PolicyKind::Batch(nice) => Policy::Batch { nice },
-        PolicyKind::Fifo(p) => Policy::Fifo(p),
-        PolicyKind::Rr(p) => Policy::Rr(p),
-        PolicyKind::Hpc => Policy::Hpc,
-    }
-}
-
-fn sched_mode(m: ModeKind) -> SchedMode {
-    match m {
-        ModeKind::Cfs => SchedMode::Cfs,
-        ModeKind::CfsNice(nice) => SchedMode::CfsNice { nice },
-        ModeKind::Rt(prio) => SchedMode::Rt { prio },
-        ModeKind::Hpc => SchedMode::Hpc,
-        ModeKind::CfsPinned => SchedMode::CfsPinned,
     }
 }
 
@@ -188,14 +168,14 @@ fn soup_driver_spec(soup: &SoupSpec) -> TaskSpec {
                 SoupStep::WaitChildren => Step::WaitChildren,
                 SoupStep::SetPolicy(p) => Step::SetPolicy {
                     target: None,
-                    policy: policy(p),
+                    policy: p,
                 },
             });
         }
         steps.push(Step::Exit);
         let mut spec = TaskSpec::new(
             format!("soup{i}"),
-            policy(t.policy),
+            t.policy,
             ScriptProgram::boxed(format!("soup{i}"), steps),
         )
         .with_tag(TORTURE_TAG);
@@ -663,7 +643,7 @@ fn run_single(sc: &Scenario, fast: bool, with_trace: bool) -> RunReport {
             (outcome, exec)
         }
         Workload::Mpi(m) => {
-            let handle = launch(&mut node, &job_spec(sc), sched_mode(m.mode));
+            let handle = launch(&mut node, &job_spec(sc), m.mode);
             match handle.try_run_to_completion(&mut node, EVENT_BUDGET) {
                 Ok(exec) => (RunOutcome::Completed, exec.as_nanos()),
                 Err(outcome) => (outcome, 0),
@@ -756,7 +736,7 @@ fn run_cluster(sc: &Scenario, fast: bool, with_trace: bool) -> RunReport {
     let mut batch_violations = Vec::new();
     let (outcome, exec_ns) = match &sc.workload {
         Workload::Mpi(m) => {
-            let handle = cluster.launch(&job_spec(sc), sched_mode(m.mode), Placement::All);
+            let handle = cluster.launch(&job_spec(sc), m.mode, Placement::All);
             match cluster.try_run_to_completion(&handle, budget) {
                 Ok(exec) => (RunOutcome::Completed, exec.as_nanos()),
                 Err(o) => (o, 0),
@@ -1090,7 +1070,7 @@ pub fn debug_run_single(sc: &Scenario, fast: bool, extra: Box<dyn hpl_kernel::Sc
             let _ = node.run_until_exit(driver, EVENT_BUDGET);
         }
         Workload::Mpi(m) => {
-            let handle = launch(&mut node, &job_spec(sc), sched_mode(m.mode));
+            let handle = launch(&mut node, &job_spec(sc), m.mode);
             let _ = handle.try_run_to_completion(&mut node, EVENT_BUDGET);
         }
         Workload::Batch(_) => panic!("debug_run_single cannot run batch workloads"),

@@ -9,6 +9,8 @@
 
 use crate::runner::check_scenario;
 use crate::scenario::{Fault, Scenario, SoupStep, TopoKind, Workload};
+use hpl_kernel::Policy;
+use hpl_mpi::SchedMode;
 
 /// Upper bound on scenario re-runs during a shrink (each candidate
 /// costs two full simulations).
@@ -30,12 +32,12 @@ pub struct Shrunk {
 /// Does the scenario schedule anything under `Policy::Hpc`?
 fn uses_hpc(sc: &Scenario) -> bool {
     match &sc.workload {
-        Workload::Mpi(m) => matches!(m.mode, crate::scenario::ModeKind::Hpc),
+        Workload::Mpi(m) => matches!(m.mode, SchedMode::Hpc),
         Workload::Soup(s) => s.tasks.iter().any(|t| {
-            matches!(t.policy, crate::scenario::PolicyKind::Hpc)
+            matches!(t.policy, Policy::Hpc)
                 || t.steps
                     .iter()
-                    .any(|s| matches!(s, SoupStep::SetPolicy(crate::scenario::PolicyKind::Hpc)))
+                    .any(|s| matches!(s, SoupStep::SetPolicy(Policy::Hpc)))
         }),
         // Batch jobs launch under Hpc exactly when the HPL class is on,
         // so dropping the class changes the workload's scheduling class
