@@ -1,0 +1,460 @@
+//! Differential oracle for [`hpl_sim::EventQueue`].
+//!
+//! `model` is the straightforward queue the library's fast one must
+//! match: a `BinaryHeap` of whole `(time, seq, payload)` entries plus
+//! periodic slots merged through a mirror heap of `(time, seq, slot)`
+//! tuples. Seeded random interleavings drive both with the same
+//! operations, and every returned `(time, EventId, payload)`, every
+//! peek and every `now()` must agree.
+
+use hpl_sim::event::EventId;
+use hpl_sim::{EventQueue, PeriodicId, SimDuration, SimTime};
+
+mod model {
+    use hpl_sim::{SimDuration, SimTime};
+    use std::cmp::{Ordering, Reverse};
+    use std::collections::BinaryHeap;
+
+    struct PeriodicSlot<E> {
+        time: SimTime,
+        seq: u64,
+        period: SimDuration,
+        payload: E,
+    }
+
+    struct Entry<E> {
+        time: SimTime,
+        seq: u64,
+        payload: E,
+    }
+
+    impl<E> PartialEq for Entry<E> {
+        fn eq(&self, other: &Self) -> bool {
+            self.time == other.time && self.seq == other.seq
+        }
+    }
+    impl<E> Eq for Entry<E> {}
+
+    impl<E> PartialOrd for Entry<E> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl<E> Ord for Entry<E> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // Max-heap inverted: the earliest (time, seq) pops first.
+            other
+                .time
+                .cmp(&self.time)
+                .then_with(|| other.seq.cmp(&self.seq))
+        }
+    }
+
+    /// The reference queue. Event ids are the raw `seq` numbers.
+    pub struct Queue<E> {
+        heap: BinaryHeap<Entry<E>>,
+        periodic: Vec<PeriodicSlot<E>>,
+        periodic_order: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+        next_seq: u64,
+        now: SimTime,
+    }
+
+    impl<E: Clone> Queue<E> {
+        pub fn new() -> Self {
+            Queue {
+                heap: BinaryHeap::new(),
+                periodic: Vec::new(),
+                periodic_order: BinaryHeap::new(),
+                next_seq: 0,
+                now: SimTime::ZERO,
+            }
+        }
+
+        pub fn now(&self) -> SimTime {
+            self.now
+        }
+
+        pub fn len(&self) -> usize {
+            self.heap.len() + self.periodic.len()
+        }
+
+        pub fn is_empty(&self) -> bool {
+            self.heap.is_empty() && self.periodic.is_empty()
+        }
+
+        pub fn slots(&self) -> usize {
+            self.periodic.len()
+        }
+
+        pub fn schedule(&mut self, at: SimTime, payload: E) -> u64 {
+            let at = at.max(self.now);
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(Entry {
+                time: at,
+                seq,
+                payload,
+            });
+            seq
+        }
+
+        pub fn schedule_periodic(
+            &mut self,
+            first: SimTime,
+            period: SimDuration,
+            payload: E,
+        ) -> usize {
+            let first = first.max(self.now);
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.periodic.push(PeriodicSlot {
+                time: first,
+                seq,
+                period,
+                payload,
+            });
+            let idx = self.periodic.len() - 1;
+            self.periodic_order.push(Reverse((first, seq, idx)));
+            idx
+        }
+
+        fn fire_best_periodic(&mut self) -> (SimTime, u64, usize) {
+            let Reverse((time, seq, i)) = self.periodic_order.pop().expect("pending");
+            let slot = &mut self.periodic[i];
+            assert_eq!((slot.time, slot.seq), (time, seq));
+            self.now = time;
+            slot.time += slot.period;
+            slot.seq = self.next_seq;
+            self.next_seq += 1;
+            self.periodic_order.push(Reverse((slot.time, slot.seq, i)));
+            (time, seq, i)
+        }
+
+        pub fn periodic_time(&self, i: usize) -> SimTime {
+            self.periodic[i].time
+        }
+
+        pub fn pop(&mut self) -> Option<(SimTime, u64, E)> {
+            let take_periodic = match (self.periodic_order.peek(), self.heap.peek()) {
+                (Some(&Reverse((t, seq, _))), Some(top)) => (t, seq) < (top.time, top.seq),
+                (Some(_), None) => true,
+                (None, _) => false,
+            };
+            if take_periodic {
+                let (time, id, i) = self.fire_best_periodic();
+                return Some((time, id, self.periodic[i].payload.clone()));
+            }
+            let entry = self.heap.pop()?;
+            self.now = entry.time;
+            Some((entry.time, entry.seq, entry.payload))
+        }
+
+        pub fn peek_time(&self) -> Option<SimTime> {
+            let heap_t = self.heap.peek().map(|e| e.time);
+            let per_t = self.periodic_order.peek().map(|&Reverse((t, _, _))| t);
+            match (heap_t, per_t) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (t, None) | (None, t) => t,
+            }
+        }
+
+        pub fn peek_heap_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|e| e.time)
+        }
+
+        pub fn peek_periodic_time(&self) -> Option<SimTime> {
+            self.periodic_order.peek().map(|&Reverse((t, _, _))| t)
+        }
+
+        pub fn advance_periodic(&mut self, horizon: SimTime, fired: &mut [u64]) -> u64 {
+            assert_eq!(fired.len(), self.periodic.len());
+            if let Some(total) = self.advance_bulk(horizon, fired) {
+                return total;
+            }
+            self.advance_loop(horizon, fired)
+        }
+
+        fn advance_bulk(&mut self, horizon: SimTime, fired: &mut [u64]) -> Option<u64> {
+            let first = self.periodic.first()?;
+            let period = first.period;
+            let (mut lo, mut hi) = (first.time, first.time);
+            for s in &self.periodic[1..] {
+                if s.period != period {
+                    return None;
+                }
+                lo = lo.min(s.time);
+                hi = hi.max(s.time);
+            }
+            if hi - lo > period {
+                return None;
+            }
+            let p = period.as_nanos();
+            let count = |t: SimTime| -> u64 {
+                if t >= horizon {
+                    0
+                } else {
+                    (horizon - t).as_nanos().div_ceil(p)
+                }
+            };
+            let mut total = 0u64;
+            let mut last_fire = self.now;
+            for s in &self.periodic {
+                let n = count(s.time);
+                if n > 0 {
+                    total += n;
+                    last_fire = last_fire.max(s.time + period * (n - 1));
+                }
+            }
+            if total == 0 {
+                return Some(0);
+            }
+            let base = self.next_seq;
+            self.periodic_order.clear();
+            for (i, s) in self.periodic.iter().enumerate() {
+                let n_i = count(s.time);
+                if n_i == 0 {
+                    self.periodic_order.push(Reverse((s.time, s.seq, i)));
+                    continue;
+                }
+                let mut before = n_i - 1;
+                for (j, o) in self.periodic.iter().enumerate() {
+                    if j == i {
+                        continue;
+                    }
+                    let n_j = count(o.time);
+                    before += if (o.time, o.seq) < (s.time, s.seq) {
+                        n_j.min(n_i)
+                    } else {
+                        n_j.min(n_i - 1)
+                    };
+                }
+                self.periodic_order
+                    .push(Reverse((s.time + period * n_i, base + before, i)));
+                fired[i] += n_i;
+            }
+            let (order, slots) = (&self.periodic_order, &mut self.periodic);
+            for &Reverse((t, seq, i)) in order.iter() {
+                slots[i].time = t;
+                slots[i].seq = seq;
+            }
+            self.next_seq = base + total;
+            self.now = last_fire;
+            Some(total)
+        }
+
+        fn advance_loop(&mut self, horizon: SimTime, fired: &mut [u64]) -> u64 {
+            let mut total = 0u64;
+            while self.peek_periodic_time().is_some_and(|t| t < horizon) {
+                let (_, _, i) = self.fire_best_periodic();
+                fired[i] += 1;
+                total += 1;
+            }
+            total
+        }
+
+        pub fn clear(&mut self) {
+            self.heap.clear();
+            self.periodic.clear();
+            self.periodic_order.clear();
+        }
+    }
+}
+
+/// SplitMix64: a self-contained stream so the oracle does not depend
+/// on the crate it checks.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// Periodic-slot shape of one seed.
+#[derive(Clone, Copy, Debug)]
+enum Slots {
+    /// Every slot shares one period and starts inside one period-wide
+    /// window at the seed's start (or right after a `clear`): the
+    /// closed-form batch advance applies.
+    Uniform,
+    /// Slots appear at random times with random periods: the
+    /// per-firing batch loop.
+    Mixed,
+}
+
+const OPS_PER_SEED: usize = 20_000;
+const MAX_SLOTS: usize = 8;
+
+fn id_of(id: EventId) -> String {
+    format!("{id:?}")
+}
+
+fn model_id(seq: u64) -> String {
+    format!("EventId({seq})")
+}
+
+/// A delay from `now`: exact ties, near-ties, short and long gaps.
+fn delay(rng: &mut Mix) -> u64 {
+    match rng.below(8) {
+        0 | 1 => 0,
+        2..=4 => rng.below(20),
+        5 | 6 => rng.below(1_000),
+        _ => rng.below(10_000_000),
+    }
+}
+
+fn arm_uniform(
+    q: &mut EventQueue<u64>,
+    m: &mut model::Queue<u64>,
+    ids: &mut Vec<PeriodicId>,
+    rng: &mut Mix,
+    payload: &mut u64,
+) {
+    let period = 1 + rng.below(200);
+    let base = q.now().as_nanos() + rng.below(50);
+    for _ in 0..1 + rng.below(MAX_SLOTS as u64) {
+        // Offsets in [0, period]: phase ties and the exact one-period
+        // spread are both inside the closed form.
+        let first = SimTime::from_nanos(base + rng.below(period + 1));
+        let p = SimDuration::from_nanos(period);
+        *payload += 1;
+        let a = q.schedule_periodic(first, p, *payload);
+        let b = m.schedule_periodic(first, p, *payload);
+        assert_eq!(a.index(), b);
+        ids.push(a);
+    }
+}
+
+fn run_seed(seed: u64, slots: Slots, start: u64) {
+    let mut rng = Mix(seed);
+    let mut q: EventQueue<u64> = EventQueue::new();
+    let mut m: model::Queue<u64> = model::Queue::new();
+    let mut ids = Vec::new();
+    let mut payload = 0u64;
+    // Move both clocks to `start` so large timestamps are exercised.
+    q.schedule(SimTime::from_nanos(start), 0);
+    m.schedule(SimTime::from_nanos(start), 0);
+    assert_eq!(
+        q.pop().map(|(t, id, p)| (t, id_of(id), p)),
+        m.pop().map(|(t, s, p)| (t, model_id(s), p))
+    );
+    if let Slots::Uniform = slots {
+        arm_uniform(&mut q, &mut m, &mut ids, &mut rng, &mut payload);
+    }
+    let mut fired_q = Vec::new();
+    let mut fired_m = Vec::new();
+    for op in 0..OPS_PER_SEED {
+        let ctx = format!("seed {seed:#x} ({slots:?}) op {op}");
+        match rng.below(100) {
+            0..=39 => {
+                let at = SimTime::from_nanos(q.now().as_nanos() + delay(&mut rng));
+                payload += 1;
+                let a = q.schedule(at, payload);
+                let b = m.schedule(at, payload);
+                assert_eq!(id_of(a), model_id(b), "{ctx}: schedule id");
+            }
+            40..=42 if matches!(slots, Slots::Mixed) && m.slots() < MAX_SLOTS => {
+                let first = SimTime::from_nanos(q.now().as_nanos() + delay(&mut rng));
+                let period = SimDuration::from_nanos(1 + rng.below(500));
+                payload += 1;
+                let a = q.schedule_periodic(first, period, payload);
+                let b = m.schedule_periodic(first, period, payload);
+                assert_eq!(a.index(), b, "{ctx}: periodic slot index");
+                ids.push(a);
+            }
+            43..=79 => {
+                let a = q.pop().map(|(t, id, p)| (t, id_of(id), p));
+                let b = m.pop().map(|(t, s, p)| (t, model_id(s), p));
+                assert_eq!(a, b, "{ctx}: pop");
+            }
+            80..=94 => {
+                // Batch-advance the ticks up to (never past) the next
+                // heap event, as the kernel's fast-forward does; the
+                // horizon sometimes lands exactly on a pending tick.
+                let heap_t = m.peek_heap_time().unwrap_or(SimTime::MAX);
+                let mut h =
+                    SimTime::from_nanos(q.now().as_nanos().saturating_add(rng.below(5_000)));
+                if m.slots() > 0 && rng.below(3) == 0 {
+                    let i = rng.below(m.slots() as u64) as usize;
+                    h = m.periodic_time(i);
+                    assert_eq!(q.periodic_time(ids[i]), h, "{ctx}: periodic_time");
+                }
+                let h = h.min(heap_t);
+                fired_q.clear();
+                fired_q.resize(m.slots(), 0);
+                fired_m.clear();
+                fired_m.resize(m.slots(), 0);
+                let a = q.advance_periodic(h, &mut fired_q);
+                let b = m.advance_periodic(h, &mut fired_m);
+                assert_eq!(a, b, "{ctx}: advance total");
+                assert_eq!(fired_q, fired_m, "{ctx}: advance per slot");
+            }
+            95..=98 => {}
+            _ => {
+                // Rare: drop everything, as an early-terminated run does.
+                if rng.below(4) == 0 {
+                    q.clear();
+                    m.clear();
+                    ids.clear();
+                    if let Slots::Uniform = slots {
+                        arm_uniform(&mut q, &mut m, &mut ids, &mut rng, &mut payload);
+                    }
+                }
+            }
+        }
+        assert_eq!(q.now(), m.now(), "{ctx}: now");
+        assert_eq!(q.len(), m.len(), "{ctx}: len");
+        assert_eq!(q.is_empty(), m.is_empty(), "{ctx}: is_empty");
+        assert_eq!(q.peek_time(), m.peek_time(), "{ctx}: peek_time");
+        assert_eq!(
+            q.peek_heap_time(),
+            m.peek_heap_time(),
+            "{ctx}: peek_heap_time"
+        );
+        assert_eq!(
+            q.peek_periodic_time(),
+            m.peek_periodic_time(),
+            "{ctx}: peek_periodic_time"
+        );
+    }
+    // Drain: the whole remaining stream agrees.
+    for step in 0..10_000 {
+        let a = q.pop().map(|(t, id, p)| (t, id_of(id), p));
+        let b = m.pop().map(|(t, s, p)| (t, model_id(s), p));
+        assert_eq!(a, b, "seed {seed:#x}: drain step {step}");
+        if b.is_none() {
+            break;
+        }
+    }
+}
+
+#[test]
+fn uniform_ticks_agree_with_the_model() {
+    for seed in 0..8u64 {
+        run_seed(0x51AB_0000 + seed, Slots::Uniform, seed * 1_000);
+    }
+}
+
+#[test]
+fn mixed_periodic_slots_agree_with_the_model() {
+    for seed in 0..8u64 {
+        run_seed(0x3D1C_0000 + seed, Slots::Mixed, seed * 7);
+    }
+}
+
+/// Clocks far from zero: timestamps near the top of the `u64` range
+/// still order exactly as the model does.
+#[test]
+fn large_timestamps_agree_with_the_model() {
+    run_seed(0xB16_71DE, Slots::Uniform, 1 << 62);
+    run_seed(0xB16_71DF, Slots::Mixed, (1 << 63) + 12_345);
+}
