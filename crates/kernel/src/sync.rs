@@ -124,36 +124,37 @@ impl SyncState {
 
     /// Deposit `tokens` tokens. Each token satisfies one waiter —
     /// spinners first (they notice immediately), then blocked waiters
-    /// (FIFO) — or banks if nobody waits. Returns the satisfied waiters
-    /// and how each was waiting.
-    pub fn notify(&mut self, chan: ChanId, tokens: u32) -> Vec<(Pid, Waiting)> {
+    /// (FIFO) — or banks if nobody waits. The satisfied waiters, and how
+    /// each was waiting, are appended to `woken` in that order.
+    pub fn notify(&mut self, chan: ChanId, tokens: u32, woken: &mut Vec<(Pid, Waiting)>) {
         let c = self.chans.entry(chan).or_default();
-        let mut out = Vec::new();
         for _ in 0..tokens {
             if let Some(p) = c.spinners.pop_front() {
-                out.push((p, Waiting::Spinning));
+                woken.push((p, Waiting::Spinning));
             } else if let Some(p) = c.blocked.pop_front() {
-                out.push((p, Waiting::Blocked));
+                woken.push((p, Waiting::Blocked));
             } else {
                 c.tokens += 1;
             }
         }
-        out
     }
 
     /// Arrive at a barrier of `parties` participants.
     ///
-    /// Returns `None` if the caller must wait (it is registered as
-    /// spinning or blocked per `spin`), or `Some(waiters)` — everyone to
-    /// release — if this arrival completes the barrier; the caller itself
-    /// proceeds. The barrier resets for the next generation.
+    /// Returns [`WaitOutcome::Wait`] if the caller must wait (it is
+    /// registered as spinning or blocked per `spin`). Returns
+    /// [`WaitOutcome::Proceed`] if this arrival completes the barrier:
+    /// everyone to release — spinners first, then blocked waiters in
+    /// arrival order — is appended to `woken`, the caller itself
+    /// proceeds, and the barrier resets for the next generation.
     pub fn barrier_arrive(
         &mut self,
         barrier: BarrierId,
         parties: u32,
         pid: Pid,
         spin: bool,
-    ) -> Option<Vec<(Pid, Waiting)>> {
+        woken: &mut Vec<(Pid, Waiting)>,
+    ) -> WaitOutcome {
         assert!(parties > 0, "barrier with zero parties");
         let b = self.barriers.entry(barrier).or_default();
         b.arrived += 1;
@@ -163,15 +164,11 @@ impl SyncState {
             b.arrived
         );
         if b.arrived == parties {
-            let mut out: Vec<(Pid, Waiting)> = b
-                .spinners
-                .drain(..)
-                .map(|p| (p, Waiting::Spinning))
-                .collect();
-            out.extend(b.blocked.drain(..).map(|p| (p, Waiting::Blocked)));
+            woken.extend(b.spinners.drain(..).map(|p| (p, Waiting::Spinning)));
+            woken.extend(b.blocked.drain(..).map(|p| (p, Waiting::Blocked)));
             b.arrived = 0;
             b.generation += 1;
-            Some(out)
+            WaitOutcome::Proceed
         } else {
             if spin {
                 debug_assert!(!b.spinners.contains(&pid));
@@ -180,7 +177,7 @@ impl SyncState {
                 debug_assert!(!b.blocked.contains(&pid));
                 b.blocked.push(pid);
             }
-            None
+            WaitOutcome::Wait
         }
     }
 
@@ -263,6 +260,32 @@ impl SyncState {
 mod tests {
     use super::*;
 
+    /// `notify`'s appended waiters, as a fresh list.
+    fn notify(s: &mut SyncState, chan: ChanId, tokens: u32) -> Vec<(Pid, Waiting)> {
+        let mut woken = Vec::new();
+        s.notify(chan, tokens, &mut woken);
+        woken
+    }
+
+    /// `barrier_arrive`'s outcome: `None` to wait, else the released
+    /// waiters.
+    fn arrive(
+        s: &mut SyncState,
+        b: BarrierId,
+        parties: u32,
+        pid: Pid,
+        spin: bool,
+    ) -> Option<Vec<(Pid, Waiting)>> {
+        let mut woken = Vec::new();
+        match s.barrier_arrive(b, parties, pid, spin, &mut woken) {
+            WaitOutcome::Proceed => Some(woken),
+            WaitOutcome::Wait => {
+                assert!(woken.is_empty(), "a waiting arrival released {woken:?}");
+                None
+            }
+        }
+    }
+
     #[test]
     fn wait_blocks_then_notify_wakes_fifo() {
         let mut s = SyncState::new();
@@ -270,8 +293,8 @@ mod tests {
         assert_eq!(s.wait(ch, Pid(1)), WaitOutcome::Wait);
         assert_eq!(s.wait(ch, Pid(2)), WaitOutcome::Wait);
         assert_eq!(s.chan_waiters(ch), 2);
-        assert_eq!(s.notify(ch, 1), vec![(Pid(1), Waiting::Blocked)]);
-        assert_eq!(s.notify(ch, 1), vec![(Pid(2), Waiting::Blocked)]);
+        assert_eq!(notify(&mut s, ch, 1), vec![(Pid(1), Waiting::Blocked)]);
+        assert_eq!(notify(&mut s, ch, 1), vec![(Pid(2), Waiting::Blocked)]);
         assert_eq!(s.chan_waiters(ch), 0);
     }
 
@@ -279,7 +302,7 @@ mod tests {
     fn tokens_bank_when_no_waiters() {
         let mut s = SyncState::new();
         let ch = ChanId(2);
-        assert!(s.notify(ch, 3).is_empty());
+        assert!(notify(&mut s, ch, 3).is_empty());
         assert_eq!(s.tokens(ch), 3);
         assert_eq!(s.wait(ch, Pid(1)), WaitOutcome::Proceed);
         assert_eq!(s.tokens(ch), 2);
@@ -291,7 +314,7 @@ mod tests {
         let ch = ChanId(3);
         s.wait(ch, Pid(1));
         s.spin_wait(ch, Pid(2));
-        let got = s.notify(ch, 2);
+        let got = notify(&mut s, ch, 2);
         assert_eq!(
             got,
             vec![(Pid(2), Waiting::Spinning), (Pid(1), Waiting::Blocked)]
@@ -305,14 +328,14 @@ mod tests {
         assert_eq!(s.spin_wait(ch, Pid(7)), WaitOutcome::Wait);
         s.chan_spin_to_block(ch, Pid(7));
         // Now satisfied as a blocked waiter.
-        assert_eq!(s.notify(ch, 1), vec![(Pid(7), Waiting::Blocked)]);
+        assert_eq!(notify(&mut s, ch, 1), vec![(Pid(7), Waiting::Blocked)]);
     }
 
     #[test]
     fn spin_wait_consumes_available_token() {
         let mut s = SyncState::new();
         let ch = ChanId(5);
-        s.notify(ch, 1);
+        notify(&mut s, ch, 1);
         assert_eq!(s.spin_wait(ch, Pid(1)), WaitOutcome::Proceed);
         assert_eq!(s.tokens(ch), 0);
     }
@@ -321,18 +344,18 @@ mod tests {
     fn barrier_releases_all_and_resets() {
         let mut s = SyncState::new();
         let b = BarrierId(1);
-        assert_eq!(s.barrier_arrive(b, 3, Pid(1), false), None);
-        assert_eq!(s.barrier_arrive(b, 3, Pid(2), true), None);
-        let woken = s.barrier_arrive(b, 3, Pid(3), false).expect("released");
+        assert_eq!(arrive(&mut s, b, 3, Pid(1), false), None);
+        assert_eq!(arrive(&mut s, b, 3, Pid(2), true), None);
+        let woken = arrive(&mut s, b, 3, Pid(3), false).expect("released");
         assert_eq!(
             woken,
             vec![(Pid(2), Waiting::Spinning), (Pid(1), Waiting::Blocked)]
         );
         assert_eq!(s.barrier_generation(b), 1);
         // Next generation works again.
-        assert_eq!(s.barrier_arrive(b, 3, Pid(2), false), None);
-        assert_eq!(s.barrier_arrive(b, 3, Pid(3), false), None);
-        assert_eq!(s.barrier_arrive(b, 3, Pid(1), false).unwrap().len(), 2);
+        assert_eq!(arrive(&mut s, b, 3, Pid(2), false), None);
+        assert_eq!(arrive(&mut s, b, 3, Pid(3), false), None);
+        assert_eq!(arrive(&mut s, b, 3, Pid(1), false).unwrap().len(), 2);
         assert_eq!(s.barrier_generation(b), 2);
     }
 
@@ -340,9 +363,9 @@ mod tests {
     fn barrier_spin_to_block() {
         let mut s = SyncState::new();
         let b = BarrierId(2);
-        s.barrier_arrive(b, 2, Pid(1), true);
+        arrive(&mut s, b, 2, Pid(1), true);
         s.barrier_spin_to_block(b, Pid(1));
-        let woken = s.barrier_arrive(b, 2, Pid(2), false).unwrap();
+        let woken = arrive(&mut s, b, 2, Pid(2), false).unwrap();
         assert_eq!(woken, vec![(Pid(1), Waiting::Blocked)]);
     }
 
@@ -351,7 +374,7 @@ mod tests {
         let mut s = SyncState::new();
         let b = BarrierId(9);
         for _ in 0..5 {
-            assert_eq!(s.barrier_arrive(b, 1, Pid(0), true), Some(vec![]));
+            assert_eq!(arrive(&mut s, b, 1, Pid(0), true), Some(vec![]));
         }
         assert_eq!(s.barrier_generation(b), 5);
     }
@@ -374,14 +397,14 @@ mod tests {
         let ch = ChanId(6);
         let b = BarrierId(6);
         s.wait(ch, Pid(5));
-        s.barrier_arrive(b, 3, Pid(4), true);
+        arrive(&mut s, b, 3, Pid(4), true);
         s.forget(&task(5, TaskState::Blocked(BlockReason::Chan(ch)), None));
         assert_eq!(s.chan_waiters(ch), 0);
         s.forget(&task(4, TaskState::Runnable, Some(SpinTarget::Barrier(b))));
         // Barrier arrival count rolled back: two remaining parties
         // complete it.
-        assert_eq!(s.barrier_arrive(b, 2, Pid(1), false), None);
-        assert!(s.barrier_arrive(b, 2, Pid(2), false).is_some());
+        assert_eq!(arrive(&mut s, b, 2, Pid(1), false), None);
+        assert!(arrive(&mut s, b, 2, Pid(2), false).is_some());
     }
 
     /// Every list in a fixed order, for comparing two states.
@@ -396,17 +419,17 @@ mod tests {
     fn busy_state() -> SyncState {
         let mut s = SyncState::new();
         for i in 0..50 {
-            s.notify(ChanId(i), 1);
+            notify(&mut s, ChanId(i), 1);
             s.wait(ChanId(i), Pid(100));
         }
         s.wait(ChanId(3), Pid(1));
         s.wait(ChanId(3), Pid(2));
         s.spin_wait(ChanId(4), Pid(3));
         s.spin_wait(ChanId(4), Pid(9));
-        s.barrier_arrive(BarrierId(0), 1, Pid(100), false);
-        s.barrier_arrive(BarrierId(1), 4, Pid(5), false);
-        s.barrier_arrive(BarrierId(1), 4, Pid(6), true);
-        s.barrier_arrive(BarrierId(1), 4, Pid(7), true);
+        arrive(&mut s, BarrierId(0), 1, Pid(100), false);
+        arrive(&mut s, BarrierId(1), 4, Pid(5), false);
+        arrive(&mut s, BarrierId(1), 4, Pid(6), true);
+        arrive(&mut s, BarrierId(1), 4, Pid(7), true);
         s
     }
 
@@ -456,6 +479,6 @@ mod tests {
     #[should_panic]
     fn zero_party_barrier_panics() {
         let mut s = SyncState::new();
-        s.barrier_arrive(BarrierId(0), 0, Pid(0), false);
+        arrive(&mut s, BarrierId(0), 0, Pid(0), false);
     }
 }
