@@ -28,7 +28,6 @@ use crate::class::{ClassKind, LoadSnapshot, MigrationPlan, SchedClass, SchedCtx}
 use crate::task::{Pid, Policy, Task, TaskTable, NICE_0_WEIGHT};
 use hpl_sim::SimDuration;
 use hpl_topology::CpuId;
-use std::collections::BTreeSet;
 
 /// `sysctl_sched_latency` after the `1+log2(ncpus)` scaling Linux
 /// applies (8 CPUs → factor 4 → 24 ms).
@@ -50,12 +49,21 @@ const HOT_TASK_THRESHOLD: SimDuration = SimDuration::from_millis(3);
 
 const _: () = assert!(MIN_GRANULARITY.as_nanos() <= SCHED_LATENCY.as_nanos());
 
+/// Queued tasks each runqueue has room for from boot: more than a
+/// node's daemons and launcher tasks ever stack on one CPU, so the hot
+/// path does not regrow the timeline (a longer queue grows it once, as
+/// any `Vec`).
+const RQ_RESERVE: usize = 32;
+
 /// Per-CPU CFS runqueue.
 #[derive(Debug, Default)]
 struct CfsRq {
-    /// Queued tasks ordered by (vruntime, pid). The running task is *not*
-    /// in the tree, as in Linux.
-    tree: BTreeSet<(u64, Pid)>,
+    /// Queued tasks as a sorted, duplicate-free `(vruntime, pid)`
+    /// list — Linux's red-black tree as a flat vector: runqueues hold a
+    /// handful of tasks, and the vector keeps its capacity where a
+    /// B-tree frees and reallocates nodes as the queue shrinks and
+    /// regrows. The running task is *not* queued, as in Linux.
+    timeline: Vec<(u64, Pid)>,
     /// Monotonic floor of vruntime on this CPU.
     min_vruntime: u64,
     /// Sum of queued task weights.
@@ -63,6 +71,28 @@ struct CfsRq {
 }
 
 impl CfsRq {
+    /// Queue `key`; false if it was already queued.
+    fn insert(&mut self, key: (u64, Pid)) -> bool {
+        match self.timeline.binary_search(&key) {
+            Ok(_) => false,
+            Err(i) => {
+                self.timeline.insert(i, key);
+                true
+            }
+        }
+    }
+
+    /// Unqueue `key`; false if it was not queued.
+    fn remove(&mut self, key: (u64, Pid)) -> bool {
+        match self.timeline.binary_search(&key) {
+            Ok(i) => {
+                self.timeline.remove(i);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
     fn advance_min_vruntime(&mut self, candidate: u64) {
         if candidate > self.min_vruntime {
             self.min_vruntime = candidate;
@@ -97,7 +127,7 @@ impl CfsClass {
     /// current task if it is a CFS task.
     fn active_on(&self, cpu: CpuId, snap: &LoadSnapshot) -> u32 {
         let running = (snap.curr_kind[cpu.index()] == Some(ClassKind::Fair)) as u32;
-        self.rq(cpu).tree.len() as u32 + running
+        self.rq(cpu).timeline.len() as u32 + running
     }
 
     /// Pick a steal victim on `from` that may run on `to`: the leftmost
@@ -118,12 +148,16 @@ impl CfsClass {
         ctx: &SchedCtx<'_>,
         tasks: &TaskTable,
     ) -> Option<Pid> {
-        self.rq(from).tree.iter().map(|&(_, pid)| pid).find(|&pid| {
-            let t = tasks.get(pid);
-            let waited_since = t.last_descheduled.max(t.last_wakeup);
-            let sustained = ctx.now.since(waited_since) >= HOT_TASK_THRESHOLD;
-            t.can_run_on(to) && sustained
-        })
+        self.rq(from)
+            .timeline
+            .iter()
+            .map(|&(_, pid)| pid)
+            .find(|&pid| {
+                let t = tasks.get(pid);
+                let waited_since = t.last_descheduled.max(t.last_wakeup);
+                let sustained = ctx.now.since(waited_since) >= HOT_TASK_THRESHOLD;
+                t.can_run_on(to) && sustained
+            })
     }
 
     /// `active_load_balance`: when an SMT core runs two CFS tasks while
@@ -192,7 +226,12 @@ impl SchedClass for CfsClass {
     }
 
     fn init(&mut self, ncpus: usize) {
-        self.rqs = (0..ncpus).map(|_| CfsRq::default()).collect();
+        self.rqs = (0..ncpus)
+            .map(|_| CfsRq {
+                timeline: Vec::with_capacity(RQ_RESERVE),
+                ..CfsRq::default()
+            })
+            .collect();
     }
 
     fn enqueue(&mut self, cpu: CpuId, task: &mut Task, wakeup: bool) {
@@ -216,22 +255,24 @@ impl SchedClass for CfsClass {
         let lo = rq.min_vruntime.saturating_sub(latency);
         let hi = rq.min_vruntime.saturating_add(4 * latency);
         task.vruntime = task.vruntime.clamp(lo, hi);
-        let inserted = rq.tree.insert((task.vruntime, task.pid));
+        let inserted = rq.insert((task.vruntime, task.pid));
         debug_assert!(inserted, "{} double-enqueued on {}", task.pid, cpu);
         rq.queued_weight += task.weight;
     }
 
     fn dequeue(&mut self, cpu: CpuId, task: &mut Task) {
         let rq = self.rq_mut(cpu);
-        let removed = rq.tree.remove(&(task.vruntime, task.pid));
+        let removed = rq.remove((task.vruntime, task.pid));
         debug_assert!(removed, "{} not queued on {}", task.pid, cpu);
         rq.queued_weight = rq.queued_weight.saturating_sub(task.weight);
     }
 
     fn pick_next(&mut self, cpu: CpuId, tasks: &TaskTable) -> Option<Pid> {
         let rq = self.rq_mut(cpu);
-        let &(vruntime, pid) = rq.tree.iter().next()?;
-        rq.tree.remove(&(vruntime, pid));
+        if rq.timeline.is_empty() {
+            return None;
+        }
+        let (vruntime, pid) = rq.timeline.remove(0);
         rq.queued_weight = rq.queued_weight.saturating_sub(tasks.get(pid).weight);
         // min_vruntime tracks the leftmost entity.
         rq.advance_min_vruntime(vruntime);
@@ -240,7 +281,7 @@ impl SchedClass for CfsClass {
 
     fn put_prev(&mut self, cpu: CpuId, task: &mut Task) {
         let rq = self.rq_mut(cpu);
-        let inserted = rq.tree.insert((task.vruntime, task.pid));
+        let inserted = rq.insert((task.vruntime, task.pid));
         debug_assert!(inserted);
         rq.queued_weight += task.weight;
     }
@@ -253,7 +294,7 @@ impl SchedClass for CfsClass {
         task.vruntime = task.vruntime.saturating_add(delta_v);
         let rq = self.rq_mut(cpu);
         // min_vruntime = max(min_vruntime, min(curr, leftmost)).
-        let leftmost = rq.tree.iter().next().map(|&(v, _)| v);
+        let leftmost = rq.timeline.first().map(|&(v, _)| v);
         let cand = match leftmost {
             Some(l) => l.min(task.vruntime),
             None => task.vruntime,
@@ -263,7 +304,7 @@ impl SchedClass for CfsClass {
 
     fn task_tick(&mut self, cpu: CpuId, task: &mut Task) -> bool {
         let rq = self.rq(cpu);
-        if rq.tree.is_empty() {
+        if rq.timeline.is_empty() {
             return false;
         }
         // Ideal slice: latency share proportional to weight, floored at
@@ -275,7 +316,7 @@ impl SchedClass for CfsClass {
             return true;
         }
         // Also resched if the leftmost queued task is far behind us.
-        if let Some(&(leftmost, _)) = rq.tree.iter().next() {
+        if let Some(&(leftmost, _)) = rq.timeline.first() {
             if task.vruntime > leftmost && task.vruntime - leftmost > SCHED_LATENCY.as_nanos() {
                 return true;
             }
@@ -300,11 +341,11 @@ impl SchedClass for CfsClass {
     }
 
     fn nr_queued(&self, cpu: CpuId) -> u32 {
-        self.rq(cpu).tree.len() as u32
+        self.rq(cpu).timeline.len() as u32
     }
 
     fn queued_pids(&self, cpu: CpuId) -> Vec<Pid> {
-        self.rq(cpu).tree.iter().map(|&(_, p)| p).collect()
+        self.rq(cpu).timeline.iter().map(|&(_, p)| p).collect()
     }
 
     fn select_cpu_fork(
