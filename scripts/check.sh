@@ -38,6 +38,9 @@ cargo run --release -q -p hpl-bench --bin cluster -- --smoke --out target/BENCH_
 echo "== kernel hot-path golden digests (release) =="
 cargo test -q --release -p hpl-kernel --test hot_path_golden
 
+echo "== steady-state allocations (release: no allocation while dispatching after warm-up) =="
+cargo test -q --release --test steady_state_allocs
+
 echo "== paper-experiment golden digests (release: figures, tables, per-run records) =="
 cargo test -q --release -p hpl-bench --test paper_golden
 
