@@ -70,10 +70,12 @@ impl Program for CoordShim {
         match step {
             Step::Compute(d) => {
                 let mut shm = self.shm.lock().unwrap();
-                let gangs = shm.registered();
-                if gangs.len() >= 2 {
-                    let (active, _) =
-                        hpl_kernel::gang::active_at(ctx.now.as_nanos(), self.epoch_ns, &gangs);
+                if shm.registered().count() >= 2 {
+                    let (active, _) = hpl_kernel::gang::active_at(
+                        ctx.now.as_nanos(),
+                        self.epoch_ns,
+                        shm.registered(),
+                    );
                     if active != self.gang {
                         // Outside our slice: publish demand and yield
                         // until the arbiter opens it. The withheld

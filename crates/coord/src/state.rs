@@ -85,11 +85,12 @@ pub struct NodeCoordState {
 }
 
 impl NodeCoordState {
-    /// Gangs with live ranks, as the sorted `(gang, share)` slice the
-    /// [`hpl_kernel::gang`] schedule functions take. The arbiter and
-    /// every shim derive the lease schedule from this same view, so
-    /// they agree without any lease being stored.
-    pub fn registered(&self) -> Vec<(u64, u32)> {
+    /// Gangs with live ranks, as the sorted `(gang, share)` list the
+    /// [`hpl_kernel::gang`] schedule functions take — an iterator over
+    /// the table, so reading it allocates nothing. The arbiter and every
+    /// shim derive the lease schedule from this same view, so they agree
+    /// without any lease being stored.
+    pub fn registered(&self) -> impl Iterator<Item = (u64, u32)> + Clone + '_ {
         self.gangs
             .iter()
             .filter(|(_, s)| s.ranks > 0)
@@ -103,7 +104,6 @@ impl NodeCoordState {
                     },
                 )
             })
-            .collect()
     }
 
     /// Publish a share for `gang` (creating the slot if the job has
@@ -129,10 +129,13 @@ mod tests {
         s.gangs.entry(9).or_default().ranks = 0;
         s.set_share(7, 750);
         s.set_share(11, 250); // share ahead of launch, no ranks yet
-        assert_eq!(s.registered(), vec![(7, 750)]);
+        assert_eq!(s.registered().collect::<Vec<_>>(), vec![(7, 750)]);
         s.gangs.entry(11).or_default().ranks = 1;
         s.gangs.entry(13).or_default().ranks = 1;
-        assert_eq!(s.registered(), vec![(7, 750), (11, 250), (13, 1000)]);
+        assert_eq!(
+            s.registered().collect::<Vec<_>>(),
+            vec![(7, 750), (11, 250), (13, 1000)]
+        );
     }
 
     #[test]
