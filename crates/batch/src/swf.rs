@@ -219,20 +219,6 @@ impl SwfTrace {
         })
     }
 
-    /// The machine's node count from the header, if declared.
-    pub fn max_nodes(&self) -> Option<u32> {
-        self.directive("MaxNodes")
-            .filter(|&n| n > 0)
-            .map(|n| n as u32)
-    }
-
-    /// The machine's processor count from the header, if declared.
-    pub fn max_procs(&self) -> Option<u32> {
-        self.directive("MaxProcs")
-            .filter(|&n| n > 0)
-            .map(|n| n as u32)
-    }
-
     /// Submit-time normalization: jobs sorted by `(submit, job_id)`
     /// and rebased so the earliest submit is 0. Archive traces are
     /// numbered by completion or logging order and their submit times
@@ -525,8 +511,8 @@ mod tests {
     fn parses_header_fields_and_missing_values() {
         let t = SwfTrace::from_text(MINI).unwrap();
         assert_eq!(t.jobs.len(), 4);
-        assert_eq!(t.max_nodes(), Some(8));
-        assert_eq!(t.max_procs(), Some(16));
+        assert_eq!(t.directive("MaxNodes"), Some(8));
+        assert_eq!(t.directive("MaxProcs"), Some(16));
         assert_eq!(t.directive("UnixStartTime"), Some(1_000_000_000));
         assert_eq!(t.directive("NoSuchKey"), None);
         // -1 semantics: job 2 has no allocated procs, falls back to

@@ -37,8 +37,8 @@ fn build_cluster_with(nodes: usize, seed: u64, cosim: CosimConfig) -> Cluster {
 fn fixture_parses_with_headers_and_round_trips() {
     let t = SwfTrace::from_text(FIXTURE).expect("fixture parses");
     assert_eq!(t.jobs.len(), 200, "vendored fixture is 200 jobs");
-    assert_eq!(t.max_nodes(), Some(64));
-    assert_eq!(t.max_procs(), Some(128));
+    assert_eq!(t.directive("MaxNodes"), Some(64));
+    assert_eq!(t.directive("MaxProcs"), Some(128));
     assert_eq!(t.directive("UnixStartTime"), Some(820_454_400));
     // Round trip is exact: text → value → text → value.
     let text = t.to_text();

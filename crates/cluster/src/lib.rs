@@ -114,16 +114,6 @@ impl EmpiricalDist {
         self.sorted[0]
     }
 
-    /// Largest observed value.
-    pub fn max(&self) -> f64 {
-        *self.sorted.last().expect("non-empty")
-    }
-
-    /// Sample mean.
-    pub fn mean(&self) -> f64 {
-        self.sorted.iter().sum::<f64>() / self.sorted.len() as f64
-    }
-
     /// Quantile by linear interpolation, `q ∈ [0, 1]`.
     pub fn quantile(&self, q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q));
@@ -252,19 +242,21 @@ impl ResonanceModel {
 mod tests {
     use super::*;
 
-    /// A mildly noisy phase distribution: mostly 1.0, a 5 % tail of 3.0.
-    fn noisy() -> EmpiricalDist {
+    /// Samples of a mildly noisy phase: mostly 1.0, a 5 % tail of 3.0.
+    fn noisy_samples() -> Vec<f64> {
         let mut v = vec![1.0; 95];
         v.extend(vec![3.0; 5]);
-        EmpiricalDist::new(v)
+        v
+    }
+
+    fn noisy() -> EmpiricalDist {
+        EmpiricalDist::new(noisy_samples())
     }
 
     #[test]
     fn dist_basics() {
         let d = EmpiricalDist::new(vec![3.0, 1.0, 2.0]);
         assert_eq!(d.min(), 1.0);
-        assert_eq!(d.max(), 3.0);
-        assert!((d.mean() - 2.0).abs() < 1e-12);
         assert_eq!(d.quantile(0.0), 1.0);
         assert_eq!(d.quantile(1.0), 3.0);
         assert!((d.quantile(0.5) - 2.0).abs() < 1e-12);
@@ -283,9 +275,9 @@ mod tests {
     #[test]
     fn scaling_and_clipping() {
         let d = noisy();
-        assert_eq!(d.scaled(2.0).max(), 6.0);
+        assert_eq!(d.scaled(2.0).quantile(1.0), 6.0);
         let clipped = d.clipped_at_quantile(0.90);
-        assert!(clipped.max() < 3.0);
+        assert!(clipped.quantile(1.0) < 3.0);
         assert_eq!(clipped.min(), 1.0);
     }
 
@@ -341,7 +333,9 @@ mod tests {
     fn analytic_single_node_is_the_mean() {
         let m = ResonanceModel::new(noisy(), 10);
         let an = m.expected_time_analytic(1);
-        let expected = m.per_phase.mean() * 10.0;
+        let samples = noisy_samples();
+        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+        let expected = mean * 10.0;
         assert!(
             (an - expected).abs() / expected < 0.01,
             "{an} vs {expected}"
@@ -352,7 +346,7 @@ mod tests {
     fn analytic_approaches_max_at_scale() {
         let m = ResonanceModel::new(noisy(), 1);
         let an = m.expected_time_analytic(1_000_000);
-        assert!(an > 0.99 * m.per_phase.max());
+        assert!(an > 0.99 * m.per_phase.quantile(1.0));
     }
 
     #[test]
@@ -383,6 +377,6 @@ mod tests {
         );
         let d = EmpiricalDist::try_new(vec![3.0, 1.0, 2.0]).expect("valid samples");
         assert_eq!(d.min(), 1.0);
-        assert_eq!(d.max(), 3.0);
+        assert_eq!(d.quantile(1.0), 3.0);
     }
 }

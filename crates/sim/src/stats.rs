@@ -61,11 +61,6 @@ impl Summary {
         self.mean += delta / self.n as f64;
     }
 
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
     /// Smallest observation (NaN if empty).
     pub fn min(&self) -> f64 {
         if self.n == 0 {
@@ -366,7 +361,6 @@ mod tests {
     #[test]
     fn summary_basic() {
         let s = Summary::from_slice(&[2.0, 4.0, 6.0]);
-        assert_eq!(s.count(), 3);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 6.0);
         assert!((s.mean() - 4.0).abs() < 1e-12);

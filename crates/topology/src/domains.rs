@@ -153,7 +153,7 @@ mod tests {
         for (i, g) in d.groups.iter().enumerate() {
             assert!(!g.is_empty(), "empty group {i}");
             assert!(
-                !union.intersects(*g),
+                union.intersection(*g).is_empty(),
                 "groups overlap at {i}: {union} vs {g}"
             );
             union = union.union(*g);
@@ -186,7 +186,7 @@ mod tests {
             let chain = h.chain(cpu);
             for w in chain.windows(2) {
                 assert!(
-                    w[0].span.is_subset_of(w[1].span),
+                    w[0].span.difference(w[1].span).is_empty(),
                     "inner domain must nest in outer"
                 );
             }

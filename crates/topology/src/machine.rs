@@ -234,11 +234,6 @@ impl Topology {
         cpu.0 / (self.cores_per_socket * self.threads_per_core)
     }
 
-    /// SMT thread index of a logical CPU within its core.
-    pub fn thread_of(&self, cpu: CpuId) -> u32 {
-        cpu.0 % self.threads_per_core
-    }
-
     /// Mask of all hardware threads on the same core as `cpu` (including
     /// `cpu` itself).
     pub fn smt_siblings(&self, cpu: CpuId) -> CpuMask {
@@ -296,7 +291,8 @@ mod tests {
         assert_eq!(t.cpu_id(1, 1, 1), CpuId(7));
         assert_eq!(t.socket_of(CpuId(7)), 1);
         assert_eq!(t.core_of(CpuId(7)), 3);
-        assert_eq!(t.thread_of(CpuId(7)), 1);
+        // Thread 1: the second of its core's SMT siblings.
+        assert_eq!(t.smt_siblings(CpuId(7)).iter().nth(1), Some(CpuId(7)));
         assert_eq!(t.cpu_id(0, 0, 0), CpuId(0));
     }
 

@@ -25,8 +25,8 @@ proptest! {
             a.intersection(b).union(a.intersection(c))
         );
         // Subset relations.
-        prop_assert!(a.intersection(b).is_subset_of(a));
-        prop_assert!(a.is_subset_of(a.union(b)));
+        prop_assert!(a.intersection(b).difference(a).is_empty());
+        prop_assert!(a.difference(a.union(b)).is_empty());
         // Count is cardinality.
         prop_assert_eq!(a.count(), a.bits().count_ones());
         // Iteration covers exactly the members.
@@ -53,29 +53,30 @@ proptest! {
                 let mut union = CpuMask::EMPTY;
                 for g in &d.groups {
                     prop_assert!(!g.is_empty());
-                    prop_assert!(!union.intersects(*g));
+                    prop_assert!(union.intersection(*g).is_empty());
                     union = union.union(*g);
                 }
                 prop_assert_eq!(union, d.span);
             }
             // Chains nest from inner to outer.
             for w in chain.windows(2) {
-                prop_assert!(w[0].span.is_subset_of(w[1].span));
+                prop_assert!(w[0].span.difference(w[1].span).is_empty());
             }
             if let Some(outer) = chain.last() {
                 // With >1 socket the outermost spans the machine; with one
                 // socket it spans at least the socket.
-                prop_assert!(topo.socket_cpus(cpu).is_subset_of(outer.span)
+                prop_assert!(topo.socket_cpus(cpu).difference(outer.span).is_empty()
                     || outer.span == topo.smt_siblings(cpu));
             }
             // Sibling helpers are consistent.
             prop_assert!(topo.smt_siblings(cpu).contains(cpu));
             prop_assert!(topo.socket_cpus(cpu).contains(cpu));
-            prop_assert!(topo.smt_siblings(cpu).is_subset_of(topo.socket_cpus(cpu)));
+            prop_assert!(topo.smt_siblings(cpu).difference(topo.socket_cpus(cpu)).is_empty());
         }
     }
 
-    /// cpu_id / socket_of / core_of / thread_of round-trip.
+    /// cpu_id / socket_of / core_of round-trip; the thread index is the
+    /// CPU's position among its SMT siblings.
     #[test]
     fn cpu_numbering_roundtrip(
         sockets in 1u32..5,
@@ -90,7 +91,8 @@ proptest! {
                     let cpu = topo.cpu_id(s, c, t);
                     prop_assert_eq!(topo.socket_of(cpu), s);
                     prop_assert_eq!(topo.core_of(cpu), s * cores + c);
-                    prop_assert_eq!(topo.thread_of(cpu), t);
+                    let thread = topo.smt_siblings(cpu).iter().position(|x| x == cpu);
+                    prop_assert_eq!(thread, Some(t as usize));
                 }
             }
         }
