@@ -424,6 +424,10 @@ struct Engine<'r> {
     requeues: u64,
     /// The policy's per-node occupancy promise.
     limit: u32,
+    /// The policy's views, kept between decision passes so that a pass
+    /// refills them instead of allocating.
+    view: ClusterView,
+    pview: Vec<QueuedJob>,
 }
 
 impl Engine<'_> {
@@ -440,27 +444,41 @@ impl Engine<'_> {
         self.kill_overdue(cluster, now);
         self.harvest(cluster, now);
         self.admit(cluster, now);
-        let mut view = ClusterView {
-            now,
-            occupancy: (0..cluster.len())
-                .map(|n| cluster.active_jobs_on(n) as u32)
-                .collect(),
-            running: self
-                .running
-                .iter()
-                .map(|r| RunningJob {
-                    id: r.job.id,
-                    placement: r.handle.placement.clone(),
-                    est_end: r.started + r.job.est_runtime(),
-                })
-                .collect(),
-            down: (0..cluster.len())
-                .map(|n| !cluster.node_available(n))
-                .collect(),
-        };
+        let mut view = std::mem::take(&mut self.view);
+        self.fill_view(&mut view, cluster, now);
         self.allocate(cluster, policy, coordinator, &mut view);
         self.reallocate_shares(cluster, policy, coordinator, &view);
+        self.view = view;
         self.audit(cluster);
+    }
+
+    /// Refill `view` for a pass at `now`, in place: its vectors, the
+    /// running jobs' placements included, keep their capacity from
+    /// pass to pass.
+    fn fill_view(&self, view: &mut ClusterView, cluster: &Cluster, now: SimTime) {
+        view.now = now;
+        view.occupancy.clear();
+        view.occupancy
+            .extend((0..cluster.len()).map(|n| cluster.active_jobs_on(n) as u32));
+        view.down.clear();
+        view.down
+            .extend((0..cluster.len()).map(|n| !cluster.node_available(n)));
+        view.running.truncate(self.running.len());
+        for (i, r) in self.running.iter().enumerate() {
+            let (id, est_end) = (r.job.id, r.started + r.job.est_runtime());
+            match view.running.get_mut(i) {
+                Some(v) => {
+                    v.id = id;
+                    v.placement.clone_from(&r.handle.placement);
+                    v.est_end = est_end;
+                }
+                None => view.running.push(RunningJob {
+                    id,
+                    placement: r.handle.placement.clone(),
+                    est_end,
+                }),
+            }
+        }
     }
 
     /// Enforce walltime limits: a live job whose occupancy has reached
@@ -600,7 +618,9 @@ impl Engine<'_> {
         coordinator: &mut Option<&mut dyn JobCoordinator>,
         view: &mut ClusterView,
     ) {
-        let mut pview: Vec<QueuedJob> = self.queue.iter().map(Queued::view).collect();
+        let mut pview = std::mem::take(&mut self.pview);
+        pview.clear();
+        pview.extend(self.queue.iter().map(Queued::view));
         while !pview.is_empty() {
             let Some(alloc) = policy.select(&pview, view) else {
                 break;
@@ -644,6 +664,7 @@ impl Engine<'_> {
                 killed: false,
             });
         }
+        self.pview = pview;
     }
 
     /// Fractional-share reallocation (DFRS): the policy may recompute
@@ -750,6 +771,8 @@ fn run_batch_inner(
         occupancy_violations: 0,
         requeues: 0,
         limit: policy.occupancy_limit(),
+        view: ClusterView::default(),
+        pview: Vec::new(),
     };
     let total_jobs = trace.jobs.len();
 
