@@ -128,23 +128,6 @@ impl EmpiricalDist {
     pub fn sample(&self, rng: &mut Rng) -> f64 {
         self.quantile(rng.f64())
     }
-
-    /// Scale every sample by a constant (capacity trade-off modelling).
-    pub fn scaled(&self, k: f64) -> Self {
-        assert!(k > 0.0);
-        EmpiricalDist {
-            sorted: self.sorted.iter().map(|x| x * k).collect(),
-        }
-    }
-
-    /// Clip the distribution at a quantile (models removing the noise
-    /// tail, e.g. by the HPL scheduler or a dedicated OS core).
-    pub fn clipped_at_quantile(&self, q: f64) -> Self {
-        let cap = self.quantile(q);
-        EmpiricalDist {
-            sorted: self.sorted.iter().map(|x| x.min(cap)).collect(),
-        }
-    }
 }
 
 /// The bulk-synchronous cluster model: `phases` sequential phases, each
@@ -273,15 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn scaling_and_clipping() {
-        let d = noisy();
-        assert_eq!(d.scaled(2.0).quantile(1.0), 6.0);
-        let clipped = d.clipped_at_quantile(0.90);
-        assert!(clipped.quantile(1.0) < 3.0);
-        assert_eq!(clipped.min(), 1.0);
-    }
-
-    #[test]
     fn slowdown_grows_with_node_count() {
         let m = ResonanceModel::new(noisy(), 50);
         let curve: Vec<(u32, f64)> = [1, 16, 256, 4096]
@@ -301,8 +275,15 @@ mod tests {
     fn denoised_config_wins_at_scale() {
         // Config A: full capacity, noisy. Config B: 8/7 slower (one core
         // donated to the OS) but tail-free — the Petrini trade.
+        // B's samples are A's, clipped at A's 94th percentile and
+        // stretched by 8/7.
         let a = ResonanceModel::new(noisy(), 50);
-        let b = ResonanceModel::new(noisy().clipped_at_quantile(0.94).scaled(8.0 / 7.0), 50);
+        let cap = noisy().quantile(0.94);
+        let denoised = noisy_samples()
+            .into_iter()
+            .map(|x| x.min(cap) * (8.0 / 7.0))
+            .collect();
+        let b = ResonanceModel::new(EmpiricalDist::new(denoised), 50);
         let (seed_a, seed_b) = (11, 11 ^ 0x9E37_79B9);
         let (a1, b1) = (
             a.expected_time(1, 40, seed_a),
