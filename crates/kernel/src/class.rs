@@ -151,13 +151,14 @@ pub trait SchedClass: Send {
     /// preempted (timeslice/fairness expiry).
     fn task_tick(&mut self, cpu: CpuId, task: &mut Task) -> bool;
 
-    /// True when [`task_tick`](Self::task_tick) is a provable no-op for
-    /// `task` running *alone* on `cpu` (nothing queued in any class): the
-    /// node may then batch such ticks arithmetically instead of
-    /// dispatching them. A class may only return true if, with an empty
-    /// runqueue on `cpu`, its tick hook never requests preemption and any
-    /// state it touches (e.g. a timeslice refresh) is re-derived on the
-    /// next enqueue/put_prev. Default: false (ticks always dispatched).
+    /// True when [`task_tick`](Self::task_tick) for `task`, current on
+    /// `cpu`, never requests preemption and does nothing but refresh
+    /// the task's timeslice once [`update_curr`](Self::update_curr) has
+    /// run it down to zero — whatever other classes have queued. The
+    /// node may then batch such ticks of a lone task (nothing queued in
+    /// any class) under `tickless_single_hpc`, and fold them on a core
+    /// of its own: count them at once and replay the refreshes when the
+    /// CPU next settles. Default: false (ticks always dispatched).
     fn tick_skippable(&self, cpu: CpuId, task: &Task) -> bool {
         let _ = (cpu, task);
         false

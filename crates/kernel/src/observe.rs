@@ -33,8 +33,8 @@
 //! One caveat, by design: ticks batched by the quiescence fast-forward
 //! (see `node.rs`) are *not* replayed through observers — they are
 //! provably inert, so no switch, wakeup or migration can hide inside a
-//! batched window — and dispatched quiescent ticks still arrive as
-//! [`TickOutcome::Quiescent`]. Observer streams are therefore compared
+//! batched window (folded ticks batched there included) — and
+//! dispatched quiescent ticks still arrive as [`TickOutcome::Quiescent`]. Observer streams are therefore compared
 //! within one event-loop flavour, while simulation state is identical
 //! across both.
 
@@ -104,6 +104,10 @@ pub enum TickOutcome {
     Quiescent,
     /// Handler ran but charged no tick cost (NOHZ idle / tickless-HPC).
     Skipped,
+    /// Busy tick on a CPU whose ticks fold (an HPC task alone on its
+    /// core, balancing off): counted; its cost and the class tick are
+    /// accounted when the CPU next settles.
+    Folded,
     /// Full tick: cost charged, class `task_tick` ran.
     Accounted {
         /// Whether the class requested a reschedule (slice expiry).
