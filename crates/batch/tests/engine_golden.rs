@@ -91,7 +91,7 @@ fn fcfs_on_swf() {
     let r = BatchRun::new(&trace)
         .run(&mut cluster(8, 7001), &mut Fcfs)
         .unwrap();
-    check("fcfs", digest(&[&r]), 0x852e_d2bf_848a_3c97);
+    check("fcfs", digest(&[&r]), 0x57d8_4d8a_e8d1_af60);
 }
 
 #[test]
@@ -105,7 +105,7 @@ fn easy_on_swf() {
     check(
         "easy",
         digest(&[&r, &trail, &p.audit().checked]),
-        0x0ace_4c30_b187_3c16,
+        0x0dba_8854_c465_9310,
     );
 }
 
@@ -120,7 +120,7 @@ fn conservative_on_swf() {
     check(
         "conservative",
         digest(&[&r, &trail, &p.audit().checked]),
-        0x852f_9f90_d43c_c546,
+        0x4e42_3bb8_866b_28f8,
     );
 }
 
@@ -136,7 +136,7 @@ fn multiqueue_on_swf() {
     check(
         "multiq",
         digest(&[&r, &p.dispatches()]),
-        0x3a7f_fbce_5c0c_dc46,
+        0xae1e_189e_bef7_2fde,
     );
 }
 
@@ -148,13 +148,13 @@ fn fairshare_on_swf() {
         .run(&mut cluster(8, 7005), &mut p)
         .unwrap();
     let trail: Vec<_> = p.decisions().collect();
-    // The audited usage ratios decay through `powf`, and their last bits
+    // The audited usages decay through `powf`, and their last bits
     // (and only those) differ between debug and release builds. Skipping
     // decay calls moves the same bits, so they are pinned per profile.
     let want = if cfg!(debug_assertions) {
-        0x87ce_99f9_e0e7_7be1
+        0xda83_8660_4cfa_e4df
     } else {
-        0xe388_3ad2_50ac_5fed
+        0xba38_63a5_2b97_2317
     };
     check("fairshare", digest(&[&r, &trail]), want);
 }
@@ -165,7 +165,7 @@ fn oversub_on_swf() {
     let r = BatchRun::new(&trace)
         .run(&mut cluster(8, 7006), &mut Oversubscribed)
         .unwrap();
-    check("oversub", digest(&[&r]), 0x4359_1775_2b78_63bb);
+    check("oversub", digest(&[&r]), 0xb4f2_59ef_1ea5_d0ea);
 }
 
 #[test]
@@ -177,7 +177,7 @@ fn dfrs_on_swf() {
         .run(&mut build(8, 7007, Some(epoch), FaultPlan::none()), &mut p)
         .unwrap();
     let trail: Vec<_> = p.decisions().collect();
-    check("dfrs", digest(&[&r, &trail]), 0x671c_a837_e5b8_accb);
+    check("dfrs", digest(&[&r, &trail]), 0xb509_f9d1_5c44_f825);
 }
 
 #[test]
@@ -193,7 +193,7 @@ fn walltime_kills_on_honest_swf() {
         .walltime(1.0)
         .run(&mut cluster(8, 7008), &mut p)
         .unwrap();
-    check("walltime", digest(&[&r, &e]), 0xfec2_4019_5b49_595b);
+    check("walltime", digest(&[&r, &e]), 0x8c4e_b90c_f9e6_a838);
 }
 
 #[test]
@@ -218,7 +218,7 @@ fn checkpoint_under_crash_restart_churn() {
         .run(&mut build(8, 7009, None, plan), &mut p)
         .unwrap();
     assert!(r.requeues > 0, "the case must exercise crash requeues");
-    check("churn", digest(&[&r]), 0xabfe_cae3_1d44_265e);
+    check("churn", digest(&[&r]), 0xc421_d2f4_6673_10ac);
 }
 
 #[test]
@@ -243,7 +243,7 @@ fn coordinated_dfrs_both_backends() {
         let trail: Vec<_> = p.decisions().collect();
         digests.push(digest(&[&r, &trail]));
     }
-    check("coord", digest(&[&digests]), 0x3fd6_3745_d56b_e48b);
+    check("coord", digest(&[&digests]), 0x31d0_4e9b_0532_7fcc);
 }
 
 fn job(id: u32, submit_us: u64, nodes: u32, iters: u32, compute_us: u64) -> BatchJob {
@@ -281,7 +281,7 @@ fn narrow_job_starts_on_first_freed_node_of_a_wide_job() {
         narrow.started,
         wide.ended
     );
-    check("first-freed", digest(&[&r]), 0x4874_422b_2716_90ec);
+    check("first-freed", digest(&[&r]), 0x32f5_1287_59ba_1736);
 }
 
 /// Aging alone unblocks a job: with the best-class head blocked and the
@@ -318,6 +318,6 @@ fn multiqueue_promotion_starts_a_job_between_events() {
     check(
         "multiq-aging",
         digest(&[&r, &p.dispatches()]),
-        0xae8f_49d1_c061_7d7a,
+        0xde70_153e_14ee_f309,
     );
 }

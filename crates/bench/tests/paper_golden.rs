@@ -131,7 +131,7 @@ fn scaling() {
     check(
         "scaling",
         &experiments::scaling(&opts()),
-        0x8e29_3b38_3a70_cc3a,
+        0x561a_eb20_b12b_ca14,
     );
 }
 
@@ -140,7 +140,7 @@ fn energy() {
     check(
         "energy",
         &experiments::energy(&opts()),
-        0x411b_8cbb_0f0f_7bb7,
+        0xa46e_5826_efd1_5724,
     );
 }
 
@@ -174,5 +174,5 @@ fn table_run_records() {
             }
         }
     }
-    check("records", &text, 0xa44f_cad1_75d3_4c00);
+    check("records", &text, 0x04dd_593d_63e5_2cd0);
 }

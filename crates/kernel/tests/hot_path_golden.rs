@@ -154,7 +154,7 @@ fn cg_a_under_cfs_on_js22() {
 
 #[test]
 fn cg_a_under_hpl_on_js22() {
-    let node = Case::paper(true, 0x601d_0002).check("hpl", 0x0903_5cd9_3c3c_75fc);
+    let node = Case::paper(true, 0x601d_0002).check("hpl", 0xd109_50ae_955c_d12a);
     assert!(total_hw(&node, HwEvent::BusyNs) > 0);
 }
 

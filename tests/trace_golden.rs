@@ -119,7 +119,7 @@ fn xray(hpl_mode: bool) -> Xray {
 fn xray_exports_and_episodes_are_unchanged() {
     for (label, hpl_mode, export_digest, episode_digest) in [
         ("cfs", false, 0x54574dcfb634f105, 0x1d5b7256dc162448),
-        ("hpl", true, 0xdfe5075a111f94b2, 0x1c1b00bdd2c7657d),
+        ("hpl", true, 0x2f4db6623da129fa, 0x84a4f864ace442f7),
     ] {
         let x = xray(hpl_mode);
         let json = x.node.export_chrome_trace().expect("tracing enabled");
@@ -195,7 +195,7 @@ fn merged_cluster_export_is_unchanged() {
     let handle = cluster.launch(&job, SchedMode::Hpc, Placement::All);
     cluster.run_to_completion(&handle, 80_000_000);
     let json = cluster.export_chrome_trace().expect("every node traced");
-    check("cluster merged export", &json, 0xbe9ec6fb3ec3e62b);
+    check("cluster merged export", &json, 0xfc29b495a154ec1c);
 }
 
 #[test]
