@@ -45,12 +45,12 @@ fn check(name: &str, text: &str, want: u64) {
 
 #[test]
 fn fig1() {
-    check("fig1", &experiments::fig1(&opts()), 0x734c_efb5_ea9b_8f28);
+    check("fig1", &experiments::fig1(&opts()), 0x9aea_40f3_cb1a_2482);
 }
 
 #[test]
 fn fig2() {
-    check("fig2", &experiments::fig2(&opts()), 0x363a_9d26_2197_d5be);
+    check("fig2", &experiments::fig2(&opts()), 0x87d4_73a7_773f_58e1);
 }
 
 #[test]
@@ -58,18 +58,18 @@ fn fig3_both_panels() {
     check(
         "fig3a",
         &experiments::fig3(&opts(), Fig3Panel::Migrations),
-        0x6d06_1c65_d375_fac5,
+        0xb968_892d_972f_fe95,
     );
     check(
         "fig3b",
         &experiments::fig3(&opts(), Fig3Panel::Switches),
-        0x2484_4f54_cab8_654a,
+        0x1a14_fdfa_cace_7264,
     );
 }
 
 #[test]
 fn fig4() {
-    check("fig4", &experiments::fig4(&opts()), 0x98a9_dee3_9704_4984);
+    check("fig4", &experiments::fig4(&opts()), 0xae75_f77c_02ef_0fb2);
 }
 
 #[test]
@@ -77,7 +77,7 @@ fn table1a() {
     check(
         "table1a",
         &experiments::table1(&opts(), false),
-        0x9d74_a0eb_4bcd_7abd,
+        0x64fc_7031_cf63_eff3,
     );
 }
 
@@ -86,7 +86,7 @@ fn table1b() {
     check(
         "table1b",
         &experiments::table1(&opts(), true),
-        0x6cb0_fedb_bd24_cac6,
+        0x50d4_931a_6d98_7d2f,
     );
 }
 
@@ -95,7 +95,7 @@ fn table2() {
     check(
         "table2",
         &experiments::table2(&opts()),
-        0x265e_c0b1_52b4_e28c,
+        0xeaf7_6bd7_4ac7_5855,
     );
 }
 
@@ -104,7 +104,7 @@ fn compare() {
     check(
         "compare",
         &experiments::compare(&opts()),
-        0x2ad1_e0f2_ea7f_324a,
+        0x2f1e_e75d_0195_fb03,
     );
 }
 
@@ -113,7 +113,7 @@ fn ablate() {
     check(
         "ablate",
         &experiments::ablate(&opts()),
-        0x35c3_6cf9_2b63_2675,
+        0x2f96_b9f0_8349_87d6,
     );
 }
 
@@ -122,7 +122,7 @@ fn noise_sweep() {
     check(
         "noise_sweep",
         &experiments::noise_sweep(&opts()),
-        0xa1e2_6851_5436_5f0a,
+        0x23aa_b46f_3172_c4b6,
     );
 }
 
@@ -131,7 +131,7 @@ fn scaling() {
     check(
         "scaling",
         &experiments::scaling(&opts()),
-        0x561a_eb20_b12b_ca14,
+        0x3a68_51de_5147_dd47,
     );
 }
 
@@ -140,13 +140,13 @@ fn energy() {
     check(
         "energy",
         &experiments::energy(&opts()),
-        0xa46e_5826_efd1_5724,
+        0xccac_199a_8492_6be8,
     );
 }
 
 #[test]
 fn uls() {
-    check("uls", &experiments::uls(&opts()), 0xe486_77c6_c4bf_baa8);
+    check("uls", &experiments::uls(&opts()), 0x37c8_d467_f4a8_ec32);
 }
 
 /// One line per run of every NAS configuration under both schedulers,
@@ -174,5 +174,5 @@ fn table_run_records() {
             }
         }
     }
-    check("records", &text, 0x04dd_593d_63e5_2cd0);
+    check("records", &text, 0xaf2a_40f0_4c98_dcac);
 }
