@@ -16,6 +16,16 @@ fn ms(v: u64) -> SimTime {
 }
 
 fn build_cluster(nodes: usize, seed: u64, faults: FaultPlan, cosim: CosimConfig) -> Cluster {
+    build_cluster_on(NetConfig::default(), nodes, seed, faults, cosim)
+}
+
+fn build_cluster_on(
+    net: NetConfig,
+    nodes: usize,
+    seed: u64,
+    faults: FaultPlan,
+    cosim: CosimConfig,
+) -> Cluster {
     let mut cluster = Cluster::builder()
         .nodes_with(nodes, move |i| {
             NodeBuilder::new(Topology::smp(2))
@@ -24,7 +34,7 @@ fn build_cluster(nodes: usize, seed: u64, faults: FaultPlan, cosim: CosimConfig)
                 .with_hpc_class(Box::new(HplClass::new()))
                 .build()
         })
-        .fabric(Interconnect::flat(nodes, NetConfig::default()))
+        .fabric(Interconnect::flat(nodes, net))
         .cosim(cosim)
         .faults(faults)
         .build();
@@ -172,10 +182,22 @@ fn crashy_run_is_deterministic_and_flavour_invariant() {
 /// and restarts before the second tree exits, ends when the second tree
 /// does: the harvest reads the cluster's record of each tree's exit,
 /// not the restarted node's fresh task table.
+///
+/// The trees end one finalize message apart. Its two leaders swap one
+/// message: the leader that arrives last finds the other's message
+/// waiting and leaves at once, and the other leaves when that last
+/// message lands, `alpha + 8 B · beta` later, while the lookahead is
+/// `alpha`. A `beta` of 250 ns/B puts the trees 2 µs more than one
+/// lookahead apart, in different windows.
 #[test]
 fn restart_between_a_jobs_tree_exits_keeps_its_end() {
     let trace = long_job_trace();
-    let mut clean = build_cluster(2, 42, FaultPlan::none(), CosimConfig::serial());
+    let net = NetConfig {
+        beta_ns_per_byte: 250.0,
+        ..NetConfig::default()
+    };
+    let build = |faults| build_cluster_on(net, 2, 42, faults, CosimConfig::serial());
+    let mut clean = build(FaultPlan::none());
     let report = BatchRun::new(&trace)
         .run(&mut clean, &mut Fcfs)
         .expect("run completes");
@@ -199,7 +221,7 @@ fn restart_between_a_jobs_tree_exits_keeps_its_end() {
 
     let t = exits[first] + SimDuration::from_nanos(1);
     let plan = FaultPlan::default().crash(first, t).restart(first, t);
-    let mut cluster = build_cluster(2, 42, plan, CosimConfig::serial());
+    let mut cluster = build(plan);
     let faulty = BatchRun::new(&trace)
         .run(&mut cluster, &mut Fcfs)
         .expect("run completes");

@@ -11,6 +11,25 @@
 use hpl_sim::{SimDuration, SimTime};
 use hpl_topology::{CpuId, DomainHierarchy};
 
+/// The domain levels whose periodic balance one
+/// [`BalanceClock::due_levels`] call found due, as a bit set: iterates
+/// them lowest level first, visiting only the set bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DueLevels(u64);
+
+impl Iterator for DueLevels {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let level = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(level)
+    }
+}
+
 /// Per-CPU, per-domain-level periodic balance deadlines.
 #[derive(Debug)]
 pub struct BalanceClock {
@@ -26,6 +45,7 @@ impl BalanceClock {
         let mut next = Vec::with_capacity(domains.cpus());
         for cpu in 0..domains.cpus() {
             let chain = domains.chain(CpuId(cpu as u32));
+            assert!(chain.len() <= 64, "a due-level set holds 64 levels");
             let offsets: Vec<SimTime> = chain
                 .iter()
                 .map(|d| {
@@ -45,46 +65,32 @@ impl BalanceClock {
     /// balancing is chiefly the idle CPUs' job.
     pub const BUSY_FACTOR: u64 = 32;
 
-    /// Domain levels of `cpu` whose periodic balance is due at `now`;
-    /// returns their indices and advances their deadlines. `busy`
-    /// stretches the re-arm interval by [`Self::BUSY_FACTOR`].
+    /// Domain levels of `cpu` whose periodic balance is due at `now`,
+    /// each re-armed before the set is returned. `busy` stretches the
+    /// re-arm interval by [`Self::BUSY_FACTOR`].
     pub fn due_levels(
         &mut self,
         cpu: CpuId,
         now: SimTime,
         domains: &DomainHierarchy,
         busy: bool,
-    ) -> Vec<usize> {
-        let mut due = Vec::new();
-        self.for_each_due(cpu, now, domains, busy, |level| due.push(level));
-        due
-    }
-
-    /// Non-allocating [`due_levels`](Self::due_levels): invokes `f` for
-    /// each due level after re-arming it. The tick fast-forward replays
-    /// batched balance deadlines through this at kHz rates.
-    pub fn for_each_due(
-        &mut self,
-        cpu: CpuId,
-        now: SimTime,
-        domains: &DomainHierarchy,
-        busy: bool,
-        mut f: impl FnMut(usize),
-    ) {
+    ) -> DueLevels {
         let chain = domains.chain(cpu);
         let slots = &mut self.next[cpu.index()];
         let factor = if busy { Self::BUSY_FACTOR } else { 1 };
+        let mut due = 0u64;
         for (level, domain) in chain.iter().enumerate() {
             if now >= slots[level] {
                 slots[level] = now + SimDuration::from_nanos(domain.balance_interval_ns * factor);
-                f(level);
+                due |= 1 << level;
             }
         }
+        DueLevels(due)
     }
 
     /// Arithmetically replay the balance side of `ticks` consecutive
     /// idle ticks of `cpu` at `first`, `first + period`, …, exactly as
-    /// per-tick [`for_each_due`](Self::for_each_due) calls with
+    /// per-tick [`due_levels`](Self::due_levels) calls with
     /// `busy = false` would: each due level re-arms to its due tick plus
     /// the level's interval. Returns the total number of due
     /// `(tick, level)` pairs — the tick fast-forward charges one
@@ -155,22 +161,30 @@ mod tests {
         let cpu = CpuId(0);
 
         // Nothing due at t=0 (staggered offsets are positive).
-        assert!(clock
-            .due_levels(cpu, SimTime::ZERO, &domains, false)
-            .is_empty());
+        assert_eq!(
+            clock
+                .due_levels(cpu, SimTime::ZERO, &domains, false)
+                .count(),
+            0
+        );
 
         // Far in the future everything is due at once.
         let later = SimTime::ZERO + SimDuration::from_secs(1);
-        let due = clock.due_levels(cpu, later, &domains, false);
+        let due: Vec<usize> = clock.due_levels(cpu, later, &domains, false).collect();
         assert_eq!(due, vec![0, 1, 2]);
 
         // Immediately after, nothing is due again.
-        assert!(clock
-            .due_levels(cpu, later + SimDuration::from_nanos(1), &domains, false)
-            .is_empty());
+        assert_eq!(
+            clock
+                .due_levels(cpu, later + SimDuration::from_nanos(1), &domains, false)
+                .count(),
+            0
+        );
 
         // The SMT level (2ms interval) is due again before the PKG level.
-        let due = clock.due_levels(cpu, later + SimDuration::from_millis(3), &domains, false);
+        let due: Vec<usize> = clock
+            .due_levels(cpu, later + SimDuration::from_millis(3), &domains, false)
+            .collect();
         assert!(due.contains(&0));
         assert!(!due.contains(&2));
     }
@@ -187,7 +201,7 @@ mod tests {
             // due_levels mutates; probe on a clone of the state by
             // checking prediction first, then advancing.
             let due = clock.due_levels(cpu, t, &domains, false);
-            assert_eq!(predicted, !due.is_empty(), "at t={t}");
+            assert_eq!(predicted, due.count() > 0, "at t={t}");
         }
     }
 
@@ -202,7 +216,7 @@ mod tests {
     }
 
     /// The arithmetic replay must leave the clock byte-identical to
-    /// per-tick `for_each_due` calls and report the same total dues,
+    /// per-tick `due_levels` calls and report the same total dues,
     /// across phases, tick counts and both topologies' interval mixes.
     #[test]
     fn replay_idle_dues_matches_per_tick_calls() {
@@ -218,7 +232,7 @@ mod tests {
                     let mut per_tick = 0u64;
                     for k in 0..ticks {
                         let t = first + period * k;
-                        ticked.for_each_due(cpu, t, &domains, false, |_| per_tick += 1);
+                        per_tick += ticked.due_levels(cpu, t, &domains, false).count() as u64;
                     }
                     let bulk = replayed.replay_idle_dues(cpu, &domains, first, ticks, period);
                     assert_eq!(per_tick, bulk, "{topo:?} cpu {cpu:?} ticks {ticks}");
@@ -237,12 +251,14 @@ mod tests {
         let topo = Topology::smp(2);
         let domains = DomainHierarchy::build(&topo);
         let mut clock = BalanceClock::new(&domains);
-        let due = clock.due_levels(
-            CpuId(0),
-            SimTime::ZERO + SimDuration::from_secs(1),
-            &domains,
-            false,
-        );
+        let due: Vec<usize> = clock
+            .due_levels(
+                CpuId(0),
+                SimTime::ZERO + SimDuration::from_secs(1),
+                &domains,
+                false,
+            )
+            .collect();
         assert_eq!(due, vec![0]);
     }
 }

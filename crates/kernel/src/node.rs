@@ -19,9 +19,10 @@
 //! (Newton), so no precision is lost to time stepping; the timer tick
 //! merely adds its handler cost and drives CFS accounting and periodic
 //! balancing, as in the real kernel. An HPC task meets the tick only as
-//! that cost and a timeslice refresh, so its ticks *fold*
-//! (`Node::tick_folds`): each counts itself, and the next settle and
-//! the completion solve account for all of them arithmetically.
+//! that cost and a timeslice refresh, so its ticks *fold* (the
+//! `Folds` class of `Node::tick_class`): each counts itself, and the
+//! next settle and the completion solve account for all of them
+//! arithmetically.
 
 use crate::balance::BalanceClock;
 use crate::cache::{CacheModel, Trajectory, SMT_BUSY_FACTOR};
@@ -93,6 +94,18 @@ enum Ev {
     },
 }
 
+/// What a CPU's timer tick has to do (see `Node::tick_class`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TickClass {
+    /// A provable no-op beyond counting itself.
+    Quiescent,
+    /// Counts itself; the CPU's next settle accounts its cost and
+    /// class tick.
+    Folds,
+    /// Handled in full; `free` of the handler cost on a tickless CPU.
+    Dispatch { free: bool },
+}
+
 /// A captured outbound cross-node message: a [`Step::NetSend`] executed
 /// on a channel a registered [`NetSpan`] classifies as external. The
 /// cluster driver collects these with [`Node::drain_outbound_into`],
@@ -147,7 +160,7 @@ struct CpuState {
     seg_due: SimTime,
     pending_overhead: SimDuration,
     /// Busy ticks folded since the last settle (see
-    /// [`Node::tick_folds`]): counted, their cost not yet placed. They
+    /// [`TickClass::Folds`]): counted, their cost not yet placed. They
     /// are consecutive, the first at `fold_first`.
     folded: u64,
     fold_first: SimTime,
@@ -1116,7 +1129,9 @@ impl Node {
             plain = Some(delay);
             self.now() + delay > self.cpus[idx].next_tick
         };
-        let ticks = crosses && !self.cfg.tickless_single_hpc && self.tick_folds(cpu);
+        let ticks = crosses
+            && !self.cfg.tickless_single_hpc
+            && self.tick_class(cpu, self.now()) == TickClass::Folds;
         let delay = match plain {
             Some(delay) if !ticks => delay,
             _ => self.completion_delay(cpu, pid, ticks),
@@ -1338,36 +1353,47 @@ impl Node {
             }
             if running_here {
                 // Active balance: the migration thread preempts the
-                // running task and carries it over — a forced context
-                // switch on the source CPU.
-                let now = self.now();
-                self.sync_cpu(plan.from, now);
-                let t = self.tasks.get_mut(plan.pid);
-                t.state = TaskState::Runnable;
-                t.last_descheduled = now;
-                self.set_curr(plan.from, None);
-                self.counters.add_sw(plan.from, SwEvent::ContextSwitches, 1);
+                // running task and carries it over.
                 self.counters
                     .add_sw(plan.from, SwEvent::InvoluntaryPreemptions, 1);
-                self.resched.set(plan.from);
-                // Running tasks are not in any class queue: skip dequeue.
-                self.set_task_cpu(plan.pid, plan.to, MigrateReason::Balance);
-                self.tasks.get_mut(plan.pid).last_wakeup = self.now();
-                self.enqueue_task(plan.to, plan.pid, false);
-                self.check_preempt(plan.to, plan.pid);
-                applied += 1;
-                continue;
             }
-            self.dequeue_task(plan.from, plan.pid);
-            self.set_task_cpu(plan.pid, plan.to, MigrateReason::Balance);
             // A freshly moved task restarts its sustained-wait clock, so
-            // competing balance passes do not ping-pong it.
+            // competing balance passes do not ping-pong it. That clock is
+            // the later of this and its last deschedule, so a running
+            // task's deschedule now need not be recorded.
             self.tasks.get_mut(plan.pid).last_wakeup = self.now();
-            self.enqueue_task(plan.to, plan.pid, false);
-            self.check_preempt(plan.to, plan.pid);
+            self.move_task(plan.pid, plan.from, plan.to, MigrateReason::Balance);
             applied += 1;
         }
         applied
+    }
+
+    /// Move `pid`, queued or running on `from`, to `to`'s queue: a running
+    /// task is descheduled ([`Self::deschedule`]), a queued one dequeued;
+    /// the move counts as a migration for `reason`, and `to` checks
+    /// preemption.
+    fn move_task(&mut self, pid: Pid, from: CpuId, to: CpuId, reason: MigrateReason) {
+        if self.tasks.get(pid).state == TaskState::Running {
+            self.deschedule(from, pid);
+        } else {
+            self.dequeue_task(from, pid);
+        }
+        self.set_task_cpu(pid, to, reason);
+        self.enqueue_task(to, pid, false);
+        self.check_preempt(to, pid);
+    }
+
+    /// Take `pid`, current on `cpu`, off it mid-segment — a forced
+    /// context switch, as the migration thread makes in Linux: settle the
+    /// CPU, leave `pid` runnable and in no class queue, and reschedule
+    /// the CPU, which also re-solves its completion.
+    fn deschedule(&mut self, cpu: CpuId, pid: Pid) {
+        debug_assert_eq!(self.cpus[cpu.index()].curr, Some(pid));
+        self.sync_cpu(cpu, self.now());
+        self.tasks.get_mut(pid).state = TaskState::Runnable;
+        self.set_curr(cpu, None);
+        self.counters.add_sw(cpu, SwEvent::ContextSwitches, 1);
+        self.resched.set(cpu);
     }
 
     /// Create and place a task. `parent` is `None` for boot/harness
@@ -1465,7 +1491,6 @@ impl Node {
             );
             i += 1;
         }
-        let now = self.now();
         let mut killed = 0;
         for &pid in &members {
             let (state, cpu) = {
@@ -1474,15 +1499,7 @@ impl Node {
             };
             match state {
                 TaskState::Dead => continue,
-                TaskState::Running => {
-                    // Yank it off its CPU mid-segment (the affinity
-                    // path's forced-migration dance, minus the requeue).
-                    self.sync_cpu(cpu, now);
-                    self.set_curr(cpu, None);
-                    self.counters.add_sw(cpu, SwEvent::ContextSwitches, 1);
-                    self.resched.set(cpu);
-                    self.recomp.set(cpu);
-                }
+                TaskState::Running => self.deschedule(cpu, pid),
                 TaskState::Runnable => {
                     debug_assert_ne!(
                         self.cpus[cpu.index()].curr,
@@ -1493,41 +1510,20 @@ impl Node {
                 }
                 TaskState::Blocked(_) => {}
             }
-            self.sync.forget(self.tasks.get(pid));
-            self.tasks.exit(pid, now);
-            if !self.observers.is_empty() {
-                self.emit(SchedEvent::Deactivate {
-                    pid,
-                    cpu,
-                    reason: DeactivateReason::Exit,
-                });
-            }
-            self.cache.forget(pid);
-            self.gang_release(pid);
-            if let Some(pp) = self.tasks.get(pid).parent {
-                let p = self.tasks.get_mut(pp);
-                p.alive_children = p.alive_children.saturating_sub(1);
-                if p.alive_children == 0 && p.state == TaskState::Blocked(BlockReason::Children) {
-                    self.wake_task(pp);
-                }
-            }
+            self.exit_task(pid);
             killed += 1;
         }
-        self.exits += killed as u64;
         self.drain();
         killed
     }
 
-    /// Exit the current task `pid`.
-    fn do_exit(&mut self, pid: Pid) {
-        let now = self.now();
-        debug_assert_eq!(
-            self.tasks.get(pid).state,
-            TaskState::Running,
-            "only the current task exits"
-        );
+    /// The bookkeeping of `pid`'s exit, once it is on no CPU and in no
+    /// class queue: sync waits forgotten, `exited_at` stamped, its cache
+    /// footprints and gang membership dropped, and its parent told (and
+    /// woken from a `Children` wait by its last child).
+    fn exit_task(&mut self, pid: Pid) {
         self.sync.forget(self.tasks.get(pid));
-        self.tasks.exit(pid, now);
+        self.tasks.exit(pid, self.now());
         self.exits += 1;
         if !self.observers.is_empty() {
             let cpu = self.tasks.get(pid).cpu;
@@ -1539,16 +1535,13 @@ impl Node {
         }
         self.cache.forget(pid);
         self.gang_release(pid);
-        let parent = self.tasks.get(pid).parent;
-        if let Some(pp) = parent {
+        if let Some(pp) = self.tasks.get(pid).parent {
             let p = self.tasks.get_mut(pp);
             p.alive_children = p.alive_children.saturating_sub(1);
             if p.alive_children == 0 && p.state == TaskState::Blocked(BlockReason::Children) {
                 self.wake_task(pp);
             }
         }
-        let cpu = self.tasks.get(pid).cpu;
-        self.resched.set(cpu);
     }
 
     /// Block the current task of `cpu` for `reason`.
@@ -1763,7 +1756,10 @@ impl Node {
                     break;
                 }
                 Step::Exit => {
-                    self.do_exit(pid);
+                    // Only the current task exits: it leaves its CPU at
+                    // the reschedule.
+                    self.exit_task(pid);
+                    self.resched.set(self.tasks.get(pid).cpu);
                     break;
                 }
                 Step::Emit(ev) => {
@@ -1839,28 +1835,10 @@ impl Node {
         }
         let dest = mask.first().expect("non-empty mask");
         match state {
-            TaskState::Runnable => {
-                if self.cpus[cpu.index()].curr == Some(pid) {
-                    unreachable!("runnable-but-current handled in Running arm");
-                }
-                self.dequeue_task(cpu, pid);
-                self.set_task_cpu(pid, dest, MigrateReason::Affinity);
-                self.enqueue_task(dest, pid, false);
-                self.check_preempt(dest, pid);
-            }
-            TaskState::Running => {
-                // Force off this CPU at the next reschedule point: mark
-                // and move immediately (the migration thread would do
-                // this synchronously in Linux).
-                self.sync_cpu(cpu, self.now());
-                self.tasks.get_mut(pid).state = TaskState::Runnable;
-                self.set_curr(cpu, None);
-                self.counters.add_sw(cpu, SwEvent::ContextSwitches, 1);
-                self.set_task_cpu(pid, dest, MigrateReason::Affinity);
-                self.enqueue_task(dest, pid, false);
-                self.check_preempt(dest, pid);
-                self.resched.set(cpu);
-                self.recomp.set(cpu);
+            // A running task moves at once, as the migration thread
+            // would carry it in Linux.
+            TaskState::Runnable | TaskState::Running => {
+                self.move_task(pid, cpu, dest, MigrateReason::Affinity)
             }
             TaskState::Blocked(_) => {
                 // Placement fixed at wakeup; just update the stored CPU
@@ -2218,53 +2196,62 @@ impl Node {
         self.assert_load_consistent();
     }
 
-    /// Would this CPU's timer tick, fired at `now`, be a provable no-op
-    /// (beyond counting itself)? True for an idle CPU and — under
-    /// `tickless_single_hpc` — for a CPU whose lone HPC task's class
-    /// says the tick is skippable; in both cases only when no periodic
-    /// balance level is due, since balancing observes and mutates
-    /// cross-CPU state.
-    fn tick_is_quiescent(&self, cpu: CpuId, now: SimTime) -> bool {
-        if self.cfg.balance == BalanceMode::Full && self.balance_clock.any_due(cpu, now) {
-            return false;
-        }
-        // The incremental load view answers "is anything queued?" in
-        // O(1): `nr_running` counts the current task plus every queued
-        // task across classes (debug builds cross-check it in `drain`).
-        let idx = cpu.index();
-        match self.cpus[idx].curr {
-            // NOHZ idle: the tick only settles an idle clock.
-            None => self.load.nr_running[idx] == 0,
-            Some(pid) => {
-                self.tickless_lone_hpc(cpu) && {
-                    let t = self.tasks.get(pid);
-                    self.classes[self.class_idx(t)].tick_skippable(cpu, t)
-                }
-            }
-        }
-    }
-
-    /// Does this CPU's timer tick fold: count itself and nothing else,
-    /// its cost and class tick left to the CPU's next settle
-    /// ([`Self::sync_cpu`])? True while an HPC task runs whose class
-    /// says its tick is skippable and balancing is off. Per-tick
-    /// settling then composes exactly: the CPU's speed follows one
-    /// closed form between settles, since a sibling's occupancy change
-    /// settles it, and no other CPU's settle touches its footprint.
+    /// What this CPU's timer tick, fired at `now`, has to do: the one
+    /// test the tick handler, the fast-forward and the completion solve
+    /// all read.
     ///
-    /// The answer changes only at a settle: every change to an input
-    /// (the current task or its policy, the current class's queue)
-    /// settles the CPU first.
-    fn tick_folds(&self, cpu: CpuId) -> bool {
-        // Cheapest clauses first: this runs on every busy tick. The
-        // load view's class of the current task is `Hpc` exactly when
-        // its policy is.
-        self.cfg.balance != BalanceMode::Full
-            && self.load.curr_kind[cpu.index()] == Some(ClassKind::Hpc)
-            && self.cpus[cpu.index()].curr.is_some_and(|pid| {
-                let t = self.tasks.get(pid);
-                self.classes[self.class_idx(t)].tick_skippable(cpu, t)
-            })
+    /// - [`TickClass::Quiescent`]: a provable no-op beyond counting
+    ///   itself. An idle CPU with nothing queued (NOHZ idle) or, under
+    ///   `tickless_single_hpc`, a lone HPC task whose class says its
+    ///   tick is skippable; in both cases only when no periodic balance
+    ///   level is due, since balancing observes and mutates cross-CPU
+    ///   state.
+    /// - [`TickClass::Folds`]: counts itself, its cost and class tick
+    ///   left to the CPU's next settle ([`Self::sync_cpu`]). An HPC task
+    ///   runs whose class says its tick is skippable, with balancing off.
+    ///   Per-tick settling then composes exactly: the CPU's speed
+    ///   follows one closed form between settles, since a sibling's
+    ///   occupancy change settles it, and no other CPU's settle touches
+    ///   its footprint. The answer changes only at a settle: every
+    ///   change to an input (the current task or its policy, the current
+    ///   class's queue) settles the CPU first.
+    /// - [`TickClass::Dispatch`]: everything else, handled in full; free
+    ///   of the handler cost on an idle CPU (always tickless) and on a
+    ///   lone HPC task under `tickless_single_hpc`.
+    ///
+    /// Cheapest tests first: this runs on every tick, in every
+    /// fast-forward scan and in completion solves. The incremental load
+    /// view answers "is anything queued?" in O(1): `nr_running` counts
+    /// the current task plus every queued task across classes, so a lone
+    /// task is `nr_running == 1`; its class of the current task is `Hpc`
+    /// exactly when the task's policy is.
+    #[inline]
+    fn tick_class(&self, cpu: CpuId, now: SimTime) -> TickClass {
+        let idx = cpu.index();
+        let full = self.cfg.balance == BalanceMode::Full;
+        let Some(pid) = self.cpus[idx].curr else {
+            return if self.load.nr_running[idx] == 0
+                && !(full && self.balance_clock.any_due(cpu, now))
+            {
+                TickClass::Quiescent
+            } else {
+                TickClass::Dispatch { free: true }
+            };
+        };
+        let lone = self.cfg.tickless_single_hpc && self.load.nr_running[idx] == 1;
+        if self.load.curr_kind[idx] != Some(ClassKind::Hpc) || (full && !lone) {
+            return TickClass::Dispatch { free: false };
+        }
+        let t = self.tasks.get(pid);
+        if !self.classes[self.class_idx(t)].tick_skippable(cpu, t) {
+            TickClass::Dispatch { free: lone }
+        } else if !lone {
+            TickClass::Folds
+        } else if full && self.balance_clock.any_due(cpu, now) {
+            TickClass::Dispatch { free: true }
+        } else {
+            TickClass::Quiescent
+        }
     }
 
     /// Count `n` consecutive busy ticks of a folding CPU, the first at
@@ -2286,150 +2273,119 @@ impl Node {
             .add_hw(cpu, HwEvent::TickOverheadNs, TICK_COST.as_nanos() * n);
     }
 
-    /// Under `tickless_single_hpc`, is this CPU running an HPC task with
-    /// nothing queued behind it? `nr_running` counts the current task
-    /// plus every queued task across classes, so "nothing queued" is
-    /// `nr_running == 1`.
-    fn tickless_lone_hpc(&self, cpu: CpuId) -> bool {
-        let idx = cpu.index();
-        self.cfg.tickless_single_hpc
-            && self.load.nr_running[idx] == 1
-            && self.cpus[idx]
-                .curr
-                .is_some_and(|pid| self.tasks.get(pid).policy == crate::task::Policy::Hpc)
-    }
-
     // ---------------------------------------------------------------
     // Event handlers
     // ---------------------------------------------------------------
 
+    /// The timer tick. A quiescent tick only counts itself: an idle
+    /// CPU's skipped settle is exact (its pending overhead is absorbed
+    /// at the next sync-before-pick), and a lone tickless-HPC task's
+    /// accounting is settled in one lump at its next real event. A
+    /// folding tick counts itself; the CPU's next settle accounts it.
+    /// Both event paths run this, so fast and reference runs stay
+    /// byte-identical; it re-arms the reference path's next tick, its
+    /// one re-arm site.
     fn on_tick(&mut self, cpu: CpuId) {
         let now = self.now();
         let idx = cpu.index();
+        let class = self.tick_class(cpu, now);
         debug_assert!(
-            self.cpus[idx].folded == 0 || self.tick_folds(cpu),
+            self.cpus[idx].folded == 0 || class == TickClass::Folds,
             "{cpu}: tick folding ended without a settle"
         );
-
-        // Quiescent fast path: the tick is a provable no-op, so count it
-        // and return. An idle CPU's skipped sync_cpu is exact (its
-        // pending overhead is absorbed at the next sync-before-pick); a
-        // lone tickless-HPC task's accounting is settled in one lump at
-        // its next real event instead of per tick. Shared by both event
-        // paths so fast and reference runs stay byte-identical.
-        if self.tick_is_quiescent(cpu, now) {
-            debug_assert_eq!(
-                self.cpus[idx].folded, 0,
-                "{cpu}: folded ticks before a free one"
-            );
-            self.counters.add_sw(cpu, SwEvent::TimerTicks, 1);
-            if !self.observers.is_empty() {
-                self.emit(SchedEvent::Tick {
-                    cpu,
-                    outcome: TickOutcome::Quiescent,
-                });
+        let outcome = match class {
+            TickClass::Quiescent => {
+                self.counters.add_sw(cpu, SwEvent::TimerTicks, 1);
+                TickOutcome::Quiescent
             }
-            if !self.cfg.fast_event_loop {
-                self.queue.schedule(now + TICK_PERIOD, Ev::Tick(cpu));
+            TickClass::Folds => {
+                self.fold_ticks(cpu, now, 1);
+                TickOutcome::Folded
             }
-            return;
+            TickClass::Dispatch { free } => self.dispatch_tick(cpu, now, free),
+        };
+        if !self.observers.is_empty() {
+            self.emit(SchedEvent::Tick { cpu, outcome });
         }
-        // Fold: a busy tick that only charges its cost and, at most,
-        // refreshes an expired slice counts itself; the CPU's next
-        // settle accounts it.
-        if self.tick_folds(cpu) {
-            self.fold_ticks(cpu, now, 1);
-            if !self.observers.is_empty() {
-                self.emit(SchedEvent::Tick {
-                    cpu,
-                    outcome: TickOutcome::Folded,
-                });
-            }
-            if !self.cfg.fast_event_loop {
-                self.queue.schedule(now + TICK_PERIOD, Ev::Tick(cpu));
-            }
-            return;
+        if matches!(class, TickClass::Dispatch { .. }) && self.cfg.balance == BalanceMode::Full {
+            self.periodic_balance(cpu, now);
         }
+        // Last: the late-completion check above still counts this tick
+        // among those ahead. The fast path's periodic slot re-armed
+        // itself when this tick was popped, with the sequence number
+        // this `schedule` draws: the handler allocates no other event.
+        let next = now + TICK_PERIOD;
+        self.cpus[idx].next_tick = next;
+        if !self.cfg.fast_event_loop {
+            self.queue.schedule(next, Ev::Tick(cpu));
+        }
+    }
 
+    /// A tick handled in full: settle, charge the handler cost (the
+    /// micro-noise) unless the tick is `free`, and run the scheduler
+    /// class's tick (slice expiry etc.).
+    fn dispatch_tick(&mut self, cpu: CpuId, now: SimTime, free: bool) -> TickOutcome {
+        let idx = cpu.index();
         self.sync_cpu(cpu, now);
         debug_assert_eq!(self.late_completion(cpu), None, "{cpu}: late SegDone");
         self.counters.add_sw(cpu, SwEvent::TimerTicks, 1);
-
-        // Tick handler cost (micro-noise). Idle CPUs are always tickless
-        // (NOHZ idle, standard since well before 2.6.34); the
-        // NETTICK-style option extends that to CPUs running exactly one
-        // HPC task.
-        let tickless = self.cpus[idx].curr.is_none() || self.tickless_lone_hpc(cpu);
-        if !tickless {
+        if !free {
             self.cpus[idx].pending_overhead += TICK_COST;
             self.counters
                 .add_hw(cpu, HwEvent::TickOverheadNs, TICK_COST.as_nanos());
         }
-
-        // Scheduler-class tick (slice expiry etc.).
-        let mut tick_resched = false;
+        let mut resched = false;
         if let Some(pid) = self.cpus[idx].curr {
             let ci = self.class_idx(self.tasks.get(pid));
             if self.classes[ci].task_tick(cpu, self.tasks.get_mut(pid)) {
                 self.resched.set(cpu);
-                tick_resched = true;
+                resched = true;
             }
         }
-        if !self.observers.is_empty() {
-            let outcome = if tickless {
-                TickOutcome::Skipped
-            } else {
-                TickOutcome::Accounted {
-                    resched: tick_resched,
-                }
-            };
-            self.emit(SchedEvent::Tick { cpu, outcome });
+        if free {
+            TickOutcome::Skipped
+        } else {
+            TickOutcome::Accounted { resched }
         }
+    }
 
-        // Periodic load balancing. Busy CPUs balance far less often
-        // (sd->busy_factor), so steady-state 2-vs-1 blips rarely trigger
-        // steals; a CPU left idle re-arms quickly.
-        if self.cfg.balance == BalanceMode::Full {
-            let busy = self.cpus[idx].curr.is_some();
-            let due = self.balance_clock.due_levels(cpu, now, &self.domains, busy);
-            let mut plans = std::mem::take(&mut self.plan_buf);
-            for level in due {
-                self.counters.add_sw(cpu, SwEvent::LoadBalanceCalls, 1);
-                self.cpus[idx].pending_overhead += BALANCE_COST;
-                let mut moved = 0;
-                for ci in 0..self.classes.len() {
-                    plans.clear();
-                    {
-                        let (classes, tasks, topo, domains, load) = (
-                            &mut self.classes,
-                            &self.tasks,
-                            &self.topo,
-                            &self.domains,
-                            &self.load,
-                        );
-                        let ctx = Self::sched_ctx(topo, domains, now);
-                        classes[ci].periodic_balance(cpu, level, &ctx, load, tasks, &mut plans);
-                    }
-                    moved += self.apply_migrations(&plans);
+    /// Periodic load balancing at a dispatched tick. Busy CPUs balance
+    /// far less often (sd->busy_factor), so steady-state 2-vs-1 blips
+    /// rarely trigger steals; a CPU left idle re-arms quickly.
+    fn periodic_balance(&mut self, cpu: CpuId, now: SimTime) {
+        let idx = cpu.index();
+        let busy = self.cpus[idx].curr.is_some();
+        let due = self.balance_clock.due_levels(cpu, now, &self.domains, busy);
+        let mut plans = std::mem::take(&mut self.plan_buf);
+        for level in due {
+            self.counters.add_sw(cpu, SwEvent::LoadBalanceCalls, 1);
+            self.cpus[idx].pending_overhead += BALANCE_COST;
+            let mut moved = 0;
+            for ci in 0..self.classes.len() {
+                plans.clear();
+                {
+                    let (classes, tasks, topo, domains, load) = (
+                        &mut self.classes,
+                        &self.tasks,
+                        &self.topo,
+                        &self.domains,
+                        &self.load,
+                    );
+                    let ctx = Self::sched_ctx(topo, domains, now);
+                    classes[ci].periodic_balance(cpu, level, &ctx, load, tasks, &mut plans);
                 }
-                if !self.observers.is_empty() {
-                    self.emit(SchedEvent::Balance {
-                        cpu,
-                        kind: BalanceKind::Periodic { level },
-                        migrations: moved,
-                    });
-                }
+                moved += self.apply_migrations(&plans);
             }
-            plans.clear();
-            self.plan_buf = plans;
+            if !self.observers.is_empty() {
+                self.emit(SchedEvent::Balance {
+                    cpu,
+                    kind: BalanceKind::Periodic { level },
+                    migrations: moved,
+                });
+            }
         }
-
-        // Fast path: the periodic slot re-armed itself when this tick
-        // was popped (with the same sequence number this `schedule`
-        // would have drawn — the handler allocates no other events).
-        if !self.cfg.fast_event_loop {
-            self.queue.schedule(now + TICK_PERIOD, Ev::Tick(cpu));
-        }
+        plans.clear();
+        self.plan_buf = plans;
     }
 
     fn on_seg_done(&mut self, cpu: CpuId, gen: u64) {
@@ -2495,12 +2451,7 @@ impl Node {
 
     fn dispatch(&mut self, ev: Ev) {
         match ev {
-            Ev::Tick(cpu) => {
-                self.on_tick(cpu);
-                // After the handler: its late-completion check still
-                // counts this tick among those ahead.
-                self.cpus[cpu.index()].next_tick = self.now() + TICK_PERIOD;
-            }
+            Ev::Tick(cpu) => self.on_tick(cpu),
             Ev::SegDone { cpu, gen } => self.on_seg_done(cpu, gen),
             Ev::TimerWake(pid) => {
                 if self.tasks.get(pid).state == TaskState::Blocked(BlockReason::Timer) {
@@ -2622,8 +2573,8 @@ impl Node {
     }
 
     /// Quiescence fast-forward: batch-fire timer ticks that
-    /// [`Self::tick_is_quiescent`] proves are no-ops, or that fold
-    /// ([`Self::tick_folds`]), advancing their wheel slots
+    /// [`Self::tick_class`] proves are no-ops, or that fold, advancing
+    /// their wheel slots
     /// arithmetically instead of popping one event each. Folded ticks
     /// are credited to their CPU's fold count, as dispatching them
     /// would.
@@ -2706,18 +2657,22 @@ impl Node {
             let mut any_batched = false;
             for i in 0..self.cpus.len() {
                 let cpu = CpuId(i as u32);
-                if self.tick_is_quiescent(cpu, now) {
-                    any_batched = true;
-                    if balance_caps {
-                        if let Some(d) = self.balance_clock.next_deadline(cpu) {
-                            horizon = horizon.min(d);
+                match self.tick_class(cpu, now) {
+                    TickClass::Quiescent => {
+                        any_batched = true;
+                        if balance_caps {
+                            if let Some(d) = self.balance_clock.next_deadline(cpu) {
+                                horizon = horizon.min(d);
+                            }
                         }
                     }
-                } else if self.tick_folds(cpu) {
-                    any_batched = true;
-                    folding.set(cpu);
-                } else {
-                    horizon = horizon.min(self.queue.periodic_time(self.tick_slots[i]));
+                    TickClass::Folds => {
+                        any_batched = true;
+                        folding.set(cpu);
+                    }
+                    TickClass::Dispatch { .. } => {
+                        horizon = horizon.min(self.queue.periodic_time(self.tick_slots[i]));
+                    }
                 }
             }
             // Fully busy node: no tick can batch, skip the buffer setup.
@@ -3539,7 +3494,7 @@ mod tests {
         node.run_for(SimDuration::from_micros(5_000 + seed % 7_000));
         let cpu = CpuId(0);
         assert_eq!(node.current(cpu), Some(pid));
-        assert!(node.tick_folds(cpu));
+        assert_eq!(node.tick_class(cpu, node.now()), TickClass::Folds);
         assert_eq!(node.smt_factor(cpu) < 1.0, smt);
         let now = node.now();
         node.sync_cpu(cpu, now);

@@ -378,11 +378,7 @@ fn run_batch_workload(
 /// histories differ — a release landing on different sides of an epoch
 /// boundary on different nodes is legal noise skew — fall into
 /// different groups and are not compared.
-fn check_gang_logs(
-    b: &BatchSpec,
-    logs: &[Vec<(u64, Option<u64>)>],
-    violations: &mut Vec<Violation>,
-) {
+fn check_gang_logs(b: &BatchSpec, logs: &[&[(u64, Option<u64>)]], violations: &mut Vec<Violation>) {
     if b.gang_epoch_us == 0 {
         for (n, log) in logs.iter().enumerate() {
             if let Some(&(at, active)) = log.first() {
@@ -469,40 +465,27 @@ fn check_gang_logs(
 /// excused: every steady interior pair is checked.
 fn check_coord_logs(
     b: &BatchSpec,
-    slice_logs: &[Vec<(u64, u64, u32, u64)>],
+    slice_logs: &[&[(u64, u64, u32, u64)]],
     leases: &[u64],
     violations: &mut Vec<Violation>,
 ) {
     let slices_armed = b.coord == CoordKind::Kernel
         && matches!(b.policy, BatchPolicyKind::Dfrs)
         && b.gang_epoch_us > 0;
-    if !slices_armed {
-        for (n, log) in slice_logs.iter().enumerate() {
-            if let Some(&(at, gang, ..)) = log.first() {
-                violations.push(Violation {
-                    at: SimTime::from_nanos(at),
-                    rule: "slice-inert",
-                    detail: format!("node {n} sliced gang {gang} with no kernel coordinator"),
-                });
-            }
-        }
-    }
-    if b.coord != CoordKind::User {
-        // Inertness only: no positive "leases must flow" rule here.
-        // Leases are demand-driven — a shim yields only while a second
-        // gang is co-resident on its node, and whether two jobs ever
-        // overlap is a scheduling outcome the spec cannot predict.
-        // Positive lease coverage lives in the coord crate tests and
-        // the coord bench, which construct guaranteed co-residency.
-        for (n, &l) in leases.iter().enumerate() {
-            if l > 0 {
-                violations.push(Violation {
-                    at: SimTime::from_nanos(0),
-                    rule: "lease-inert",
-                    detail: format!("node {n} granted {l} lease(s) with no user-space arbiter"),
-                });
-            }
-        }
+    // Inertness only for leases: no positive "leases must flow" rule
+    // here. Leases are demand-driven — a shim yields only while a
+    // second gang is co-resident on its node, and whether two jobs ever
+    // overlap is a scheduling outcome the spec cannot predict. Positive
+    // lease coverage lives in the coord crate tests and the coord
+    // bench, which construct guaranteed co-residency.
+    for (n, &log) in slice_logs.iter().enumerate() {
+        let slices = if slices_armed { &[][..] } else { log };
+        let leases = if b.coord == CoordKind::User {
+            0
+        } else {
+            leases[n]
+        };
+        check_uncoordinated(n, slices, leases, SimTime::ZERO, violations);
     }
     if !slices_armed {
         return;
@@ -623,6 +606,46 @@ fn attach_oracle(node: &mut Node, min_alpha: Option<SimDuration>) -> ObserverId 
     node.attach_observer(Box::new(oracle))
 }
 
+/// Detach the oracle [`attach_oracle`] put on `node` and run its
+/// end-of-run checks. `None` when the node no longer carries it: a
+/// crashed node restarts from its recipe, without the oracle.
+fn harvest(node: &mut Node, id: ObserverId) -> Option<InvariantOracle> {
+    // Split borrow: `finish` reads the node, so the oracle leaves it
+    // first, a blank one taking its slot.
+    let mut oracle = node
+        .observer_mut::<InvariantOracle>(id)
+        .map(|o| std::mem::replace(o, InvariantOracle::for_node_empty()))?;
+    oracle.finish(node);
+    Some(oracle)
+}
+
+/// Where no coordinator of the kind runs, node `n`'s weighted slices
+/// (kernel coordinator) and arbiter leases (user-space arbiter) must
+/// both be wholly absent: `slices` is its slice stream and `leases` its
+/// lease count, a lease violation reported at `now`.
+fn check_uncoordinated(
+    n: usize,
+    slices: &[(u64, u64, u32, u64)],
+    leases: u64,
+    now: SimTime,
+    violations: &mut Vec<Violation>,
+) {
+    if let Some(&(at, gang, ..)) = slices.first() {
+        violations.push(Violation {
+            at: SimTime::from_nanos(at),
+            rule: "slice-inert",
+            detail: format!("node {n} sliced gang {gang} with no coordinator"),
+        });
+    }
+    if leases > 0 {
+        violations.push(Violation {
+            at: now,
+            rule: "lease-inert",
+            detail: format!("node {n} granted {leases} lease(s) with no arbiter"),
+        });
+    }
+}
+
 fn run_single(sc: &Scenario, fast: bool, with_trace: bool) -> RunReport {
     let mut node = build_node(sc, 0, fast);
     let oracle_id = attach_oracle(&mut node, None);
@@ -651,35 +674,12 @@ fn run_single(sc: &Scenario, fast: bool, with_trace: bool) -> RunReport {
         }
         Workload::Batch(_) => unreachable!("batch workloads run on the cluster path"),
     };
-    // Split borrow: run the conservation cross-check with a detached
-    // shadow, since finish() needs both the oracle (mut) and the node.
-    let mut detached = node
-        .observer_mut::<InvariantOracle>(oracle_id)
-        .map(|o| std::mem::replace(o, InvariantOracle::for_node_empty()));
-    if let Some(oracle) = detached.as_mut() {
-        oracle.finish(&node);
-    }
-    let mut violations = detached
-        .as_ref()
-        .map(|o| o.violations().to_vec())
-        .unwrap_or_default();
-    // No coordinator exists on the single-node path: weighted slices
-    // and arbiter leases must both be wholly absent.
-    if let Some(oracle) = &detached {
-        if let Some(&(at, gang, ..)) = oracle.slice_log().first() {
-            violations.push(Violation {
-                at: SimTime::from_nanos(at),
-                rule: "slice-inert",
-                detail: format!("weighted slice for gang {gang} with no coordinator"),
-            });
-        }
-        if oracle.leases() > 0 {
-            violations.push(Violation {
-                at: node.now(),
-                rule: "lease-inert",
-                detail: format!("{} lease(s) granted with no arbiter", oracle.leases()),
-            });
-        }
+    // No coordinator exists on the single-node path.
+    let mut violations = Vec::new();
+    if let Some(oracle) = harvest(&mut node, oracle_id) {
+        violations.extend_from_slice(oracle.violations());
+        let now = node.now();
+        check_uncoordinated(0, oracle.slice_log(), oracle.leases(), now, &mut violations);
     }
     let trace = node.export_chrome_trace();
     RunReport {
@@ -748,64 +748,41 @@ fn run_cluster(sc: &Scenario, fast: bool, with_trace: bool) -> RunReport {
         Workload::Soup(_) => panic!("multi-node scenarios cannot run a soup"),
     };
     let mut violations = batch_violations;
-    let mut gang_logs: Vec<Vec<(u64, Option<u64>)>> = Vec::new();
-    let mut slice_logs: Vec<Vec<(u64, u64, u32, u64)>> = Vec::new();
-    let mut lease_counts: Vec<u64> = Vec::new();
+    let mut oracles = Vec::new();
     for (i, &id) in oracle_ids.iter().enumerate() {
-        let mut detached = cluster
-            .node_mut(i)
-            .observer_mut::<InvariantOracle>(id)
-            .map(|o| std::mem::replace(o, InvariantOracle::for_node_empty()));
-        if let Some(oracle) = detached.as_mut() {
-            oracle.finish(cluster.node(i));
-            for v in oracle.violations() {
-                violations.push(Violation {
-                    at: v.at,
-                    rule: v.rule,
-                    detail: format!("node{i}: {}", v.detail),
-                });
-            }
+        let oracle = harvest(cluster.node_mut(i), id);
+        for v in oracle.iter().flat_map(|o| o.violations()) {
+            violations.push(Violation {
+                at: v.at,
+                rule: v.rule,
+                detail: format!("node{i}: {}", v.detail),
+            });
         }
-        gang_logs.push(
-            detached
-                .as_ref()
-                .map(|o| o.gang_log().to_vec())
-                .unwrap_or_default(),
-        );
-        slice_logs.push(
-            detached
-                .as_ref()
-                .map(|o| o.slice_log().to_vec())
-                .unwrap_or_default(),
-        );
-        lease_counts.push(detached.as_ref().map(|o| o.leases()).unwrap_or(0));
+        oracles.push(oracle);
     }
     match &sc.workload {
         Workload::Batch(b) => {
+            let gang_logs: Vec<&[_]> = oracles
+                .iter()
+                .map(|o| o.as_ref().map_or(&[][..], |o| o.gang_log()))
+                .collect();
+            let slice_logs: Vec<&[_]> = oracles
+                .iter()
+                .map(|o| o.as_ref().map_or(&[][..], |o| o.slice_log()))
+                .collect();
+            let leases: Vec<u64> = oracles
+                .iter()
+                .map(|o| o.as_ref().map_or(0, |o| o.leases()))
+                .collect();
             check_gang_logs(b, &gang_logs, &mut violations);
-            check_coord_logs(b, &slice_logs, &lease_counts, &mut violations);
+            check_coord_logs(b, &slice_logs, &leases, &mut violations);
         }
+        // No coordinator outside batch workloads.
         _ => {
-            // No coordinator outside batch workloads: weighted slices
-            // and arbiter leases must both be wholly absent.
-            for (n, log) in slice_logs.iter().enumerate() {
-                if let Some(&(at, gang, ..)) = log.first() {
-                    violations.push(Violation {
-                        at: SimTime::from_nanos(at),
-                        rule: "slice-inert",
-                        detail: format!(
-                            "node {n} sliced gang {gang} with no coordinator in the scenario"
-                        ),
-                    });
-                }
-            }
-            for (n, &l) in lease_counts.iter().enumerate() {
-                if l > 0 {
-                    violations.push(Violation {
-                        at: cluster.node(0).now(),
-                        rule: "lease-inert",
-                        detail: format!("node {n} granted {l} lease(s) with no arbiter"),
-                    });
+            let now = cluster.node(0).now();
+            for (n, o) in oracles.iter().enumerate() {
+                if let Some(o) = o {
+                    check_uncoordinated(n, o.slice_log(), o.leases(), now, &mut violations);
                 }
             }
         }
@@ -1075,13 +1052,10 @@ pub fn debug_run_single(sc: &Scenario, fast: bool, extra: Box<dyn hpl_kernel::Sc
         }
         Workload::Batch(_) => panic!("debug_run_single cannot run batch workloads"),
     }
-    let mut detached = node
-        .observer_mut::<InvariantOracle>(oracle_id)
-        .map(|o| std::mem::replace(o, InvariantOracle::for_node_empty()));
-    if let Some(oracle) = detached.as_mut() {
-        oracle.finish(&node);
-        for v in oracle.violations() {
-            eprintln!("violation: {v}");
-        }
+    for v in harvest(&mut node, oracle_id)
+        .iter()
+        .flat_map(|o| o.violations())
+    {
+        eprintln!("violation: {v}");
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! A counting global allocator tallies the heap allocations each test
 //! thread makes. Each scenario first runs a warm-up window of
-//! [`WINDOW`] dispatched events, in which queues, slabs, wake buffers
-//! and scratch vectors grow to their working size, and then must
-//! dispatch at least as many events again without a single allocation.
+//! [`WINDOW`] dispatched events (or more), in which queues, slabs, wake
+//! buffers and scratch vectors grow to their working size, and then
+//! must dispatch at least [`WINDOW`] events more without a single
+//! allocation.
 //!
 //! Release builds only: debug builds re-derive load views and other
 //! consistency checks on the hot path, and those allocate.
@@ -56,12 +57,17 @@ fn allocs() -> u64 {
 const WINDOW: u64 = 50_000;
 
 /// Drive `sys` one `step` at a time through a warm-up window of
-/// [`WINDOW`] events and a measured window of at least as many more.
+/// `warmup` events and a measured window of at least [`WINDOW`] more.
 /// Returns `(allocations, events)` of the measured window. Panics if
 /// the work runs out before both windows are full.
-fn measure<T>(sys: &mut T, step: fn(&mut T) -> bool, events: fn(&T) -> u64) -> (u64, u64) {
+fn measure<T>(
+    sys: &mut T,
+    warmup: u64,
+    step: fn(&mut T) -> bool,
+    events: fn(&T) -> u64,
+) -> (u64, u64) {
     let start = events(sys);
-    while events(sys) - start < WINDOW {
+    while events(sys) - start < warmup {
         assert!(step(sys), "work ran out during the warm-up window");
     }
     let (a0, e0) = (allocs(), events(sys));
@@ -105,6 +111,7 @@ fn two_node_allreduce_loop_dispatches_without_allocating() {
     let handle = cluster.launch(&job, SchedMode::Hpc, Placement::All);
     let (n, events) = measure(
         &mut cluster,
+        WINDOW,
         Cluster::step_window,
         Cluster::events_dispatched,
     );
@@ -128,7 +135,32 @@ fn cg_a_8_under_hpl_dispatches_without_allocating() {
     let mut job = nas_job(NasBenchmark::Cg, NasClass::A, 8);
     job.ops = JobSpec::repeat(20, &job.ops);
     let handle = launch(&mut node, &job, SchedMode::Hpc);
-    let (n, events) = measure(&mut node, Node::step, Node::events_processed);
+    let (n, events) = measure(&mut node, WINDOW, Node::step, Node::events_processed);
+    assert!(
+        handle.try_run_to_completion(&mut node, 100_000_000).is_ok(),
+        "the job completes"
+    );
+    assert_eq!(n, 0, "{n} allocations over {events} steady-state events");
+}
+
+/// The same job as plain CFS tasks on a standard-Linux POWER6 node,
+/// with full periodic, new-idle and active balancing: every balanced
+/// tick walks the due domain levels. Balancing migrates ranks and
+/// daemons between the CPUs' run queues for longer before each queue
+/// has held its most tasks, so the warm-up is five windows long.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "debug hot-path checks allocate")]
+fn cg_a_8_under_cfs_with_full_balancing_dispatches_without_allocating() {
+    let mut node = NodeBuilder::new(Topology::power6_js22())
+        .with_noise(NoiseProfile::standard(8))
+        .with_seed(26)
+        .build();
+    assert_eq!(node.cfg.balance, BalanceMode::Full);
+    node.run_for(SimDuration::from_millis(300));
+    let mut job = nas_job(NasBenchmark::Cg, NasClass::A, 8);
+    job.ops = JobSpec::repeat(60, &job.ops);
+    let handle = launch(&mut node, &job, SchedMode::Cfs);
+    let (n, events) = measure(&mut node, 5 * WINDOW, Node::step, Node::events_processed);
     assert!(
         handle.try_run_to_completion(&mut node, 100_000_000).is_ok(),
         "the job completes"
