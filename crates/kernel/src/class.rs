@@ -155,10 +155,14 @@ pub trait SchedClass: Send {
     /// `cpu`, never requests preemption and does nothing but refresh
     /// the task's timeslice once [`update_curr`](Self::update_curr) has
     /// run it down to zero — whatever other classes have queued. The
-    /// node may then batch such ticks of a lone task (nothing queued in
-    /// any class) under `tickless_single_hpc`, and fold them on a core
-    /// of its own: count them at once and replay the refreshes when the
-    /// CPU next settles. Default: false (ticks always dispatched).
+    /// answer may depend only on this class's queue on `cpu` and on the
+    /// task's policy: the node settles the CPU before either changes.
+    /// The node then folds such ticks, whatever the class, between
+    /// periodic balance deadlines: it counts them at once and replays
+    /// the refreshes when the CPU next settles. Under
+    /// `tickless_single_hpc` the ticks of a lone HPC task (nothing
+    /// queued in any class) cost nothing at all. Default: false (ticks
+    /// always dispatched).
     fn tick_skippable(&self, cpu: CpuId, task: &Task) -> bool {
         let _ = (cpu, task);
         false

@@ -104,9 +104,10 @@ pub enum TickOutcome {
     Quiescent,
     /// Handler ran but charged no tick cost (NOHZ idle / tickless-HPC).
     Skipped,
-    /// Busy tick on a CPU whose ticks fold (an HPC task alone on its
-    /// core, balancing off): counted; its cost and the class tick are
-    /// accounted when the CPU next settles.
+    /// Busy tick on a CPU whose ticks fold (the running task's class
+    /// says its tick is skippable, no balance level is due): counted;
+    /// its cost and the class tick are accounted when the CPU next
+    /// settles.
     Folded,
     /// Full tick: cost charged, class `task_tick` ran.
     Accounted {

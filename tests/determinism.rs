@@ -125,7 +125,9 @@ fn fast_event_loop_matches_reference_path() {
         kc.tickless_single_hpc = true;
         kc
     };
-    let cases: [(&str, KernelConfig, bool, SchedMode); 3] = [
+    // Ticks fold for every class: the HPL class under full balancing
+    // folds between balance deadlines, and RT ranks fold too.
+    let cases: [(&str, KernelConfig, bool, SchedMode); 5] = [
         (
             "standard-linux",
             KernelConfig::default(),
@@ -134,6 +136,18 @@ fn fast_event_loop_matches_reference_path() {
         ),
         ("hpl", KernelConfig::hpl(), true, SchedMode::Hpc),
         ("hpl-tickless", tickless(), true, SchedMode::Hpc),
+        (
+            "hpl-balanced",
+            KernelConfig::default(),
+            true,
+            SchedMode::Hpc,
+        ),
+        (
+            "rt",
+            KernelConfig::default(),
+            false,
+            SchedMode::Rt { prio: 50 },
+        ),
     ];
     for (name, kc, hpc, mode) in cases {
         for seed in [7u64, 1234] {
