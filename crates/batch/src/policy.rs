@@ -834,7 +834,10 @@ impl FairShare {
             return;
         }
         let dt = now.since(last).as_secs_f64();
-        let factor = 0.5_f64.powf(dt / self.half_life.as_secs_f64());
+        // `exp2` rather than `0.5.powf`: optimised builds rewrite the
+        // power of a constant base into `exp2`, which rounds differently
+        // from `pow`, so debug and release builds would disagree.
+        let factor = (-(dt / self.half_life.as_secs_f64())).exp2();
         for u in self.usage.values_mut() {
             *u *= factor;
         }
