@@ -91,7 +91,7 @@ fn fcfs_on_swf() {
     let r = BatchRun::new(&trace)
         .run(&mut cluster(8, 7001), &mut Fcfs)
         .unwrap();
-    check("fcfs", digest(&[&r]), 0xfc8e_763e_a333_82d2);
+    check("fcfs", digest(&[&r]), 0x8896_f992_e1ab_987b);
 }
 
 #[test]
@@ -105,7 +105,7 @@ fn easy_on_swf() {
     check(
         "easy",
         digest(&[&r, &trail, &p.audit().checked]),
-        0x2d48_a04d_5aca_2053,
+        0x1a3d_3416_0ab4_a0d1,
     );
 }
 
@@ -120,7 +120,7 @@ fn conservative_on_swf() {
     check(
         "conservative",
         digest(&[&r, &trail, &p.audit().checked]),
-        0x7a12_e980_5629_bd18,
+        0x288b_37a3_52a8_a9cf,
     );
 }
 
@@ -136,7 +136,7 @@ fn multiqueue_on_swf() {
     check(
         "multiq",
         digest(&[&r, &p.dispatches()]),
-        0x8efc_bb23_7cbe_a00d,
+        0x9164_2624_580a_e1e1,
     );
 }
 
@@ -151,7 +151,7 @@ fn fairshare_on_swf() {
     // The audited usages decay through `powf`, whose last bits can
     // differ between debug and release builds; on this slice they agree,
     // so one digest pins both profiles.
-    check("fairshare", digest(&[&r, &trail]), 0xc80c_1548_e9b6_cec8);
+    check("fairshare", digest(&[&r, &trail]), 0x7088_5b6c_1c0f_27fa);
 }
 
 #[test]
@@ -160,7 +160,7 @@ fn oversub_on_swf() {
     let r = BatchRun::new(&trace)
         .run(&mut cluster(8, 7006), &mut Oversubscribed)
         .unwrap();
-    check("oversub", digest(&[&r]), 0xeaf1_8792_db9e_8151);
+    check("oversub", digest(&[&r]), 0xa8f0_4b09_6e22_c301);
 }
 
 #[test]
@@ -172,7 +172,7 @@ fn dfrs_on_swf() {
         .run(&mut build(8, 7007, Some(epoch), FaultPlan::none()), &mut p)
         .unwrap();
     let trail: Vec<_> = p.decisions().collect();
-    check("dfrs", digest(&[&r, &trail]), 0x8ad3_7a21_9185_ecd2);
+    check("dfrs", digest(&[&r, &trail]), 0x1e21_b961_f56a_1d39);
 }
 
 #[test]
@@ -188,7 +188,7 @@ fn walltime_kills_on_honest_swf() {
         .walltime(1.0)
         .run(&mut cluster(8, 7008), &mut p)
         .unwrap();
-    check("walltime", digest(&[&r, &e]), 0x31c5_1444_ac43_42da);
+    check("walltime", digest(&[&r, &e]), 0x5a9a_8352_cd27_e0ba);
 }
 
 #[test]
@@ -213,7 +213,7 @@ fn checkpoint_under_crash_restart_churn() {
         .run(&mut build(8, 7009, None, plan), &mut p)
         .unwrap();
     assert!(r.requeues > 0, "the case must exercise crash requeues");
-    check("churn", digest(&[&r]), 0x9abb_03c3_18ed_1faa);
+    check("churn", digest(&[&r]), 0x32e0_4e54_56b4_1e18);
 }
 
 #[test]
@@ -238,7 +238,7 @@ fn coordinated_dfrs_both_backends() {
         let trail: Vec<_> = p.decisions().collect();
         digests.push(digest(&[&r, &trail]));
     }
-    check("coord", digest(&[&digests]), 0x3b87_43bd_2481_353a);
+    check("coord", digest(&[&digests]), 0xef71_8b9a_da2e_07ff);
 }
 
 fn job(id: u32, submit_us: u64, nodes: u32, iters: u32, compute_us: u64) -> BatchJob {
@@ -276,7 +276,7 @@ fn narrow_job_starts_on_first_freed_node_of_a_wide_job() {
         narrow.started,
         wide.ended
     );
-    check("first-freed", digest(&[&r]), 0x65d2_d0b2_0810_46c7);
+    check("first-freed", digest(&[&r]), 0x0ef4_cad6_26a5_dfc6);
 }
 
 /// Aging alone unblocks a job: with the best-class head blocked and the
@@ -313,6 +313,6 @@ fn multiqueue_promotion_starts_a_job_between_events() {
     check(
         "multiq-aging",
         digest(&[&r, &p.dispatches()]),
-        0xa217_f0b6_2ae2_fb9d,
+        0x85b0_fab1_3d8c_6744,
     );
 }

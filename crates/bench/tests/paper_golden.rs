@@ -45,12 +45,12 @@ fn check(name: &str, text: &str, want: u64) {
 
 #[test]
 fn fig1() {
-    check("fig1", &experiments::fig1(&opts()), 0x9aea_40f3_cb1a_2482);
+    check("fig1", &experiments::fig1(&opts()), 0x75f8_8eee_0468_ec64);
 }
 
 #[test]
 fn fig2() {
-    check("fig2", &experiments::fig2(&opts()), 0x87d4_73a7_773f_58e1);
+    check("fig2", &experiments::fig2(&opts()), 0xa120_a776_7e16_d1cd);
 }
 
 #[test]
@@ -58,12 +58,12 @@ fn fig3_both_panels() {
     check(
         "fig3a",
         &experiments::fig3(&opts(), Fig3Panel::Migrations),
-        0xb968_892d_972f_fe95,
+        0x9711_b07e_cb6e_579d,
     );
     check(
         "fig3b",
         &experiments::fig3(&opts(), Fig3Panel::Switches),
-        0x1a14_fdfa_cace_7264,
+        0x57d5_8583_f984_60dc,
     );
 }
 
@@ -77,7 +77,7 @@ fn table1a() {
     check(
         "table1a",
         &experiments::table1(&opts(), false),
-        0x64fc_7031_cf63_eff3,
+        0x43b3_675e_d65e_c3be,
     );
 }
 
@@ -95,7 +95,7 @@ fn table2() {
     check(
         "table2",
         &experiments::table2(&opts()),
-        0xeaf7_6bd7_4ac7_5855,
+        0x80e0_e04b_7563_37cc,
     );
 }
 
@@ -104,7 +104,7 @@ fn compare() {
     check(
         "compare",
         &experiments::compare(&opts()),
-        0x2f1e_e75d_0195_fb03,
+        0x1f3a_923f_3f4c_53e8,
     );
 }
 
@@ -113,7 +113,7 @@ fn ablate() {
     check(
         "ablate",
         &experiments::ablate(&opts()),
-        0x2f96_b9f0_8349_87d6,
+        0x2aba_f16e_301d_17cf,
     );
 }
 
@@ -122,7 +122,7 @@ fn noise_sweep() {
     check(
         "noise_sweep",
         &experiments::noise_sweep(&opts()),
-        0x23aa_b46f_3172_c4b6,
+        0xde01_cb21_6fa6_e37f,
     );
 }
 
@@ -131,7 +131,7 @@ fn scaling() {
     check(
         "scaling",
         &experiments::scaling(&opts()),
-        0x3a68_51de_5147_dd47,
+        0x3ef4_b38a_9d28_51c6,
     );
 }
 
@@ -140,13 +140,13 @@ fn energy() {
     check(
         "energy",
         &experiments::energy(&opts()),
-        0xccac_199a_8492_6be8,
+        0x3004_7a22_ec2c_05b0,
     );
 }
 
 #[test]
 fn uls() {
-    check("uls", &experiments::uls(&opts()), 0x37c8_d467_f4a8_ec32);
+    check("uls", &experiments::uls(&opts()), 0x4337_147f_8c04_6269);
 }
 
 /// One line per run of every NAS configuration under both schedulers,
@@ -174,5 +174,5 @@ fn table_run_records() {
             }
         }
     }
-    check("records", &text, 0xaf2a_40f0_4c98_dcac);
+    check("records", &text, 0xfecb_3531_bbb0_277b);
 }

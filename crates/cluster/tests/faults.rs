@@ -190,7 +190,7 @@ fn job_finished_before_its_node_restarts_stays_finished() {
     let h = launch(&mut clean);
     let exec = clean.run_to_completion(&h, 200_000_000);
     let exit = clean.node(0).tasks.get(h.perf_pids[0]).exited_at.unwrap();
-    assert_eq!(exit, SimTime::from_nanos(46_233_433));
+    assert_eq!(exit, SimTime::from_nanos(46_233_432));
 
     // Crash and restart node 0 just after that exit.
     let t = exit + SimDuration::from_nanos(1);

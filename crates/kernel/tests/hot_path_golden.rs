@@ -147,14 +147,14 @@ fn total_hw(node: &Node, e: HwEvent) -> u64 {
 
 #[test]
 fn cg_a_under_cfs_on_js22() {
-    let node = Case::paper(false, 0x601d_0001).check("cfs", 0x4990_b273_1864_13b5);
+    let node = Case::paper(false, 0x601d_0001).check("cfs", 0xec78_2808_276f_ed0d);
     assert!(node.counters.total().sw(SwEvent::CpuMigrations) > 0);
     assert!(total_hw(&node, HwEvent::ColdCacheStallNs) > 0);
 }
 
 #[test]
 fn cg_a_under_hpl_on_js22() {
-    let node = Case::paper(true, 0x601d_0002).check("hpl", 0xbc16_5541_bdd3_9433);
+    let node = Case::paper(true, 0x601d_0002).check("hpl", 0xc64b_1d57_9eb0_bcfb);
     assert!(total_hw(&node, HwEvent::BusyNs) > 0);
 }
 
@@ -163,7 +163,7 @@ fn cg_a_under_rt_on_js22() {
     // SCHED_FIFO ranks: RT push/pull on every blocking collective.
     let mut case = Case::paper(false, 0x601d_0003);
     case.mode = SchedMode::Rt { prio: 50 };
-    let node = case.check("rt", 0xa28d_3ffc_0e20_3e2b);
+    let node = case.check("rt", 0x22bc_5348_6b45_ad0b);
     assert!(node.counters.total().sw(SwEvent::CpuMigrations) > 0);
 }
 
@@ -179,7 +179,7 @@ fn cg_a_migrates_under_shared_l3_on_xeon() {
         ranks: 12,
         seed: 0x601d_0004,
     };
-    let want = 0x0e4b_a44c_358b_813e;
+    let want = 0x7c07_dc8c_4b5a_7a1a;
     case.check("xeon", want);
     // Make sure the pinned run is the intended one: warmth must actually
     // be carried across a shared L3. Observers only watch, so the run
@@ -202,7 +202,7 @@ fn cg_a_under_irq_noise_on_js22() {
         cost: SimDuration::from_micros(15),
         affinity: case.topo.all_cpus(),
     });
-    let node = case.check("irq", 0x12c0_c9f8_e22a_470a);
+    let node = case.check("irq", 0xf772_2c02_dd7a_48ae);
     assert!(total_hw(&node, HwEvent::IrqOverheadNs) > 0);
     assert!(total_hw(&node, HwEvent::SmtContentionNs) > 0);
 }
