@@ -22,7 +22,10 @@
 //! lazily cancel: rather than removing an entry from the heap (O(n)),
 //! callers remember the id of the event they still care about and ignore
 //! stale pops. The kernel uses this for compute-completion events that are
-//! superseded whenever a task's execution speed changes.
+//! superseded whenever a task's execution speed changes. An event armed
+//! at a lower bound of its instant can be put back at the exact instant
+//! under its original sequence number ([`EventQueue::rearm`]), so the
+//! total order is the one an exact schedule would have produced.
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
@@ -215,6 +218,35 @@ impl<E> EventQueue<E> {
         );
         let at = at.max(self.now);
         let seq = self.take_seq();
+        self.push(at, seq, payload);
+        EventId(seq)
+    }
+
+    /// Re-insert the event `id`, just popped, at `at` (not before
+    /// `now`) under its original sequence number. It then pops exactly
+    /// where it would have had it been scheduled at `at` in the first
+    /// place: among events at the same instant, by the order in which
+    /// they were first scheduled. A producer that cannot yet afford to
+    /// compute an event's time arms it at a cheap lower bound instead,
+    /// and re-arms it here once the bound fires and the exact time is
+    /// worth computing; every pop but that of the bound is unchanged.
+    ///
+    /// `id` must come from this queue and must not be pending; both are
+    /// checked in debug builds only as far as the id is older than any
+    /// sequence number not yet drawn.
+    pub fn rearm(&mut self, id: EventId, at: SimTime, payload: E) {
+        debug_assert!(
+            at >= self.now,
+            "re-arming event in the past: at={at} now={}",
+            self.now
+        );
+        debug_assert!(id.0 < self.next_seq, "re-arming an event never scheduled");
+        self.push(at.max(self.now), id.0, payload);
+    }
+
+    /// Put `payload` into the slab and its `(at, seq)` key into the heap.
+    #[inline]
+    fn push(&mut self, at: SimTime, seq: u64, payload: E) {
         let slot = if self.free == NO_SLOT {
             let slot = new_slot(self.slab.len());
             self.slab.push(Slot::Filled(payload));
@@ -228,7 +260,6 @@ impl<E> EventQueue<E> {
             slot
         };
         self.heap.push(Reverse(pack(at, seq, slot)));
-        EventId(seq)
     }
 
     /// Create a periodic slot firing first at `first`, then every `period`.

@@ -6,6 +6,11 @@
 //! tuples. Seeded random interleavings drive both with the same
 //! operations, and every returned `(time, EventId, payload)`, every
 //! peek and every `now()` must agree.
+//!
+//! A second oracle checks what [`EventQueue::rearm`] is for: a queue
+//! that arms events at lower bounds of their instants and re-arms each
+//! when its bound pops must pop, bounds aside, exactly the stream of a
+//! queue that scheduled every event at its final instant from the start.
 
 use hpl_sim::event::EventId;
 use hpl_sim::{EventQueue, PeriodicId, SimDuration, SimTime};
@@ -99,6 +104,15 @@ mod model {
             seq
         }
 
+        pub fn rearm(&mut self, seq: u64, at: SimTime, payload: E) {
+            assert!(at >= self.now && seq < self.next_seq);
+            self.heap.push(Entry {
+                time: at,
+                seq,
+                payload,
+            });
+        }
+
         pub fn schedule_periodic(
             &mut self,
             first: SimTime,
@@ -133,6 +147,10 @@ mod model {
 
         pub fn periodic_time(&self, i: usize) -> SimTime {
             self.periodic[i].time
+        }
+
+        pub fn payload(&self, i: usize) -> &E {
+            &self.periodic[i].payload
         }
 
         pub fn pop(&mut self) -> Option<(SimTime, u64, E)> {
@@ -352,6 +370,8 @@ fn run_seed(seed: u64, slots: Slots, start: u64) {
     }
     let mut fired_q = Vec::new();
     let mut fired_m = Vec::new();
+    // Periodic slots re-arm themselves when they pop.
+    let is_periodic = |m: &model::Queue<u64>, p: u64| (0..m.slots()).any(|i| *m.payload(i) == p);
     for op in 0..OPS_PER_SEED {
         let ctx = format!("seed {seed:#x} ({slots:?}) op {op}");
         match rng.below(100) {
@@ -372,9 +392,22 @@ fn run_seed(seed: u64, slots: Slots, start: u64) {
                 ids.push(a);
             }
             43..=79 => {
-                let a = q.pop().map(|(t, id, p)| (t, id_of(id), p));
-                let b = m.pop().map(|(t, s, p)| (t, model_id(s), p));
-                assert_eq!(a, b, "{ctx}: pop");
+                let a = q.pop();
+                let b = m.pop();
+                assert_eq!(
+                    a.map(|(t, id, p)| (t, id_of(id), p)),
+                    b.map(|(t, s, p)| (t, model_id(s), p)),
+                    "{ctx}: pop"
+                );
+                // Now and then put a popped heap event back, at once or
+                // later, under its own sequence number.
+                if let (Some((_, id, p)), Some((_, seq, _))) = (a, b) {
+                    if rng.below(4) == 0 && !is_periodic(&m, p) {
+                        let at = SimTime::from_nanos(q.now().as_nanos() + delay(&mut rng));
+                        q.rearm(id, at, p);
+                        m.rearm(seq, at, p);
+                    }
+                }
             }
             80..=94 => {
                 // Batch-advance the ticks up to (never past) the next
@@ -457,4 +490,82 @@ fn mixed_periodic_slots_agree_with_the_model() {
 fn large_timestamps_agree_with_the_model() {
     run_seed(0xB16_71DE, Slots::Uniform, 1 << 62);
     run_seed(0xB16_71DF, Slots::Mixed, (1 << 63) + 12_345);
+}
+
+/// Drive two queues through the same handler: `exact` schedules each
+/// event at its due instant, `bounded` at a seeded lower bound of it
+/// and, when that bound pops early, re-arms the event at its due
+/// instant. Handlers run on every pop but a bound's, drawing their
+/// choices from the popped event alone, and both queues carry the same
+/// periodic ticks, which draw sequence numbers of their own as they
+/// fire. Bounds aside, both must pop the same `(time, id, payload)`
+/// stream: same-instant ties included, since many delays are zero or a
+/// few nanoseconds.
+fn bounded_matches_exact(seed: u64) {
+    const TICKS: u64 = 3;
+    const POPS: usize = 20_000;
+    let mut rng = Mix(seed);
+    let mut exact: EventQueue<u64> = EventQueue::new();
+    let mut bounded: EventQueue<u64> = EventQueue::new();
+    // Payloads below `TICKS` are ticks; event `p` is due at `due[p]`.
+    let mut due = vec![SimTime::ZERO; TICKS as usize];
+    let period = SimDuration::from_nanos(50 + rng.below(100));
+    for tick in 0..TICKS {
+        let first = SimTime::from_nanos(rng.below(period.as_nanos()));
+        exact.schedule_periodic(first, period, tick);
+        bounded.schedule_periodic(first, period, tick);
+    }
+    let handle = |exact: &mut EventQueue<u64>,
+                  bounded: &mut EventQueue<u64>,
+                  due: &mut Vec<SimTime>,
+                  p: u64| {
+        let now = exact.now().as_nanos();
+        let mut r = Mix(seed ^ p.wrapping_mul(0x2545_F491_4F6C_DD1D) ^ now);
+        let spawned = if p < TICKS { r.below(2) } else { r.below(3) };
+        for _ in 0..spawned {
+            let at = now + delay(&mut r);
+            let bound = match r.below(4) {
+                0 => at,
+                1 => now,
+                _ => now + r.below(at - now + 1),
+            };
+            let payload = due.len() as u64;
+            due.push(SimTime::from_nanos(at));
+            let a = exact.schedule(SimTime::from_nanos(at), payload);
+            let b = bounded.schedule(SimTime::from_nanos(bound), payload);
+            assert_eq!(a, b, "seed {seed:#x}: ids drawn apart");
+        }
+    };
+    for _ in 0..4 {
+        let now = exact.now();
+        handle(&mut exact, &mut bounded, &mut due, TICKS + rng.below(1_000));
+        assert_eq!(bounded.now(), now);
+    }
+    let mut rearmed = 0;
+    for step in 0..POPS {
+        let want = exact.pop().expect("ticks never run out");
+        let got = loop {
+            let (t, id, p) = bounded.pop().expect("ticks never run out");
+            if p >= TICKS && t < due[p as usize] {
+                bounded.rearm(id, due[p as usize], p);
+                rearmed += 1;
+                continue;
+            }
+            break (t, id, p);
+        };
+        assert_eq!(got, want, "seed {seed:#x}: pop {step}");
+        assert_eq!(bounded.now(), exact.now(), "seed {seed:#x}: pop {step}");
+        handle(&mut exact, &mut bounded, &mut due, want.2);
+    }
+    assert!(
+        rearmed > POPS / 20,
+        "seed {seed:#x}: only {rearmed} re-arms"
+    );
+}
+
+#[test]
+fn rearmed_bounds_pop_as_if_scheduled_at_their_due_instants() {
+    for seed in 0..8u64 {
+        bounded_matches_exact(0x8E_A12D_0000 + seed);
+    }
 }
