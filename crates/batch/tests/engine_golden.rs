@@ -151,7 +151,7 @@ fn fairshare_on_swf() {
     // The audited usages decay through `powf`, whose last bits can
     // differ between debug and release builds; on this slice they agree,
     // so one digest pins both profiles.
-    check("fairshare", digest(&[&r, &trail]), 0x7088_5b6c_1c0f_27fa);
+    check("fairshare", digest(&[&r, &trail]), 0x2b1e_0d0d_46a4_5040);
 }
 
 #[test]
@@ -172,7 +172,7 @@ fn dfrs_on_swf() {
         .run(&mut build(8, 7007, Some(epoch), FaultPlan::none()), &mut p)
         .unwrap();
     let trail: Vec<_> = p.decisions().collect();
-    check("dfrs", digest(&[&r, &trail]), 0x1e21_b961_f56a_1d39);
+    check("dfrs", digest(&[&r, &trail]), 0xc432_e774_f04b_4a5c);
 }
 
 #[test]
@@ -188,7 +188,7 @@ fn walltime_kills_on_honest_swf() {
         .walltime(1.0)
         .run(&mut cluster(8, 7008), &mut p)
         .unwrap();
-    check("walltime", digest(&[&r, &e]), 0x5a9a_8352_cd27_e0ba);
+    check("walltime", digest(&[&r, &e]), 0xfce8_72ec_6a09_31a5);
 }
 
 #[test]
@@ -238,7 +238,7 @@ fn coordinated_dfrs_both_backends() {
         let trail: Vec<_> = p.decisions().collect();
         digests.push(digest(&[&r, &trail]));
     }
-    check("coord", digest(&[&digests]), 0xef71_8b9a_da2e_07ff);
+    check("coord", digest(&[&digests]), 0xe6f7_c963_7482_a4da);
 }
 
 fn job(id: u32, submit_us: u64, nodes: u32, iters: u32, compute_us: u64) -> BatchJob {
