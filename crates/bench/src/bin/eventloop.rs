@@ -133,19 +133,23 @@ impl Sweep {
     }
 }
 
-/// Run a measurement twice and keep the best wall time (standard
-/// min-of-N to shed scheduler/allocator noise); the simulated side must
-/// be bit-identical across runs or the measurement itself is broken.
-fn best(f: impl Fn() -> Obs) -> Obs {
-    let a = f();
-    let b = f();
-    assert_eq!(a.events, b.events, "non-deterministic event count");
-    assert_eq!(a.fingerprint, b.fingerprint, "non-deterministic state");
-    Obs {
-        events: a.events,
-        wall_s: a.wall_s.min(b.wall_s),
-        fingerprint: a.fingerprint,
+/// Time the fast and the reference path `reps` times each, interleaved
+/// (fast, reference, fast, …), and keep each path's best wall time
+/// (min-of-N sheds scheduler and allocator noise). Interleaving puts
+/// both paths in every phase of a shared host's speed, so their ratio
+/// follows the code and not the phase. The simulated side must be
+/// bit-identical across repeats or the measurement itself is broken.
+fn best_pair(reps: usize, run: &dyn Fn(bool) -> Obs) -> (Obs, Obs) {
+    let (mut fast, mut reference) = (run(true), run(false));
+    for _ in 1..reps {
+        for (best, on_fast) in [(&mut fast, true), (&mut reference, false)] {
+            let o = run(on_fast);
+            assert_eq!(o.events, best.events, "non-deterministic event count");
+            assert_eq!(o.fingerprint, best.fingerprint, "non-deterministic state");
+            best.wall_s = best.wall_s.min(o.wall_s);
+        }
     }
+    (fast, reference)
 }
 
 fn main() {
@@ -154,6 +158,8 @@ fn main() {
         flags
             .flavour()
             .pick((2_000, 1, 30), (40_000, 2, 120), (120_000, 4, 300));
+    // Timed repeats per path: the best of three outside smoke runs.
+    let timed = flags.flavour().pick(2, 3, 3);
     let tickless = || {
         let mut kc = KernelConfig::hpl();
         kc.tickless_single_hpc = true;
@@ -165,12 +171,15 @@ fn main() {
         flags.flavour().name()
     );
 
-    // Each sweep runs once on the fast path, once on the reference.
-    let sweep = |name, loop_bound, run: &dyn Fn(bool) -> Obs| Sweep {
-        name,
-        loop_bound,
-        fast: best(|| run(true)),
-        reference: best(|| run(false)),
+    // Each sweep alternates between the fast path and the reference.
+    let sweep = |name, loop_bound, run: &dyn Fn(bool) -> Obs| {
+        let (fast, reference) = best_pair(timed, run);
+        Sweep {
+            name,
+            loop_bound,
+            fast,
+            reference,
+        }
     };
     let (hpc, cfs, linux) = (SchedMode::Hpc, SchedMode::Cfs, KernelConfig::default);
     let sweeps = [
