@@ -73,12 +73,11 @@ const _: () = assert!(TICK_COST.as_nanos() < TICK_PERIOD.as_nanos());
 #[derive(Debug, Clone)]
 enum Ev {
     Tick(CpuId),
-    /// The segment of `cpu`'s task ends, as estimated at generation
-    /// `gen`; with `bound`, no later than this (see
-    /// `Node::schedule_completion`).
+    /// The segment of `cpu`'s task ends; with `bound`, no later than
+    /// this (see `Node::schedule_completion`). Stale unless its id is
+    /// the CPU's `seg_id`.
     SegDone {
         cpu: CpuId,
-        gen: u64,
         bound: bool,
     },
     TimerWake(Pid),
@@ -160,9 +159,11 @@ impl NetSpan {
 struct CpuState {
     curr: Option<Pid>,
     last_update: SimTime,
-    seg_gen: u64,
-    /// Due time of the live `SegDone` (generation `seg_gen`), read only
-    /// by the debug oracle [`Node::late_completion`].
+    /// Id of the live `SegDone`, `None` while no task runs: a popped
+    /// `SegDone` with another id was superseded.
+    seg_id: Option<EventId>,
+    /// Due time of the live `SegDone`, read only by the debug oracle
+    /// [`Node::late_completion`].
     seg_due: SimTime,
     pending_overhead: SimDuration,
     /// Busy ticks folded since the last settle (see
@@ -443,8 +444,6 @@ struct SpinBound {
     /// When the bound was armed: the solve's delay counts from here.
     from: SimTime,
     solve: Solve,
-    /// The bound's event, re-armed at the exact due time.
-    id: EventId,
 }
 
 /// Builder for a [`Node`].
@@ -524,7 +523,7 @@ impl NodeBuilder {
                 .map(|_| CpuState {
                     curr: None,
                     last_update: SimTime::ZERO,
-                    seg_gen: 0,
+                    seg_id: None,
                     seg_due: SimTime::ZERO,
                     pending_overhead: SimDuration::ZERO,
                     folded: 0,
@@ -553,9 +552,7 @@ impl NodeBuilder {
             irq: self.noise.irq.clone(),
             load: LoadSnapshot::empty(ncpus),
             plan_buf: Vec::new(),
-            tick_slots: Vec::new(),
             ff_fired: vec![0; ncpus],
-            ff_start: vec![SimTime::ZERO; ncpus],
             net_spans: Vec::new(),
             outbound: Vec::new(),
             gang_refs: std::collections::BTreeMap::new(),
@@ -566,22 +563,20 @@ impl NodeBuilder {
             events: 0,
             exits: 0,
         };
-        // Stagger per-CPU ticks across the tick period. The fast path
-        // routes them through the queue's periodic timer-wheel slots;
-        // the reference path schedules plain events that the tick
-        // handler re-arms. Both allocate sequence numbers in the same
-        // order, so the two paths produce identical event streams.
+        // Stagger per-CPU ticks across the tick period, in CPU order. The
+        // fast path routes them through the queue's timer wheel, whose
+        // slot `c` is CPU `c`'s tick; the reference path schedules plain
+        // events that the tick handler re-arms. Both allocate sequence
+        // numbers in the same order, so the two paths produce identical
+        // event streams.
         let period = TICK_PERIOD;
         for c in 0..ncpus as u32 {
             let offset = SimDuration::from_nanos(period.as_nanos() * (c as u64) / ncpus as u64);
             let first = SimTime::ZERO + period + offset;
             node.cpus[c as usize].next_tick = first;
             if node.cfg.fast_event_loop {
-                let id = node
-                    .queue
+                node.queue
                     .schedule_periodic(first, period, Ev::Tick(CpuId(c)));
-                debug_assert_eq!(id.index(), c as usize);
-                node.tick_slots.push(id);
             } else {
                 node.queue.schedule(first, Ev::Tick(CpuId(c)));
             }
@@ -692,12 +687,8 @@ pub struct Node {
     load: LoadSnapshot,
     /// Reused buffer for balance-hook migration plans.
     plan_buf: Vec<MigrationPlan>,
-    /// Timer-wheel slot per CPU (`fast_event_loop` only; slot i == cpu i).
-    tick_slots: Vec<hpl_sim::PeriodicId>,
-    /// Scratch for `fast_forward` (per-slot fire counts / pre-batch
-    /// tick times for all-idle balance replay).
+    /// Scratch for `fast_forward`: ticks batch-fired per CPU.
     ff_fired: Vec<u64>,
-    ff_start: Vec<SimTime>,
     /// Registered cross-node channel spans, in registration order: a
     /// [`Step::NetSend`] on a channel the newest matching span calls
     /// external is captured into `outbound` instead of notifying
@@ -1172,9 +1163,8 @@ impl Node {
     /// a solve.
     fn schedule_completion(&mut self, cpu: CpuId) {
         let idx = cpu.index();
-        self.cpus[idx].seg_gen += 1;
-        let gen = self.cpus[idx].seg_gen;
         let Some(pid) = self.cpus[idx].curr else {
+            self.cpus[idx].seg_id = None;
             return;
         };
         debug_assert_eq!(
@@ -1216,13 +1206,9 @@ impl Node {
         self.cpus[idx].seg_due = due;
         self.cpus[idx].seg_ticks = ticks;
         let bound = spin.is_some();
-        let id = self.queue.schedule(due, Ev::SegDone { cpu, gen, bound });
+        self.cpus[idx].seg_id = Some(self.queue.schedule(due, Ev::SegDone { cpu, bound }));
         if let Some(solve) = spin {
-            self.spin_bounds[idx] = Some(SpinBound {
-                from: now,
-                solve,
-                id,
-            });
+            self.spin_bounds[idx] = Some(SpinBound { from: now, solve });
         }
     }
 
@@ -2489,10 +2475,11 @@ impl Node {
     /// [`Self::schedule_completion`]) first runs the solve it deferred
     /// and, unless that lands now, re-arms itself at the answer; it
     /// settles nothing, so the CPU's state and the queue's order are
-    /// those of the exact path.
-    fn on_seg_done(&mut self, cpu: CpuId, gen: u64, bound: bool) {
+    /// those of the exact path. The re-armed event keeps its id, `id`,
+    /// and so stays live.
+    fn on_seg_done(&mut self, cpu: CpuId, id: EventId, bound: bool) {
         let idx = cpu.index();
-        if gen != self.cpus[idx].seg_gen {
+        if self.cpus[idx].seg_id != Some(id) {
             return; // superseded estimate
         }
         let now = self.now();
@@ -2504,12 +2491,8 @@ impl Node {
             debug_assert!(due >= now, "{cpu}: spin bound {now} past its solve {due}");
             if due > now {
                 self.cpus[idx].seg_due = due;
-                let exact = Ev::SegDone {
-                    cpu,
-                    gen,
-                    bound: false,
-                };
-                self.queue.rearm(spin.id, due, exact);
+                let exact = Ev::SegDone { cpu, bound: false };
+                self.queue.rearm(id, due, exact);
                 return;
             }
         }
@@ -2568,10 +2551,10 @@ impl Node {
         self.queue.schedule(now + next, Ev::Irq);
     }
 
-    fn dispatch(&mut self, ev: Ev) {
+    fn dispatch(&mut self, id: EventId, ev: Ev) {
         match ev {
             Ev::Tick(cpu) => self.on_tick(cpu),
-            Ev::SegDone { cpu, gen, bound } => self.on_seg_done(cpu, gen, bound),
+            Ev::SegDone { cpu, bound } => self.on_seg_done(cpu, id, bound),
             Ev::TimerWake(pid) => {
                 if self.tasks.get(pid).state == TaskState::Blocked(BlockReason::Timer) {
                     self.wake_task(pid);
@@ -2667,11 +2650,11 @@ impl Node {
 
     /// Run one event. Returns false when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some((_, _, ev)) = self.queue.pop() else {
+        let Some((_, id, ev)) = self.queue.pop() else {
             return false;
         };
         self.events += 1;
-        self.dispatch(ev);
+        self.dispatch(id, ev);
         self.drain();
         true
     }
@@ -2726,6 +2709,10 @@ impl Node {
         if !self.cfg.fast_event_loop {
             return 0;
         }
+        debug_assert!(
+            (0..self.cpus.len()).all(|i| self.cpus[i].next_tick == self.queue.periodic_time(i)),
+            "next_tick out of step with the timer wheel"
+        );
         // O(1) bail-out first: nothing can batch unless a tick precedes
         // the next heap event (and the bound). This is the merge cost a
         // busy node pays per dispatched event, so it runs before the
@@ -2769,7 +2756,7 @@ impl Node {
                 let cpu = CpuId(i as u32);
                 match self.tick_class(cpu, now) {
                     TickClass::Dispatch { .. } => {
-                        horizon = horizon.min(self.queue.periodic_time(self.tick_slots[i]));
+                        horizon = horizon.min(self.cpus[i].next_tick);
                         continue;
                     }
                     TickClass::Folds => folding.set(cpu),
@@ -2793,57 +2780,41 @@ impl Node {
         for f in self.ff_fired.iter_mut() {
             *f = 0;
         }
-        // Pre-advance pending tick times: the balance replay and the
-        // fold count below need each slot's first batched fire time.
-        if replay_balance {
-            for i in 0..self.ff_start.len() {
-                self.ff_start[i] = self.queue.periodic_time(self.tick_slots[i]);
-            }
-        }
-        for cpu in folding.iter() {
-            self.ff_start[cpu.index()] = self.queue.periodic_time(self.tick_slots[cpu.index()]);
-        }
         let mut fired = std::mem::take(&mut self.ff_fired);
         let total = self.queue.advance_periodic(horizon, &mut fired);
-        if replay_balance {
-            // Replay each batched tick's balance pass arithmetically:
-            // re-arm due levels and charge the calls, exactly as
-            // `on_tick` would have. CPUs are independent here — a due
-            // level only touches its own clock slot and counters (no
-            // migration plans can exist in an all-idle window), so
-            // per-CPU jump-from-due-to-due replay gives the same state
-            // as the global per-tick order. `pending_overhead` on an
-            // idle CPU is absorbed at its next sync anyway — the charge
-            // mirrors `on_tick`'s for strict parity.
-            for (i, &n) in fired.iter().enumerate() {
-                if n == 0 {
-                    continue;
-                }
-                let cpu = CpuId(i as u32);
-                let calls = self.balance_clock.replay_idle_dues(
-                    cpu,
-                    &self.domains,
-                    self.ff_start[i],
-                    n,
-                    TICK_PERIOD,
-                );
-                if calls > 0 {
-                    self.counters.add_sw(cpu, SwEvent::LoadBalanceCalls, calls);
-                    self.cpus[i].pending_overhead += BALANCE_COST * calls;
-                }
-            }
-        }
+        // A CPU's first batched tick is its `next_tick`, which moves
+        // past the batch at the end of the CPU's turn.
         for (i, &n) in fired.iter().enumerate() {
             if n == 0 {
                 continue;
             }
             let cpu = CpuId(i as u32);
+            let first = self.cpus[i].next_tick;
+            if replay_balance {
+                // Replay each batched tick's balance pass
+                // arithmetically: re-arm due levels and charge the
+                // calls, exactly as `on_tick` would have. CPUs are
+                // independent here — a due level only touches its own
+                // clock slot and counters (no migration plans can exist
+                // in an all-idle window), so per-CPU jump-from-due-to-due
+                // replay gives the same state as the global per-tick
+                // order. `pending_overhead` on an idle CPU is absorbed
+                // at its next sync anyway — the charge mirrors
+                // `on_tick`'s for strict parity.
+                let calls =
+                    self.balance_clock
+                        .replay_idle_dues(cpu, &self.domains, first, n, TICK_PERIOD);
+                if calls > 0 {
+                    self.counters.add_sw(cpu, SwEvent::LoadBalanceCalls, calls);
+                    self.cpus[i].pending_overhead += BALANCE_COST * calls;
+                }
+            }
             if folding.contains(cpu) {
-                self.fold_ticks(cpu, self.ff_start[i], n);
+                self.fold_ticks(cpu, first, n);
             } else {
                 self.counters.add_sw(cpu, SwEvent::TimerTicks, n);
             }
-            self.cpus[i].next_tick = self.queue.periodic_time(self.tick_slots[i]);
+            self.cpus[i].next_tick = first + TICK_PERIOD * n;
         }
         self.ff_fired = fired;
         self.events += total;

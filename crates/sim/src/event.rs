@@ -15,17 +15,24 @@
 //! free list inside the slab itself and reused, so a queue in steady
 //! state does not allocate. Both packing limits — 2^40 (about
 //! 1.1 × 10¹²) events scheduled over a queue's lifetime, and 2^24
-//! (about 16.8 million) events pending at once or periodic slots — are
+//! (about 16.8 million) events pending at once in the heap — are
 //! checked in every build and panic when exceeded; nothing wraps.
 //!
-//! Events also carry a generation-friendly [`EventId`] so producers can
-//! lazily cancel: rather than removing an entry from the heap (O(n)),
-//! callers remember the id of the event they still care about and ignore
-//! stale pops. The kernel uses this for compute-completion events that are
-//! superseded whenever a task's execution speed changes. An event armed
-//! at a lower bound of its instant can be put back at the exact instant
-//! under its original sequence number ([`EventQueue::rearm`]), so the
-//! total order is the one an exact schedule would have produced.
+//! Beside the heap sits a timer wheel: periodic slots of one shared
+//! period that fire in rotation (see [`EventQueue::schedule_periodic`]),
+//! one per CPU tick in the kernel. Its pending occurrence is one array
+//! read, and a run of firings has a closed form
+//! ([`EventQueue::advance_periodic`]).
+//!
+//! Every event carries an [`EventId`], so producers can lazily cancel:
+//! rather than removing an entry from the heap (O(n)), callers remember
+//! the id of the event they still care about and ignore stale pops. The
+//! kernel does this for compute-completion events, which are superseded
+//! whenever a task's execution speed changes. An event armed at a lower
+//! bound of its instant can be put back at the exact instant under its
+//! original sequence number ([`EventQueue::rearm`]), so the total order
+//! is the one an exact schedule would have produced, and the id stays
+//! the one its producer remembers.
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
@@ -34,8 +41,8 @@ use std::collections::BinaryHeap;
 /// Bits of a heap key that hold the insertion sequence number.
 const SEQ_BITS: u32 = 40;
 
-/// Bits of a heap key that hold the payload's slab slot (or, in the
-/// periodic mirror heap, the periodic slot's index).
+/// Bits of a heap key that hold the payload's slab slot (zero in a
+/// periodic slot's key).
 const SLOT_BITS: u32 = 64 - SEQ_BITS;
 
 const MAX_SEQ: u64 = 1 << SEQ_BITS;
@@ -74,8 +81,7 @@ enum Slot<E> {
     Vacant { next: u32 },
 }
 
-/// Index for an entry appended to a slab (or periodic-slot list) of
-/// `len` entries.
+/// Index for an entry appended to a slab of `len` entries.
 #[inline]
 fn new_slot(len: usize) -> usize {
     assert!(
@@ -89,37 +95,26 @@ fn new_slot(len: usize) -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventId(u64);
 
-/// Handle to a periodic slot created by [`EventQueue::schedule_periodic`].
+/// A self-re-arming periodic event: one spoke of the timer wheel.
 ///
-/// Slots are never removed, so the handle indexes a stable internal array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PeriodicId(usize);
-
-impl PeriodicId {
-    /// The slot's index (slots are numbered in creation order from 0).
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
-/// A self-re-arming periodic event: the timer-wheel fast path.
-///
-/// One slot stands in for an infinite stream of heap entries. The pending
-/// occurrence is `key` = `(time, seq, slot index)`; when it pops, the
-/// slot re-arms in place at `time + period` with a freshly allocated
-/// `seq`. That allocation order is exactly what an explicit handler-side
+/// One slot stands in for an infinite stream of heap entries. Its
+/// pending occurrence is `key` = `(time, seq)`; when it pops, the slot
+/// re-arms in place one period later with a freshly allocated `seq`.
+/// That allocation order is exactly what an explicit handler-side
 /// `schedule(now + period, ...)` as the handler's *last* seq allocation
 /// would produce, so converting such a self-re-arming event to a
 /// periodic slot preserves the queue's total `(time, seq)` order
 /// bit-for-bit.
 struct PeriodicSlot<E> {
     key: u128,
-    period: SimDuration,
     payload: E,
 }
 
 /// A deterministic min-priority queue of timestamped events.
+///
+/// Events live in a heap; per-CPU ticks may instead live on a timer
+/// wheel of periodic slots, which pop merged with the heap under the
+/// same `(time, seq)` order and can also be fired in bulk.
 ///
 /// ```
 /// use hpl_sim::{EventQueue, SimTime};
@@ -139,17 +134,16 @@ pub struct EventQueue<E> {
     /// First vacant slab entry (`NO_SLOT` if none): vacant entries are
     /// reused, most recently freed first, before the slab grows.
     free: u32,
-    /// Timer wheel: always-armed periodic slots, merged with the heap on
-    /// pop by `(time, seq)`. A handful of slots (one per CPU) replaces the
-    /// endless schedule/pop churn of tick events through the heap.
+    /// Timer wheel: always-armed periodic slots in creation order. Their
+    /// pending keys, read from `head` round to `head − 1`, are in
+    /// `(time, seq)` order and span at most one `period`.
     periodic: Vec<PeriodicSlot<E>>,
-    /// Mirror min-heap over the slots' pending keys, whose slot bits are
-    /// the periodic slot's index. Every slot has exactly one entry,
-    /// re-keyed in place when its occurrence fires, so the earliest
-    /// pending occurrence is an O(1) peek instead of an O(slots) scan —
-    /// the timer-wheel merge cost a busy `pop`/`peek_time` pays on every
-    /// call.
-    periodic_order: BinaryHeap<Reverse<u128>>,
+    /// The one period of every periodic slot.
+    period: SimDuration,
+    /// The slot whose occurrence is the wheel's earliest.
+    head: usize,
+    /// Whether a periodic slot has fired: the wheel then takes no more.
+    rotating: bool,
     next_seq: u64,
     now: SimTime,
 }
@@ -168,7 +162,9 @@ impl<E> EventQueue<E> {
             slab: Vec::new(),
             free: NO_SLOT,
             periodic: Vec::new(),
-            periodic_order: BinaryHeap::new(),
+            period: SimDuration::ZERO,
+            head: 0,
+            rotating: false,
             next_seq: 0,
             now: SimTime::ZERO,
         }
@@ -262,80 +258,92 @@ impl<E> EventQueue<E> {
         self.heap.push(Reverse(pack(at, seq, slot)));
     }
 
-    /// Create a periodic slot firing first at `first`, then every `period`.
+    /// Create a periodic slot of the timer wheel, firing first at
+    /// `first`, then every `period`. Slots are numbered in creation
+    /// order from 0.
+    ///
+    /// The wheel fires its slots in rotation. Every slot has the same
+    /// `period`, and all of them are created before any fires, in
+    /// non-decreasing `first` order, each at most one period after the
+    /// first slot; a violation of any of these panics. A fired slot
+    /// re-arms one period later under the newest sequence number, so it
+    /// becomes the last of the rotation: the pending keys stay a
+    /// rotation of creation order and span at most one period.
     ///
     /// The pending occurrence's seq is allocated here, exactly as
     /// [`schedule`](Self::schedule) would; every subsequent occurrence
     /// allocates its seq when the previous one pops. Slots live for the
     /// queue's whole lifetime (ticks never stop).
-    pub fn schedule_periodic(
-        &mut self,
-        first: SimTime,
-        period: SimDuration,
-        payload: E,
-    ) -> PeriodicId {
+    pub fn schedule_periodic(&mut self, first: SimTime, period: SimDuration, payload: E) {
         debug_assert!(
             first >= self.now,
             "scheduling periodic event in the past: first={first} now={}",
             self.now
         );
-        debug_assert!(!period.is_zero(), "periodic event with zero period");
         let first = first.max(self.now);
-        let idx = new_slot(self.periodic.len());
-        let key = pack(first, self.take_seq(), idx);
-        self.periodic.push(PeriodicSlot {
-            key,
-            period,
-            payload,
-        });
-        self.periodic_order.push(Reverse(key));
-        PeriodicId(idx)
+        assert!(!period.is_zero(), "periodic event with zero period");
+        assert!(!self.rotating, "periodic slot created after a slot fired");
+        if let (Some(lead), Some(last)) = (self.periodic.first(), self.periodic.last()) {
+            assert_eq!(period, self.period, "periodic slots share one period");
+            assert!(
+                first >= key_time(last.key),
+                "periodic slot created out of time order: first={first}"
+            );
+            assert!(
+                first - key_time(lead.key) <= period,
+                "periodic slot more than one period after the first: first={first}"
+            );
+        }
+        self.period = period;
+        let key = pack(first, self.take_seq(), 0);
+        self.periodic.push(PeriodicSlot { key, payload });
     }
 
-    /// Fire the pending occurrence of the slot at the mirror heap's
-    /// root: advance `now`, re-arm the slot one period later with a
-    /// fresh seq, and re-key the root in place (one sift, no pop and
-    /// push). Returns the fired occurrence as `(time, id, slot index)`.
-    fn fire_best_periodic(&mut self) -> (SimTime, EventId, usize) {
+    /// Fire the wheel's pending occurrence, that of slot `head`: advance
+    /// `now`, re-arm the slot one period later with a fresh seq, which
+    /// makes it the last of the rotation, and move `head` on. Returns
+    /// the fired occurrence as `(time, id, slot index)`.
+    fn fire_head(&mut self) -> (SimTime, EventId, usize) {
         let seq = self.take_seq();
-        let mut top = self
-            .periodic_order
-            .peek_mut()
-            .expect("a pending occurrence");
-        let key = top.0;
-        let (time, i) = (key_time(key), key_slot(key));
+        let i = self.head;
         let slot = &mut self.periodic[i];
-        debug_assert_eq!(slot.key, key, "mirror heap out of sync with slot {i}");
+        let (time, id) = (key_time(slot.key), EventId(key_seq(slot.key)));
         debug_assert!(time >= self.now, "event queue went backwards");
         self.now = time;
-        slot.key = pack(time + slot.period, seq, i);
-        top.0 = slot.key;
-        (time, EventId(key_seq(key)), i)
+        slot.key = pack(time + self.period, seq, 0);
+        self.head = if i + 1 == self.periodic.len() {
+            0
+        } else {
+            i + 1
+        };
+        self.rotating = true;
+        (time, id, i)
     }
 
-    /// Pending occurrence time of a periodic slot.
+    /// Pending occurrence time of periodic slot `slot`.
     #[inline]
-    pub fn periodic_time(&self, id: PeriodicId) -> SimTime {
-        key_time(self.periodic[id.0].key)
+    pub fn periodic_time(&self, slot: usize) -> SimTime {
+        key_time(self.periodic[slot].key)
     }
 
     /// Pop the next event, advancing `now` to its timestamp.
     ///
-    /// Merges the heap with the periodic slots under the same total
-    /// `(time, seq)` order — one integer comparison of the two roots'
-    /// keys. A popped periodic occurrence re-arms its slot in place (see
-    /// `PeriodicSlot` for why that preserves determinism).
+    /// Merges the heap with the timer wheel under the same total
+    /// `(time, seq)` order — one integer comparison of the heap root's
+    /// key with the wheel's head. A popped periodic occurrence re-arms
+    /// its slot in place (see `PeriodicSlot` for why that preserves
+    /// determinism).
     pub fn pop(&mut self) -> Option<(SimTime, EventId, E)>
     where
         E: Clone,
     {
-        let take_periodic = match (self.periodic_order.peek(), self.heap.peek()) {
-            (Some(p), Some(h)) => p.0 < h.0,
+        let take_periodic = match (self.periodic.get(self.head), self.heap.peek()) {
+            (Some(p), Some(h)) => p.key < h.0,
             (Some(_), None) => true,
             (None, _) => false,
         };
         if take_periodic {
-            let (time, id, i) = self.fire_best_periodic();
+            let (time, id, i) = self.fire_head();
             return Some((time, id, self.periodic[i].payload.clone()));
         }
         let Reverse(key) = self.heap.pop()?;
@@ -353,7 +361,7 @@ impl<E> EventQueue<E> {
     /// Timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         let heap = self.heap.peek().map(|k| k.0);
-        let periodic = self.periodic_order.peek().map(|k| k.0);
+        let periodic = self.periodic.get(self.head).map(|s| s.key);
         heap.into_iter().chain(periodic).min().map(key_time)
     }
 
@@ -369,146 +377,61 @@ impl<E> EventQueue<E> {
     /// fast-forward bail out cheaply when no tick precedes the next real
     /// event.
     pub fn peek_periodic_time(&self) -> Option<SimTime> {
-        self.periodic_order.peek().map(|k| key_time(k.0))
+        self.periodic.get(self.head).map(|s| key_time(s.key))
     }
 
     /// Batch-fire periodic occurrences without popping them one by one.
     ///
-    /// Every slot fires (and re-arms) while its pending time is strictly
-    /// below `horizon`; firings are processed in global `(time, seq)`
-    /// order across slots so seq allocation matches what sequential
-    /// [`pop`](Self::pop) calls would have produced. `fired[i]` is
-    /// incremented per firing of slot `i`; the total is returned.
+    /// Fires every pending periodic occurrence strictly below `horizon`,
+    /// leaving the queue as that many [`pop`](Self::pop)s would: the same
+    /// pending keys, the same sequence numbers drawn, and `now` at the
+    /// last firing. `fired[i]` is incremented per firing of slot `i`;
+    /// the total is returned.
     ///
-    /// `now` advances to each fired occurrence's timestamp, exactly as a
-    /// sequence of pops would have moved it — so a caller that reads
-    /// `now()` after a batch sees the same clock as the unbatched run.
-    ///
-    /// When every slot shares one period and the pending occurrences all
-    /// fit in a single period-wide window — always true for per-CPU
-    /// ticks, which start staggered inside one period and each firing
-    /// preserves that spread — the whole batch is computed arithmetically
-    /// in O(slots²) instead of O(firings · log slots): the global firing
-    /// order is then a fixed round-robin over the slots, so each slot's
-    /// firing count, final pending time and final seq have closed forms.
-    /// Other configurations take the per-firing merge loop.
+    /// Firings follow the rotation round after round, and their times
+    /// never decrease, so the batch is the rotation's first `total`
+    /// firings, in closed form and O(slots): the slot at rotation
+    /// position `j` (`j = 0` at `head`) with `n_j` firings draws, at its
+    /// last re-arm, seq `base + j + (n_j − 1)·slots`.
     pub fn advance_periodic(&mut self, horizon: SimTime, fired: &mut [u64]) -> u64 {
-        debug_assert_eq!(fired.len(), self.periodic.len());
-        if let Some(total) = self.advance_bulk(horizon, fired) {
-            return total;
-        }
-        self.advance_loop(horizon, fired)
-    }
-
-    /// Closed-form batch advance. Returns `None` (leaving the queue
-    /// untouched) when the preconditions do not hold: uniform period and
-    /// pending-time spread of at most one period.
-    fn advance_bulk(&mut self, horizon: SimTime, fired: &mut [u64]) -> Option<u64> {
-        let first = self.periodic.first()?;
-        let period = first.period;
-        let (mut lo, mut hi) = (key_time(first.key), key_time(first.key));
-        for s in &self.periodic[1..] {
-            if s.period != period {
-                return None;
-            }
-            lo = lo.min(key_time(s.key));
-            hi = hi.max(key_time(s.key));
-        }
-        if hi - lo > period {
-            return None;
-        }
-        let p = period.as_nanos();
-        // Firing count: slot fires at `t + k·p < horizon`, k = 0, 1, …
-        let count = |key: u128| -> u64 {
-            let t = key_time(key);
-            if t >= horizon {
-                0
+        let (n, head, period) = (self.periodic.len(), self.head, self.period);
+        debug_assert_eq!(fired.len(), n);
+        // A slot's firings below the horizon: at `t + k·period < horizon`.
+        let count = |s: &PeriodicSlot<E>| {
+            let t = key_time(s.key);
+            if t < horizon {
+                (horizon - t).as_nanos().div_ceil(period.as_nanos())
             } else {
-                (horizon - t).as_nanos().div_ceil(p)
+                0
             }
         };
-        let mut total = 0u64;
-        let mut last_fire = self.now;
-        for s in &self.periodic {
-            let n = count(s.key);
-            if n > 0 {
-                total += n;
-                last_fire = last_fire.max(key_time(s.key) + period * (n - 1));
-            }
-        }
+        let rotation = || (head..n).chain(0..head);
+        let total: u64 = rotation().map(|i| count(&self.periodic[i])).sum();
         if total == 0 {
-            return Some(0);
+            return 0;
         }
-        // Because the spread is within one period, firings round-robin
-        // through the slots in their pending `(time, seq)` order — key
-        // order (at an exact time tie the later-phased slot still
-        // carries the older — smaller — seq, so the round order is
-        // stable). Each firing's re-arm draws the next global seq, so
-        // slot i's final seq is `base + (firings strictly before its
-        // last fire)`: its own `n_i − 1` earlier rounds, plus
-        // `min(n_j, n_i)` from every slot ordered before it in the round
-        // and `min(n_j, n_i − 1)` from every slot after it.
         let base = self.next_seq;
         assert!(
             total <= MAX_SEQ - base,
             "event queue exhausted its {SEQ_BITS}-bit sequence numbers"
         );
-        self.periodic_order.clear();
-        for (i, s) in self.periodic.iter().enumerate() {
-            let n_i = count(s.key);
-            if n_i == 0 {
-                self.periodic_order.push(Reverse(s.key));
-                continue;
+        for (j, i) in rotation().enumerate() {
+            let slot = &mut self.periodic[i];
+            let k = count(slot);
+            if k == 0 {
+                break; // so are all later positions
             }
-            let mut before = n_i - 1;
-            for (j, o) in self.periodic.iter().enumerate() {
-                if j == i {
-                    continue;
-                }
-                let n_j = count(o.key);
-                before += if o.key < s.key {
-                    n_j.min(n_i)
-                } else {
-                    n_j.min(n_i - 1)
-                };
-            }
-            let t = key_time(s.key) + period * n_i;
-            self.periodic_order.push(Reverse(pack(t, base + before, i)));
-            fired[i] += n_i;
+            let seq = base + j as u64 + (k - 1) * n as u64;
+            slot.key = pack(key_time(slot.key) + period * k, seq, 0);
+            fired[i] += k;
         }
-        // The rebuilt mirror holds every slot's new pending key; write
-        // the slots back from it.
-        let (order, slots) = (&self.periodic_order, &mut self.periodic);
-        for &Reverse(key) in order.iter() {
-            slots[key_slot(key)].key = key;
-        }
+        // Firing `total − 1`, the last, re-armed its slot one period on.
+        let last = (head + ((total - 1) % n as u64) as usize) % n;
+        self.now = key_time(self.periodic[last].key) - period;
+        self.head = (head + (total % n as u64) as usize) % n;
         self.next_seq = base + total;
-        self.now = last_fire;
-        Some(total)
-    }
-
-    /// Per-firing batch advance: re-keys the mirror heap's root one
-    /// occurrence at a time, in global `(time, seq)` order, for
-    /// configurations the closed form does not cover. The earliest
-    /// pending occurrence only moves *up*, so the batch ends at the
-    /// first one not below `horizon`.
-    fn advance_loop(&mut self, horizon: SimTime, fired: &mut [u64]) -> u64 {
-        let mut total = 0u64;
-        while self.peek_periodic_time().is_some_and(|t| t < horizon) {
-            let (_, _, i) = self.fire_best_periodic();
-            fired[i] += 1;
-            total += 1;
-        }
+        self.rotating = true;
         total
-    }
-
-    /// Drop all pending events (used when a run terminates early).
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.slab.clear();
-        self.free = NO_SLOT;
-        self.periodic.clear();
-        self.periodic_order.clear();
     }
 }
 
@@ -583,14 +506,6 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(2)));
     }
 
-    #[test]
-    fn clear_empties_queue() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(1), ());
-        q.clear();
-        assert!(q.pop().is_none());
-    }
-
     /// A periodic slot must produce the byte-identical `(time, id, payload)`
     /// stream of a handler that re-schedules itself as its last action.
     #[test]
@@ -658,13 +573,14 @@ mod tests {
         }
     }
 
-    /// The closed-form bulk advance and the per-firing merge loop must
-    /// leave byte-identical queues: same firing counts, same clock, same
-    /// seq allocation, same continuation stream. A seeded LCG explores
-    /// phase ties, full-period spreads and horizons at or between
-    /// pending occurrences.
+    /// The closed form leaves the queue byte-identical to popping each
+    /// occurrence below the horizon: same firing counts, same clock,
+    /// same seq allocation, same continuation stream. A seeded LCG
+    /// explores one to six slots, phase ties, spreads of exactly one
+    /// period, horizons on a pending occurrence, batches that start
+    /// anywhere in the rotation, and clocks near 2^63.
     #[test]
-    fn bulk_advance_matches_firing_loop() {
+    fn advance_periodic_matches_sequential_pops_at_random() {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut rng = move || {
             state = state
@@ -672,70 +588,93 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             state >> 33
         };
-        let p = 10u64;
-        for round in 0..300 {
+        let t = SimTime::from_nanos;
+        for round in 0..400 {
             let nslots = 1 + (rng() % 6) as usize;
-            let mut bulk = EventQueue::new();
-            let mut looped = EventQueue::new();
-            for i in 0..nslots {
-                // Offsets in [0, p] inclusive: phase ties and the exact
-                // one-period spread are both legal bulk inputs.
-                let first = SimTime::from_nanos(rng() % (p + 1));
-                for q in [&mut bulk, &mut looped] {
-                    q.schedule_periodic(first, SimDuration::from_nanos(p), i);
+            let p = 1 + rng() % 20;
+            let start = if round % 4 == 0 {
+                (1 << 63) + rng() % 100
+            } else {
+                rng() % 50
+            };
+            let mut offsets: Vec<u64> = (0..nslots).map(|_| rng() % (p + 1)).collect();
+            offsets.sort_unstable();
+            if rng() % 2 == 0 {
+                offsets[0] = 0;
+                offsets[nslots - 1] = p;
+            }
+            let mut batched = EventQueue::new();
+            let mut popped = EventQueue::new();
+            for q in [&mut batched, &mut popped] {
+                q.schedule(t(start), usize::MAX);
+                q.pop();
+                for (i, &o) in offsets.iter().enumerate() {
+                    q.schedule_periodic(t(start + o), SimDuration::from_nanos(p), i);
                 }
             }
-            // A horizon sometimes capped at a random subset's pending
-            // occurrences — the shape the kernel produces when
-            // non-quiescent CPUs freeze their tick slots.
-            let mut h = SimTime::from_nanos(rng() % (6 * p));
-            for i in 0..nslots {
-                if rng() % 4 == 0 {
-                    h = h.min(bulk.periodic_time(PeriodicId(i)));
+            for batch in 0..4 {
+                let ctx = format!("round {round} batch {batch}");
+                let h = if rng() % 3 == 0 {
+                    batched.periodic_time((rng() % nslots as u64) as usize)
+                } else {
+                    batched.now() + SimDuration::from_nanos(rng() % (6 * p))
+                };
+                let mut fired = vec![0u64; nslots];
+                let total = batched.advance_periodic(h, &mut fired);
+                let mut want = vec![0u64; nslots];
+                while popped.peek_time().is_some_and(|due| due < h) {
+                    want[popped.pop().unwrap().2] += 1;
+                }
+                assert_eq!(fired, want, "{ctx}: per-slot counts");
+                assert_eq!(total, want.iter().sum::<u64>(), "{ctx}: total");
+                assert_eq!(batched.now(), popped.now(), "{ctx}: clock");
+                assert_eq!(batched.peek_time(), popped.peek_time(), "{ctx}: next");
+                if rng() % 2 == 0 {
+                    assert_eq!(batched.pop(), popped.pop(), "{ctx}: single pop");
                 }
             }
-            let mut fired_bulk = vec![0u64; nslots];
-            let mut fired_loop = vec![0u64; nslots];
-            let tb = bulk
-                .advance_bulk(h, &mut fired_bulk)
-                .expect("uniform period within one spread takes the closed form");
-            let tl = looped.advance_loop(h, &mut fired_loop);
-            assert_eq!(tb, tl, "round {round}: firing totals diverged");
-            assert_eq!(fired_bulk, fired_loop, "round {round}: per-slot counts");
-            assert_eq!(bulk.now(), looped.now(), "round {round}: clock");
-            for step in 0..4 * nslots {
+            for step in 0..3 * nslots {
                 assert_eq!(
-                    bulk.pop(),
-                    looped.pop(),
+                    batched.pop(),
+                    popped.pop(),
                     "round {round}: continuation diverged at pop {step}"
                 );
             }
         }
     }
 
-    /// Configurations outside the closed form — mixed periods, or slots
-    /// drifted more than one period apart — fall back to the firing
-    /// loop inside `advance_periodic` and stay exact.
     #[test]
-    fn bulk_advance_declines_nonuniform_configurations() {
+    #[should_panic(expected = "share one period")]
+    fn a_second_period_panics() {
         let mut q = EventQueue::new();
-        q.schedule_periodic(SimTime::from_nanos(0), SimDuration::from_nanos(10), "a");
-        q.schedule_periodic(SimTime::from_nanos(25), SimDuration::from_nanos(10), "b");
-        let horizon = SimTime::from_nanos(40);
-        let mut fired = [0u64; 2];
-        assert!(q.advance_bulk(horizon, &mut fired).is_none());
-        let total = q.advance_periodic(horizon, &mut fired);
-        assert_eq!(fired, [4, 2]); // a: 0,10,20,30  b: 25,35
-        assert_eq!(total, 6);
+        q.schedule_periodic(SimTime::from_nanos(0), SimDuration::from_nanos(10), 0);
+        q.schedule_periodic(SimTime::from_nanos(5), SimDuration::from_nanos(7), 1);
+    }
 
+    #[test]
+    #[should_panic(expected = "out of time order")]
+    fn a_slot_out_of_time_order_panics() {
         let mut q = EventQueue::new();
-        q.schedule_periodic(SimTime::from_nanos(0), SimDuration::from_nanos(10), "a");
-        q.schedule_periodic(SimTime::from_nanos(5), SimDuration::from_nanos(7), "b");
-        let mut fired = [0u64; 2];
-        assert!(q.advance_bulk(horizon, &mut fired).is_none());
-        let total = q.advance_periodic(horizon, &mut fired);
-        assert_eq!(fired, [4, 5]); // a: 0,10,20,30  b: 5,12,19,26,33
-        assert_eq!(total, 9);
+        q.schedule_periodic(SimTime::from_nanos(5), SimDuration::from_nanos(10), 0);
+        q.schedule_periodic(SimTime::from_nanos(4), SimDuration::from_nanos(10), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "more than one period after the first")]
+    fn a_slot_past_one_period_panics() {
+        let mut q = EventQueue::new();
+        q.schedule_periodic(SimTime::from_nanos(0), SimDuration::from_nanos(10), 0);
+        q.schedule_periodic(SimTime::from_nanos(10), SimDuration::from_nanos(10), 1);
+        q.schedule_periodic(SimTime::from_nanos(11), SimDuration::from_nanos(10), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "after a slot fired")]
+    fn a_slot_after_a_firing_panics() {
+        let mut q = EventQueue::new();
+        q.schedule_periodic(SimTime::from_nanos(3), SimDuration::from_nanos(10), 0);
+        q.pop();
+        q.schedule_periodic(SimTime::from_nanos(5), SimDuration::from_nanos(10), 1);
     }
 
     /// Integer order on packed keys is `(time, seq)` order, at the
@@ -790,19 +729,16 @@ mod tests {
     #[test]
     fn peek_and_len_cover_periodic() {
         let mut q = EventQueue::new();
-        let id = q.schedule_periodic(SimTime::from_nanos(8), SimDuration::from_nanos(4), 0u32);
+        q.schedule_periodic(SimTime::from_nanos(8), SimDuration::from_nanos(4), 0u32);
         q.schedule(SimTime::from_nanos(9), 1u32);
         assert_eq!(q.len(), 2);
         assert!(!q.is_empty());
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(8)));
         assert_eq!(q.peek_heap_time(), Some(SimTime::from_nanos(9)));
-        assert_eq!(q.periodic_time(id), SimTime::from_nanos(8));
+        assert_eq!(q.periodic_time(0), SimTime::from_nanos(8));
         q.pop();
         // The slot re-armed: still two pending events.
         assert_eq!(q.len(), 2);
-        assert_eq!(q.periodic_time(id), SimTime::from_nanos(12));
-        q.clear();
-        assert!(q.is_empty());
-        assert!(q.pop().is_none());
+        assert_eq!(q.periodic_time(0), SimTime::from_nanos(12));
     }
 }

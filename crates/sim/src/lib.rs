@@ -32,7 +32,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use event::{EventQueue, PeriodicId};
+pub use event::EventQueue;
 pub use rng::Rng;
 pub use stats::Summary;
 pub use time::{SimDuration, SimTime};

@@ -3,9 +3,11 @@
 //! `model` is the straightforward queue the library's fast one must
 //! match: a `BinaryHeap` of whole `(time, seq, payload)` entries plus
 //! periodic slots merged through a mirror heap of `(time, seq, slot)`
-//! tuples. Seeded random interleavings drive both with the same
-//! operations, and every returned `(time, EventId, payload)`, every
-//! peek and every `now()` must agree.
+//! tuples, which fires one occurrence at a time, in a batch too. So
+//! the library's closed-form batch is checked against firings one by
+//! one, not against a copy of itself. Seeded random interleavings drive
+//! both with the same operations, and every returned
+//! `(time, EventId, payload)`, every peek and every `now()` must agree.
 //!
 //! A second oracle checks what [`EventQueue::rearm`] is for: a queue
 //! that arms events at lower bounds of their instants and re-arms each
@@ -13,7 +15,7 @@
 //! queue that scheduled every event at its final instant from the start.
 
 use hpl_sim::event::EventId;
-use hpl_sim::{EventQueue, PeriodicId, SimDuration, SimTime};
+use hpl_sim::{EventQueue, SimDuration, SimTime};
 
 mod model {
     use hpl_sim::{SimDuration, SimTime};
@@ -187,81 +189,6 @@ mod model {
 
         pub fn advance_periodic(&mut self, horizon: SimTime, fired: &mut [u64]) -> u64 {
             assert_eq!(fired.len(), self.periodic.len());
-            if let Some(total) = self.advance_bulk(horizon, fired) {
-                return total;
-            }
-            self.advance_loop(horizon, fired)
-        }
-
-        fn advance_bulk(&mut self, horizon: SimTime, fired: &mut [u64]) -> Option<u64> {
-            let first = self.periodic.first()?;
-            let period = first.period;
-            let (mut lo, mut hi) = (first.time, first.time);
-            for s in &self.periodic[1..] {
-                if s.period != period {
-                    return None;
-                }
-                lo = lo.min(s.time);
-                hi = hi.max(s.time);
-            }
-            if hi - lo > period {
-                return None;
-            }
-            let p = period.as_nanos();
-            let count = |t: SimTime| -> u64 {
-                if t >= horizon {
-                    0
-                } else {
-                    (horizon - t).as_nanos().div_ceil(p)
-                }
-            };
-            let mut total = 0u64;
-            let mut last_fire = self.now;
-            for s in &self.periodic {
-                let n = count(s.time);
-                if n > 0 {
-                    total += n;
-                    last_fire = last_fire.max(s.time + period * (n - 1));
-                }
-            }
-            if total == 0 {
-                return Some(0);
-            }
-            let base = self.next_seq;
-            self.periodic_order.clear();
-            for (i, s) in self.periodic.iter().enumerate() {
-                let n_i = count(s.time);
-                if n_i == 0 {
-                    self.periodic_order.push(Reverse((s.time, s.seq, i)));
-                    continue;
-                }
-                let mut before = n_i - 1;
-                for (j, o) in self.periodic.iter().enumerate() {
-                    if j == i {
-                        continue;
-                    }
-                    let n_j = count(o.time);
-                    before += if (o.time, o.seq) < (s.time, s.seq) {
-                        n_j.min(n_i)
-                    } else {
-                        n_j.min(n_i - 1)
-                    };
-                }
-                self.periodic_order
-                    .push(Reverse((s.time + period * n_i, base + before, i)));
-                fired[i] += n_i;
-            }
-            let (order, slots) = (&self.periodic_order, &mut self.periodic);
-            for &Reverse((t, seq, i)) in order.iter() {
-                slots[i].time = t;
-                slots[i].seq = seq;
-            }
-            self.next_seq = base + total;
-            self.now = last_fire;
-            Some(total)
-        }
-
-        fn advance_loop(&mut self, horizon: SimTime, fired: &mut [u64]) -> u64 {
             let mut total = 0u64;
             while self.peek_periodic_time().is_some_and(|t| t < horizon) {
                 let (_, _, i) = self.fire_best_periodic();
@@ -269,12 +196,6 @@ mod model {
                 total += 1;
             }
             total
-        }
-
-        pub fn clear(&mut self) {
-            self.heap.clear();
-            self.periodic.clear();
-            self.periodic_order.clear();
         }
     }
 }
@@ -295,18 +216,6 @@ impl Mix {
     fn below(&mut self, n: u64) -> u64 {
         self.next() % n
     }
-}
-
-/// Periodic-slot shape of one seed.
-#[derive(Clone, Copy, Debug)]
-enum Slots {
-    /// Every slot shares one period and starts inside one period-wide
-    /// window at the seed's start (or right after a `clear`): the
-    /// closed-form batch advance applies.
-    Uniform,
-    /// Slots appear at random times with random periods: the
-    /// per-firing batch loop.
-    Mixed,
 }
 
 const OPS_PER_SEED: usize = 20_000;
@@ -330,33 +239,34 @@ fn delay(rng: &mut Mix) -> u64 {
     }
 }
 
+/// Create the timer wheel on both queues: one to `MAX_SLOTS` slots of
+/// one period, in time order, at offsets in `[0, period]` from a common
+/// base, so phase ties and the exact one-period spread both occur.
 fn arm_uniform(
     q: &mut EventQueue<u64>,
     m: &mut model::Queue<u64>,
-    ids: &mut Vec<PeriodicId>,
     rng: &mut Mix,
     payload: &mut u64,
 ) {
     let period = 1 + rng.below(200);
     let base = q.now().as_nanos() + rng.below(50);
-    for _ in 0..1 + rng.below(MAX_SLOTS as u64) {
-        // Offsets in [0, period]: phase ties and the exact one-period
-        // spread are both inside the closed form.
-        let first = SimTime::from_nanos(base + rng.below(period + 1));
+    let mut offsets: Vec<u64> = (0..1 + rng.below(MAX_SLOTS as u64))
+        .map(|_| rng.below(period + 1))
+        .collect();
+    offsets.sort_unstable();
+    for offset in offsets {
+        let first = SimTime::from_nanos(base + offset);
         let p = SimDuration::from_nanos(period);
         *payload += 1;
-        let a = q.schedule_periodic(first, p, *payload);
-        let b = m.schedule_periodic(first, p, *payload);
-        assert_eq!(a.index(), b);
-        ids.push(a);
+        q.schedule_periodic(first, p, *payload);
+        m.schedule_periodic(first, p, *payload);
     }
 }
 
-fn run_seed(seed: u64, slots: Slots, start: u64) {
+fn run_seed(seed: u64, start: u64) {
     let mut rng = Mix(seed);
     let mut q: EventQueue<u64> = EventQueue::new();
     let mut m: model::Queue<u64> = model::Queue::new();
-    let mut ids = Vec::new();
     let mut payload = 0u64;
     // Move both clocks to `start` so large timestamps are exercised.
     q.schedule(SimTime::from_nanos(start), 0);
@@ -365,15 +275,13 @@ fn run_seed(seed: u64, slots: Slots, start: u64) {
         q.pop().map(|(t, id, p)| (t, id_of(id), p)),
         m.pop().map(|(t, s, p)| (t, model_id(s), p))
     );
-    if let Slots::Uniform = slots {
-        arm_uniform(&mut q, &mut m, &mut ids, &mut rng, &mut payload);
-    }
+    arm_uniform(&mut q, &mut m, &mut rng, &mut payload);
     let mut fired_q = Vec::new();
     let mut fired_m = Vec::new();
     // Periodic slots re-arm themselves when they pop.
     let is_periodic = |m: &model::Queue<u64>, p: u64| (0..m.slots()).any(|i| *m.payload(i) == p);
     for op in 0..OPS_PER_SEED {
-        let ctx = format!("seed {seed:#x} ({slots:?}) op {op}");
+        let ctx = format!("seed {seed:#x} op {op}");
         match rng.below(100) {
             0..=39 => {
                 let at = SimTime::from_nanos(q.now().as_nanos() + delay(&mut rng));
@@ -382,16 +290,7 @@ fn run_seed(seed: u64, slots: Slots, start: u64) {
                 let b = m.schedule(at, payload);
                 assert_eq!(id_of(a), model_id(b), "{ctx}: schedule id");
             }
-            40..=42 if matches!(slots, Slots::Mixed) && m.slots() < MAX_SLOTS => {
-                let first = SimTime::from_nanos(q.now().as_nanos() + delay(&mut rng));
-                let period = SimDuration::from_nanos(1 + rng.below(500));
-                payload += 1;
-                let a = q.schedule_periodic(first, period, payload);
-                let b = m.schedule_periodic(first, period, payload);
-                assert_eq!(a.index(), b, "{ctx}: periodic slot index");
-                ids.push(a);
-            }
-            43..=79 => {
+            40..=79 => {
                 let a = q.pop();
                 let b = m.pop();
                 assert_eq!(
@@ -419,7 +318,7 @@ fn run_seed(seed: u64, slots: Slots, start: u64) {
                 if m.slots() > 0 && rng.below(3) == 0 {
                     let i = rng.below(m.slots() as u64) as usize;
                     h = m.periodic_time(i);
-                    assert_eq!(q.periodic_time(ids[i]), h, "{ctx}: periodic_time");
+                    assert_eq!(q.periodic_time(i), h, "{ctx}: periodic_time");
                 }
                 let h = h.min(heap_t);
                 fired_q.clear();
@@ -431,18 +330,7 @@ fn run_seed(seed: u64, slots: Slots, start: u64) {
                 assert_eq!(a, b, "{ctx}: advance total");
                 assert_eq!(fired_q, fired_m, "{ctx}: advance per slot");
             }
-            95..=98 => {}
-            _ => {
-                // Rare: drop everything, as an early-terminated run does.
-                if rng.below(4) == 0 {
-                    q.clear();
-                    m.clear();
-                    ids.clear();
-                    if let Slots::Uniform = slots {
-                        arm_uniform(&mut q, &mut m, &mut ids, &mut rng, &mut payload);
-                    }
-                }
-            }
+            _ => {}
         }
         assert_eq!(q.now(), m.now(), "{ctx}: now");
         assert_eq!(q.len(), m.len(), "{ctx}: len");
@@ -472,15 +360,8 @@ fn run_seed(seed: u64, slots: Slots, start: u64) {
 
 #[test]
 fn uniform_ticks_agree_with_the_model() {
-    for seed in 0..8u64 {
-        run_seed(0x51AB_0000 + seed, Slots::Uniform, seed * 1_000);
-    }
-}
-
-#[test]
-fn mixed_periodic_slots_agree_with_the_model() {
-    for seed in 0..8u64 {
-        run_seed(0x3D1C_0000 + seed, Slots::Mixed, seed * 7);
+    for seed in 0..16u64 {
+        run_seed(0x51AB_0000 + seed, seed * 1_000);
     }
 }
 
@@ -488,8 +369,8 @@ fn mixed_periodic_slots_agree_with_the_model() {
 /// still order exactly as the model does.
 #[test]
 fn large_timestamps_agree_with_the_model() {
-    run_seed(0xB16_71DE, Slots::Uniform, 1 << 62);
-    run_seed(0xB16_71DF, Slots::Mixed, (1 << 63) + 12_345);
+    run_seed(0xB16_71DE, 1 << 62);
+    run_seed(0xB16_71DF, (1 << 63) + 12_345);
 }
 
 /// Drive two queues through the same handler: `exact` schedules each
@@ -510,8 +391,10 @@ fn bounded_matches_exact(seed: u64) {
     // Payloads below `TICKS` are ticks; event `p` is due at `due[p]`.
     let mut due = vec![SimTime::ZERO; TICKS as usize];
     let period = SimDuration::from_nanos(50 + rng.below(100));
-    for tick in 0..TICKS {
-        let first = SimTime::from_nanos(rng.below(period.as_nanos()));
+    let mut firsts: Vec<u64> = (0..TICKS).map(|_| rng.below(period.as_nanos())).collect();
+    firsts.sort_unstable();
+    for (tick, first) in (0..TICKS).zip(firsts) {
+        let first = SimTime::from_nanos(first);
         exact.schedule_periodic(first, period, tick);
         bounded.schedule_periodic(first, period, tick);
     }
